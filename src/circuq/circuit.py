@@ -339,7 +339,7 @@ def log_likelihood(circuit: Circuit, evidence) -> np.ndarray:
     for i, node in enumerate(circuit.nodes):
         if node.kind == "sum":
             terms = node.log_weights + logv[node.children]
-            logv[i] = _logsumexp(terms)
+            logv[i] = logsumexp(terms)
         elif node.kind == "product":
             logv[i] = float(np.sum(logv[node.children]))
         else:
@@ -364,14 +364,15 @@ def forward_log_values(circuit: Circuit, X: np.ndarray) -> np.ndarray:
     """Per-node log values for a batch, shape (nodes, rows)."""
     rows = X.shape[0]
     logv = np.empty((len(circuit.nodes), rows), dtype=np.float64)
-    for i, node in enumerate(circuit.nodes):
-        if node.kind == "sum":
-            terms = node.log_weights[:, None] + logv[node.children]
-            logv[i] = _logsumexp_axis0(terms)
-        elif node.kind == "product":
-            logv[i] = logv[node.children].sum(axis=0)
-        else:
-            logv[i] = _leaf_log_values_batch(node, X[:, node.variable])
+    with np.errstate(divide="ignore"):
+        for i, node in enumerate(circuit.nodes):
+            if node.kind == "sum":
+                terms = node.log_weights[:, None] + logv[node.children]
+                logv[i] = logsumexp_axis0(terms)
+            elif node.kind == "product":
+                logv[i] = logv[node.children].sum(axis=0)
+            else:
+                logv[i] = _leaf_log_values_batch(node, X[:, node.variable])
     return logv
 
 
@@ -390,19 +391,30 @@ def _leaf_log_values_batch(node: Node, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _logsumexp(terms: np.ndarray) -> float:
-    m = float(np.max(terms))
+# ---------------------------------------------------------------------------
+# Log-space helpers, shared by every pass.  None of them enters np.errstate;
+# a caller that can hit an all -inf column sets it once around its loop.
+
+
+def logsumexp(terms: np.ndarray) -> float:
+    """log(sum(exp(terms))) of a 1-D array; -inf when empty or all -inf."""
+    m = float(terms.max(initial=-np.inf))
     if m == -np.inf:
         return -np.inf
     return m + math.log(float(np.exp(terms - m).sum()))
 
 
-def _logsumexp_axis0(terms: np.ndarray) -> np.ndarray:
+def logsumexp_axis0(terms: np.ndarray) -> np.ndarray:
+    """Column-wise log-sum-exp of a (k, rows) array; all -inf columns give -inf."""
     m = np.max(terms, axis=0)
     safe = np.where(np.isneginf(m), 0.0, m)
-    with np.errstate(divide="ignore"):
-        out = safe + np.log(np.exp(terms - safe[None, :]).sum(axis=0))
+    out = safe + np.log(np.exp(terms - safe[None, :]).sum(axis=0))
     return np.where(np.isneginf(m), -np.inf, out)
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Normalized log weights from unconstrained logits."""
+    return logits - logsumexp(logits)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circuit import Circuit, as_evidence
+from .circuit import Circuit, as_evidence, leaf_log_value, logsumexp_axis0
 from .errors import DegenerateSampleError
 from .moments import DropoutConfig, posterior_moments_batch, TaylorMethod
 
@@ -135,8 +135,6 @@ def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
 
 def _maskable_log_values(circuit: Circuit, values: np.ndarray) -> list:
     """Per-node data reused across passes: leaf logs and sum/product wiring."""
-    from .circuit import leaf_log_value
-
     cache = []
     for node in circuit.nodes:
         if node.kind in ("gaussian", "categorical"):
@@ -156,11 +154,7 @@ def _masked_forward(circuit: Circuit, base_log: list, keep: np.ndarray, m: int) 
                 mask = keep[edge_ptr : edge_ptr + k]
                 edge_ptr += k
                 terms = node.log_weights[:, None] + logv[node.children]
-                terms = np.where(mask, terms, _NEG_INF)
-                top = terms.max(axis=0)
-                safe = np.where(np.isneginf(top), 0.0, top)
-                acc = safe + np.log(np.exp(terms - safe[None, :]).sum(axis=0))
-                logv[i] = np.where(np.isneginf(top), _NEG_INF, acc)
+                logv[i] = logsumexp_axis0(np.where(mask, terms, _NEG_INF))
             elif node.kind == "product":
                 logv[i] = logv[node.children].sum(axis=0)
             else:

@@ -18,10 +18,12 @@ Covariance handling between siblings is pluggable:
   duplicated per parent path (each duplicate drawing fresh dropout masks).
 * ``RAT_EXACT`` resolves covariances exactly on binary RAT region graphs,
   where a product's two children always come from independent partitions.
-* ``CAUCHY_LOWER`` / ``CAUCHY_UPPER`` keep the point estimate at zero
-  covariance and attach per-node variance intervals derived from the
-  Cauchy-Schwarz bound |Cov[a,b]| <= sqrt(Var[a] Var[b]) to the frame
-  metadata, for diagnostics.
+* ``CAUCHY`` keeps the point estimate at zero covariance and attaches
+  per-node variance intervals derived from the Cauchy-Schwarz bound
+  |Cov[a,b]| <= sqrt(Var[a] Var[b]) to the frame metadata, for diagnostics.
+
+The class posterior moments are one Taylor expansion over (nodes, rows)
+moment arrays, shared by the single-row and the batch API.
 """
 
 from __future__ import annotations
@@ -33,7 +35,14 @@ from typing import Optional
 
 import numpy as np
 
-from .circuit import Circuit, as_evidence, leaf_log_value
+from .circuit import (
+    Circuit,
+    _leaf_log_values_batch,
+    as_evidence,
+    leaf_log_value,
+    logsumexp,
+    logsumexp_axis0,
+)
 from .errors import StructureError, UnderflowError
 from .signedlog import SignedLog, log1mexp, sl_sum
 
@@ -41,12 +50,13 @@ _NEG_INF = float("-inf")
 
 ENTROPY_CLAMP = 1e-12
 
+_LOG_DUST = math.log(1e-12)  # negative rounding dust, relative to the positive term
+
 
 class CovarianceStrategy(enum.Enum):
     TREE_ZERO = "tree_zero"
     RAT_EXACT = "rat_exact"
-    CAUCHY_LOWER = "cauchy_lower"
-    CAUCHY_UPPER = "cauchy_upper"
+    CAUCHY = "cauchy"
 
 
 class TaylorMethod(enum.Enum):
@@ -172,7 +182,7 @@ def tdi_pass(
     frame.metadata["strategy"] = strategy.value
     if strategy is CovarianceStrategy.TREE_ZERO and not circuit.is_tree():
         frame.metadata["treezero_on_dag"] = True
-    cauchy = strategy in (CovarianceStrategy.CAUCHY_LOWER, CovarianceStrategy.CAUCHY_UPPER)
+    cauchy = strategy is CovarianceStrategy.CAUCHY
     if cauchy:
         frame.metadata["cauchy_var_bounds"] = {}
 
@@ -199,8 +209,8 @@ def tdi_pass(
         lw = node.log_weights
         ce = log_e[node.children]
         cv = log_v[node.children]
-        log_e[i] = lq + _lse(lw + ce)
-        t1 = lq + _lse(2.0 * lw + np.logaddexp(cv, lp + 2.0 * ce))
+        log_e[i] = lq + logsumexp(lw + ce)
+        t1 = lq + logsumexp(2.0 * lw + np.logaddexp(cv, lp + 2.0 * ce))
 
         if strategy is CovarianceStrategy.TREE_ZERO:
             log_v[i] = t1
@@ -219,7 +229,7 @@ def tdi_pass(
                     if not c.is_zero:
                         cov_term = cov_term + c.scale_log(float(lw[a] + lw[b]))
             var = SignedLog.from_log(t1) + cov_term.scale_log(2.0 * lq + math.log(2.0))
-            log_v[i] = _nonnegative_log(var, context=f"variance of sum node {i}")
+            log_v[i] = _nonnegative_log(var, t1, context=f"variance of sum node {i}")
     return frame
 
 
@@ -243,28 +253,31 @@ def _cauchy_pair_spread(lw: np.ndarray, child_log_v: np.ndarray) -> float:
     """log of sum_{i != j} w_i w_j sqrt(Var_i Var_j), the half-width of the
     covariance contribution interval at a sum node."""
     terms = lw + 0.5 * child_log_v
-    total = _lse(terms)
+    total = logsumexp(terms)
     if total == _NEG_INF:
         return _NEG_INF
     # (sum_i t_i)^2 - sum_i t_i^2, all terms nonnegative
-    sq = _lse(2.0 * terms)
+    sq = logsumexp(2.0 * terms)
     if 2.0 * total <= sq:
         return _NEG_INF
     return 2.0 * total + log1mexp(sq - 2.0 * total)
 
 
-def _lse(terms: np.ndarray) -> float:
-    m = float(np.max(terms)) if terms.size else _NEG_INF
-    if m == _NEG_INF:
-        return _NEG_INF
-    return m + math.log(float(np.exp(terms - m).sum()))
+def _nonnegative_log(value: SignedLog, log_scale: float, context: str) -> float:
+    """log of a quantity that exact math keeps nonnegative.
 
-
-def _nonnegative_log(value: SignedLog, context: str) -> float:
+    ``log_scale`` is the log of the positive term the value was computed
+    from.  A negative result within 1e-12 of that scale is rounding dust and
+    becomes zero; a larger one is an error.
+    """
     if value.sign >= 0:
         return value.log_mag if value.sign > 0 else _NEG_INF
-    # Exact math guarantees nonnegativity; tolerate rounding dust only.
-    return _NEG_INF
+    if value.log_mag <= log_scale + _LOG_DUST:
+        return _NEG_INF
+    raise StructureError(
+        f"{context} is negative: -{math.exp(value.log_mag):.3e} against a positive "
+        f"term of {math.exp(log_scale):.3e}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +303,8 @@ def _pair_cov_uncached(frame: MomentFrame, a: int, b: int) -> SignedLog:
     scopes = frame.circuit.scopes()
     if scopes[a] & scopes[b] == 0:
         return SignedLog.zero()  # disjoint scopes share no descendants
-    if strategy is CovarianceStrategy.TREE_ZERO:
-        return SignedLog.zero()
-    if strategy in (CovarianceStrategy.CAUCHY_LOWER, CovarianceStrategy.CAUCHY_UPPER):
-        return SignedLog.zero()  # point estimate; bounds live in the metadata
+    if strategy is not CovarianceStrategy.RAT_EXACT:
+        return SignedLog.zero()  # Cauchy bounds, if any, live in the metadata
     return _rat_pair_cov(frame, a, b)
 
 
@@ -438,9 +449,15 @@ def posterior_moments(
     if circuit.num_classes < 2:
         raise StructureError("posterior moments need at least two class roots")
     frame = tdi_pass(circuit, evidence, config)
-    mean, var, meta = _posterior_from_frame(frame, method)
+    mean, var, log_t = _taylor(
+        circuit,
+        frame.log_expectation[:, None],
+        frame.log_variance[:, None],
+        _root_cov(frame)[:, :, None],
+        method,
+    )
+    mean, var = mean[:, 0], np.maximum(var[:, 0], 0.0)
     mean_clamped = np.clip(mean, 0.0, 1.0)
-    var = np.maximum(var, 0.0)
     entropy = predictive_entropy(mean_clamped)
     out = PosteriorMoments(
         mean=mean_clamped,
@@ -450,153 +467,145 @@ def posterior_moments(
         normalized_entropy=entropy / math.log(circuit.num_classes),
         metadata=dict(frame.metadata),
     )
-    out.metadata.update(meta)
+    if log_t is not None:
+        out.metadata["taylor_t"] = log_t[:, 0]
     out.metadata["method"] = method.value
     out.metadata["raw_mean"] = mean
     return out
 
 
-def _posterior_from_frame(frame: MomentFrame, method: TaylorMethod):
-    circuit = frame.circuit
-    roots = circuit.roots
-    C = len(roots)
-    log_c = np.asarray(circuit.log_class_priors, dtype=np.float64)
-    log_es = frame.log_expectation[roots]  # E[S_i]
-    log_vs = frame.log_variance[roots]  # Var[S_i]
-    log_ea = log_es + log_c  # E[A_i]
+def posterior_moments_batch(
+    circuit: Circuit,
+    X: np.ndarray,
+    config: DropoutConfig,
+    method: TaylorMethod = TaylorMethod.SIMPLE,
+):
+    """Posterior means and variances for a batch, shape (rows, classes) each.
 
-    shift = float(np.max(log_ea))
-    if shift == _NEG_INF:
+    The same Taylor expansion as :func:`posterior_moments`, once for all rows.
+    Zero-covariance strategies take the vectorized pass; RAT_EXACT runs the
+    per-row pass, which also yields the covariances between class roots.
+    Means are returned unclamped.
+    """
+    if circuit.num_classes < 2:
+        raise StructureError("posterior moments need at least two class roots")
+    X = np.asarray(X, dtype=np.float64)
+    C, rows = circuit.num_classes, X.shape[0]
+    root_cov = np.zeros((C, C, rows))
+    if config.covariance_strategy is CovarianceStrategy.RAT_EXACT:
+        log_e = np.empty((len(circuit.nodes), rows))
+        log_v = np.empty_like(log_e)
+        for r in range(rows):
+            frame = tdi_pass(circuit, X[r], config)
+            log_e[:, r] = frame.log_expectation
+            log_v[:, r] = frame.log_variance
+            root_cov[:, :, r] = _root_cov(frame)
+    else:
+        log_e, log_v = tdi_pass_batch(circuit, X, config)
+    mean, var, _ = _taylor(circuit, log_e, log_v, root_cov, method)
+    return mean.T, np.maximum(var.T, 0.0)
+
+
+def _root_shift(circuit: Circuit, log_e: np.ndarray) -> np.ndarray:
+    """Per-row max_i log E[A_i], the scale every Taylor term is shifted by."""
+    log_c = np.asarray(circuit.log_class_priors, dtype=np.float64)[:, None]
+    shift = np.max(log_e[circuit.roots] + log_c, axis=0)
+    dead = np.isneginf(shift)
+    if np.any(dead):
+        idx = int(np.flatnonzero(dead)[0])
         raise UnderflowError(
-            "all class likelihoods vanished; the posterior denominator is zero"
+            f"all class likelihoods vanished for row {idx}; the posterior "
+            "denominator is zero"
         )
-    # Every Taylor term is a degree-zero ratio of moments, so shifting each
-    # moment by its degree in the root scale keeps everything in float range.
-    lea = log_ea - shift
-    lvs = log_vs - 2.0 * shift
-    les = log_es - shift
-    lva = lvs + 2.0 * log_c  # Var[A_i] = Var[S_i] c_i^2, shifted
-    eb = float(np.exp(lea).sum())
-    leb = math.log(eb)
+    return shift
 
-    # Root covariances c_i c_j Cov[S_i, S_j] for i != j, per strategy (shifted).
-    cov_roots = {}
+
+def _root_cov(frame: MomentFrame) -> np.ndarray:
+    """Cov[S_i, S_j] between distinct class roots of one frame, shape (C, C).
+
+    Linear and scaled by exp(-2 shift), the units :func:`_taylor` expects.
+    Only RAT_EXACT resolves these; the other strategies take them as zero.
+    """
+    roots = frame.circuit.roots
+    C = len(roots)
+    cov = np.zeros((C, C))
+    if frame.config.covariance_strategy is not CovarianceStrategy.RAT_EXACT:
+        return cov
+    # exp(-2 shift); a frame whose roots all vanish has zero covariances here
+    # and fails in _taylor with its row number
+    log_c = np.asarray(frame.circuit.log_class_priors, dtype=np.float64)
+    log_scale = -2.0 * float(np.max(frame.log_expectation[roots] + log_c))
     for i in range(C):
         for j in range(i + 1, C):
-            c = _pair_cov(frame, roots[i], roots[j])
-            if not c.is_zero:
-                cov_roots[(i, j)] = SignedLog(c.sign, c.log_mag - 2.0 * shift)
-
-    def root_cov(i, j):
-        if i == j:
-            return SignedLog.from_log(float(lvs[i]))
-        key = (i, j) if i < j else (j, i)
-        return cov_roots.get(key, SignedLog.zero())
-
-    # Var[B] = sum_j Var[A_j] + sum_{j1 != j2} c_j1 c_j2 Cov[S_j1, S_j2]
-    var_b_terms = [SignedLog.from_log(float(v)) for v in lva]
-    for (i, j), c in cov_roots.items():
-        var_b_terms.append(c.scale_log(float(log_c[i] + log_c[j]) + math.log(2.0)))
-    var_b = sl_sum(var_b_terms)
-    if var_b.sign < 0:
-        var_b = SignedLog.zero()
-
-    # Cov[A_i, B] = c_i sum_j c_j Cov[S_i, S_j]
-    cov_ab = []
-    for i in range(C):
-        terms = [SignedLog.from_log(float(lva[i]))]
-        for j in range(C):
-            if j != i:
-                c = root_cov(i, j)
-                if not c.is_zero:
-                    terms.append(c.scale_log(float(log_c[i] + log_c[j])))
-        cov_ab.append(sl_sum(terms))
-
-    mean = np.empty(C)
-    var = np.empty(C)
-    meta = {}
-    if method is TaylorMethod.SIMPLE:
-        for i in range(C):
-            if lea[i] == _NEG_INF:
-                mean[i] = 0.0
-                var[i] = 0.0
-                continue
-            t1 = math.exp(lea[i] - leb)
-            t2 = cov_ab[i].scale_log(-2.0 * leb).to_float()
-            t3 = var_b.scale_log(float(lea[i]) - 3.0 * leb).to_float()
-            mean[i] = t1 - t2 + t3
-            rel_a = math.exp(lva[i] - 2.0 * lea[i])
-            rel_ab = cov_ab[i].scale_log(-(float(lea[i]) + leb)).to_float()
-            rel_b = var_b.scale_log(-2.0 * leb).to_float()
-            var[i] = (t1 * t1) * (rel_a - 2.0 * rel_ab + rel_b)
-    else:
-        mean, var, meta = _extended_taylor(frame, lea, les, lvs, log_c, leb, root_cov)
-    return mean, var, meta
+            c = _pair_cov(frame, roots[i], roots[j]).scale_log(log_scale)
+            cov[i, j] = cov[j, i] = c.to_float()
+    return cov
 
 
-def _extended_taylor(frame, lea, les, lvs, log_c, leb, root_cov):
-    """Second-order expansion that keeps root/denominator dependence.
+def _taylor(circuit, log_e, log_v, root_cov, method):
+    """Taylor moments of the class posteriors A_i / B for every row.
 
-    Var[S_i S_j] is expanded over the root sum nodes' children as
-    sum_{k,l} (w_k w_l)^2 Var[N_k] Var[N_l], which factors into T_i T_j with
-    T_i = sum_k w_k^2 Var[N_k]; non-sum roots fall back to T_i = Var[S_i].
+    ``log_e`` and ``log_v`` are (nodes, rows) log moments; ``root_cov`` is the
+    (C, C, rows) linear covariance between distinct roots, zero on its
+    diagonal, scaled like the variances.  Each Taylor term is a degree-zero
+    ratio of moments, so shifting every moment by its degree in the per-row
+    scale max_i log E[A_i] keeps the arithmetic linear and in float range.
+
+    SIMPLE writes its variance as (Var[A_i] - 2 t_i Cov[A_i,B] + t_i^2 Var[B])
+    / E[B]^2 with t_i = E[A_i]/E[B], the docstring formula of
+    :func:`posterior_moments` without the division by E[A_i].  EXTENDED adds
+    the dependence terms.  Returns the (C, rows) means and variances, and
+    EXTENDED's log T_i (None under SIMPLE).  Classes with E[A_i] = 0 get zeros.
     """
-    circuit = frame.circuit
     roots = circuit.roots
-    C = len(roots)
-    shift2 = 2.0 * (float(np.max(frame.log_expectation[roots] + log_c)))
-    log_t = np.empty(C)
-    for i, r in enumerate(roots):
-        node = circuit.nodes[r]
-        if node.kind == "sum":
-            lw = node.log_weights
-            cv = frame.log_variance[node.children]
-            log_t[i] = _lse(2.0 * lw + cv) - shift2
+    log_c = np.asarray(circuit.log_class_priors, dtype=np.float64)[:, None]
+    shift = _root_shift(circuit, log_e)
+    with np.errstate(divide="ignore"):
+        les = log_e[roots] - shift  # E[S_i], shifted
+        lvs = log_v[roots] - 2.0 * shift  # Var[S_i], shifted
+        c = np.exp(log_c)
+        ea = np.exp(les + log_c)  # E[A_i]
+        va = np.exp(lvs + 2.0 * log_c)  # Var[A_i]
+        eb = ea.sum(axis=0)
+        ck = np.einsum("j,ijr->ir", c[:, 0], root_cov)  # sum_j c_j Cov[S_i, S_j]
+        cov_ab = va + c * ck  # Cov[A_i, B]
+        var_b = np.maximum(cov_ab.sum(axis=0), 0.0)
+        t = ea / eb
+        if method is TaylorMethod.SIMPLE:
+            mean = t - cov_ab / eb**2 + t * var_b / eb**2
+            var = (va - 2.0 * t * cov_ab + t * t * var_b) / eb**2
+            log_t = None
         else:
-            log_t[i] = float(frame.log_variance[r]) - shift2
-
-    mean = np.empty(C)
-    var = np.empty(C)
-    eb = math.exp(leb)
-    for i in range(C):
-        if lea[i] == _NEG_INF:
-            mean[i] = 0.0
-            var[i] = 0.0
-            continue
-        zni = eb - math.exp(lea[i])  # E[Z \ i], shifted scale
-        f0 = math.exp(lea[i] - leb)
-        ci = math.exp(float(log_c[i]))
-        # Mean correction terms.
-        corr = -2.0 * ci * zni / eb**3 * math.exp(lvs[i])
-        for j in range(C):
-            if j == i:
-                continue
-            cov_ij = root_cov(i, j).to_float()
-            if cov_ij == 0.0:
-                continue
-            coeff_j = math.exp(float(log_c[j])) * (eb + 2.0 * math.exp(lea[i])) / eb**3
-            corr -= coeff_j * cov_ij
-        mean[i] = f0 + corr
-
-        # Variance terms.  Each expansion term contributes its squared
-        # coefficient times the variance of its moment combination.
-        v = (ci * zni / eb**2) ** 2 * math.exp(lvs[i])
-        for j in range(C):
-            if j == i:
-                continue
-            coeff = (math.exp(float(log_c[j])) * (2.0 * math.exp(lea[i]) + eb) / eb**3) ** 2
-            var_ss = math.exp(log_t[i] + log_t[j])
+            # Var[S_i S_j] is expanded over the root sum nodes' children as
+            # sum_{k,l} (w_k w_l)^2 Var[N_k] Var[N_l], which factors into
+            # T_i T_j with T_i = sum_k w_k^2 Var[N_k]; non-sum roots fall back
+            # to T_i = Var[S_i].
+            log_t = lvs.copy()
+            for i, r in enumerate(roots):
+                node = circuit.nodes[r]
+                if node.kind == "sum":
+                    lw = node.log_weights[:, None]
+                    log_t[i] = logsumexp_axis0(2.0 * lw + log_v[node.children]) - 2.0 * shift
+            tt = np.exp(log_t)
+            es = np.exp(les)
+            vs = np.exp(lvs)
+            zni = eb - ea  # E[B] without class i
+            mean = t - 2.0 * c * zni / eb**3 * vs - (eb + 2.0 * ea) / eb**3 * ck
+            # Each expansion term contributes its squared coefficient times the
+            # variance of its moment combination; combo[i, j] pairs classes i, j.
             combo = (
-                var_ss
-                - math.exp(2.0 * les[j] + lvs[i])
-                - math.exp(2.0 * les[i] + lvs[j])
+                tt[:, None] * tt[None, :] - es[None] ** 2 * vs[:, None] - es[:, None] ** 2 * vs[None]
             )
-            v += coeff * combo
-        v += (2.0 * ci * zni / eb**3) ** 2 * (
-            math.exp(2.0 * log_t[i]) - 4.0 * math.exp(2.0 * les[i] + lvs[i])
-        )
-        var[i] = v
-    return mean, var, {"taylor_t": log_t}
+            combo[np.arange(len(roots)), np.arange(len(roots))] = 0.0
+            var = (
+                (c * zni / eb**2) ** 2 * vs
+                + ((2.0 * ea + eb) / eb**3) ** 2 * np.einsum("j,ijr->ir", c[:, 0] ** 2, combo)
+                + (2.0 * c * zni / eb**3) ** 2 * (tt**2 - 4.0 * es**2 * vs)
+            )
+    dead = ea <= 0.0
+    mean[dead] = 0.0
+    var[dead] = 0.0
+    return mean, var, log_t
 
 
 def predictive_entropy(means) -> float:
@@ -637,7 +646,7 @@ def tdi_pass_batch(circuit: Circuit, X: np.ndarray, config: DropoutConfig):
     with np.errstate(divide="ignore", invalid="ignore"):
         for i, node in enumerate(circuit.nodes):
             if node.kind in ("gaussian", "categorical"):
-                log_e[i] = _leaf_batch(node, X)
+                log_e[i] = _leaf_log_values_batch(node, X[:, node.variable])
                 continue
             if node.kind == "product":
                 ce = log_e[node.children]
@@ -653,15 +662,9 @@ def tdi_pass_batch(circuit: Circuit, X: np.ndarray, config: DropoutConfig):
             lw = node.log_weights[:, None]
             ce = log_e[node.children]
             cv = log_v[node.children]
-            log_e[i] = lq + _lse_axis0(lw + ce)
-            log_v[i] = lq + _lse_axis0(2.0 * lw + np.logaddexp(cv, lp + 2.0 * ce))
+            log_e[i] = lq + logsumexp_axis0(lw + ce)
+            log_v[i] = lq + logsumexp_axis0(2.0 * lw + np.logaddexp(cv, lp + 2.0 * ce))
     return log_e, log_v
-
-
-def _leaf_batch(node, X):
-    from .circuit import _leaf_log_values_batch
-
-    return _leaf_log_values_batch(node, X[:, node.variable])
 
 
 def _product_log_variance_batch(ce: np.ndarray, cv: np.ndarray) -> np.ndarray:
@@ -678,120 +681,6 @@ def _product_log_variance_batch(ce: np.ndarray, cv: np.ndarray) -> np.ndarray:
     if np.any(special):
         out[special] = np.logaddexp(cv[:, special], 2.0 * ce[:, special]).sum(axis=0)
     return out
-
-
-def _lse_axis0(terms: np.ndarray) -> np.ndarray:
-    m = np.max(terms, axis=0)
-    safe = np.where(np.isneginf(m), 0.0, m)
-    out = safe + np.log(np.exp(terms - safe[None, :]).sum(axis=0))
-    return np.where(np.isneginf(m), _NEG_INF, out)
-
-
-def posterior_moments_batch(
-    circuit: Circuit,
-    X: np.ndarray,
-    config: DropoutConfig,
-    method: TaylorMethod = TaylorMethod.SIMPLE,
-):
-    """Posterior means and variances for a batch, shape (rows, classes) each.
-
-    Uses the vectorized pass for zero-covariance strategies and falls back to
-    the per-row engine when exact RAT covariances are requested.
-    """
-    if circuit.num_classes < 2:
-        raise StructureError("posterior moments need at least two class roots")
-    X = np.asarray(X, dtype=np.float64)
-    if config.covariance_strategy is CovarianceStrategy.RAT_EXACT:
-        means = np.empty((X.shape[0], circuit.num_classes))
-        variances = np.empty_like(means)
-        for r in range(X.shape[0]):
-            pm = posterior_moments(circuit, X[r], config, method)
-            means[r] = pm.mean
-            variances[r] = pm.variance
-        return means, variances
-
-    log_e, log_v = tdi_pass_batch(circuit, X, config)
-    roots = circuit.roots
-    log_c = np.asarray(circuit.log_class_priors)[:, None]
-    lse_roots = log_e[roots]  # (C, rows)
-    lvs = log_v[roots]
-    log_ea = lse_roots + log_c
-    shift = np.max(log_ea, axis=0)
-    dead = np.isneginf(shift)
-    if np.any(dead):
-        idx = int(np.flatnonzero(dead)[0])
-        raise UnderflowError(
-            f"all class likelihoods vanished for row {idx}; the posterior "
-            "denominator is zero"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lea = log_ea - shift[None, :]
-        lvs_s = lvs - 2.0 * shift[None, :]
-        lva = lvs_s + 2.0 * log_c
-        eb = np.exp(lea).sum(axis=0)
-        leb = np.log(eb)
-        # Zero sibling covariance between roots: Cov[A_i, B] = Var[A_i].
-        var_b = np.exp(lva).sum(axis=0)
-        ea = np.exp(lea)
-        t1 = ea / eb[None, :]
-        if method is TaylorMethod.SIMPLE:
-            t2 = np.exp(lva - 2.0 * leb[None, :])
-            t3 = t1 * var_b[None, :] / eb[None, :] ** 2
-            mean = t1 - t2 + t3
-            rel_a = np.where(ea > 0.0, np.exp(lva) / np.maximum(ea, 1e-300) ** 2, 0.0)
-            rel_ab = np.where(
-                ea > 0.0, np.exp(lva) / (np.maximum(ea, 1e-300) * eb[None, :]), 0.0
-            )
-            rel_b = var_b[None, :] / eb[None, :] ** 2
-            var = t1**2 * (rel_a - 2.0 * rel_ab + rel_b)
-            var = np.where(ea > 0.0, var, 0.0)
-            mean = np.where(ea > 0.0, mean, 0.0)
-        else:
-            mean, var = _extended_taylor_batch(circuit, log_e, log_v, lea, lvs_s, log_c, eb, shift)
-    return mean.T, np.maximum(var.T, 0.0)
-
-
-def _extended_taylor_batch(circuit, log_e, log_v, lea, lvs, log_c, eb, shift):
-    roots = circuit.roots
-    C = len(roots)
-    rows = lea.shape[1]
-    log_t = np.empty((C, rows))
-    with np.errstate(divide="ignore"):
-        for i, r in enumerate(roots):
-            node = circuit.nodes[r]
-            if node.kind == "sum":
-                lw = node.log_weights[:, None]
-                log_t[i] = _lse_axis0(2.0 * lw + log_v[node.children]) - 2.0 * shift
-            else:
-                log_t[i] = log_v[r] - 2.0 * shift
-    ea = np.exp(lea)
-    les = lea - log_c  # shifted log E[S_i]
-    mean = np.empty((C, rows))
-    var = np.empty((C, rows))
-    c_lin = np.exp(log_c)[:, 0]
-    t_lin = np.exp(log_t)
-    vs_lin = np.exp(lvs)
-    es_lin = np.exp(les)
-    for i in range(C):
-        zni = eb - ea[i]
-        f0 = ea[i] / eb
-        corr = -2.0 * c_lin[i] * zni / eb**3 * vs_lin[i]
-        mean[i] = f0 + corr
-        v = (c_lin[i] * zni / eb**2) ** 2 * vs_lin[i]
-        for j in range(C):
-            if j == i:
-                continue
-            coeff = (c_lin[j] * (2.0 * ea[i] + eb) / eb**3) ** 2
-            combo = t_lin[i] * t_lin[j] - es_lin[j] ** 2 * vs_lin[i] - es_lin[i] ** 2 * vs_lin[j]
-            v += coeff * combo
-        v += (2.0 * c_lin[i] * zni / eb**3) ** 2 * (
-            t_lin[i] ** 2 - 4.0 * es_lin[i] ** 2 * vs_lin[i]
-        )
-        var[i] = v
-    dead = ea <= 0.0
-    mean[dead] = 0.0
-    var[dead] = 0.0
-    return mean, var
 
 
 def predictive_entropy_batch(means: np.ndarray) -> np.ndarray:

@@ -11,6 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .circuit import logsumexp
+
 _NEG_INF = float("-inf")
 
 
@@ -124,15 +128,6 @@ def sl_sum(values) -> SignedLog:
             pos.append(v.log_mag)
         elif v.sign < 0:
             neg.append(v.log_mag)
-    p = _logsumexp_list(pos)
-    n = _logsumexp_list(neg)
+    p = logsumexp(np.array(pos))
+    n = logsumexp(np.array(neg))
     return SignedLog.from_log(p) + (-SignedLog.from_log(n))
-
-
-def _logsumexp_list(logs: list[float]) -> float:
-    if not logs:
-        return _NEG_INF
-    m = max(logs)
-    if m == _NEG_INF:
-        return _NEG_INF
-    return m + math.log(sum(math.exp(x - m) for x in logs))

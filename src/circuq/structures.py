@@ -25,6 +25,7 @@ from .circuit import (
     ProductNode,
     RatAnnotation,
     SumNode,
+    log_softmax,
     validate,
 )
 from .errors import ManualSpecError, StructureError
@@ -64,10 +65,6 @@ def build_rat(config: RatConfig) -> Circuit:
     def add(node) -> int:
         nodes.append(node)
         return len(nodes) - 1
-
-    def log_softmax(logits: np.ndarray) -> np.ndarray:
-        m = logits.max()
-        return logits - (m + math.log(np.exp(logits - m).sum()))
 
     def build_region(variables: np.ndarray, level: int, rep: int) -> list[int]:
         """Returns the ids of this region's nodes (dists or sums)."""

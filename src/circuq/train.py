@@ -18,7 +18,14 @@ from typing import Optional
 
 import numpy as np
 
-from .circuit import Circuit, GaussianLeaf, SumNode, forward_log_values
+from .circuit import (
+    Circuit,
+    GaussianLeaf,
+    SumNode,
+    forward_log_values,
+    log_softmax,
+    logsumexp_axis0,
+)
 from .errors import ParameterError, ShapeError
 
 _NEG_INF = float("-inf")
@@ -87,7 +94,7 @@ class ParameterSpace:
         nodes = list(self.circuit.nodes)
         for i, kind, off, size in self.segments:
             if kind == "sum":
-                nodes[i] = SumNode(list(nodes[i].children), _log_softmax(theta[off : off + size]))
+                nodes[i] = SumNode(list(nodes[i].children), log_softmax(theta[off : off + size]))
             else:
                 nodes[i] = GaussianLeaf(
                     nodes[i].variable,
@@ -101,11 +108,6 @@ class ParameterSpace:
             log_class_priors=np.array(self.circuit.log_class_priors),
             rat=self.circuit.rat,
         )
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = float(np.max(logits))
-    return logits - (m + math.log(float(np.exp(logits - m).sum())))
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +148,7 @@ def loss_and_grad(
         seed[labels, np.arange(B)] = -1.0 / B
     elif objective == "cross_entropy":
         joint = root_ll + np.asarray(circuit.log_class_priors)[:, None]
-        top = joint.max(axis=0)
-        lse = top + np.log(np.exp(joint - top[None, :]).sum(axis=0))
+        lse = logsumexp_axis0(joint)
         loss = float(-(joint[labels, np.arange(B)] - lse).mean())
         softmax = np.exp(joint - lse[None, :])
         seed = softmax / B

@@ -235,7 +235,7 @@ class TestCovarianceOps:
         assert lo0.is_zero and hi0.is_zero
 
     def test_cauchy_strategy_attaches_bounds(self, two_leaf_sum):
-        cfg = DropoutConfig.with_p(0.2, CovarianceStrategy.CAUCHY_UPPER)
+        cfg = DropoutConfig.with_p(0.2, CovarianceStrategy.CAUCHY)
         frame = tdi_pass(two_leaf_sum, [0.0], cfg)
         bounds = frame.metadata["cauchy_var_bounds"]
         r = two_leaf_sum.roots[0]
@@ -290,6 +290,18 @@ class TestRatExact:
         # leaf-distribution children are dropout-free, so all terms vanish
         cov = rat_product_covariance(frame, prods[0], prods[1])
         assert cov.is_zero
+
+    def test_negative_variance_guard(self):
+        from circuq.moments import _nonnegative_log
+        from circuq.signedlog import SignedLog
+
+        scale = math.log(0.25)
+        assert _nonnegative_log(SignedLog.from_float(0.5), scale, "v") == math.log(0.5)
+        dust = SignedLog.from_float(-0.9e-12 * 0.25)
+        assert _nonnegative_log(dust, scale, "v") == -math.inf
+        with pytest.raises(StructureError, match="variance of sum node 7"):
+            _nonnegative_log(SignedLog.from_float(-1.1e-12 * 0.25), scale,
+                             "variance of sum node 7")
 
     def test_non_binary_product_rejected(self):
         spec = """
@@ -380,14 +392,46 @@ class TestPosterior:
 
     def test_batch_matches_scalar_posteriors(self):
         rng = np.random.default_rng(17)
-        c = random_tree_circuit(rng, max_sum_edges=10, num_classes=3)
-        X = np.stack([random_evidence(rng, c, 0.0) for _ in range(5)])
-        for method in (TaylorMethod.SIMPLE, TaylorMethod.EXTENDED):
-            mb, vb = posterior_moments_batch(c, X, DropoutConfig.with_p(0.15), method)
-            for r in range(5):
-                pm = posterior_moments(c, X[r], DropoutConfig.with_p(0.15), method)
-                np.testing.assert_allclose(np.clip(mb[r], 0, 1), pm.mean, atol=1e-10)
-                np.testing.assert_allclose(vb[r], pm.variance, atol=1e-10, rtol=1e-7)
+        tree = random_tree_circuit(rng, max_sum_edges=10, num_classes=3)
+        rat = build_rat(RatConfig(2, 2, 2, 1, 3, 4, rng_seed=5))
+        cases = [(tree, np.stack([random_evidence(rng, tree, 0.0) for _ in range(5)]),
+                  CovarianceStrategy.TREE_ZERO)]
+        X_rat = rng.normal(size=(4, 4))
+        for strategy in CovarianceStrategy:
+            cases.append((rat, X_rat, strategy))
+        for c, X, strategy in cases:
+            config = DropoutConfig.with_p(0.15, strategy)
+            for method in (TaylorMethod.SIMPLE, TaylorMethod.EXTENDED):
+                mb, vb = posterior_moments_batch(c, X, config, method)
+                for r in range(X.shape[0]):
+                    pm = posterior_moments(c, X[r], config, method)
+                    np.testing.assert_allclose(np.clip(mb[r], 0, 1), pm.mean, atol=1e-10)
+                    np.testing.assert_allclose(vb[r], pm.variance, atol=1e-10, rtol=1e-7)
+                    if strategy is CovarianceStrategy.RAT_EXACT and method is TaylorMethod.SIMPLE:
+                        assert abs(pm.metadata["raw_mean"].sum() - 1.0) < 1e-9
+        # the RAT_EXACT cases above do carry covariances between class roots
+        frame = tdi_pass(rat, X_rat[0], DropoutConfig.with_p(0.15, CovarianceStrategy.RAT_EXACT))
+        assert not sum_covariance(frame, rat.roots[0], rat.roots[1]).is_zero
+
+    def test_batch_variance_finite_for_far_class(self):
+        # the second class sits about e^-450 below the first, so its shifted
+        # E[A]^2 underflows; the variance must still come out as zero, not NaN
+        spec = """
+        a gaussian 0 0.0 1.0
+        b gaussian 0 0.5 1.0
+        s1 sum 0.5 a 0.5 b
+        c gaussian 0 30.0 1.0
+        d gaussian 0 30.5 1.0
+        s2 sum 0.5 c 0.5 d
+        root s1 s2
+        """
+        c = build_manual(spec)
+        config = DropoutConfig.with_p(0.1)
+        scalar = posterior_moments(c, [0.0], config)
+        mean, var = posterior_moments_batch(c, np.array([[0.0]]), config)
+        np.testing.assert_array_equal(scalar.variance, [0.0, 0.0])
+        np.testing.assert_array_equal(var[0], scalar.variance)
+        np.testing.assert_allclose(mean[0], scalar.mean, rtol=1e-12)
 
     def test_underflow_error(self):
         spec = """
