@@ -1,15 +1,18 @@
-"""Circuit data model, structural validation, and log-space likelihood inference.
+"""Circuit data model, structural validation, the layer plan, and log-space
+likelihood inference.
 
 A circuit is a dense arena of nodes in topological order (children strictly
 before parents).  Sum nodes mix same-scope children with normalized weights,
 product nodes factorize disjoint-scope children, and leaves are univariate
-distributions.  Everything downstream (dropout moments, training, evaluation)
-shares this one representation.
+distributions.  On first use a circuit compiles into a layer plan, which every
+pass runs on: the forward pass here (one row is a batch of one, and a keep
+mask turns its columns into Monte Carlo dropout passes), and the moment pass.
 
 Circuits are treated as immutable after construction: evaluation never writes
-to the node arena, so a circuit can be shared freely across threads.
-Validation is a separate pass rather than a constructor check, which keeps it
-possible to build deliberately broken circuits for negative tests.
+to the node arena, and the cached plan is derived from it, so a circuit can be
+shared freely across threads.  Validation is a separate pass rather than a
+constructor check, which keeps it possible to build deliberately broken
+circuits for negative tests.
 """
 
 from __future__ import annotations
@@ -97,6 +100,8 @@ class Circuit:
     rat: Optional[RatAnnotation] = None
 
     _scopes: Optional[list[int]] = field(default=None, repr=False, compare=False)
+    _layout: Optional["Layout"] = field(default=None, repr=False, compare=False)
+    _plan: Optional["Plan"] = field(default=None, repr=False, compare=False)
 
     @property
     def num_classes(self) -> int:
@@ -125,34 +130,25 @@ class Circuit:
                 edges.extend((i, j) for j in range(len(node.children)))
         return edges
 
-    def parent_counts(self) -> np.ndarray:
-        counts = np.zeros(len(self.nodes), dtype=np.int64)
-        for node in self.nodes:
-            for c in node.children:
-                counts[c] += 1
-        return counts
+    def layout(self) -> "Layout":
+        """The compiled layer structure, built on first use and cached."""
+        if self._layout is None:
+            self._layout = _compile_layout(self)
+        return self._layout
+
+    def plan(self) -> "Plan":
+        """The layout plus parameter arrays that every pass runs on.
+
+        Built on first use and cached; raises ParameterError for a
+        non-finite leaf parameter.
+        """
+        if self._plan is None:
+            self._plan = _compile_plan(self, self.layout())
+        return self._plan
 
     def is_tree(self) -> bool:
         """True when no node is shared between parents (roots included)."""
-        counts = self.parent_counts()
-        for r in self.roots:
-            counts[r] += 1
-        return bool(np.all(counts <= 1))
-
-    def edge_count(self) -> int:
-        return sum(len(n.children) for n in self.nodes)
-
-    def parameter_count(self) -> tuple[int, int]:
-        """(total learnable parameters, Gaussian leaf parameters)."""
-        total = 0
-        gauss = 0
-        for node in self.nodes:
-            if node.kind == "sum":
-                total += len(node.children)
-            elif node.kind == "gaussian":
-                total += 2
-                gauss += 2
-        return total, gauss
+        return self.layout().is_tree
 
 
 # ---------------------------------------------------------------------------
@@ -299,96 +295,196 @@ def validate(circuit: Circuit) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
+# Layer plan
+#
+# A circuit compiles once into layers: its leaves, then its products and sums
+# grouped by depth (one more than the deepest child), so that each layer is
+# one vectorized step over (width, nodes, rows) arrays.  Child lists are padded
+# to the widest node of their layer; a pad points at a sentinel row after the
+# last node, which holds log value 0, and carries log weight -inf.
+
+_BLOCK_ELEMENTS = 1 << 16  # gathered (width, nodes, columns) elements per step
+
+
+@dataclass(frozen=True)
+class Layer:
+    """One depth's product or sum nodes.  ``children`` and, for sums, ``edges``
+    (indices in :meth:`Circuit.sum_edges` order, 0 on pads) are (width, nodes)."""
+
+    kind: str
+    nodes: np.ndarray
+    children: np.ndarray
+    edges: Optional[np.ndarray]
+
+    def blocks(self, columns: int) -> list[slice]:
+        """Node slices whose gathered children stay within the element budget."""
+        step = max(1, _BLOCK_ELEMENTS // max(1, self.children.shape[0] * columns))
+        return [slice(s, s + step) for s in range(0, len(self.nodes), step)]
+
+
+@dataclass(frozen=True)
+class Layout:
+    """Compiled structure, shared by circuits that differ only in parameters."""
+
+    layers: list[Layer]
+    leaves: dict  # leaf kind -> (node ids, variables)
+    num_sum_edges: int
+    is_tree: bool
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A layout plus one circuit's parameters as arrays, validated once.
+
+    ``log_weights`` holds each layer's (width, nodes) log weights, -inf on
+    pads, or None for a product layer; ``log_probs`` is -inf past each
+    categorical leaf's states.
+    """
+
+    layout: Layout
+    log_weights: list
+    mean: np.ndarray
+    log_std: np.ndarray
+    inv_std: np.ndarray
+    log_probs: np.ndarray
+    states: np.ndarray
+
+    def leaf_log_values(self, X: np.ndarray, out: np.ndarray) -> None:
+        """Write each leaf's log value for the rows of X into ``out``, in blocks
+        of leaves; NaN (marginalized) gives log 1 = 0, and a single row fills
+        every column."""
+        step = max(1, _BLOCK_ELEMENTS // max(1, len(X)))
+        for kind, (ids, variables) in self.layout.leaves.items():
+            evaluate = self._gaussian if kind == "gaussian" else self._categorical
+            for s in range(0, len(ids), step):
+                b = slice(s, s + step)
+                out[ids[b]] = evaluate(X[:, variables[b]].T, b)
+
+    def _gaussian(self, x: np.ndarray, b: slice) -> np.ndarray:
+        z = (x - self.mean[b, None]) * self.inv_std[b, None]
+        return np.where(np.isnan(x), 0.0, -0.5 * z * z - self.log_std[b, None] - 0.5 * LOG_2PI)
+
+    def _categorical(self, x: np.ndarray, b: slice) -> np.ndarray:
+        states = self.states[b, None]
+        observed = ~np.isnan(x)
+        bad = observed & ((x != np.floor(x)) | (x < 0) | (x >= states))
+        if np.any(bad):
+            states = states[np.flatnonzero(bad.any(axis=1))[0], 0]
+            raise ShapeError(f"categorical values invalid for {states} states")
+        k = np.where(observed, x, 0.0).astype(np.int64)
+        return np.where(observed, self.log_probs[b][np.arange(len(k))[:, None], k], 0.0)
+
+
+def _compile_layout(circuit: Circuit) -> Layout:
+    nodes = circuit.nodes
+    n = len(nodes)
+    fan_in = np.array([len(node.children) if node.kind == "sum" else 0 for node in nodes])
+    edge_start = np.cumsum(fan_in) - fan_in
+    depth = [0] * n
+    groups: dict[tuple[int, str], list[int]] = {}
+    for i, node in enumerate(nodes):
+        depth[i] = 1 + max((depth[c] for c in node.children), default=-1)
+        groups.setdefault((depth[i], node.kind), []).append(i)
+
+    layers = []
+    leaves = {kind: (np.zeros(0, dtype=np.int64),) * 2 for kind in ("gaussian", "categorical")}
+    for (_, kind), ids in sorted(groups.items()):
+        ids = np.array(ids, dtype=np.int64)
+        if kind in ("gaussian", "categorical"):
+            leaves[kind] = (ids, np.array([nodes[i].variable for i in ids], dtype=np.int64))
+            continue
+        kids = [nodes[i].children for i in ids]
+        real = np.arange(max(map(len, kids), default=0) or 1)[:, None] < [len(k) for k in kids]
+        children = np.full(real.shape, n, dtype=np.int64)
+        children.T[real.T] = np.concatenate(kids)
+        edges = None
+        if kind == "sum":
+            edges = np.where(real, edge_start[ids] + np.arange(len(real))[:, None], 0)
+        layers.append(Layer(kind, ids, children, edges))
+
+    references = np.concatenate([layer.children.ravel() for layer in layers] + [circuit.roots])
+    parents = np.bincount(references.astype(np.int64), minlength=n + 1)[:n]
+    return Layout(layers, leaves, int(fan_in.sum()), bool(np.all(parents <= 1)))
+
+
+def _compile_plan(circuit: Circuit, layout: Layout) -> Plan:
+    nodes = circuit.nodes
+    gaussian_ids, categorical_ids = layout.leaves["gaussian"][0], layout.leaves["categorical"][0]
+    gaussian = [nodes[i] for i in gaussian_ids]
+    mean = np.array([g.mean for g in gaussian], dtype=np.float64)
+    log_std = np.array([g.log_std for g in gaussian], dtype=np.float64)
+    tables = [np.asarray(nodes[i].log_probs, dtype=np.float64) for i in categorical_ids]
+    states = np.array([len(t) for t in tables], dtype=np.int64)
+    log_probs = np.full((len(tables), states.max(initial=0)), -np.inf)
+    for k, t in enumerate(tables):
+        log_probs[k, : len(t)] = t
+    bad_tables = np.any(np.isnan(log_probs) | np.isposinf(log_probs), axis=1)
+    bad = np.concatenate([gaussian_ids[~(np.isfinite(mean) & np.isfinite(log_std))],
+                          categorical_ids[bad_tables]])
+    if len(bad):
+        i = int(bad.min())
+        raise ParameterError(f"non-finite {nodes[i].kind} parameter at node {i}")
+    log_weights = []
+    for layer in layout.layers:
+        lw = None
+        if layer.kind == "sum":
+            lw = np.full(layer.children.shape, -np.inf)
+            lw.T[(layer.children < len(nodes)).T] = np.concatenate(
+                [nodes[i].log_weights for i in layer.nodes])
+        log_weights.append(lw)
+    # math.exp per leaf: bit for bit the arithmetic of a scalar leaf
+    inv_std = np.array([math.exp(-g.log_std) for g in gaussian], dtype=np.float64)
+    return Plan(layout, log_weights, mean, log_std, inv_std, log_probs, states)
+
+
+# ---------------------------------------------------------------------------
 # Log-space likelihood inference
 
 
-def leaf_log_value(node: Node, x: float) -> float:
-    """Log density/mass of a leaf at x; NaN (marginalized) contributes log 1 = 0."""
-    if math.isnan(x):
-        return 0.0
-    if node.kind == "gaussian":
-        z = (x - node.mean) * math.exp(-node.log_std)
-        return -0.5 * z * z - node.log_std - 0.5 * LOG_2PI
-    # categorical
-    k = int(x)
-    if k != x or not (0 <= k < len(node.log_probs)):
-        raise ShapeError(f"categorical value {x!r} invalid for {len(node.log_probs)} states")
-    return float(node.log_probs[k])
-
-
-def _check_leaf_parameters(circuit: Circuit) -> None:
-    for i, node in enumerate(circuit.nodes):
-        if node.kind == "gaussian":
-            if not (math.isfinite(node.mean) and math.isfinite(node.log_std)):
-                raise ParameterError(f"non-finite Gaussian parameter at node {i}")
-        elif node.kind == "categorical":
-            if not np.all(np.asarray(node.log_probs) <= 0.0 + 1e-12):
-                if np.any(np.isnan(node.log_probs)) or np.any(np.isposinf(node.log_probs)):
-                    raise ParameterError(f"non-finite categorical parameter at node {i}")
-
-
 def log_likelihood(circuit: Circuit, evidence) -> np.ndarray:
-    """Log value of every class root for one evidence row.
+    """Log value of every class root for one evidence row: a batch of one.
 
     Sum nodes use log-sum-exp of (log weight + child log value); product nodes
     add child log values; marginalized leaves contribute 0.
     """
     values = as_evidence(evidence, circuit.num_variables)
-    _check_leaf_parameters(circuit)
-    logv = np.empty(len(circuit.nodes), dtype=np.float64)
-    for i, node in enumerate(circuit.nodes):
-        if node.kind == "sum":
-            terms = node.log_weights + logv[node.children]
-            logv[i] = logsumexp(terms)
-        elif node.kind == "product":
-            logv[i] = float(np.sum(logv[node.children]))
-        else:
-            logv[i] = leaf_log_value(node, float(values[node.variable]))
-    return logv[circuit.roots].copy()
+    return forward_log_values(circuit, values[None, :])[circuit.roots, 0]
 
 
 def log_likelihood_batch(circuit: Circuit, X: np.ndarray) -> np.ndarray:
-    """Log value of every class root for a batch: returns (rows, classes).
-
-    Same recurrences as :func:`log_likelihood`, vectorized over rows.
-    """
+    """Log value of every class root for a batch: returns (rows, classes)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != circuit.num_variables:
         raise ShapeError(f"batch has shape {X.shape}, expected (rows, {circuit.num_variables})")
-    _check_leaf_parameters(circuit)
-    logv = forward_log_values(circuit, X)
-    return logv[circuit.roots].T.copy()
+    return forward_log_values(circuit, X)[circuit.roots].T.copy()
 
 
-def forward_log_values(circuit: Circuit, X: np.ndarray) -> np.ndarray:
-    """Per-node log values for a batch, shape (nodes, rows)."""
-    rows = X.shape[0]
-    logv = np.empty((len(circuit.nodes), rows), dtype=np.float64)
+def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarray] = None):
+    """Per-node log values, shape (nodes, columns), from one loop over layers.
+
+    Without ``keep`` the columns are the rows of X.  Monte Carlo dropout
+    passes a (sum edges, passes) boolean mask with one row in X: column j is
+    then the pass in which sum edge e (in :meth:`Circuit.sum_edges` order)
+    contributes only where ``keep[e, j]`` holds.
+    """
+    plan = circuit.plan()
+    X = np.asarray(X, dtype=np.float64)
+    columns = X.shape[0] if keep is None else keep.shape[1]
+    logv = np.empty((len(circuit.nodes) + 1, columns))
+    logv[-1] = 0.0
+    plan.leaf_log_values(X, logv)
     with np.errstate(divide="ignore"):
-        for i, node in enumerate(circuit.nodes):
-            if node.kind == "sum":
-                terms = node.log_weights[:, None] + logv[node.children]
-                logv[i] = logsumexp_axis0(terms)
-            elif node.kind == "product":
-                logv[i] = logv[node.children].sum(axis=0)
-            else:
-                logv[i] = _leaf_log_values_batch(node, X[:, node.variable])
-    return logv
-
-
-def _leaf_log_values_batch(node: Node, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    observed = ~np.isnan(x)
-    if node.kind == "gaussian":
-        z = (x[observed] - node.mean) * math.exp(-node.log_std)
-        out[observed] = -0.5 * z * z - node.log_std - 0.5 * LOG_2PI
-    else:
-        xo = x[observed]
-        k = xo.astype(np.int64)
-        if np.any(k != xo) or np.any(k < 0) or np.any(k >= len(node.log_probs)):
-            raise ShapeError(f"categorical values invalid for {len(node.log_probs)} states")
-        out[observed] = np.asarray(node.log_probs)[k]
-    return out
+        for layer, lw in zip(plan.layout.layers, plan.log_weights):
+            for block in layer.blocks(columns):
+                kids = logv[layer.children[:, block]]
+                if lw is None:
+                    logv[layer.nodes[block]] = kids.sum(axis=0)
+                    continue
+                terms = lw[:, block, None] + kids
+                if keep is not None:
+                    terms = np.where(keep[layer.edges[:, block]], terms, -np.inf)
+                logv[layer.nodes[block]] = logsumexp_axis0(terms)
+    return logv[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +501,7 @@ def logsumexp(terms: np.ndarray) -> float:
 
 
 def logsumexp_axis0(terms: np.ndarray) -> np.ndarray:
-    """Column-wise log-sum-exp of a (k, rows) array; all -inf columns give -inf."""
+    """Log-sum-exp over the first axis of a (k, ...) array; all -inf gives -inf."""
     m = np.max(terms, axis=0)
     safe = np.where(np.isneginf(m), 0.0, m)
     out = safe + np.log(np.exp(terms - safe[None, :]).sum(axis=0))

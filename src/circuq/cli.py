@@ -335,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="output directory (default runs/<subcommand>)")
         p.add_argument("--config", default=None, help="load flag defaults from a config.snapshot")
-        p.add_argument("--threads", type=int, default=os.cpu_count(),
-                       help="parallelism cap; results are independent of it")
 
     p = sub.add_parser("build", help="construct a random tensorized circuit")
     p.add_argument("-S", type=int, default=20, help="sum nodes per internal region")

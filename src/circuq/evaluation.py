@@ -255,16 +255,6 @@ def entropy_histograms(
     return edges, out
 
 
-def write_histogram_csv(edges: np.ndarray, hists: dict, path) -> None:
-    names = list(hists)
-    with open(path, "w") as fh:
-        fh.write("bin_left,bin_right," + ",".join(names) + "\n")
-        for b in range(len(edges) - 1):
-            row = f"{edges[b]:.17g},{edges[b + 1]:.17g},"
-            row += ",".join(str(int(hists[n][b])) for n in names)
-            fh.write(row + "\n")
-
-
 def histogram_overlap(a: np.ndarray, b: np.ndarray) -> float:
     """Intersection of two normalized histograms, in [0, 1]."""
     pa = a / max(a.sum(), 1)

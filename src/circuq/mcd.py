@@ -18,11 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .circuit import Circuit, as_evidence, leaf_log_value, logsumexp_axis0
+from .circuit import Circuit, as_evidence, forward_log_values
 from .errors import DegenerateSampleError
 from .moments import DropoutConfig, posterior_moments_batch, TaylorMethod
-
-_NEG_INF = float("-inf")
 
 _CHUNK_PASSES = 8192  # fixed so chunking never affects the stream
 
@@ -64,8 +62,7 @@ def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
     """
     config.check()
     values = as_evidence(evidence, circuit.num_variables)
-    edges = circuit.sum_edges()
-    num_edges = len(edges)
+    num_edges = circuit.layout().num_sum_edges
     L = config.num_passes
     C = circuit.num_classes
     rng = _mask_generator(config.rng_seed)
@@ -78,18 +75,11 @@ def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
     degenerate = 0
     raw = np.empty((L, C)) if config.keep_samples else None
 
-    # Leaf and product values do not depend on the mask; cache per-node logs
-    # once and redo only the sum mixing per pass.
-    base_log = _maskable_log_values(circuit, values)
-
     done = 0
     while done < L:
         m = min(_CHUNK_PASSES, L - done)
-        if config.p == 0.0:
-            keep = np.ones((num_edges, m), dtype=bool)
-        else:
-            keep = rng.random((num_edges, m)) >= config.p
-        log_roots = _masked_forward(circuit, base_log, keep, m)  # (C, m)
+        keep = rng.random((num_edges, m)) >= config.p
+        log_roots = forward_log_values(circuit, values[None, :], keep)[circuit.roots]  # (C, m)
         lin = np.exp(log_roots)
         sum_v += lin.sum(axis=1)
         sum_v2 += (lin * lin).sum(axis=1)
@@ -131,35 +121,6 @@ def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
         raw_samples=raw,
         metadata={"p": config.p, "num_passes": L, "degenerate_passes": degenerate},
     )
-
-
-def _maskable_log_values(circuit: Circuit, values: np.ndarray) -> list:
-    """Per-node data reused across passes: leaf logs and sum/product wiring."""
-    cache = []
-    for node in circuit.nodes:
-        if node.kind in ("gaussian", "categorical"):
-            cache.append(leaf_log_value(node, float(values[node.variable])))
-        else:
-            cache.append(None)
-    return cache
-
-
-def _masked_forward(circuit: Circuit, base_log: list, keep: np.ndarray, m: int) -> np.ndarray:
-    logv = np.empty((len(circuit.nodes), m))
-    edge_ptr = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i, node in enumerate(circuit.nodes):
-            if node.kind == "sum":
-                k = len(node.children)
-                mask = keep[edge_ptr : edge_ptr + k]
-                edge_ptr += k
-                terms = node.log_weights[:, None] + logv[node.children]
-                logv[i] = logsumexp_axis0(np.where(mask, terms, _NEG_INF))
-            elif node.kind == "product":
-                logv[i] = logv[node.children].sum(axis=0)
-            else:
-                logv[i] = base_log[i]
-    return logv[circuit.roots]
 
 
 # ---------------------------------------------------------------------------

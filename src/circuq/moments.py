@@ -6,10 +6,11 @@ covariances of those values propagate bottom-up through the circuit in closed
 form, so the model uncertainty at the roots costs one traversal instead of
 many stochastic forward passes.
 
-All moments are kept in signed log space: expectations and variances of
-nonnegative circuit values as log magnitudes, covariances as (sign, log|x|)
-pairs, because deep circuits underflow linear doubles long before they get
-interesting.
+Moments are stored in log space, expectations and variances of nonnegative
+circuit values as log magnitudes and covariances as (sign, log|x|) pairs,
+because deep circuits underflow linear doubles long before they get
+interesting.  The pass runs on the circuit's layer plan; it mixes each block
+of sum nodes in linear space, shifted per node and row by its largest term.
 
 Covariance handling between siblings is pluggable:
 
@@ -29,22 +30,16 @@ moment arrays, shared by the single-row and the batch API.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .circuit import (
-    Circuit,
-    _leaf_log_values_batch,
-    as_evidence,
-    leaf_log_value,
-    logsumexp,
-    logsumexp_axis0,
-)
+from .circuit import Circuit, as_evidence, logsumexp_axis0
 from .errors import StructureError, UnderflowError
-from .signedlog import SignedLog, log1mexp, sl_sum
+from .signedlog import SignedLog, sl_sum
 
 _NEG_INF = float("-inf")
 
@@ -109,21 +104,6 @@ class MomentFrame:
     sibling_cov: dict[tuple[int, int], SignedLog] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
-    def expectation(self, node: int) -> SignedLog:
-        return SignedLog.from_log(float(self.log_expectation[node]))
-
-    def variance(self, node: int) -> SignedLog:
-        return SignedLog.from_log(float(self.log_variance[node]))
-
-    def cov(self, a: int, b: int) -> SignedLog:
-        """Materialized covariance; the diagonal is the variance."""
-        if a == b:
-            return self.variance(a)
-        key = (a, b) if a < b else (b, a)
-        if key in self.sibling_cov:
-            return self.sibling_cov[key]
-        return SignedLog.zero()
-
     def pair_cov(self, a: int, b: int) -> SignedLog:
         """Covariance of two arbitrary nodes under this frame's strategy."""
         return _pair_cov(self, a, b)
@@ -156,7 +136,7 @@ def tdi_pass(
     config: DropoutConfig,
     leaf_log_variance: Optional[dict[int, float]] = None,
 ) -> MomentFrame:
-    """One bottom-up traversal filling expectation, variance, and covariances.
+    """One bottom-up pass filling expectation, variance, and covariances.
 
     Sum node:      E = q sum_i w_i E[N_i]
                    Var = q sum_i w_i^2 (Var[N_i] + p E[N_i]^2)
@@ -166,101 +146,150 @@ def tdi_pass(
     Leaf:          E = leaf value, Var = 0 (unless a prior leaf variance is
                    supplied through ``leaf_log_variance``).
 
-    The covariance term follows the configured strategy.  Cost is linear in
-    edges under TREE_ZERO and at most quadratic in local fan-in otherwise.
+    The row runs through the batch moment pass as a batch of one.  The
+    covariance term follows the configured strategy: RAT_EXACT adds it to
+    each sum layer before the next layer reads it, at most quadratic in local
+    fan-in; the other strategies leave it out.
     """
     values = as_evidence(evidence, circuit.num_variables)
     strategy = config.covariance_strategy
     if strategy is CovarianceStrategy.RAT_EXACT and circuit.rat is None:
         raise StructureError("RAT_EXACT requires a circuit tagged with RAT structure")
 
-    n = len(circuit.nodes)
-    log_e = np.full(n, _NEG_INF)
-    log_v = np.full(n, _NEG_INF)
-    frame = MomentFrame(circuit, config, log_e, log_v)
+    frame = MomentFrame(circuit, config, np.empty(0), np.empty(0))
     frame.metadata["p"] = config.p
     frame.metadata["strategy"] = strategy.value
     if strategy is CovarianceStrategy.TREE_ZERO and not circuit.is_tree():
         frame.metadata["treezero_on_dag"] = True
-    cauchy = strategy is CovarianceStrategy.CAUCHY
-    if cauchy:
+
+    on_sum_layer = None
+    if strategy is CovarianceStrategy.RAT_EXACT:
+        on_sum_layer = functools.partial(_add_sum_covariances, frame)
+    elif strategy is CovarianceStrategy.CAUCHY:
         frame.metadata["cauchy_var_bounds"] = {}
-
-    roots = set(circuit.roots)
-    log_q = math.log(config.q) if config.q > 0.0 else _NEG_INF
-    log_p = math.log(config.p) if config.p > 0.0 else _NEG_INF
-
-    for i, node in enumerate(circuit.nodes):
-        if node.kind in ("gaussian", "categorical"):
-            log_e[i] = leaf_log_value(node, float(values[node.variable]))
-            if leaf_log_variance and i in leaf_log_variance:
-                log_v[i] = leaf_log_variance[i]
-            continue
-
-        if node.kind == "product":
-            ce = log_e[node.children]
-            cv = log_v[node.children]
-            log_e[i] = float(ce.sum())
-            log_v[i] = _product_log_variance(ce, cv)
-            continue
-
-        # sum node
-        lq, lp = (0.0, _NEG_INF) if (config.exclude_root_heads and i in roots) else (log_q, log_p)
-        lw = node.log_weights
-        ce = log_e[node.children]
-        cv = log_v[node.children]
-        log_e[i] = lq + logsumexp(lw + ce)
-        t1 = lq + logsumexp(2.0 * lw + np.logaddexp(cv, lp + 2.0 * ce))
-
-        if strategy is CovarianceStrategy.TREE_ZERO:
-            log_v[i] = t1
-        elif cauchy:
-            log_v[i] = t1
-            spread = _cauchy_pair_spread(lw, cv)
-            lo = math.exp(t1) - math.exp(2.0 * lq + spread) if spread > _NEG_INF else math.exp(t1)
-            hi = math.exp(t1) + math.exp(2.0 * lq + spread) if spread > _NEG_INF else math.exp(t1)
-            frame.metadata["cauchy_var_bounds"][i] = (max(lo, 0.0), hi)
-        else:  # RAT_EXACT
-            cov_term = SignedLog.zero()
-            kids = node.children
-            for a in range(len(kids)):
-                for b in range(a + 1, len(kids)):
-                    c = _pair_cov(frame, kids[a], kids[b])
-                    if not c.is_zero:
-                        cov_term = cov_term + c.scale_log(float(lw[a] + lw[b]))
-            var = SignedLog.from_log(t1) + cov_term.scale_log(2.0 * lq + math.log(2.0))
-            log_v[i] = _nonnegative_log(var, t1, context=f"variance of sum node {i}")
+        on_sum_layer = functools.partial(_cauchy_var_bounds, frame.metadata["cauchy_var_bounds"])
+    log_e, log_v = _moment_pass(circuit, values[None, :], config, leaf_log_variance, on_sum_layer)
+    frame.log_expectation, frame.log_variance = log_e[:, 0], log_v[:, 0]
     return frame
 
 
-def _product_log_variance(child_log_e: np.ndarray, child_log_v: np.ndarray) -> float:
-    """log of prod(V_i + E_i^2) - prod(E_i^2), computed without cancellation."""
-    if np.any(np.isneginf(child_log_e) & np.isneginf(child_log_v)):
-        return _NEG_INF  # a child is identically zero, so the product is too
-    if np.all(np.isneginf(child_log_v)):
-        return _NEG_INF
-    log_e2 = 2.0 * child_log_e
-    if np.any(np.isneginf(log_e2)):
-        # Some child has zero mean but positive variance: fall back to the
-        # direct two-product form, where the subtrahend vanishes.
-        return float(np.logaddexp(child_log_v, log_e2).sum())
-    # prod(E^2) * expm1(sum log1p(V/E^2))
-    ratio = np.log1p(np.exp(child_log_v - log_e2)).sum()
-    return float(log_e2.sum()) + math.log(math.expm1(ratio))
+def tdi_pass_batch(circuit: Circuit, X: np.ndarray, config: DropoutConfig):
+    """Per-node log expectation and log variance for a batch of rows.
+
+    Covers the strategies whose point estimates drop sibling covariances
+    (TREE_ZERO and the Cauchy diagnostics).  Returns two (nodes, rows) arrays.
+    """
+    if config.covariance_strategy is CovarianceStrategy.RAT_EXACT:
+        raise StructureError("the batch pass supports zero-covariance strategies only")
+    return _moment_pass(circuit, np.asarray(X, dtype=np.float64), config)
 
 
-def _cauchy_pair_spread(lw: np.ndarray, child_log_v: np.ndarray) -> float:
-    """log of sum_{i != j} w_i w_j sqrt(Var_i Var_j), the half-width of the
-    covariance contribution interval at a sum node."""
-    terms = lw + 0.5 * child_log_v
-    total = logsumexp(terms)
-    if total == _NEG_INF:
-        return _NEG_INF
-    # (sum_i t_i)^2 - sum_i t_i^2, all terms nonnegative
-    sq = logsumexp(2.0 * terms)
-    if 2.0 * total <= sq:
-        return _NEG_INF
-    return 2.0 * total + log1mexp(sq - 2.0 * total)
+def _moment_pass(circuit, X, config, leaf_log_variance=None, on_sum_layer=None):
+    """Log expectation and zero-covariance log variance of every node, as
+    (nodes, rows) arrays, from one loop over the circuit's layers.
+
+    ``on_sum_layer(layer, log_weights, log_q, log_e, log_v)`` is the
+    covariance strategy's hook, called after each sum layer and before the
+    next layer reads it; RAT_EXACT adds the sibling covariances to the layer's
+    variances in place.  Its arrays carry the sentinel row last.
+    """
+    plan = circuit.plan()
+    n, rows = len(circuit.nodes), X.shape[0]
+    log_e = np.empty((n + 1, rows))
+    log_e[n] = 0.0
+    log_v = np.full((n + 1, rows), _NEG_INF)
+    plan.leaf_log_values(X, log_e)
+    for i, lv in (leaf_log_variance or {}).items():
+        if circuit.nodes[i].kind in ("gaussian", "categorical"):  # never the sentinel row
+            log_v[i] = lv
+    q = np.full((n, 1), config.q)
+    if config.exclude_root_heads:
+        q[circuit.roots] = 1.0  # root heads keep every edge
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_q = np.log(q)
+        for layer, lw in zip(plan.layout.layers, plan.log_weights):
+            for block in layer.blocks(rows):
+                ids = layer.nodes[block]
+                kids = layer.children[:, block]
+                if lw is None:
+                    log_e[ids], log_v[ids] = _product_moments(log_e[kids], log_v[kids])
+                else:
+                    log_e[ids], log_v[ids] = _sum_moments(
+                        lw[:, block, None], log_e[kids], log_v[kids], log_q[ids], 1.0 - q[ids]
+                    )
+            if on_sum_layer is not None and lw is not None:
+                on_sum_layer(layer, lw, log_q, log_e, log_v)
+    return log_e[:-1], log_v[:-1]
+
+
+def _product_moments(ce: np.ndarray, cv: np.ndarray):
+    """log E and log Var of products of independent children.
+
+    Takes (width, nodes, rows) child moments.  Var = prod(E^2) (prod(1 + r_k)
+    - 1) with r_k = Var_k / E_k^2, and the bracket accumulates as
+    acc + r_k (1 + acc), which cannot cancel.  Where a child's mean is zero
+    the subtracted product vanishes, and Var is the product of the children's
+    second moments.
+    """
+    log_e = ce.sum(axis=0)
+    r = np.exp(cv - 2.0 * ce)
+    acc = r[0]
+    for rk in r[1:]:
+        acc = acc + rk * (1.0 + acc)
+    log_v = 2.0 * log_e + np.log(acc)
+    zero = np.isneginf(log_e)
+    if np.any(zero):
+        log_v = np.where(zero, np.logaddexp(cv, 2.0 * ce).sum(axis=0), log_v)
+    return log_e, log_v
+
+
+def _sum_moments(lw, ce, cv, log_q, p):
+    """log E and zero-covariance log Var of sum nodes, mixed in linear space.
+
+    E = q sum_k w_k E_k and Var = q sum_k w_k^2 (Var_k + p E_k^2), from
+    (width, nodes, rows) child moments.  Each sum is shifted by its own
+    per-node, per-row largest term, as log-sum-exp is, so no term overflows
+    and the largest is 1.  At p = 0 with zero child variances Var is exactly 0.
+    """
+    t = lw + ce
+    m = t.max(axis=0)
+    a = np.exp(t - np.where(np.isneginf(m), 0.0, m))
+    u = 2.0 * lw + cv
+    mv = np.maximum(u.max(axis=0), 2.0 * m)
+    mv = np.where(np.isneginf(mv), 0.0, mv)
+    var = np.exp(u - mv).sum(axis=0) + p * np.exp(2.0 * m - mv) * (a * a).sum(axis=0)
+    return log_q + (m + np.log(a.sum(axis=0))), log_q + (mv + np.log(var))
+
+
+def _add_sum_covariances(frame: MomentFrame, layer, lw, log_q, log_e, log_v) -> None:
+    """Add 2 q^2 sum_{i < j} w_i w_j Cov[N_i, N_j] to each sum node's variance."""
+    frame.log_expectation, frame.log_variance = log_e[:-1, 0], log_v[:-1, 0]
+    for i in layer.nodes.tolist():
+        node = frame.circuit.nodes[i]
+        kids, weights = node.children, node.log_weights
+        cov_term = SignedLog.zero()
+        for a in range(len(kids)):
+            for b in range(a + 1, len(kids)):
+                c = _pair_cov(frame, kids[a], kids[b])
+                if not c.is_zero:
+                    cov_term = cov_term + c.scale_log(float(weights[a] + weights[b]))
+        t1 = float(log_v[i, 0])
+        var = SignedLog.from_log(t1) + cov_term.scale_log(2.0 * log_q[i, 0] + math.log(2.0))
+        log_v[i, 0] = _nonnegative_log(var, t1, context=f"variance of sum node {i}")
+
+
+def _cauchy_var_bounds(bounds: dict, layer, lw, log_q, log_e, log_v) -> None:
+    """Record, per sum node, the variance interval the Cauchy-Schwarz bound
+    |Cov[a,b]| <= sqrt(Var[a] Var[b]) allows around the zero-covariance point:
+    +- q^2 sum_{i != j} w_i w_j sqrt(Var_i Var_j), clipped at zero."""
+    terms = lw + 0.5 * log_v[layer.children, 0]
+    total = 2.0 * logsumexp_axis0(terms)  # log (sum_i t_i)^2
+    gap = logsumexp_axis0(2.0 * terms) - total
+    spread = np.where(gap < 0.0, total + np.log(-np.expm1(gap)), _NEG_INF)
+    point = np.exp(log_v[layer.nodes, 0])
+    half = np.exp(2.0 * log_q[layer.nodes, 0] + spread)
+    lo = np.maximum(point - half, 0.0)
+    bounds.update(zip(layer.nodes.tolist(), zip(lo.tolist(), (point + half).tolist())))
 
 
 def _nonnegative_log(value: SignedLog, log_scale: float, context: str) -> float:
@@ -286,7 +315,7 @@ def _nonnegative_log(value: SignedLog, log_scale: float, context: str) -> float:
 
 def _pair_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
     if a == b:
-        return frame.variance(a)
+        return SignedLog.from_log(float(frame.log_variance[a]))
     key = (a, b) if a < b else (b, a)
     cached = frame.sibling_cov.get(key)
     if cached is not None:
@@ -350,13 +379,10 @@ def _sum_sum_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
     """Cov of two sum nodes: q^2 sum_i sum_j w_i^A w_j^B Cov[N_i^A, N_j^B]."""
     circuit = frame.circuit
     na, nb = circuit.nodes[a], circuit.nodes[b]
-    q = frame.config.q
-    if frame.config.exclude_root_heads and (a in circuit.roots or b in circuit.roots):
-        qa = 1.0 if a in circuit.roots else q
-        qb = 1.0 if b in circuit.roots else q
-        log_qq = math.log(qa) + math.log(qb) if qa * qb > 0 else _NEG_INF
-    else:
-        log_qq = 2.0 * math.log(q) if q > 0 else _NEG_INF
+    config = frame.config
+    qq = math.prod(1.0 if config.exclude_root_heads and s in circuit.roots else config.q
+                   for s in (a, b))
+    log_qq = math.log(qq) if qq > 0 else _NEG_INF
     terms = []
     for wi, ci in zip(na.log_weights, na.children):
         for wj, cj in zip(nb.log_weights, nb.children):
@@ -366,14 +392,12 @@ def _sum_sum_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
     return sl_sum(terms).scale_log(log_qq)
 
 
-def sum_covariance(frame: MomentFrame, sum_a: int, sum_b: int, config=None) -> SignedLog:
-    """Covariance of two sum nodes with child covariances per the strategy."""
+def sum_covariance(frame: MomentFrame, sum_a: int, sum_b: int) -> SignedLog:
+    """Covariance of two sum nodes with child covariances per the frame's strategy."""
     circuit = frame.circuit
     for s in (sum_a, sum_b):
         if circuit.nodes[s].kind != "sum":
             raise StructureError(f"node {s} is not a sum node")
-    if config is not None and config.covariance_strategy != frame.config.covariance_strategy:
-        raise StructureError("config strategy differs from the frame's strategy")
     return _sum_sum_cov(frame, sum_a, sum_b)
 
 
@@ -441,9 +465,10 @@ def posterior_moments(
         Var[A/B] ~= (E[A]/E[B])^2 (Var[A]/E[A]^2 - 2 Cov[A,B]/(E[A]E[B])
                                    + Var[B]/E[B]^2)
 
-    for the SIMPLE method.  EXTENDED additionally carries the second-order
-    cross terms that account for the dependence between a root and the sum of
-    all roots; its product-variance term uses the crude local-independence
+    for the SIMPLE method.  The mean is the full second-order expansion of
+    E[A/B], so both methods share it.  EXTENDED's variance additionally
+    carries cross terms for the dependence between a root and the sum of all
+    roots; its product-variance term uses the crude local-independence
     shortcut Var[XY] = Var[X] Var[Y].
     """
     if circuit.num_classes < 2:
@@ -553,9 +578,10 @@ def _taylor(circuit, log_e, log_v, root_cov, method):
 
     SIMPLE writes its variance as (Var[A_i] - 2 t_i Cov[A_i,B] + t_i^2 Var[B])
     / E[B]^2 with t_i = E[A_i]/E[B], the docstring formula of
-    :func:`posterior_moments` without the division by E[A_i].  EXTENDED adds
-    the dependence terms.  Returns the (C, rows) means and variances, and
-    EXTENDED's log T_i (None under SIMPLE).  Classes with E[A_i] = 0 get zeros.
+    :func:`posterior_moments` without the division by E[A_i].  EXTENDED keeps
+    the mean and adds dependence terms to the variance.  Returns the (C, rows)
+    means and variances, and EXTENDED's log T_i (None under SIMPLE).  Classes
+    with E[A_i] = 0 get zeros.
     """
     roots = circuit.roots
     log_c = np.asarray(circuit.log_class_priors, dtype=np.float64)[:, None]
@@ -571,8 +597,8 @@ def _taylor(circuit, log_e, log_v, root_cov, method):
         cov_ab = va + c * ck  # Cov[A_i, B]
         var_b = np.maximum(cov_ab.sum(axis=0), 0.0)
         t = ea / eb
+        mean = t - cov_ab / eb**2 + t * var_b / eb**2
         if method is TaylorMethod.SIMPLE:
-            mean = t - cov_ab / eb**2 + t * var_b / eb**2
             var = (va - 2.0 * t * cov_ab + t * t * var_b) / eb**2
             log_t = None
         else:
@@ -590,7 +616,6 @@ def _taylor(circuit, log_e, log_v, root_cov, method):
             es = np.exp(les)
             vs = np.exp(lvs)
             zni = eb - ea  # E[B] without class i
-            mean = t - 2.0 * c * zni / eb**3 * vs - (eb + 2.0 * ea) / eb**3 * ck
             # Each expansion term contributes its squared coefficient times the
             # variance of its moment combination; combo[i, j] pairs classes i, j.
             combo = (
@@ -613,74 +638,9 @@ def predictive_entropy(means) -> float:
     m = np.asarray(means, dtype=np.float64)
     if np.any(m < 0.0):
         raise ValueError("posterior means must be nonnegative")
-    total = float(m.sum())
-    if total <= 0.0:
+    if float(m.sum()) <= 0.0:
         raise ValueError("all posterior means are zero")
-    m = np.clip(m, ENTROPY_CLAMP, 1.0)
-    m = m / m.sum()
-    return float(-(m * np.log(m)).sum())
-
-
-# ---------------------------------------------------------------------------
-# Vectorized batch path (zero-covariance strategies only)
-
-
-def tdi_pass_batch(circuit: Circuit, X: np.ndarray, config: DropoutConfig):
-    """Per-node log expectation and log variance for a batch of rows.
-
-    Vectorized over rows; covers the strategies whose point estimates drop
-    sibling covariances (TREE_ZERO and the Cauchy diagnostics).  Returns two
-    (nodes, rows) arrays.
-    """
-    if config.covariance_strategy is CovarianceStrategy.RAT_EXACT:
-        raise StructureError("the batch pass supports zero-covariance strategies only")
-    X = np.asarray(X, dtype=np.float64)
-    rows = X.shape[0]
-    n = len(circuit.nodes)
-    log_e = np.full((n, rows), _NEG_INF)
-    log_v = np.full((n, rows), _NEG_INF)
-    roots = set(circuit.roots)
-    log_q = math.log(config.q) if config.q > 0.0 else _NEG_INF
-    log_p = math.log(config.p) if config.p > 0.0 else _NEG_INF
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i, node in enumerate(circuit.nodes):
-            if node.kind in ("gaussian", "categorical"):
-                log_e[i] = _leaf_log_values_batch(node, X[:, node.variable])
-                continue
-            if node.kind == "product":
-                ce = log_e[node.children]
-                cv = log_v[node.children]
-                log_e[i] = ce.sum(axis=0)
-                log_v[i] = _product_log_variance_batch(ce, cv)
-                continue
-            lq, lp = (
-                (0.0, _NEG_INF)
-                if (config.exclude_root_heads and i in roots)
-                else (log_q, log_p)
-            )
-            lw = node.log_weights[:, None]
-            ce = log_e[node.children]
-            cv = log_v[node.children]
-            log_e[i] = lq + logsumexp_axis0(lw + ce)
-            log_v[i] = lq + logsumexp_axis0(2.0 * lw + np.logaddexp(cv, lp + 2.0 * ce))
-    return log_e, log_v
-
-
-def _product_log_variance_batch(ce: np.ndarray, cv: np.ndarray) -> np.ndarray:
-    rows = ce.shape[1]
-    out = np.full(rows, _NEG_INF)
-    zero_e = np.isneginf(ce).any(axis=0)
-    all_zero_v = np.isneginf(cv).all(axis=0)
-    ok = ~(zero_e | all_zero_v)
-    if np.any(ok):
-        log_e2 = 2.0 * ce[:, ok]
-        ratio = np.log1p(np.exp(cv[:, ok] - log_e2)).sum(axis=0)
-        out[ok] = log_e2.sum(axis=0) + np.log(np.expm1(ratio))
-    special = zero_e & ~all_zero_v
-    if np.any(special):
-        out[special] = np.logaddexp(cv[:, special], 2.0 * ce[:, special]).sum(axis=0)
-    return out
+    return float(predictive_entropy_batch(m[None, :])[0])
 
 
 def predictive_entropy_batch(means: np.ndarray) -> np.ndarray:

@@ -41,10 +41,6 @@ class SignedLog:
         return SignedLog(0, _NEG_INF)
 
     @staticmethod
-    def one() -> "SignedLog":
-        return SignedLog(1, 0.0)
-
-    @staticmethod
     def from_float(x: float) -> "SignedLog":
         if x == 0.0:
             return SignedLog(0, _NEG_INF)

@@ -123,13 +123,14 @@ def build_rat(config: RatConfig) -> Circuit:
 
 
 def structure_stats(circuit: Circuit) -> dict:
-    """Node, edge, and parameter counts of a circuit."""
-    total, gauss = circuit.parameter_count()
+    """Node, edge, and parameter counts of a circuit, read off its layout."""
+    layout = circuit.layout()
+    gauss = 2 * len(layout.leaves["gaussian"][0])
     return {
         "nodes": len(circuit.nodes),
-        "edges": circuit.edge_count(),
-        "sum_edges": len(circuit.sum_edges()),
-        "parameters": total,
+        "edges": sum(int(np.sum(layer.children < len(circuit.nodes))) for layer in layout.layers),
+        "sum_edges": layout.num_sum_edges,
+        "parameters": layout.num_sum_edges + gauss,
         "gaussian_parameters": gauss,
     }
 

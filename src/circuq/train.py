@@ -12,6 +12,7 @@ simplex by construction.  Training touches parameters only, never structure.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -90,7 +91,8 @@ class ParameterSpace:
         return theta
 
     def apply(self, theta: np.ndarray) -> Circuit:
-        """A circuit with these parameters; shares untouched nodes."""
+        """A circuit with these parameters; shares everything else, the
+        compiled layout included, so only its parameter arrays are built anew."""
         nodes = list(self.circuit.nodes)
         for i, kind, off, size in self.segments:
             if kind == "sum":
@@ -101,13 +103,8 @@ class ParameterSpace:
                     float(theta[off]),
                     float(np.clip(theta[off + 1], -LOG_STD_CLAMP, LOG_STD_CLAMP)),
                 )
-        return Circuit(
-            nodes=nodes,
-            roots=list(self.circuit.roots),
-            num_variables=self.circuit.num_variables,
-            log_class_priors=np.array(self.circuit.log_class_priors),
-            rat=self.circuit.rat,
-        )
+        return dataclasses.replace(self.circuit, nodes=nodes, _layout=self.circuit.layout(),
+                                   _plan=None)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +230,8 @@ def fit(
 ) -> tuple[Circuit, TrainHistory]:
     """Mini-batch gradient training; returns the trained circuit and history.
 
-    Aborts on a non-finite loss, returning the last finite state.  Weights
-    stay normalized because updates act on logits.
+    Aborts on a non-finite loss or leaf parameter, returning the last finite
+    state.  Weights stay normalized because updates act on logits.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -257,28 +254,24 @@ def fit(
     for epoch in range(config.epochs):
         order = rng.permutation(B)
         losses = []
-        ok = True
-        for start in range(0, B, batch):
-            idx = order[start : start + batch]
-            try:
+        try:
+            for start in range(0, B, batch):
+                idx = order[start : start + batch]
                 loss, grad = loss_and_grad(
                     current, X[idx], labels[idx], config.objective, space
                 )
-            except ParameterError as exc:
-                history.aborted = True
-                history.abort_reason = str(exc)
-                ok = False
-                break
-            losses.append(loss)
-            theta = _update(theta, grad, state, config)
-            _clamp_log_stds(theta, space)
-            current = space.apply(theta)
-        if not ok:
-            theta = last_good
-            current = space.apply(theta)
+                losses.append(loss)
+                theta = _update(theta, grad, state, config)
+                _clamp_log_stds(theta, space)
+                current = space.apply(theta)
+            # a non-finite parameter after the epoch's last step aborts here
+            acc = accuracy(current, X, labels)
+        except ParameterError as exc:
+            history.aborted = True
+            history.abort_reason = str(exc)
+            current = space.apply(last_good)
             break
         last_good = theta.copy()
-        acc = accuracy(current, X, labels)
         history.epochs.append((epoch, float(np.mean(losses)), acc))
     history.optimizer_state = state
     return current, history

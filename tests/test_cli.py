@@ -92,6 +92,12 @@ class TestRuns:
                    "--out", str(out2)])
         assert rc == 0
         assert (out1 / "posterior.csv").read_text() == (out2 / "posterior.csv").read_text()
+        # a snapshot written before --threads was removed still replays
+        old = workspace / "snap_threads.snapshot"
+        old.write_text((out1 / "config.snapshot").read_text() + "threads = 4\n")
+        out3 = workspace / "snap3"
+        assert main(["tdi", "--config", str(old), "--out", str(out3)]) == 0
+        assert (out1 / "posterior.csv").read_text() == (out3 / "posterior.csv").read_text()
 
     def test_ood_p_zero_matches_plain(self, workspace):
         model = str(workspace / "train" / "model.circuit")

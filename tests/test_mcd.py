@@ -7,9 +7,10 @@ import pytest
 from scipy import stats
 
 from circuq import DegenerateSampleError, McdConfig, build_manual, mcd_infer, mcd_vs_tdi_report
+from circuq.enumeration import linear_leaf_value
 from circuq.mcd import _mask_generator
 from circuq.moments import DropoutConfig, tdi_pass
-from circuq.structures import random_evidence, random_tree_circuit
+from circuq.structures import random_dag_circuit, random_evidence, random_tree_circuit
 
 from conftest import rel_err
 
@@ -48,6 +49,44 @@ class TestDeterminismAndDegeneracy:
         c = build_manual(spec)
         with pytest.raises(DegenerateSampleError):
             mcd_infer(c, [1.0], McdConfig(0.1, 10, rng_seed=0))
+
+
+def masked_linear_forward(circuit, x, keep):
+    """Root values per pass, node by node in linear space: sum edge e, in
+    sum_edges() order, keeps its child in pass j where keep[e, j] holds."""
+    L = keep.shape[1]
+    values = np.empty((len(circuit.nodes), L))
+    edge = 0
+    for i, node in enumerate(circuit.nodes):
+        if node.kind == "sum":
+            k = len(node.children)
+            w = np.exp(node.log_weights)[:, None]
+            values[i] = (w * keep[edge : edge + k] * values[node.children]).sum(axis=0)
+            edge += k
+        elif node.kind == "product":
+            values[i] = np.prod(values[node.children], axis=0)
+        else:
+            values[i] = linear_leaf_value(node, float(x[node.variable]))
+    return values[circuit.roots].T
+
+
+class TestMaskedPass:
+    def test_raw_samples_equal_linear_forward_under_the_mask_stream(self):
+        rng = np.random.default_rng(11)
+        circuits = [random_tree_circuit(rng, num_classes=2) for _ in range(6)]
+        circuits += [random_dag_circuit(rng) for _ in range(6)]
+        assert any(n.kind == "categorical" for c in circuits for n in c.nodes)
+        nan_rows = 0
+        for k, c in enumerate(circuits):
+            x = random_evidence(rng, c, 0.3)
+            nan_rows += bool(np.isnan(x).any())
+            p, L, seed = 0.3, 64, 100 + k
+            res = mcd_infer(c, x, McdConfig(p, L, seed, keep_samples=True))
+            keep = _mask_generator(seed).random((len(c.sum_edges()), L)) >= p
+            want = masked_linear_forward(c, x, keep)
+            assert np.all((res.raw_samples == 0.0) == (want == 0.0))
+            np.testing.assert_allclose(res.raw_samples, want, rtol=1e-12, atol=0.0)
+        assert nan_rows > 0
 
 
 class TestStatistics:

@@ -150,11 +150,25 @@ class TestTreeExactness:
 
     def test_leaf_variance_hook_propagates(self):
         # the prior-uncertainty hook: a leaf with nonzero variance feeds the
-        # product rule Var = (V + E^2) - E^2 even at p = 0
-        c = build_manual("g gaussian 0 0.0 1.0\nroot g")
-        frame = tdi_pass(c, [0.0], DropoutConfig.with_p(0.0),
+        # product rule Var = (V + E^2) E2^2 - E^2 E2^2 = V E2^2 and, at p = 0,
+        # the sum rule Var = sum_k w_k^2 Var_k, so it must act at the leaves
+        c = build_manual("""
+        g1 gaussian 0 0.0 1.0
+        g2 gaussian 1 0.0 1.0
+        g3 gaussian 0 0.0 1.0
+        g4 gaussian 1 0.0 1.0
+        p1 product g1 g2
+        p2 product g3 g4
+        s sum 0.6 p1 0.4 p2
+        root s
+        """)
+        frame = tdi_pass(c, [0.0, 0.0], DropoutConfig.with_p(0.0),
                          leaf_log_variance={0: math.log(0.25)})
+        e2 = 1.0 / (2.0 * math.pi)  # squared standard normal density at 0
         assert math.exp(frame.log_variance[0]) == pytest.approx(0.25, rel=1e-12)
+        assert math.exp(frame.log_variance[4]) == pytest.approx(0.25 * e2, rel=1e-12)
+        assert frame.log_variance[5] == -math.inf
+        assert math.exp(frame.log_variance[6]) == pytest.approx(0.36 * 0.25 * e2, rel=1e-12)
 
     def test_exclude_root_heads_flag(self, two_leaf_sum):
         frame = tdi_pass(two_leaf_sum, [0.0], DropoutConfig.with_p(0.2, exclude_root_heads=True))
@@ -389,6 +403,20 @@ class TestPosterior:
         pm = posterior_moments(c, ev, DropoutConfig.with_p(0.1), TaylorMethod.EXTENDED)
         assert np.all(np.isfinite(pm.mean))
         assert np.all(pm.variance >= 0.0)
+        # EXTENDED's mean is the full second-order expansion of E[A_i/B]: with
+        # exact root covariances it sums to 1 and matches enumeration
+        rat = build_rat(RatConfig(2, 2, 2, 2, 3, 4, rng_seed=1))
+        enumerable = build_rat(RatConfig(2, 1, 2, 1, 2, 4, rng_seed=1))
+        X = rng.normal(size=(4, 4))
+        X = np.concatenate([X, 5.0 * X])
+        for p in (0.1, 0.2, 0.3):
+            config = DropoutConfig.with_p(p, CovarianceStrategy.RAT_EXACT)
+            for x in X:
+                pm = posterior_moments(rat, x, config, TaylorMethod.EXTENDED)
+                assert abs(pm.metadata["raw_mean"].sum() - 1.0) < 1e-9
+                want, _, _ = enumerate_dropout_moments(enumerable, x, p).posterior_moments()
+                pm = posterior_moments(enumerable, x, config, TaylorMethod.EXTENDED)
+                np.testing.assert_allclose(pm.metadata["raw_mean"], want, rtol=0.0, atol=1e-4)
 
     def test_batch_matches_scalar_posteriors(self):
         rng = np.random.default_rng(17)

@@ -168,6 +168,23 @@ class TestFit:
         )
         assert [list(getattr(n, "children", [])) for n in trained.nodes] == children_before
 
+    def test_fit_compiles_the_layout_once(self, monkeypatch):
+        import circuq.circuit as circuit_module
+
+        compiled = []
+        compile_layout = circuit_module._compile_layout
+        monkeypatch.setattr(circuit_module, "_compile_layout",
+                            lambda c: compiled.append(c) or compile_layout(c))
+        data = synth_blobs(2, 4, 20, separation=4.0, seed=6)
+        c = build_rat(RatConfig(2, 2, 1, 1, 2, 4, rng_seed=6))
+        trained, history = fit(
+            c, data.features, data.labels,
+            TrainConfig(epochs=2, batch_size=10, learning_rate=1e-2, rng_seed=0),
+        )
+        assert len(history.epochs) == 2
+        assert compiled == [c]
+        assert trained.layout() is c.layout()
+
     def test_empty_dataset_rejected(self, two_leaf_sum):
         with pytest.raises(ShapeError):
             fit(two_leaf_sum, np.zeros((0, 1)), np.zeros(0, dtype=int))
