@@ -6,7 +6,8 @@ before parents).  Sum nodes mix same-scope children with normalized weights,
 product nodes factorize disjoint-scope children, and leaves are univariate
 distributions.  On first use a circuit compiles into a layer plan, which every
 pass runs on: the forward pass here (one row is a batch of one, and a keep
-mask turns its columns into Monte Carlo dropout passes), and the moment pass.
+mask turns its columns into Monte Carlo dropout passes), the moment pass, and
+training's reverse pass, which walks the layers backwards.
 
 Circuits are treated as immutable after construction: evaluation never writes
 to the node arena, and the cached plan is derived from it, so a circuit can be
@@ -17,6 +18,7 @@ circuits for negative tests.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -301,9 +303,18 @@ def validate(circuit: Circuit) -> ValidationReport:
 # grouped by depth (one more than the deepest child), so that each layer is
 # one vectorized step over (width, nodes, rows) arrays.  Child lists are padded
 # to the widest node of their layer; a pad points at a sentinel row after the
-# last node, which holds log value 0, and carries log weight -inf.
+# last node, which holds log value 0, and carries log weight -inf.  The
+# reverse pass walks the same layers backwards, each one's edges regrouped by
+# child into (fan-out, children) arrays padded the same way.
 
 _BLOCK_ELEMENTS = 1 << 16  # gathered (width, nodes, columns) elements per step
+
+
+def node_blocks(count: int, width: int, columns: int) -> list[slice]:
+    """Slices of ``count`` nodes whose gathered (width, nodes, columns)
+    elements stay within the block budget."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, width * columns))
+    return [slice(s, s + step) for s in range(0, count, step)]
 
 
 @dataclass(frozen=True)
@@ -318,8 +329,26 @@ class Layer:
 
     def blocks(self, columns: int) -> list[slice]:
         """Node slices whose gathered children stay within the element budget."""
-        step = max(1, _BLOCK_ELEMENTS // max(1, self.children.shape[0] * columns))
-        return [slice(s, s + step) for s in range(0, len(self.nodes), step)]
+        return node_blocks(len(self.nodes), self.children.shape[0], columns)
+
+
+@dataclass(frozen=True)
+class ReverseLayer:
+    """A layer's edges grouped by child, for the reverse pass.
+
+    ``targets`` are the layer's distinct children.  ``parents`` and ``slots``
+    are (fan-out, targets): each edge's parent and its flat position in the
+    layer's (width, nodes) arrays.  Pads point at the row after the last node
+    and at the position after the last slot.
+    """
+
+    targets: np.ndarray
+    parents: np.ndarray
+    slots: np.ndarray
+
+    def blocks(self, columns: int) -> list[slice]:
+        """Target slices whose gathered parents stay within the element budget."""
+        return node_blocks(len(self.targets), self.parents.shape[0], columns)
 
 
 @dataclass(frozen=True)
@@ -328,13 +357,21 @@ class Layout:
 
     layers: list[Layer]
     leaves: dict  # leaf kind -> (node ids, variables)
+    num_nodes: int
     num_sum_edges: int
     is_tree: bool
+
+    @functools.cached_property
+    def reverse_layers(self) -> list[ReverseLayer]:
+        """One :class:`ReverseLayer` per layer, built on first use and cached,
+        so every circuit sharing this layout shares them."""
+        return _compile_reverse(self)
 
 
 @dataclass(frozen=True)
 class Plan:
-    """A layout plus one circuit's parameters as arrays, validated once.
+    """A layout plus one circuit's parameters as arrays, validated once: a
+    non-finite leaf parameter raises ParameterError on construction.
 
     ``log_weights`` holds each layer's (width, nodes) log weights, -inf on
     pads, or None for a product layer; ``log_probs`` is -inf past each
@@ -345,19 +382,29 @@ class Plan:
     log_weights: list
     mean: np.ndarray
     log_std: np.ndarray
-    inv_std: np.ndarray
     log_probs: np.ndarray
     states: np.ndarray
+    inv_std: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        gaussian = self.layout.leaves["gaussian"][0]
+        categorical = self.layout.leaves["categorical"][0]
+        bad_tables = np.any(np.isnan(self.log_probs) | np.isposinf(self.log_probs), axis=1)
+        bad = np.concatenate([gaussian[~(np.isfinite(self.mean) & np.isfinite(self.log_std))],
+                              categorical[bad_tables]])
+        if len(bad):
+            i = int(bad.min())
+            kind = "gaussian" if i in gaussian else "categorical"
+            raise ParameterError(f"non-finite {kind} parameter at node {i}")
+        object.__setattr__(self, "inv_std", np.exp(-self.log_std))
 
     def leaf_log_values(self, X: np.ndarray, out: np.ndarray) -> None:
         """Write each leaf's log value for the rows of X into ``out``, in blocks
         of leaves; NaN (marginalized) gives log 1 = 0, and a single row fills
         every column."""
-        step = max(1, _BLOCK_ELEMENTS // max(1, len(X)))
         for kind, (ids, variables) in self.layout.leaves.items():
             evaluate = self._gaussian if kind == "gaussian" else self._categorical
-            for s in range(0, len(ids), step):
-                b = slice(s, s + step)
+            for b in node_blocks(len(ids), 1, len(X)):
                 out[ids[b]] = evaluate(X[:, variables[b]].T, b)
 
     def _gaussian(self, x: np.ndarray, b: slice) -> np.ndarray:
@@ -404,26 +451,35 @@ def _compile_layout(circuit: Circuit) -> Layout:
 
     references = np.concatenate([layer.children.ravel() for layer in layers] + [circuit.roots])
     parents = np.bincount(references.astype(np.int64), minlength=n + 1)[:n]
-    return Layout(layers, leaves, int(fan_in.sum()), bool(np.all(parents <= 1)))
+    return Layout(layers, leaves, n, int(fan_in.sum()), bool(np.all(parents <= 1)))
+
+
+def _compile_reverse(layout: Layout) -> list[ReverseLayer]:
+    reverse = []
+    for layer in layout.layers:
+        flat = layer.children.ravel()  # slot w * nodes + j is child w of node j
+        slots = np.flatnonzero(flat < layout.num_nodes)
+        slots = slots[np.argsort(flat[slots], kind="stable")]
+        targets, first, fan_out = np.unique(flat[slots], return_index=True, return_counts=True)
+        column = np.repeat(np.arange(len(targets)), fan_out)
+        padded = np.full((fan_out.max(initial=0), len(targets)), flat.size)
+        padded[np.arange(len(slots)) - first[column], column] = slots
+        parent = np.append(np.tile(layer.nodes, layer.children.shape[0]), layout.num_nodes)
+        reverse.append(ReverseLayer(targets, parent[padded], padded))
+    return reverse
 
 
 def _compile_plan(circuit: Circuit, layout: Layout) -> Plan:
     nodes = circuit.nodes
-    gaussian_ids, categorical_ids = layout.leaves["gaussian"][0], layout.leaves["categorical"][0]
-    gaussian = [nodes[i] for i in gaussian_ids]
+    gaussian = [nodes[i] for i in layout.leaves["gaussian"][0]]
     mean = np.array([g.mean for g in gaussian], dtype=np.float64)
     log_std = np.array([g.log_std for g in gaussian], dtype=np.float64)
-    tables = [np.asarray(nodes[i].log_probs, dtype=np.float64) for i in categorical_ids]
+    tables = [np.asarray(nodes[i].log_probs, dtype=np.float64)
+              for i in layout.leaves["categorical"][0]]
     states = np.array([len(t) for t in tables], dtype=np.int64)
     log_probs = np.full((len(tables), states.max(initial=0)), -np.inf)
     for k, t in enumerate(tables):
         log_probs[k, : len(t)] = t
-    bad_tables = np.any(np.isnan(log_probs) | np.isposinf(log_probs), axis=1)
-    bad = np.concatenate([gaussian_ids[~(np.isfinite(mean) & np.isfinite(log_std))],
-                          categorical_ids[bad_tables]])
-    if len(bad):
-        i = int(bad.min())
-        raise ParameterError(f"non-finite {nodes[i].kind} parameter at node {i}")
     log_weights = []
     for layer in layout.layers:
         lw = None
@@ -432,9 +488,7 @@ def _compile_plan(circuit: Circuit, layout: Layout) -> Plan:
             lw.T[(layer.children < len(nodes)).T] = np.concatenate(
                 [nodes[i].log_weights for i in layer.nodes])
         log_weights.append(lw)
-    # math.exp per leaf: bit for bit the arithmetic of a scalar leaf
-    inv_std = np.array([math.exp(-g.log_std) for g in gaussian], dtype=np.float64)
-    return Plan(layout, log_weights, mean, log_std, inv_std, log_probs, states)
+    return Plan(layout, log_weights, mean, log_std, log_probs, states)
 
 
 # ---------------------------------------------------------------------------

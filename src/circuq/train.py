@@ -4,16 +4,20 @@ The objective is the class-conditional log likelihood of the head attributed
 to each observed label: loss = -(1/B) sum_b log S_{y_b}(x_b).  A conventional
 cross-entropy objective over the Bayes posterior is available behind a flag.
 
-Gradients come from one reverse sweep through the log-space circuit (linear
-in edges).  Sum weights are parameterized as unconstrained logits mapped
-through a per-node log-softmax, so every update lands back on the weight
-simplex by construction.  Training touches parameters only, never structure.
+Gradients come from one reverse pass over the layers of the circuit's plan
+(linear in edges), in blocks of children, each layer's edges grouped by child
+once per layout.  Sum weights are parameterized as unconstrained logits
+mapped through a per-node log-softmax, so every update lands back on the
+weight simplex by construction.  Parameters live in one flat vector; applying
+it builds the plan's parameter arrays, not nodes.  Training touches
+parameters only, never structure.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,14 +26,13 @@ import numpy as np
 from .circuit import (
     Circuit,
     GaussianLeaf,
+    Plan,
     SumNode,
     forward_log_values,
-    log_softmax,
     logsumexp_axis0,
+    node_blocks,
 )
 from .errors import ParameterError, ShapeError
-
-_NEG_INF = float("-inf")
 
 LOG_STD_CLAMP = 7.0  # keep sigma within e^[-7, 7] so densities cannot blow up
 
@@ -57,54 +60,110 @@ class ParameterSpace:
 
     Sum nodes contribute one logit per child (initialized to the current log
     weights, which already are normalized logits); Gaussian leaves contribute
-    (mean, log_std).  Categorical leaves stay fixed.
+    (mean, log_std).  Categorical leaves stay fixed.  ``segments`` lists them
+    in node order as (node_id, kind, offset, size).  The same layout as
+    index arrays: ``weight_offsets`` holds, per layer of the circuit's layout,
+    the (width, nodes) offset of each sum edge's logit (``size`` on pads;
+    None for a product layer), and ``leaf_offsets`` each Gaussian leaf's mean
+    in the plan's leaf order, its log_std following.
     """
 
     circuit: Circuit
-    segments: list = field(default_factory=list)  # (node_id, kind, offset, size)
-    size: int = 0
+    segments: list
+    size: int
+    weight_offsets: list
+    leaf_offsets: np.ndarray
 
     @staticmethod
     def of(circuit: Circuit) -> "ParameterSpace":
-        space = ParameterSpace(circuit)
+        segments = []
+        first = np.zeros(len(circuit.nodes), dtype=np.int64)  # offset of each node's parameters
         offset = 0
         for i, node in enumerate(circuit.nodes):
+            first[i] = offset
             if node.kind == "sum":
                 k = len(node.children)
-                space.segments.append((i, "sum", offset, k))
+                segments.append((i, "sum", offset, k))
                 offset += k
             elif node.kind == "gaussian":
-                space.segments.append((i, "gaussian", offset, 2))
+                segments.append((i, "gaussian", offset, 2))
                 offset += 2
-        space.size = offset
-        return space
+        layout = circuit.layout()
+        weight_offsets = [
+            None if layer.kind != "sum" else np.where(
+                layer.children < layout.num_nodes,
+                first[layer.nodes] + np.arange(layer.children.shape[0])[:, None], offset)
+            for layer in layout.layers
+        ]
+        return ParameterSpace(circuit, segments, offset, weight_offsets,
+                              first[layout.leaves["gaussian"][0]])
 
     def initial_vector(self) -> np.ndarray:
-        theta = np.empty(self.size)
-        for i, kind, off, size in self.segments:
-            node = self.circuit.nodes[i]
-            if kind == "sum":
-                theta[off : off + size] = node.log_weights
-            else:
-                theta[off] = node.mean
-                theta[off + 1] = node.log_std
-        return theta
+        plan = self.circuit.plan()
+        theta = np.empty(self.size + 1)  # the last entry absorbs pads
+        for offsets, lw in zip(self.weight_offsets, plan.log_weights):
+            if offsets is not None:
+                theta[offsets] = lw
+        theta[self.leaf_offsets] = plan.mean
+        theta[self.leaf_offsets + 1] = plan.log_std
+        return theta[:-1].copy()
 
     def apply(self, theta: np.ndarray) -> Circuit:
-        """A circuit with these parameters; shares everything else, the
-        compiled layout included, so only its parameter arrays are built anew."""
-        nodes = list(self.circuit.nodes)
-        for i, kind, off, size in self.segments:
-            if kind == "sum":
-                nodes[i] = SumNode(list(nodes[i].children), log_softmax(theta[off : off + size]))
+        """A circuit with these parameters, sharing everything else.
+
+        Builds only the plan's parameter arrays: one log-softmax per sum layer
+        and one clip of the log stds.  The circuit carries that plan, so its
+        passes compile nothing, and its nodes are built on first read.
+        Raises ParameterError for a non-finite leaf parameter.
+        """
+        padded = np.append(theta, -np.inf)
+        log_weights = []
+        for offsets in self.weight_offsets:
+            if offsets is None:
+                log_weights.append(None)
             else:
-                nodes[i] = GaussianLeaf(
-                    nodes[i].variable,
-                    float(theta[off]),
-                    float(np.clip(theta[off + 1], -LOG_STD_CLAMP, LOG_STD_CLAMP)),
-                )
-        return dataclasses.replace(self.circuit, nodes=nodes, _layout=self.circuit.layout(),
-                                   _plan=None)
+                logits = padded[offsets]  # -inf on pads
+                log_weights.append(logits - logsumexp_axis0(logits))
+        plan = dataclasses.replace(
+            self.circuit.plan(), log_weights=log_weights, mean=theta[self.leaf_offsets],
+            log_std=np.clip(theta[self.leaf_offsets + 1], -LOG_STD_CLAMP, LOG_STD_CLAMP))
+        return dataclasses.replace(self.circuit, nodes=_PlanNodes(self.circuit.nodes, plan),
+                                   _layout=plan.layout, _plan=plan)
+
+
+class _PlanNodes(Sequence):
+    """The node list of a circuit made by :meth:`ParameterSpace.apply`: the
+    structure's nodes with the plan's parameters, built on first read, since
+    training itself reads only the plan."""
+
+    def __init__(self, structure: Sequence, plan: Plan):
+        self._structure = structure
+        self._plan = plan
+        self._nodes: Optional[list] = None
+
+    def __len__(self) -> int:
+        return len(self._structure)
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def _built(self) -> list:
+        if self._nodes is None:
+            nodes = list(self._structure)
+            layout = self._plan.layout
+            for layer, lw in zip(layout.layers, self._plan.log_weights):
+                if lw is not None:
+                    for j, i in enumerate(layer.nodes.tolist()):
+                        children = nodes[i].children
+                        nodes[i] = SumNode(list(children), lw[: len(children), j].copy())
+            for i, mean, log_std in zip(layout.leaves["gaussian"][0].tolist(),
+                                        self._plan.mean.tolist(), self._plan.log_std.tolist()):
+                nodes[i] = GaussianLeaf(nodes[i].variable, mean, log_std)
+            self._nodes = nodes
+        return self._nodes
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +180,8 @@ def loss_and_grad(
     """Mean negative log likelihood of the labeled heads, and its gradient.
 
     The gradient is taken at the circuit's current parameters, laid out per
-    :class:`ParameterSpace`.  One forward and one backward sweep, both linear
-    in the number of edges.
+    :class:`ParameterSpace`.  One forward and one reverse pass over the
+    circuit's layers, both linear in the number of edges.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -135,6 +194,11 @@ def loss_and_grad(
         space = ParameterSpace.of(circuit)
 
     B = X.shape[0]
+    plan = circuit.plan()
+    layout = plan.layout
+    # Compiled on first use; done before the pass's large arrays exist, since
+    # a lasting allocation made above them would keep the heap from shrinking.
+    reverse_layers = layout.reverse_layers
     logv = forward_log_values(circuit, X)  # (nodes, B)
     root_ll = logv[circuit.roots]  # (C, B)
 
@@ -157,43 +221,53 @@ def loss_and_grad(
         bad = int(np.flatnonzero(~np.isfinite(root_ll[labels, np.arange(B)]))[0])
         raise ParameterError(f"non-finite loss; first offending sample index {bad}")
 
-    adjoint = np.zeros_like(logv)
-    for c, r in enumerate(circuit.roots):
-        adjoint[r] += seed[c]
+    # d loss / d log value per node; the last row stays 0 for the pads' parent
+    adjoint = np.zeros((layout.num_nodes + 1, B))
+    np.add.at(adjoint, circuit.roots, seed)
+    grad = np.zeros(space.size + 1)  # the last entry absorbs pads
+    layers = zip(layout.layers, reverse_layers, plan.log_weights, space.weight_offsets)
+    for layer, reverse, lw, offsets in reversed(list(layers)):
+        if lw is not None:
+            slot_lw = np.append(lw.ravel(), -np.inf)
+            slot_grad = np.zeros(lw.size + 1)
+        for block in reverse.blocks(B):
+            parents, slots = reverse.parents[:, block], reverse.slots[:, block]
+            adj = adjoint[parents]  # (fan-out, targets, rows)
+            if lw is not None:
+                # ratio = w v_child / v_parent.  A sum's log value is at least
+                # each weighted child's, and leaf log densities are bounded
+                # above (log stds are clamped, log_probs <= 0), so the ratio
+                # is at most about 1, never +inf.  It is undefined (-inf minus
+                # -inf) only where the parent's value is 0; that parent's
+                # adjoint is 0, and so is its ratio.  Pads clip to a real row
+                # of logv, and their -inf log weight makes their ratio 0.
+                log_parent = np.take(logv, parents, axis=0, mode="clip")
+                w = slot_lw[slots]
+                with np.errstate(invalid="ignore"):
+                    ratio = np.exp(w[:, :, None] + logv[reverse.targets[block]] - log_parent)
+                ratio[np.isneginf(log_parent)] = 0.0
+                adj_sum = adj.sum(axis=-1)
+                adj *= ratio
+                slot_grad[slots] = adj.sum(axis=-1) - np.exp(w) * adj_sum
+            adjoint[reverse.targets[block]] += adj.sum(axis=0)
+        if lw is not None:
+            grad[offsets] = slot_grad[:-1].reshape(lw.shape)
 
-    grad = np.zeros(space.size)
-    seg_by_node = {i: (kind, off, size) for i, kind, off, size in space.segments}
-
-    for i in range(len(circuit.nodes) - 1, -1, -1):
-        node = circuit.nodes[i]
-        adj = adjoint[i]
-        if not np.any(adj):
-            continue
-        if node.kind == "sum":
-            with np.errstate(invalid="ignore"):
-                a = np.exp(node.log_weights[:, None] + logv[node.children] - logv[i][None, :])
-            a = np.nan_to_num(a, nan=0.0, posinf=0.0)
-            for pos, c in enumerate(node.children):
-                adjoint[c] += a[pos] * adj
-            kind, off, size = seg_by_node[i]
-            w = np.exp(node.log_weights)
-            grad[off : off + size] = a @ adj - w * float(adj.sum())
-        elif node.kind == "product":
-            for c in node.children:
-                adjoint[c] += adj
-        elif node.kind == "gaussian":
-            x = X[:, node.variable]
-            observed = ~np.isnan(x)
-            if np.any(observed):
-                inv_std = math.exp(-node.log_std)
-                u = (x[observed] - node.mean) * inv_std
-                ao = adj[observed]
-                kind, off, size = seg_by_node[i]
-                grad[off] = float((ao * u).sum()) * inv_std
-                grad[off + 1] = float((ao * (u * u - 1.0)).sum())
-        # categorical leaves carry no trainable parameters
-
-    return loss, grad
+    ids, variables = layout.leaves["gaussian"]
+    for b in node_blocks(len(ids), 1, B):
+        x = X[:, variables[b]].T
+        inv_std = plan.inv_std[b]
+        u = (x - plan.mean[b, None]) * inv_std[:, None]
+        adj = adjoint[ids[b]]
+        # Only rows where the leaf is observed and the loss depends on it
+        # contribute: elsewhere the derivative is 0, even where u * u overflows.
+        used = ~np.isnan(x) & (adj != 0.0)
+        d_mean = np.multiply(adj, u, out=np.zeros_like(adj), where=used)
+        d_log_std = np.multiply(adj, u * u - 1.0, out=np.zeros_like(adj), where=used)
+        grad[space.leaf_offsets[b]] = d_mean.sum(axis=1) * inv_std
+        grad[space.leaf_offsets[b] + 1] = d_log_std.sum(axis=1)
+    # categorical leaves carry no trainable parameters
+    return loss, grad[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +365,8 @@ def _update(theta, grad, state: OptimizerState, config: TrainConfig) -> np.ndarr
 
 
 def _clamp_log_stds(theta: np.ndarray, space: ParameterSpace) -> None:
-    for i, kind, off, size in space.segments:
-        if kind == "gaussian":
-            theta[off + 1] = min(max(theta[off + 1], -LOG_STD_CLAMP), LOG_STD_CLAMP)
+    log_stds = space.leaf_offsets + 1
+    theta[log_stds] = np.clip(theta[log_stds], -LOG_STD_CLAMP, LOG_STD_CLAMP)
 
 
 def accuracy(circuit: Circuit, X: np.ndarray, labels: np.ndarray) -> float:

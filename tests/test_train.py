@@ -17,7 +17,8 @@ from circuq import (
     validate,
 )
 from circuq.errors import ShapeError
-from circuq.structures import random_evidence, random_tree_circuit
+from circuq.circuit import forward_log_values
+from circuq.structures import random_dag_circuit, random_evidence, random_tree_circuit
 
 
 def finite_difference_gradient(space, theta, X, y, objective="head", h=1e-5):
@@ -72,6 +73,60 @@ class TestLossAndGrad:
             _, grad = loss_and_grad(c, X, y, space=space)
             fd = finite_difference_gradient(space, space.initial_vector(), X, y)
             assert grad_close(grad, fd)
+
+    @pytest.mark.parametrize("objective", ["head", "cross_entropy"])
+    def test_matches_finite_differences_with_shared_children(self, objective):
+        # Three heads share every region, so in each layer a child has several
+        # parents: the reverse pass must sum all of their contributions.
+        c = build_rat(RatConfig(2, 2, 2, 2, 3, 4, rng_seed=1))
+        assert not c.is_tree()
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(5, 4))
+        y = rng.integers(3, size=5)
+        space = ParameterSpace.of(c)
+        _, grad = loss_and_grad(c, X, y, objective, space)
+        fd = finite_difference_gradient(space, space.initial_vector(), X, y, objective)
+        assert grad_close(grad, fd)
+
+    def test_matches_finite_differences_on_dags_with_missing_values(self):
+        rng = np.random.default_rng(31)
+        for _ in range(6):
+            c = random_dag_circuit(rng, max_sum_edges=12)
+            X = np.stack([random_evidence(rng, c, 0.3) for _ in range(5)])
+            assert np.isnan(X).any()
+            y = np.zeros(5, dtype=np.int64)
+            space = ParameterSpace.of(c)
+            _, grad = loss_and_grad(c, X, y, space=space)
+            fd = finite_difference_gradient(space, space.initial_vector(), X, y)
+            assert grad_close(grad, fd)
+
+    def test_zero_valued_inner_sum_has_finite_gradients(self):
+        # State 2 of variable 0 has probability 0 under both children of s, so
+        # s is 0 on rows that observe it; the root mixes in a nonzero branch.
+        spec = """
+        a categorical 0 0.5 0.5 0.0
+        b categorical 0 0.3 0.7 0.0
+        c categorical 0 0.2 0.3 0.5
+        g gaussian 1 0.1 0.8
+        h gaussian 1 -0.3 1.2
+        s sum 0.4 a 0.6 b
+        p product s g
+        q product c h
+        r sum 0.3 p 0.7 q
+        root r
+        """
+        with np.errstate(divide="ignore"):
+            c = build_manual(spec)
+        X = np.array([[2.0, 0.3], [1.0, -0.4], [2.0, np.nan], [0.0, 1.1]])
+        y = np.zeros(4, dtype=np.int64)
+        s = next(i for i, node in enumerate(c.nodes)
+                 if node.kind == "sum" and c.nodes[node.children[0]].kind == "categorical")
+        assert np.isneginf(forward_log_values(c, X)[s]).tolist() == [True, False, True, False]
+        space = ParameterSpace.of(c)
+        _, grad = loss_and_grad(c, X, y, space=space)
+        assert np.all(np.isfinite(grad))
+        fd = finite_difference_gradient(space, space.initial_vector(), X, y)
+        assert grad_close(grad, fd)
 
     def test_cross_entropy_objective_gradients(self):
         rng = np.random.default_rng(123)
@@ -171,19 +226,45 @@ class TestFit:
     def test_fit_compiles_the_layout_once(self, monkeypatch):
         import circuq.circuit as circuit_module
 
-        compiled = []
-        compile_layout = circuit_module._compile_layout
-        monkeypatch.setattr(circuit_module, "_compile_layout",
-                            lambda c: compiled.append(c) or compile_layout(c))
+        compiled = {"layout": [], "reverse": [], "plan": []}
+        for name, key in [("_compile_layout", "layout"), ("_compile_reverse", "reverse"),
+                          ("_compile_plan", "plan")]:
+            original = getattr(circuit_module, name)
+            monkeypatch.setattr(circuit_module, name, lambda *args, original=original, key=key:
+                                compiled[key].append(args[0]) or original(*args))
         data = synth_blobs(2, 4, 20, separation=4.0, seed=6)
         c = build_rat(RatConfig(2, 2, 1, 1, 2, 4, rng_seed=6))
-        trained, history = fit(
-            c, data.features, data.labels,
-            TrainConfig(epochs=2, batch_size=10, learning_rate=1e-2, rng_seed=0),
-        )
+        config = TrainConfig(epochs=2, batch_size=10, learning_rate=1e-2, rng_seed=0)
+        # 25 rows at batch 10: the last minibatch of each epoch is shorter
+        X, y = data.features[:25], data.labels[:25]
+        trained, history = fit(c, X, y, config)
+        again, _ = fit(c, X, y, config)
         assert len(history.epochs) == 2
-        assert compiled == [c]
-        assert trained.layout() is c.layout()
+        assert compiled["layout"] == [c]
+        assert compiled["reverse"] == [c.layout()]
+        assert compiled["plan"] == [c]  # each step's circuit carries the plan apply built
+        assert trained.layout() is c.layout() and again.layout() is c.layout()
+
+    def test_parameter_layout_is_the_node_order(self):
+        # The optimizer state (optimizer.npz) is laid out this way.
+        c = build_rat(RatConfig(2, 2, 2, 2, 3, 4, rng_seed=1))
+        segments, theta = [], []
+        for i, node in enumerate(c.nodes):
+            if node.kind == "sum":
+                segments.append((i, "sum", len(theta), len(node.children)))
+                theta.extend(node.log_weights)
+            elif node.kind == "gaussian":
+                segments.append((i, "gaussian", len(theta), 2))
+                theta.extend([node.mean, node.log_std])
+        space = ParameterSpace.of(c)
+        assert space.segments == segments and space.size == len(theta)
+        np.testing.assert_array_equal(space.initial_vector(), theta)
+        applied = space.apply(space.initial_vector())
+        for node, new in zip(c.nodes, applied.nodes):
+            if node.kind == "sum":
+                np.testing.assert_allclose(new.log_weights, node.log_weights, atol=1e-15)
+            elif node.kind == "gaussian":
+                assert (new.mean, new.log_std) == (node.mean, node.log_std)
 
     def test_empty_dataset_rejected(self, two_leaf_sum):
         with pytest.raises(ShapeError):
