@@ -4,10 +4,13 @@ likelihood inference.
 A circuit is a dense arena of nodes in topological order (children strictly
 before parents).  Sum nodes mix same-scope children with normalized weights,
 product nodes factorize disjoint-scope children, and leaves are univariate
-distributions.  On first use a circuit compiles into a layer plan, which every
-pass runs on: the forward pass here (one row is a batch of one, and a keep
-mask turns its columns into Monte Carlo dropout passes), the moment pass, and
-training's reverse pass, which walks the layers backwards.
+distributions.  On first use a circuit compiles into a layer plan, stacks of
+node groups that each run as one dense step: sums that share a child list mix
+it as one matrix product, and products that are every combination of their
+factors' nodes add them as one outer sum.  Every pass runs on the plan: the
+forward pass here (one row is a batch of one, and a keep mask turns its
+columns into Monte Carlo dropout passes), the moment pass, and training's
+reverse pass, which walks the layers backwards.
 
 Circuits are treated as immutable after construction: evaluation never writes
 to the node arena, and the cached plan is derived from it, so a circuit can be
@@ -19,6 +22,7 @@ circuits for negative tests.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -300,36 +304,96 @@ def validate(circuit: Circuit) -> ValidationReport:
 # Layer plan
 #
 # A circuit compiles once into layers: its leaves, then its products and sums
-# grouped by depth (one more than the deepest child), so that each layer is
-# one vectorized step over (width, nodes, rows) arrays.  Child lists are padded
-# to the widest node of their layer; a pad points at a sentinel row after the
-# last node, which holds log value 0, and carries log weight -inf.  The
-# reverse pass walks the same layers backwards, each one's edges regrouped by
-# child into (fan-out, children) arrays padded the same way.
+# grouped by depth (one more than the deepest child), so that no node reads a
+# node of its own layer or a later one.  Within a depth, nodes fall into
+# groups.  A sum group is every sum over one child list, such as the S sums
+# of a RAT region over its partition's products.  A product group is every
+# combination of its factors' nodes, one factor list per child position, such
+# as a RAT partition's outer product of its two child regions.  A node that
+# shares nothing is a group of one.  Groups of one shape stack into a layer,
+# so that each layer is one vectorized step: a sum layer is a batched matrix
+# product of the groups' weights with their children's linear values, shifted
+# per group and row, and a product layer adds its factors' log values over
+# their outer product.  The reverse pass walks the same layers backwards, each
+# one's edges regrouped by child into (fan-out, children) arrays.
 
-_BLOCK_ELEMENTS = 1 << 16  # gathered (width, nodes, columns) elements per step
+_BLOCK_ELEMENTS = 1 << 16  # gathered or produced (groups, width, columns) elements per step
+
+_TINY = np.finfo(np.float64).tiny  # below it a linear mixture has lost precision
+SHIFT_FLOOR = np.finfo(np.float64).min  # the shift of a column of -inf, which mixes to 0
 
 
 def node_blocks(count: int, width: int, columns: int) -> list[slice]:
-    """Slices of ``count`` nodes whose gathered (width, nodes, columns)
-    elements stay within the block budget."""
+    """Slices of ``count`` items of ``width`` values per column each, whose
+    (items, width, columns) elements stay within the block budget."""
+    if 0 < count * width * columns <= _BLOCK_ELEMENTS:
+        return [slice(0, count)]
     step = max(1, _BLOCK_ELEMENTS // max(1, width * columns))
     return [slice(s, s + step) for s in range(0, count, step)]
 
 
 @dataclass(frozen=True)
-class Layer:
-    """One depth's product or sum nodes.  ``children`` and, for sums, ``edges``
-    (indices in :meth:`Circuit.sum_edges` order, 0 on pads) are (width, nodes)."""
+class SumLayer:
+    """Stacked groups of sums, each group mixing one child list.
 
-    kind: str
+    ``nodes`` is (G, S), ``children`` (G, K), and ``edges`` (G, S, K) holds
+    each sum edge's index in :meth:`Circuit.sum_edges` order.
+    """
+
     nodes: np.ndarray
     children: np.ndarray
-    edges: Optional[np.ndarray]
+    edges: np.ndarray
+
+    kind = "sum"
 
     def blocks(self, columns: int) -> list[slice]:
-        """Node slices whose gathered children stay within the element budget."""
-        return node_blocks(len(self.nodes), self.children.shape[0], columns)
+        """Group slices whose gathered children and mixed sums stay within
+        the element budget."""
+        return node_blocks(len(self.nodes), max(self.nodes.shape[1], self.children.shape[1]),
+                           columns)
+
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(parent, child) of every edge, flat in (G, S, K) order."""
+        shape = self.edges.shape
+        return (np.broadcast_to(self.nodes[:, :, None], shape).ravel(),
+                np.broadcast_to(self.children[:, None, :], shape).ravel())
+
+
+@dataclass(frozen=True)
+class ProductLayer:
+    """Stacked groups of products, each group every combination of its
+    factors' nodes.
+
+    ``factors`` holds one (G, S_f) array per child position, and ``nodes`` is
+    (G, S_1 ... S_F): the products in outer (row-major) order of the factors.
+    """
+
+    nodes: np.ndarray
+    factors: tuple
+
+    kind = "product"
+
+    def blocks(self, columns: int) -> list[slice]:
+        """Group slices whose products stay within the element budget."""
+        return node_blocks(len(self.nodes), self.nodes.shape[1], columns)
+
+    def outer(self, parts: list, fold=np.add) -> np.ndarray:
+        """Fold per-factor (groups, S_f, columns) arrays, factor by factor,
+        into the groups' (groups, products, columns) outer combinations."""
+        acc = None
+        for f, x in enumerate(parts):
+            shape = [x.shape[0]] + [1] * len(parts) + [x.shape[-1]]
+            shape[1 + f] = x.shape[1]
+            x = x.reshape(shape)
+            acc = x if acc is None else fold(acc, x)
+        return acc.reshape(acc.shape[0], -1, acc.shape[-1])
+
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(parent, child) of every edge, flat in (G, products, F) order."""
+        G, P = self.nodes.shape
+        position = np.unravel_index(np.arange(P), [f.shape[1] for f in self.factors])
+        kids = np.stack([f[:, i] for f, i in zip(self.factors, position)], axis=-1)
+        return np.repeat(self.nodes.ravel(), len(self.factors)), kids.ravel()
 
 
 @dataclass(frozen=True)
@@ -337,9 +401,10 @@ class ReverseLayer:
     """A layer's edges grouped by child, for the reverse pass.
 
     ``targets`` are the layer's distinct children.  ``parents`` and ``slots``
-    are (fan-out, targets): each edge's parent and its flat position in the
-    layer's (width, nodes) arrays.  Pads point at the row after the last node
-    and at the position after the last slot.
+    are (fan-out, targets): each edge's parent and its position in the
+    layer's ``edge_ends`` order, which for a sum layer is the (G, S, K) order
+    of its weights.  Pads point at the row after the last node and at the
+    position after the last edge.
     """
 
     targets: np.ndarray
@@ -355,7 +420,7 @@ class ReverseLayer:
 class Layout:
     """Compiled structure, shared by circuits that differ only in parameters."""
 
-    layers: list[Layer]
+    layers: list
     leaves: dict  # leaf kind -> (node ids, variables)
     num_nodes: int
     num_sum_edges: int
@@ -363,8 +428,8 @@ class Layout:
 
     @functools.cached_property
     def reverse_layers(self) -> list[ReverseLayer]:
-        """One :class:`ReverseLayer` per layer, built on first use and cached,
-        so every circuit sharing this layout shares them."""
+        """One :class:`ReverseLayer` per layer, built once per layout, so
+        every circuit sharing this layout shares them."""
         return _compile_reverse(self)
 
 
@@ -373,9 +438,9 @@ class Plan:
     """A layout plus one circuit's parameters as arrays, validated once: a
     non-finite leaf parameter raises ParameterError on construction.
 
-    ``log_weights`` holds each layer's (width, nodes) log weights, -inf on
-    pads, or None for a product layer; ``log_probs`` is -inf past each
-    categorical leaf's states.
+    ``log_weights`` holds each sum layer's (G, S, K) log weights, None for a
+    product layer; ``weights`` are their exponentials.  ``log_probs`` is
+    -inf past each categorical leaf's states.
     """
 
     layout: Layout
@@ -385,6 +450,7 @@ class Plan:
     log_probs: np.ndarray
     states: np.ndarray
     inv_std: np.ndarray = field(init=False, repr=False)
+    weights: list = field(init=False, repr=False)
 
     def __post_init__(self):
         gaussian = self.layout.leaves["gaussian"][0]
@@ -397,19 +463,31 @@ class Plan:
             kind = "gaussian" if i in gaussian else "categorical"
             raise ParameterError(f"non-finite {kind} parameter at node {i}")
         object.__setattr__(self, "inv_std", np.exp(-self.log_std))
+        object.__setattr__(self, "weights",
+                           [None if lw is None else np.exp(lw) for lw in self.log_weights])
 
     def leaf_log_values(self, X: np.ndarray, out: np.ndarray) -> None:
         """Write each leaf's log value for the rows of X into ``out``, in blocks
         of leaves; NaN (marginalized) gives log 1 = 0, and a single row fills
         every column."""
+        values = np.ascontiguousarray(X.T)  # (variables, rows)
         for kind, (ids, variables) in self.layout.leaves.items():
             evaluate = self._gaussian if kind == "gaussian" else self._categorical
             for b in node_blocks(len(ids), 1, len(X)):
-                out[ids[b]] = evaluate(X[:, variables[b]].T, b)
+                out[ids[b]] = evaluate(values[variables[b]], b)
 
     def _gaussian(self, x: np.ndarray, b: slice) -> np.ndarray:
-        z = (x - self.mean[b, None]) * self.inv_std[b, None]
-        return np.where(np.isnan(x), 0.0, -0.5 * z * z - self.log_std[b, None] - 0.5 * LOG_2PI)
+        # -0.5 z^2 - log_std - log(2 pi) / 2, in place on cache-sized blocks
+        z = x - self.mean[b, None]
+        z *= self.inv_std[b, None]
+        out = z * -0.5
+        out *= z
+        out -= self.log_std[b, None]
+        out -= 0.5 * LOG_2PI
+        missing = np.isnan(x)
+        if missing.any():
+            out[missing] = 0.0
+        return out
 
     def _categorical(self, x: np.ndarray, b: slice) -> np.ndarray:
         states = self.states[b, None]
@@ -428,44 +506,95 @@ def _compile_layout(circuit: Circuit) -> Layout:
     fan_in = np.array([len(node.children) if node.kind == "sum" else 0 for node in nodes])
     edge_start = np.cumsum(fan_in) - fan_in
     depth = [0] * n
-    groups: dict[tuple[int, str], list[int]] = {}
+    levels: dict[tuple[int, str], list[int]] = {}
     for i, node in enumerate(nodes):
         depth[i] = 1 + max((depth[c] for c in node.children), default=-1)
-        groups.setdefault((depth[i], node.kind), []).append(i)
+        levels.setdefault((depth[i], node.kind), []).append(i)
 
     layers = []
     leaves = {kind: (np.zeros(0, dtype=np.int64),) * 2 for kind in ("gaussian", "categorical")}
-    for (_, kind), ids in sorted(groups.items()):
-        ids = np.array(ids, dtype=np.int64)
+    for (_, kind), ids in sorted(levels.items()):
         if kind in ("gaussian", "categorical"):
+            ids = np.array(ids, dtype=np.int64)
             leaves[kind] = (ids, np.array([nodes[i].variable for i in ids], dtype=np.int64))
             continue
-        kids = [nodes[i].children for i in ids]
-        real = np.arange(max(map(len, kids), default=0) or 1)[:, None] < [len(k) for k in kids]
-        children = np.full(real.shape, n, dtype=np.int64)
-        children.T[real.T] = np.concatenate(kids)
-        edges = None
-        if kind == "sum":
-            edges = np.where(real, edge_start[ids] + np.arange(len(real))[:, None], 0)
-        layers.append(Layer(kind, ids, children, edges))
+        grouping = _sum_groups if kind == "sum" else _product_groups
+        stacks: dict[tuple, list] = {}  # group shape -> groups, in order of first node
+        for members, factors in grouping(nodes, ids):
+            stacks.setdefault((len(members), *map(len, factors)), []).append((members, factors))
+        for groups in stacks.values():
+            ids = np.array([members for members, _ in groups], dtype=np.int64)
+            factors = tuple(np.array(f, dtype=np.int64) for f in zip(*(fs for _, fs in groups)))
+            if kind == "sum":
+                edges = edge_start[ids][:, :, None] + np.arange(factors[0].shape[1])
+                layers.append(SumLayer(ids, factors[0], edges))
+            else:
+                layers.append(ProductLayer(ids, factors))
 
-    references = np.concatenate([layer.children.ravel() for layer in layers] + [circuit.roots])
-    parents = np.bincount(references.astype(np.int64), minlength=n + 1)[:n]
-    return Layout(layers, leaves, n, int(fan_in.sum()), bool(np.all(parents <= 1)))
+    references = np.concatenate([layer.edge_ends()[1] for layer in layers] + [circuit.roots])
+    parents = np.bincount(references.astype(np.int64), minlength=n)
+    layout = Layout(layers, leaves, n, int(fan_in.sum()), bool(np.all(parents <= 1)))
+    # The reverse layers are built now, while the heap is small.  Built inside
+    # training's first step, after a moment pass, their lasting arrays kept
+    # the heap from shrinking below that step's temporaries (mid RAT: a peak
+    # RSS of 176 MB against 133 MB).
+    layout.reverse_layers
+    return layout
+
+
+def _sum_groups(nodes, ids: list[int]) -> list:
+    """(members, [children]) per distinct child list, members in node order."""
+    groups: dict[tuple, list[int]] = {}
+    for i in ids:
+        groups.setdefault(tuple(nodes[i].children), []).append(i)
+    return [(members, [list(children)]) for children, members in groups.items()]
+
+
+def _product_groups(nodes, ids: list[int]) -> list:
+    """(members, factor lists) per outer group of products.
+
+    Each product points at its earliest same-arity sibling that shares a
+    child at some position, and follows those pointers to their end; in an
+    outer group that end is the group's first product.  A set of products
+    with one end is a group when its products are, in node order, every
+    combination of each position's distinct children in first-seen order;
+    otherwise each of its products is a group of one.
+    """
+    by_arity: dict[int, list[int]] = {}
+    for i in ids:
+        by_arity.setdefault(len(nodes[i].children), []).append(i)
+    groups = []
+    for members in by_arity.values():
+        kids = np.array([nodes[i].children for i in members], dtype=np.int64)
+        end = np.arange(len(members))
+        for column in kids.T:
+            _, first, inverse = np.unique(column, return_index=True, return_inverse=True)
+            end = np.minimum(end, first[inverse])
+        while np.any(end[end] != end):
+            end = end[end]
+        parts: dict[int, list[int]] = {}
+        for k, e in enumerate(end.tolist()):
+            parts.setdefault(e, []).append(k)
+        for part in parts.values():
+            rows = [nodes[members[k]].children for k in part]
+            factors = [list(dict.fromkeys(column)) for column in zip(*rows)]
+            if len(rows) == 1 or list(map(list, itertools.product(*factors))) == rows:
+                groups.append(([members[k] for k in part], factors))
+            else:
+                groups.extend(([members[k]], [[c] for c in row]) for k, row in zip(part, rows))
+    return groups
 
 
 def _compile_reverse(layout: Layout) -> list[ReverseLayer]:
     reverse = []
     for layer in layout.layers:
-        flat = layer.children.ravel()  # slot w * nodes + j is child w of node j
-        slots = np.flatnonzero(flat < layout.num_nodes)
-        slots = slots[np.argsort(flat[slots], kind="stable")]
-        targets, first, fan_out = np.unique(flat[slots], return_index=True, return_counts=True)
+        parent, child = layer.edge_ends()  # edge e sits at slot e
+        slots = np.argsort(child, kind="stable")
+        targets, first, fan_out = np.unique(child[slots], return_index=True, return_counts=True)
         column = np.repeat(np.arange(len(targets)), fan_out)
-        padded = np.full((fan_out.max(initial=0), len(targets)), flat.size)
+        padded = np.full((fan_out.max(initial=0), len(targets)), len(child))
         padded[np.arange(len(slots)) - first[column], column] = slots
-        parent = np.append(np.tile(layer.nodes, layer.children.shape[0]), layout.num_nodes)
-        reverse.append(ReverseLayer(targets, parent[padded], padded))
+        reverse.append(ReverseLayer(targets, np.append(parent, layout.num_nodes)[padded], padded))
     return reverse
 
 
@@ -480,14 +609,12 @@ def _compile_plan(circuit: Circuit, layout: Layout) -> Plan:
     log_probs = np.full((len(tables), states.max(initial=0)), -np.inf)
     for k, t in enumerate(tables):
         log_probs[k, : len(t)] = t
-    log_weights = []
-    for layer in layout.layers:
-        lw = None
-        if layer.kind == "sum":
-            lw = np.full(layer.children.shape, -np.inf)
-            lw.T[(layer.children < len(nodes)).T] = np.concatenate(
-                [nodes[i].log_weights for i in layer.nodes])
-        log_weights.append(lw)
+    log_weights = [
+        None if layer.kind != "sum" else np.array(
+            [nodes[i].log_weights for i in layer.nodes.ravel()], dtype=np.float64
+        ).reshape(layer.edges.shape)
+        for layer in layout.layers
+    ]
     return Plan(layout, log_weights, mean, log_std, log_probs, states)
 
 
@@ -519,26 +646,73 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
     Without ``keep`` the columns are the rows of X.  Monte Carlo dropout
     passes a (sum edges, passes) boolean mask with one row in X: column j is
     then the pass in which sum edge e (in :meth:`Circuit.sum_edges` order)
-    contributes only where ``keep[e, j]`` holds.
+    contributes only where ``keep[e, j]`` holds, and each sum takes a
+    log-sum-exp over its own edges.
     """
     plan = circuit.plan()
     X = np.asarray(X, dtype=np.float64)
     columns = X.shape[0] if keep is None else keep.shape[1]
-    logv = np.empty((len(circuit.nodes) + 1, columns))
-    logv[-1] = 0.0
+    logv = np.empty((len(circuit.nodes), columns))
     plan.leaf_log_values(X, logv)
     with np.errstate(divide="ignore"):
-        for layer, lw in zip(plan.layout.layers, plan.log_weights):
-            for block in layer.blocks(columns):
-                kids = logv[layer.children[:, block]]
-                if lw is None:
-                    logv[layer.nodes[block]] = kids.sum(axis=0)
-                    continue
-                terms = lw[:, block, None] + kids
-                if keep is not None:
-                    terms = np.where(keep[layer.edges[:, block]], terms, -np.inf)
-                logv[layer.nodes[block]] = logsumexp_axis0(terms)
-    return logv[:-1]
+        for layer, lw, w in zip(plan.layout.layers, plan.log_weights, plan.weights):
+            if layer.kind == "product":
+                for b in layer.blocks(columns):
+                    logv[layer.nodes[b]] = layer.outer([logv[f[b]] for f in layer.factors])
+            elif keep is None:
+                for b in layer.blocks(columns):
+                    logv[layer.nodes[b]] = log_mix(w[b], lw[b], logv[layer.children[b]])
+            else:
+                _masked_sums(layer, lw, logv, keep)
+    return logv
+
+
+def _masked_sums(layer: SumLayer, lw: np.ndarray, logv: np.ndarray, keep: np.ndarray) -> None:
+    """One sum layer of masked passes: each sum's log-sum-exp over its kept
+    edges, in blocks of sums with their (K, sums, passes) terms."""
+    G, S, K = lw.shape
+    kids = np.repeat(layer.children, S, axis=0).T  # (K, sums), like lw and edges
+    lw, edges, nodes = lw.reshape(-1, K).T, layer.edges.reshape(-1, K).T, layer.nodes.ravel()
+    for b in node_blocks(G * S, K, keep.shape[1]):
+        terms = lw[:, b, None] + logv[kids[:, b]]
+        logv[nodes[b]] = logsumexp_axis0(np.where(keep[edges[:, b]], terms, -np.inf))
+
+
+def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log sum_k w_k exp(x_k) for every sum of a block of groups.
+
+    ``w`` and ``log_w`` are the (g, S, K) weights and their logs, ``x`` the
+    groups' (g, K, columns) child log values.  Each group and column is
+    shifted by its largest child value and mixed in linear space as one
+    matrix product.  The shift ignores the weights, so a sum whose weighted
+    children all sit far below a zero-weight sibling flushes to zero or a
+    subnormal; those entries are recomputed as exact log-sum-exps.
+    """
+    m = x.max(axis=1, keepdims=True)
+    shift = np.maximum(m, SHIFT_FLOOR)
+    return log_shifted(mix(w, np.exp(x - shift)), shift, lambda: m > -np.inf,
+                       lambda g, s, c: log_w[g, s] + x[g, :, c])
+
+
+def mix(w: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    """(g, S, K) weights times (g, K, columns) linear values, one matrix
+    product per group, in einsum's own loops: np.matmul hands products this
+    size to BLAS threads, which cost far more than the product itself when
+    other work shares the CPUs."""
+    return np.einsum("gsk,gkr->gsr", w, lin)
+
+
+def log_shifted(mixed: np.ndarray, shift: np.ndarray, nonzero, log_terms) -> np.ndarray:
+    """log(mixed) + shift for (g, S, columns) linear mixtures taken under a
+    shift.  Where ``nonzero()`` holds but the mixture flushed to zero or a
+    subnormal, the entry is recomputed as the exact log-sum-exp of
+    ``log_terms(g, s, c)``, an (entries, terms) array."""
+    out = np.log(mixed) + shift
+    if mixed.min() < _TINY:
+        g, s, c = np.nonzero((mixed < _TINY) & nonzero())
+        if len(g):
+            out[g, s, c] = logsumexp_axis0(log_terms(g, s, c).T)
+    return out
 
 
 # ---------------------------------------------------------------------------

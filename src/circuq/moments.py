@@ -9,8 +9,10 @@ many stochastic forward passes.
 Moments are stored in log space, expectations and variances of nonnegative
 circuit values as log magnitudes and covariances as (sign, log|x|) pairs,
 because deep circuits underflow linear doubles long before they get
-interesting.  The pass runs on the circuit's layer plan; it mixes each block
-of sum nodes in linear space, shifted per node and row by its largest term.
+interesting.  The pass runs on the circuit's layer plan: each group of sums
+that shares a child list mixes its children's moments in linear space as
+matrix products, shifted per group and row by the largest child moment, and
+each group of products combines its factors over their outer product.
 
 Covariance handling between siblings is pluggable:
 
@@ -37,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circuit import Circuit, as_evidence, logsumexp_axis0
+from .circuit import SHIFT_FLOOR, Circuit, as_evidence, log_shifted, logsumexp_axis0, mix
 from .errors import StructureError, UnderflowError
 from .signedlog import SignedLog, sl_sum
 
@@ -191,80 +193,92 @@ def _moment_pass(circuit, X, config, leaf_log_variance=None, on_sum_layer=None):
     ``on_sum_layer(layer, log_weights, log_q, log_e, log_v)`` is the
     covariance strategy's hook, called after each sum layer and before the
     next layer reads it; RAT_EXACT adds the sibling covariances to the layer's
-    variances in place.  Its arrays carry the sentinel row last.
+    variances in place.  A ``leaf_log_variance`` key that is not a leaf id
+    raises StructureError.
     """
     plan = circuit.plan()
     n, rows = len(circuit.nodes), X.shape[0]
-    log_e = np.empty((n + 1, rows))
-    log_e[n] = 0.0
-    log_v = np.full((n + 1, rows), _NEG_INF)
+    log_e = np.empty((n, rows))
+    log_v = np.full((n, rows), _NEG_INF)
     plan.leaf_log_values(X, log_e)
     for i, lv in (leaf_log_variance or {}).items():
-        if circuit.nodes[i].kind in ("gaussian", "categorical"):  # never the sentinel row
-            log_v[i] = lv
+        if not 0 <= i < n or circuit.nodes[i].kind not in ("gaussian", "categorical"):
+            raise StructureError(f"leaf_log_variance key {i} is not a leaf id")
+        log_v[i] = lv
     q = np.full((n, 1), config.q)
     if config.exclude_root_heads:
         q[circuit.roots] = 1.0  # root heads keep every edge
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_q = np.log(q)
-        for layer, lw in zip(plan.layout.layers, plan.log_weights):
-            for block in layer.blocks(rows):
-                ids = layer.nodes[block]
-                kids = layer.children[:, block]
+        for layer, lw, w in zip(plan.layout.layers, plan.log_weights, plan.weights):
+            for b in layer.blocks(rows):
+                ids = layer.nodes[b]
                 if lw is None:
-                    log_e[ids], log_v[ids] = _product_moments(log_e[kids], log_v[kids])
+                    log_e[ids], log_v[ids] = _product_moments(
+                        layer, [log_e[f[b]] for f in layer.factors],
+                        [log_v[f[b]] for f in layer.factors])
                 else:
+                    kids = layer.children[b]
                     log_e[ids], log_v[ids] = _sum_moments(
-                        lw[:, block, None], log_e[kids], log_v[kids], log_q[ids], 1.0 - q[ids]
-                    )
+                        w[b], lw[b], log_e[kids], log_v[kids], log_q[ids], 1.0 - q[ids])
             if on_sum_layer is not None and lw is not None:
                 on_sum_layer(layer, lw, log_q, log_e, log_v)
-    return log_e[:-1], log_v[:-1]
-
-
-def _product_moments(ce: np.ndarray, cv: np.ndarray):
-    """log E and log Var of products of independent children.
-
-    Takes (width, nodes, rows) child moments.  Var = prod(E^2) (prod(1 + r_k)
-    - 1) with r_k = Var_k / E_k^2, and the bracket accumulates as
-    acc + r_k (1 + acc), which cannot cancel.  Where a child's mean is zero
-    the subtracted product vanishes, and Var is the product of the children's
-    second moments.
-    """
-    log_e = ce.sum(axis=0)
-    r = np.exp(cv - 2.0 * ce)
-    acc = r[0]
-    for rk in r[1:]:
-        acc = acc + rk * (1.0 + acc)
-    log_v = 2.0 * log_e + np.log(acc)
-    zero = np.isneginf(log_e)
-    if np.any(zero):
-        log_v = np.where(zero, np.logaddexp(cv, 2.0 * ce).sum(axis=0), log_v)
     return log_e, log_v
 
 
-def _sum_moments(lw, ce, cv, log_q, p):
-    """log E and zero-covariance log Var of sum nodes, mixed in linear space.
+def _product_moments(layer, ce: list, cv: list):
+    """log E and log Var of a block of product groups of independent factors.
 
-    E = q sum_k w_k E_k and Var = q sum_k w_k^2 (Var_k + p E_k^2), from
-    (width, nodes, rows) child moments.  Each sum is shifted by its own
-    per-node, per-row largest term, as log-sum-exp is, so no term overflows
-    and the largest is 1.  At p = 0 with zero child variances Var is exactly 0.
+    Takes each factor's (groups, S_f, rows) moments.  Var = prod(E^2)
+    (prod(1 + r_f) - 1) with r_f = Var_f / E_f^2, and the bracket accumulates
+    over the outer product as acc + r_f (1 + acc), which cannot cancel.
+    Where a factor's mean is zero the subtracted product vanishes, and Var is
+    the product of the factors' second moments.
     """
-    t = lw + ce
-    m = t.max(axis=0)
-    a = np.exp(t - np.where(np.isneginf(m), 0.0, m))
-    u = 2.0 * lw + cv
-    mv = np.maximum(u.max(axis=0), 2.0 * m)
-    mv = np.where(np.isneginf(mv), 0.0, mv)
-    var = np.exp(u - mv).sum(axis=0) + p * np.exp(2.0 * m - mv) * (a * a).sum(axis=0)
-    return log_q + (m + np.log(a.sum(axis=0))), log_q + (mv + np.log(var))
+    log_e = layer.outer(ce)
+    if max(v.max() for v in cv) == _NEG_INF:  # constant factors: a constant product
+        return log_e, np.full(log_e.shape, _NEG_INF)
+    r = [np.exp(v - 2.0 * e) for e, v in zip(ce, cv)]
+    acc = layer.outer(r, lambda acc, rf: acc + rf * (1.0 + acc))
+    log_v = 2.0 * log_e + np.log(acc)
+    if log_e.min() == _NEG_INF:
+        second = layer.outer([np.logaddexp(v, 2.0 * e) for e, v in zip(ce, cv)])
+        log_v = np.where(log_e == _NEG_INF, second, log_v)
+    return log_e, log_v
+
+
+def _sum_moments(w, lw, ce, cv, log_q, p):
+    """log E and zero-covariance log Var of a block of sum groups.
+
+    E = q W E_k and Var = q (W o W) (Var_k + p E_k^2), from the groups'
+    (g, K, rows) child moments.  E is mixed in linear space under each
+    group's per-row largest child mean, Var under its largest Var_k or
+    E_k^2, and entries that flush to zero or a subnormal are recomputed
+    exactly (:func:`log_shifted`).  At p = 0 with zero child variances Var
+    is exactly 0.
+    """
+    me, mv = ce.max(axis=1, keepdims=True), cv.max(axis=1, keepdims=True)
+    se = np.maximum(me, SHIFT_FLOOR)
+    sv = np.maximum(np.maximum(mv, 2.0 * me), SHIFT_FLOOR)
+    a = np.exp(ce - se)
+    w2 = w * w
+    var = p * mix(w2, a * a) * np.exp(2.0 * se - sv)
+    if mv.max() > _NEG_INF:
+        var += mix(w2, np.exp(cv - sv))
+    log_e = log_shifted(mix(w, a), se, lambda: me > _NEG_INF,
+                        lambda g, s, c: lw[g, s] + ce[g, :, c])
+    log_var = log_shifted(
+        var, sv, lambda: (mv > _NEG_INF) | ((p > 0.0) & (me > _NEG_INF)),
+        lambda g, s, c: np.concatenate(
+            [2.0 * lw[g, s] + cv[g, :, c], np.log(p[g, s]) + 2.0 * (lw[g, s] + ce[g, :, c])],
+            axis=1))
+    return log_q + log_e, log_q + log_var
 
 
 def _add_sum_covariances(frame: MomentFrame, layer, lw, log_q, log_e, log_v) -> None:
     """Add 2 q^2 sum_{i < j} w_i w_j Cov[N_i, N_j] to each sum node's variance."""
-    frame.log_expectation, frame.log_variance = log_e[:-1, 0], log_v[:-1, 0]
-    for i in layer.nodes.tolist():
+    frame.log_expectation, frame.log_variance = log_e[:, 0], log_v[:, 0]
+    for i in layer.nodes.ravel().tolist():
         node = frame.circuit.nodes[i]
         kids, weights = node.children, node.log_weights
         cov_term = SignedLog.zero()
@@ -281,15 +295,20 @@ def _add_sum_covariances(frame: MomentFrame, layer, lw, log_q, log_e, log_v) -> 
 def _cauchy_var_bounds(bounds: dict, layer, lw, log_q, log_e, log_v) -> None:
     """Record, per sum node, the variance interval the Cauchy-Schwarz bound
     |Cov[a,b]| <= sqrt(Var[a] Var[b]) allows around the zero-covariance point:
-    +- q^2 sum_{i != j} w_i w_j sqrt(Var_i Var_j), clipped at zero."""
-    terms = lw + 0.5 * log_v[layer.children, 0]
+    +- q^2 sum_{i != j} w_i w_j sqrt(Var_i Var_j), clipped at zero.
+
+    The interval is rounded outward by one ulp, so that it holds the point
+    however exp(log Var) is evaluated: np.exp and math.exp differ by up to
+    one ulp."""
+    terms = (lw + 0.5 * log_v[layer.children, 0][:, None, :]).transpose(2, 0, 1)  # (K, G, S)
     total = 2.0 * logsumexp_axis0(terms)  # log (sum_i t_i)^2
     gap = logsumexp_axis0(2.0 * terms) - total
     spread = np.where(gap < 0.0, total + np.log(-np.expm1(gap)), _NEG_INF)
     point = np.exp(log_v[layer.nodes, 0])
     half = np.exp(2.0 * log_q[layer.nodes, 0] + spread)
-    lo = np.maximum(point - half, 0.0)
-    bounds.update(zip(layer.nodes.tolist(), zip(lo.tolist(), (point + half).tolist())))
+    lo = np.maximum(np.nextafter(point - half, -np.inf), 0.0)
+    hi = np.nextafter(point + half, np.inf)
+    bounds.update(zip(layer.nodes.ravel().tolist(), zip(lo.ravel().tolist(), hi.ravel().tolist())))
 
 
 def _nonnegative_log(value: SignedLog, log_scale: float, context: str) -> float:

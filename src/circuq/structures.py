@@ -128,7 +128,7 @@ def structure_stats(circuit: Circuit) -> dict:
     gauss = 2 * len(layout.leaves["gaussian"][0])
     return {
         "nodes": len(circuit.nodes),
-        "edges": sum(int(np.sum(layer.children < len(circuit.nodes))) for layer in layout.layers),
+        "edges": sum(len(layer.edge_ends()[1]) for layer in layout.layers),
         "sum_edges": layout.num_sum_edges,
         "parameters": layout.num_sum_edges + gauss,
         "gaussian_parameters": gauss,

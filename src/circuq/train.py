@@ -63,9 +63,9 @@ class ParameterSpace:
     (mean, log_std).  Categorical leaves stay fixed.  ``segments`` lists them
     in node order as (node_id, kind, offset, size).  The same layout as
     index arrays: ``weight_offsets`` holds, per layer of the circuit's layout,
-    the (width, nodes) offset of each sum edge's logit (``size`` on pads;
-    None for a product layer), and ``leaf_offsets`` each Gaussian leaf's mean
-    in the plan's leaf order, its log_std following.
+    the (G, S, K) offset of each sum edge's logit (None for a product layer),
+    and ``leaf_offsets`` each Gaussian leaf's mean in the plan's leaf order,
+    its log_std following.
     """
 
     circuit: Circuit
@@ -90,9 +90,8 @@ class ParameterSpace:
                 offset += 2
         layout = circuit.layout()
         weight_offsets = [
-            None if layer.kind != "sum" else np.where(
-                layer.children < layout.num_nodes,
-                first[layer.nodes] + np.arange(layer.children.shape[0])[:, None], offset)
+            None if layer.kind != "sum"
+            else first[layer.nodes][:, :, None] + np.arange(layer.children.shape[1])
             for layer in layout.layers
         ]
         return ParameterSpace(circuit, segments, offset, weight_offsets,
@@ -100,13 +99,13 @@ class ParameterSpace:
 
     def initial_vector(self) -> np.ndarray:
         plan = self.circuit.plan()
-        theta = np.empty(self.size + 1)  # the last entry absorbs pads
+        theta = np.empty(self.size)
         for offsets, lw in zip(self.weight_offsets, plan.log_weights):
             if offsets is not None:
                 theta[offsets] = lw
         theta[self.leaf_offsets] = plan.mean
         theta[self.leaf_offsets + 1] = plan.log_std
-        return theta[:-1].copy()
+        return theta
 
     def apply(self, theta: np.ndarray) -> Circuit:
         """A circuit with these parameters, sharing everything else.
@@ -116,14 +115,13 @@ class ParameterSpace:
         passes compile nothing, and its nodes are built on first read.
         Raises ParameterError for a non-finite leaf parameter.
         """
-        padded = np.append(theta, -np.inf)
         log_weights = []
         for offsets in self.weight_offsets:
             if offsets is None:
                 log_weights.append(None)
             else:
-                logits = padded[offsets]  # -inf on pads
-                log_weights.append(logits - logsumexp_axis0(logits))
+                logits = theta[offsets]  # (G, S, K)
+                log_weights.append(logits - logsumexp_axis0(logits.transpose(2, 0, 1))[..., None])
         plan = dataclasses.replace(
             self.circuit.plan(), log_weights=log_weights, mean=theta[self.leaf_offsets],
             log_std=np.clip(theta[self.leaf_offsets + 1], -LOG_STD_CLAMP, LOG_STD_CLAMP))
@@ -156,9 +154,9 @@ class _PlanNodes(Sequence):
             layout = self._plan.layout
             for layer, lw in zip(layout.layers, self._plan.log_weights):
                 if lw is not None:
-                    for j, i in enumerate(layer.nodes.tolist()):
-                        children = nodes[i].children
-                        nodes[i] = SumNode(list(children), lw[: len(children), j].copy())
+                    rows = lw.reshape(-1, lw.shape[-1])
+                    for i, row in zip(layer.nodes.ravel().tolist(), rows):
+                        nodes[i] = SumNode(list(nodes[i].children), row.copy())
             for i, mean, log_std in zip(layout.leaves["gaussian"][0].tolist(),
                                         self._plan.mean.tolist(), self._plan.log_std.tolist()):
                 nodes[i] = GaussianLeaf(nodes[i].variable, mean, log_std)
@@ -196,9 +194,6 @@ def loss_and_grad(
     B = X.shape[0]
     plan = circuit.plan()
     layout = plan.layout
-    # Compiled on first use; done before the pass's large arrays exist, since
-    # a lasting allocation made above them would keep the heap from shrinking.
-    reverse_layers = layout.reverse_layers
     logv = forward_log_values(circuit, X)  # (nodes, B)
     root_ll = logv[circuit.roots]  # (C, B)
 
@@ -224,8 +219,8 @@ def loss_and_grad(
     # d loss / d log value per node; the last row stays 0 for the pads' parent
     adjoint = np.zeros((layout.num_nodes + 1, B))
     np.add.at(adjoint, circuit.roots, seed)
-    grad = np.zeros(space.size + 1)  # the last entry absorbs pads
-    layers = zip(layout.layers, reverse_layers, plan.log_weights, space.weight_offsets)
+    grad = np.zeros(space.size)
+    layers = zip(layout.layers, layout.reverse_layers, plan.log_weights, space.weight_offsets)
     for layer, reverse, lw, offsets in reversed(list(layers)):
         if lw is not None:
             slot_lw = np.append(lw.ravel(), -np.inf)
@@ -267,7 +262,7 @@ def loss_and_grad(
         grad[space.leaf_offsets[b]] = d_mean.sum(axis=1) * inv_std
         grad[space.leaf_offsets[b] + 1] = d_log_std.sum(axis=1)
     # categorical leaves carry no trainable parameters
-    return loss, grad[:-1]
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,18 @@ class TestTreeExactness:
         assert frame.log_variance[5] == -math.inf
         assert math.exp(frame.log_variance[6]) == pytest.approx(0.36 * 0.25 * e2, rel=1e-12)
 
+    def test_leaf_variance_keys_must_be_leaf_ids(self, two_leaf_sum):
+        # -1 once indexed the last node of the circuit but a sentinel row of
+        # the pass, and a sum's id was skipped without a word
+        single = build_manual("g gaussian 0 0.0 1.0\nroot g")
+        for circuit, key in ((single, -1), (single, 1), (two_leaf_sum, 2), (two_leaf_sum, -3)):
+            with pytest.raises(StructureError, match="not a leaf id"):
+                tdi_pass(circuit, [0.0], DropoutConfig.with_p(0.1),
+                         leaf_log_variance={key: math.log(0.25)})
+        frame = tdi_pass(single, [0.0], DropoutConfig.with_p(0.1),
+                         leaf_log_variance={0: math.log(0.25)})
+        assert frame.log_variance[0] == pytest.approx(math.log(0.25), rel=1e-15)
+
     def test_exclude_root_heads_flag(self, two_leaf_sum):
         frame = tdi_pass(two_leaf_sum, [0.0], DropoutConfig.with_p(0.2, exclude_root_heads=True))
         e, v = root_moments(frame, two_leaf_sum)
