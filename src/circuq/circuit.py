@@ -7,10 +7,10 @@ product nodes factorize disjoint-scope children, and leaves are univariate
 distributions.  On first use a circuit compiles into a layer plan, stacks of
 node groups that each run as one dense step: sums that share a child list mix
 it as one matrix product, and products that are every combination of their
-factors' nodes add them as one outer sum.  Every pass runs on the plan: the
-forward pass here (one row is a batch of one, and a keep mask turns its
+factors' nodes add them as one outer sum.  Every pass runs on these groups:
+the forward pass here (one row is a batch of one, and a keep mask turns its
 columns into Monte Carlo dropout passes), the moment pass, and training's
-reverse pass, which walks the layers backwards.
+reverse pass, which walks the groups backwards.
 
 Circuits are treated as immutable after construction: evaluation never writes
 to the node arena, and the cached plan is derived from it, so a circuit can be
@@ -21,7 +21,6 @@ circuits for negative tests.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -314,8 +313,8 @@ def validate(circuit: Circuit) -> ValidationReport:
 # so that each layer is one vectorized step: a sum layer is a batched matrix
 # product of the groups' weights with their children's linear values, shifted
 # per group and row, and a product layer adds its factors' log values over
-# their outer product.  The reverse pass walks the same layers backwards, each
-# one's edges regrouped by child into (fan-out, children) arrays.
+# their outer product.  The reverse pass walks the same groups backwards, through
+# transposed matrix products and sums over the outer products' axes.
 
 _BLOCK_ELEMENTS = 1 << 16  # gathered or produced (groups, width, columns) elements per step
 
@@ -337,12 +336,14 @@ class SumLayer:
     """Stacked groups of sums, each group mixing one child list.
 
     ``nodes`` is (G, S), ``children`` (G, K), and ``edges`` (G, S, K) holds
-    each sum edge's index in :meth:`Circuit.sum_edges` order.
+    each sum edge's index in :meth:`Circuit.sum_edges` order.  ``distinct``
+    holds when no node appears twice in ``children``.
     """
 
     nodes: np.ndarray
     children: np.ndarray
     edges: np.ndarray
+    distinct: bool
 
     kind = "sum"
 
@@ -351,6 +352,13 @@ class SumLayer:
         the element budget."""
         return node_blocks(len(self.nodes), max(self.nodes.shape[1], self.children.shape[1]),
                            columns)
+
+    def masked_blocks(self, columns: int) -> list[tuple[slice, slice]]:
+        """(group slice, column slice) pairs whose (groups, S, K, columns)
+        per-column weights stay within the element budget."""
+        width = self.edges[0].size
+        return [(b, c) for c in node_blocks(columns, width, 1)
+                for b in node_blocks(len(self.nodes), width, len(range(columns)[c]))]
 
     def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """(parent, child) of every edge, flat in (G, S, K) order."""
@@ -366,10 +374,12 @@ class ProductLayer:
 
     ``factors`` holds one (G, S_f) array per child position, and ``nodes`` is
     (G, S_1 ... S_F): the products in outer (row-major) order of the factors.
+    ``distinct`` holds when no node appears twice in one factor's array.
     """
 
     nodes: np.ndarray
     factors: tuple
+    distinct: bool
 
     kind = "product"
 
@@ -388,6 +398,14 @@ class ProductLayer:
             acc = x if acc is None else fold(acc, x)
         return acc.reshape(acc.shape[0], -1, acc.shape[-1])
 
+    def factor_sums(self, adj: np.ndarray) -> list:
+        """The reverse of :meth:`outer` with np.add: each factor's (groups,
+        S_f, columns) sum of the products' (groups, products, columns)
+        ``adj`` over the other factors' axes."""
+        adj = adj.reshape(len(adj), *(f.shape[1] for f in self.factors), adj.shape[-1])
+        axes = range(1, adj.ndim - 1)
+        return [adj.sum(axis=tuple(a for a in axes if a != f)) for f in axes]
+
     def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """(parent, child) of every edge, flat in (G, products, F) order."""
         G, P = self.nodes.shape
@@ -397,40 +415,13 @@ class ProductLayer:
 
 
 @dataclass(frozen=True)
-class ReverseLayer:
-    """A layer's edges grouped by child, for the reverse pass.
-
-    ``targets`` are the layer's distinct children.  ``parents`` and ``slots``
-    are (fan-out, targets): each edge's parent and its position in the
-    layer's ``edge_ends`` order, which for a sum layer is the (G, S, K) order
-    of its weights.  Pads point at the row after the last node and at the
-    position after the last edge.
-    """
-
-    targets: np.ndarray
-    parents: np.ndarray
-    slots: np.ndarray
-
-    def blocks(self, columns: int) -> list[slice]:
-        """Target slices whose gathered parents stay within the element budget."""
-        return node_blocks(len(self.targets), self.parents.shape[0], columns)
-
-
-@dataclass(frozen=True)
 class Layout:
     """Compiled structure, shared by circuits that differ only in parameters."""
 
     layers: list
     leaves: dict  # leaf kind -> (node ids, variables)
-    num_nodes: int
     num_sum_edges: int
     is_tree: bool
-
-    @functools.cached_property
-    def reverse_layers(self) -> list[ReverseLayer]:
-        """One :class:`ReverseLayer` per layer, built once per layout, so
-        every circuit sharing this layout shares them."""
-        return _compile_reverse(self)
 
 
 @dataclass(frozen=True)
@@ -508,7 +499,8 @@ def _compile_layout(circuit: Circuit) -> Layout:
     depth = [0] * n
     levels: dict[tuple[int, str], list[int]] = {}
     for i, node in enumerate(nodes):
-        depth[i] = 1 + max((depth[c] for c in node.children), default=-1)
+        if node.children:
+            depth[i] = 1 + max(map(depth.__getitem__, node.children))
         levels.setdefault((depth[i], node.kind), []).append(i)
 
     layers = []
@@ -525,21 +517,16 @@ def _compile_layout(circuit: Circuit) -> Layout:
         for groups in stacks.values():
             ids = np.array([members for members, _ in groups], dtype=np.int64)
             factors = tuple(np.array(f, dtype=np.int64) for f in zip(*(fs for _, fs in groups)))
+            distinct = all(len(np.unique(f)) == f.size for f in factors)
             if kind == "sum":
                 edges = edge_start[ids][:, :, None] + np.arange(factors[0].shape[1])
-                layers.append(SumLayer(ids, factors[0], edges))
+                layers.append(SumLayer(ids, factors[0], edges, distinct))
             else:
-                layers.append(ProductLayer(ids, factors))
+                layers.append(ProductLayer(ids, factors, distinct))
 
     references = np.concatenate([layer.edge_ends()[1] for layer in layers] + [circuit.roots])
     parents = np.bincount(references.astype(np.int64), minlength=n)
-    layout = Layout(layers, leaves, n, int(fan_in.sum()), bool(np.all(parents <= 1)))
-    # The reverse layers are built now, while the heap is small.  Built inside
-    # training's first step, after a moment pass, their lasting arrays kept
-    # the heap from shrinking below that step's temporaries (mid RAT: a peak
-    # RSS of 176 MB against 133 MB).
-    layout.reverse_layers
-    return layout
+    return Layout(layers, leaves, int(fan_in.sum()), bool(np.all(parents <= 1)))
 
 
 def _sum_groups(nodes, ids: list[int]) -> list:
@@ -583,19 +570,6 @@ def _product_groups(nodes, ids: list[int]) -> list:
             else:
                 groups.extend(([members[k]], [[c] for c in row]) for k, row in zip(part, rows))
     return groups
-
-
-def _compile_reverse(layout: Layout) -> list[ReverseLayer]:
-    reverse = []
-    for layer in layout.layers:
-        parent, child = layer.edge_ends()  # edge e sits at slot e
-        slots = np.argsort(child, kind="stable")
-        targets, first, fan_out = np.unique(child[slots], return_index=True, return_counts=True)
-        column = np.repeat(np.arange(len(targets)), fan_out)
-        padded = np.full((fan_out.max(initial=0), len(targets)), len(child))
-        padded[np.arange(len(slots)) - first[column], column] = slots
-        reverse.append(ReverseLayer(targets, np.append(parent, layout.num_nodes)[padded], padded))
-    return reverse
 
 
 def _compile_plan(circuit: Circuit, layout: Layout) -> Plan:
@@ -646,8 +620,7 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
     Without ``keep`` the columns are the rows of X.  Monte Carlo dropout
     passes a (sum edges, passes) boolean mask with one row in X: column j is
     then the pass in which sum edge e (in :meth:`Circuit.sum_edges` order)
-    contributes only where ``keep[e, j]`` holds, and each sum takes a
-    log-sum-exp over its own edges.
+    contributes only where ``keep[e, j]`` holds: its weight is zero elsewhere.
     """
     plan = circuit.plan()
     X = np.asarray(X, dtype=np.float64)
@@ -663,43 +636,39 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
                 for b in layer.blocks(columns):
                     logv[layer.nodes[b]] = log_mix(w[b], lw[b], logv[layer.children[b]])
             else:
-                _masked_sums(layer, lw, logv, keep)
+                for b, c in layer.masked_blocks(columns):
+                    logv[layer.nodes[b], c] = log_mix(w[b], lw[b], logv[layer.children[b], c],
+                                                      keep[layer.edges[b], c])
     return logv
 
 
-def _masked_sums(layer: SumLayer, lw: np.ndarray, logv: np.ndarray, keep: np.ndarray) -> None:
-    """One sum layer of masked passes: each sum's log-sum-exp over its kept
-    edges, in blocks of sums with their (K, sums, passes) terms."""
-    G, S, K = lw.shape
-    kids = np.repeat(layer.children, S, axis=0).T  # (K, sums), like lw and edges
-    lw, edges, nodes = lw.reshape(-1, K).T, layer.edges.reshape(-1, K).T, layer.nodes.ravel()
-    for b in node_blocks(G * S, K, keep.shape[1]):
-        terms = lw[:, b, None] + logv[kids[:, b]]
-        logv[nodes[b]] = logsumexp_axis0(np.where(keep[edges[:, b]], terms, -np.inf))
-
-
-def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray) -> np.ndarray:
+def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray,
+            kept: Optional[np.ndarray] = None) -> np.ndarray:
     """log sum_k w_k exp(x_k) for every sum of a block of groups.
 
     ``w`` and ``log_w`` are the (g, S, K) weights and their logs, ``x`` the
-    groups' (g, K, columns) child log values.  Each group and column is
-    shifted by its largest child value and mixed in linear space as one
-    matrix product.  The shift ignores the weights, so a sum whose weighted
-    children all sit far below a zero-weight sibling flushes to zero or a
-    subnormal; those entries are recomputed as exact log-sum-exps.
+    groups' (g, K, columns) child log values; a (g, S, K, columns) boolean
+    ``kept`` gives each column its own weights w * kept, as masked passes do.
+    Each group and column is shifted by its largest child value and mixed in
+    linear space as one matrix product.  The shift ignores the weights, so a
+    sum whose weighted children all sit far below a zero-weight or dropped
+    sibling flushes to zero or a subnormal; those entries are recomputed as
+    exact log-sum-exps.
     """
     m = x.max(axis=1, keepdims=True)
     shift = np.maximum(m, SHIFT_FLOOR)
-    return log_shifted(mix(w, np.exp(x - shift)), shift, lambda: m > -np.inf,
-                       lambda g, s, c: log_w[g, s] + x[g, :, c])
+    mixed = mix(w if kept is None else w[..., None] * kept, np.exp(x - shift))
+    return log_shifted(mixed, shift, lambda: m > -np.inf, lambda g, s, c: x[g, :, c] + (
+        log_w[g, s] if kept is None else np.where(kept[g, s, :, c], log_w[g, s], -np.inf)))
 
 
 def mix(w: np.ndarray, lin: np.ndarray) -> np.ndarray:
     """(g, S, K) weights times (g, K, columns) linear values, one matrix
     product per group, in einsum's own loops: np.matmul hands products this
     size to BLAS threads, which cost far more than the product itself when
-    other work shares the CPUs."""
-    return np.einsum("gsk,gkr->gsr", w, lin)
+    other work shares the CPUs.  Weights of shape (g, S, K, columns) mix
+    each column with its own."""
+    return np.einsum("gsk...,gk...->gs...", w, lin)
 
 
 def log_shifted(mixed: np.ndarray, shift: np.ndarray, nonzero, log_terms) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Monte Carlo dropout: stochastic forward passes as the sampling baseline.
 
 Every sum-node edge keeps its child with probability q = 1 - p, independently
-per pass and per edge.  Passes run in log space with a masked log-sum-exp; a
-sum node whose children are all dropped evaluates to zero (log -inf), exactly
-as the literal masked mixture prescribes.  Sample moments use divisor L.
+per pass and per edge.  Passes are the columns of one forward pass whose sum
+weights are zero on dropped edges; a sum node whose children are all dropped
+evaluates to zero (log -inf), as the masked mixture prescribes.  Sample
+moments use divisor L.
 
 Mask bits come from a counter-based Philox stream keyed by the seed and are
 consumed in a fixed chunk order, so results are reproducible no matter how
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circuit import Circuit, as_evidence, forward_log_values
+from .circuit import Circuit, as_evidence, forward_log_values, node_blocks
 from .errors import DegenerateSampleError
 from .moments import DropoutConfig, posterior_moments_batch, TaylorMethod
 
@@ -78,7 +79,9 @@ def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
     done = 0
     while done < L:
         m = min(_CHUNK_PASSES, L - done)
-        keep = rng.random((num_edges, m)) >= config.p
+        keep = np.empty((num_edges, m), dtype=bool)
+        for b in node_blocks(num_edges, 1, m):  # rows in order, so the bits of one draw
+            keep[b] = rng.random(keep[b].shape) >= config.p
         log_roots = forward_log_values(circuit, values[None, :], keep)[circuit.roots]  # (C, m)
         lin = np.exp(log_roots)
         sum_v += lin.sum(axis=1)

@@ -4,13 +4,13 @@ The objective is the class-conditional log likelihood of the head attributed
 to each observed label: loss = -(1/B) sum_b log S_{y_b}(x_b).  A conventional
 cross-entropy objective over the Bayes posterior is available behind a flag.
 
-Gradients come from one reverse pass over the layers of the circuit's plan
-(linear in edges), in blocks of children, each layer's edges grouped by child
-once per layout.  Sum weights are parameterized as unconstrained logits
-mapped through a per-node log-softmax, so every update lands back on the
-weight simplex by construction.  Parameters live in one flat vector; applying
-it builds the plan's parameter arrays, not nodes.  Training touches
-parameters only, never structure.
+Gradients come from one reverse pass over the groups of the circuit's plan
+(linear in edges), through each sum group's transposed matrix product under
+the forward's shift and each product group's outer-product axes.  Sum
+weights are parameterized as unconstrained logits mapped through a per-node
+log-softmax, so every update lands back on the weight simplex by
+construction.  Parameters live in one flat vector; applying it builds the
+plan's parameter arrays, not nodes.  Training touches parameters only.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .circuit import (
+    SHIFT_FLOOR,
     Circuit,
     GaussianLeaf,
     Plan,
@@ -35,6 +36,9 @@ from .circuit import (
 from .errors import ParameterError, ShapeError
 
 LOG_STD_CLAMP = 7.0  # keep sigma within e^[-7, 7] so densities cannot blow up
+
+_LOG_TINY = math.log(np.finfo(np.float64).tiny)  # below it a shifted mixture flushed
+_SCORE_ROWS = 256  # rows per forward pass when scoring accuracy, about one training step's
 
 
 @dataclass(frozen=True)
@@ -216,37 +220,21 @@ def loss_and_grad(
         bad = int(np.flatnonzero(~np.isfinite(root_ll[labels, np.arange(B)]))[0])
         raise ParameterError(f"non-finite loss; first offending sample index {bad}")
 
-    # d loss / d log value per node; the last row stays 0 for the pads' parent
-    adjoint = np.zeros((layout.num_nodes + 1, B))
+    adjoint = np.zeros_like(logv)  # d loss / d log value per node
     np.add.at(adjoint, circuit.roots, seed)
     grad = np.zeros(space.size)
-    layers = zip(layout.layers, layout.reverse_layers, plan.log_weights, space.weight_offsets)
-    for layer, reverse, lw, offsets in reversed(list(layers)):
-        if lw is not None:
-            slot_lw = np.append(lw.ravel(), -np.inf)
-            slot_grad = np.zeros(lw.size + 1)
-        for block in reverse.blocks(B):
-            parents, slots = reverse.parents[:, block], reverse.slots[:, block]
-            adj = adjoint[parents]  # (fan-out, targets, rows)
-            if lw is not None:
-                # ratio = w v_child / v_parent.  A sum's log value is at least
-                # each weighted child's, and leaf log densities are bounded
-                # above (log stds are clamped, log_probs <= 0), so the ratio
-                # is at most about 1, never +inf.  It is undefined (-inf minus
-                # -inf) only where the parent's value is 0; that parent's
-                # adjoint is 0, and so is its ratio.  Pads clip to a real row
-                # of logv, and their -inf log weight makes their ratio 0.
-                log_parent = np.take(logv, parents, axis=0, mode="clip")
-                w = slot_lw[slots]
-                with np.errstate(invalid="ignore"):
-                    ratio = np.exp(w[:, :, None] + logv[reverse.targets[block]] - log_parent)
-                ratio[np.isneginf(log_parent)] = 0.0
-                adj_sum = adj.sum(axis=-1)
-                adj *= ratio
-                slot_grad[slots] = adj.sum(axis=-1) - np.exp(w) * adj_sum
-            adjoint[reverse.targets[block]] += adj.sum(axis=0)
-        if lw is not None:
-            grad[offsets] = slot_grad[:-1].reshape(lw.shape)
+    layers = zip(layout.layers, plan.log_weights, plan.weights, space.weight_offsets)
+    for layer, lw, w, offsets in reversed(list(layers)):
+        for b in layer.blocks(B):
+            adj = adjoint[layer.nodes[b]]
+            if lw is None:
+                for kids, part in zip(layer.factors, layer.factor_sums(adj)):
+                    _scatter(adjoint, kids[b], part, layer.distinct)
+            else:
+                kids = layer.children[b]
+                grad[offsets[b]], part = _sum_reverse(w[b], lw[b], logv[kids],
+                                                      logv[layer.nodes[b]], adj)
+                _scatter(adjoint, kids, part, layer.distinct)
 
     ids, variables = layout.leaves["gaussian"]
     for b in node_blocks(len(ids), 1, B):
@@ -263,6 +251,41 @@ def loss_and_grad(
         grad[space.leaf_offsets[b] + 1] = d_log_std.sum(axis=1)
     # categorical leaves carry no trainable parameters
     return loss, grad
+
+
+def _sum_reverse(w, lw, x, v, adj):
+    """Logit gradients and child adjoints of a block of sum groups.
+
+    Takes the (g, S, K) weights and their logs, the children's (g, K, rows)
+    and the sums' (g, S, rows) log values, and the sums' adjoints.  Under the
+    forward pass's shift, a = exp(x - shift) and A = adj exp(shift - v) give
+    logit gradients w o (A a^T) - w o sum_rows adj and child adjoints
+    a o (W^T A).  Where the forward's shifted mixture flushed, A would
+    overflow; there the edge shares exp(lw + x - v) are taken exactly, as
+    :func:`circuq.circuit.log_shifted` takes the values.  A sum whose value
+    is 0 passes nothing back.
+    """
+    shift = np.maximum(x.max(axis=1, keepdims=True), SHIFT_FLOOR)
+    a = np.exp(x - shift)
+    flushed = v - shift < _LOG_TINY
+    A = np.where(flushed, 0.0, adj * np.exp(np.minimum(shift - v, -_LOG_TINY)))
+    grad = w * (np.einsum("gsr,gkr->gsk", A, a) - adj.sum(axis=-1)[..., None])
+    part = a * np.einsum("gsk,gsr->gkr", w, A)
+    g, s, c = np.nonzero(flushed & (adj != 0.0) & (v > -np.inf))
+    if len(g):
+        share = adj[g, s, c, None] * np.exp(lw[g, s] + x[g, :, c] - v[g, s, c, None])
+        np.add.at(grad, (g, s), share)
+        np.add.at(part, (g[:, None], np.arange(x.shape[1]), c[:, None]), share)
+    return grad, part
+
+
+def _scatter(adjoint, ids, values, distinct: bool) -> None:
+    """adjoint[ids] += values, summing repeated ids; a plain += suffices
+    where the layout found a layer's children distinct."""
+    if distinct:
+        adjoint[ids] += values
+    else:
+        np.add.at(adjoint, ids, values)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +391,12 @@ def accuracy(circuit: Circuit, X: np.ndarray, labels: np.ndarray) -> float:
     """Share of rows whose Bayes-posterior argmax matches the label.
 
     Ties break toward the lowest class index (argmax over classes is taken in
-    index order).
+    index order).  Rows run in blocks, so scoring a training set at each
+    epoch's end holds no more node values than a training step.
     """
-    ll = forward_log_values(circuit, np.asarray(X, dtype=np.float64))[circuit.roots]
+    X = np.asarray(X, dtype=np.float64)
+    ll = np.concatenate([forward_log_values(circuit, X[s : s + _SCORE_ROWS])[circuit.roots]
+                         for s in range(0, max(len(X), 1), _SCORE_ROWS)], axis=1)
     joint = ll + np.asarray(circuit.log_class_priors)[:, None]
     pred = np.argmax(joint, axis=0)
     return float(np.mean(pred == np.asarray(labels)))

@@ -126,6 +126,16 @@ def test_shifted_mix_recovers_sums_below_a_zero_weight_sibling():
     assert frame.log_expectation[root] == pytest.approx(
         math.log(dropped.expectation[root]), rel=1e-14)
     assert frame.log_variance[root] == pytest.approx(math.log(dropped.variance[root]), rel=1e-12)
+    # Under the same shift, b's share of s overflows in the reverse pass and
+    # is recomputed exactly: b's share is 1 and a's is 0.
+    loss, grad = loss_and_grad(c, x[None], np.array([0]))
+    assert loss == pytest.approx(-want, rel=1e-14)
+    np.testing.assert_allclose(grad, [0.0, 0.0, 14.78, 1.0 - 14.78**2, 0.0, 0.0], rtol=1e-13)
+    # Masked passes that keep both edges, drop a, and drop b.
+    keep = np.array([[True, False, True], [True, True, False]])
+    masked = forward_log_values(c, x[None], keep)[root]
+    assert masked[:2] == pytest.approx([want, want], rel=1e-14)
+    assert masked[2] == -np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +201,13 @@ def test_grouped_and_single_groups_agree(circuit, seed, p):
     # The masked passes of Monte Carlo dropout, with each edge's keep bits
     # following the edge: the MCD posterior means are means over these roots.
     keep = rng.random((circuit.layout().num_sum_edges, 16)) >= 0.3
+    keep[:, 0] = True  # a pass that keeps every edge is the plain forward pass
     masked = forward_log_values(other, X[:1], keep[edge_map(circuit, perms)])[other.roots]
     expected = forward_log_values(circuit, X[:1], keep)[circuit.roots]
     assert np.array_equal(np.isneginf(masked), np.isneginf(expected))
     np.testing.assert_allclose(masked[~np.isneginf(masked)],
                                expected[~np.isneginf(expected)], **tol)
+    np.testing.assert_allclose(expected[:, 0], log_likelihood_batch(circuit, X[:1])[0], **tol)
 
     labels = rng.integers(circuit.num_classes, size=len(X))
     loss_a, grad_a = loss_and_grad(other, X, labels)

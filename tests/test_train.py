@@ -226,9 +226,8 @@ class TestFit:
     def test_fit_compiles_the_layout_once(self, monkeypatch):
         import circuq.circuit as circuit_module
 
-        compiled = {"layout": [], "reverse": [], "plan": []}
-        for name, key in [("_compile_layout", "layout"), ("_compile_reverse", "reverse"),
-                          ("_compile_plan", "plan")]:
+        compiled = {"layout": [], "plan": []}
+        for name, key in [("_compile_layout", "layout"), ("_compile_plan", "plan")]:
             original = getattr(circuit_module, name)
             monkeypatch.setattr(circuit_module, name, lambda *args, original=original, key=key:
                                 compiled[key].append(args[0]) or original(*args))
@@ -241,7 +240,6 @@ class TestFit:
         again, _ = fit(c, X, y, config)
         assert len(history.epochs) == 2
         assert compiled["layout"] == [c]
-        assert compiled["reverse"] == [c.layout()]
         assert compiled["plan"] == [c]  # each step's circuit carries the plan apply built
         assert trained.layout() is c.layout() and again.layout() is c.layout()
 
