@@ -335,17 +335,21 @@ def node_blocks(count: int, width: int, columns: int) -> list[slice]:
 class SumLayer:
     """Stacked groups of sums, each group mixing one child list.
 
-    ``nodes`` is (G, S), ``children`` (G, K), and ``edges`` (G, S, K) holds
-    each sum edge's index in :meth:`Circuit.sum_edges` order.  ``distinct``
-    holds when no node appears twice in ``children``.
+    ``nodes`` is (G, S) and ``children`` (G, K); the layer's (G, S, K) sum
+    edges are its weights.  ``distinct`` holds when no node appears twice in
+    ``children``.
     """
 
     nodes: np.ndarray
     children: np.ndarray
-    edges: np.ndarray
     distinct: bool
 
     kind = "sum"
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(G, S, K): groups, sums per group, children per group."""
+        return (*self.nodes.shape, self.children.shape[1])
 
     def blocks(self, columns: int) -> list[slice]:
         """Group slices whose gathered children and mixed sums stay within
@@ -353,16 +357,9 @@ class SumLayer:
         return node_blocks(len(self.nodes), max(self.nodes.shape[1], self.children.shape[1]),
                            columns)
 
-    def masked_blocks(self, columns: int) -> list[tuple[slice, slice]]:
-        """(group slice, column slice) pairs whose (groups, S, K, columns)
-        per-column weights stay within the element budget."""
-        width = self.edges[0].size
-        return [(b, c) for c in node_blocks(columns, width, 1)
-                for b in node_blocks(len(self.nodes), width, len(range(columns)[c]))]
-
     def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """(parent, child) of every edge, flat in (G, S, K) order."""
-        shape = self.edges.shape
+        shape = self.shape
         return (np.broadcast_to(self.nodes[:, :, None], shape).ravel(),
                 np.broadcast_to(self.children[:, None, :], shape).ravel())
 
@@ -420,8 +417,15 @@ class Layout:
 
     layers: list
     leaves: dict  # leaf kind -> (node ids, variables)
-    num_sum_edges: int
+    # Plan order of the sum edges: sum layers in plan order, each layer's
+    # (G, S, K) edges flattened.  Entry e is the :meth:`Circuit.sum_edges`
+    # index of the e-th edge in that order.
+    sum_edge_order: np.ndarray
     is_tree: bool
+
+    @property
+    def num_sum_edges(self) -> int:
+        return len(self.sum_edge_order)
 
 
 @dataclass(frozen=True)
@@ -503,7 +507,7 @@ def _compile_layout(circuit: Circuit) -> Layout:
             depth[i] = 1 + max(map(depth.__getitem__, node.children))
         levels.setdefault((depth[i], node.kind), []).append(i)
 
-    layers = []
+    layers, edge_order = [], []
     leaves = {kind: (np.zeros(0, dtype=np.int64),) * 2 for kind in ("gaussian", "categorical")}
     for (_, kind), ids in sorted(levels.items()):
         if kind in ("gaussian", "categorical"):
@@ -520,13 +524,15 @@ def _compile_layout(circuit: Circuit) -> Layout:
             distinct = all(len(np.unique(f)) == f.size for f in factors)
             if kind == "sum":
                 edges = edge_start[ids][:, :, None] + np.arange(factors[0].shape[1])
-                layers.append(SumLayer(ids, factors[0], edges, distinct))
+                edge_order.append(edges.ravel())
+                layers.append(SumLayer(ids, factors[0], distinct))
             else:
                 layers.append(ProductLayer(ids, factors, distinct))
 
     references = np.concatenate([layer.edge_ends()[1] for layer in layers] + [circuit.roots])
     parents = np.bincount(references.astype(np.int64), minlength=n)
-    return Layout(layers, leaves, int(fan_in.sum()), bool(np.all(parents <= 1)))
+    return Layout(layers, leaves, np.concatenate([np.zeros(0, dtype=np.int64)] + edge_order),
+                  bool(np.all(parents <= 1)))
 
 
 def _sum_groups(nodes, ids: list[int]) -> list:
@@ -586,7 +592,7 @@ def _compile_plan(circuit: Circuit, layout: Layout) -> Plan:
     log_weights = [
         None if layer.kind != "sum" else np.array(
             [nodes[i].log_weights for i in layer.nodes.ravel()], dtype=np.float64
-        ).reshape(layer.edges.shape)
+        ).reshape(layer.shape)
         for layer in layout.layers
     ]
     return Plan(layout, log_weights, mean, log_std, log_probs, states)
@@ -618,27 +624,29 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
     """Per-node log values, shape (nodes, columns), from one loop over layers.
 
     Without ``keep`` the columns are the rows of X.  Monte Carlo dropout
-    passes a (sum edges, passes) boolean mask with one row in X: column j is
-    then the pass in which sum edge e (in :meth:`Circuit.sum_edges` order)
-    contributes only where ``keep[e, j]`` holds: its weight is zero elsewhere.
+    passes a (passes, sum edges) boolean mask with one row in X, its edges in
+    the plan order of :attr:`Layout.sum_edge_order`: column j is then the pass
+    in which a sum edge contributes only where its bit in row j of ``keep``
+    holds; its weight is zero elsewhere.  Each sum layer reads its edges' bits
+    as a (passes, G, S, K) view.
     """
     plan = circuit.plan()
     X = np.asarray(X, dtype=np.float64)
-    columns = X.shape[0] if keep is None else keep.shape[1]
+    columns = X.shape[0] if keep is None else keep.shape[0]
     logv = np.empty((len(circuit.nodes), columns))
     plan.leaf_log_values(X, logv)
+    start = 0  # the layer's first edge in plan order
     with np.errstate(divide="ignore"):
         for layer, lw, w in zip(plan.layout.layers, plan.log_weights, plan.weights):
             if layer.kind == "product":
                 for b in layer.blocks(columns):
                     logv[layer.nodes[b]] = layer.outer([logv[f[b]] for f in layer.factors])
-            elif keep is None:
-                for b in layer.blocks(columns):
-                    logv[layer.nodes[b]] = log_mix(w[b], lw[b], logv[layer.children[b]])
-            else:
-                for b, c in layer.masked_blocks(columns):
-                    logv[layer.nodes[b], c] = log_mix(w[b], lw[b], logv[layer.children[b], c],
-                                                      keep[layer.edges[b], c])
+                continue
+            kept = None if keep is None else keep[:, start : start + w.size].reshape(-1, *w.shape)
+            start += w.size
+            for b in layer.blocks(columns):
+                logv[layer.nodes[b]] = log_mix(w[b], lw[b], logv[layer.children[b]],
+                                               None if kept is None else kept[:, b])
     return logv
 
 
@@ -647,28 +655,28 @@ def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray,
     """log sum_k w_k exp(x_k) for every sum of a block of groups.
 
     ``w`` and ``log_w`` are the (g, S, K) weights and their logs, ``x`` the
-    groups' (g, K, columns) child log values; a (g, S, K, columns) boolean
-    ``kept`` gives each column its own weights w * kept, as masked passes do.
-    Each group and column is shifted by its largest child value and mixed in
-    linear space as one matrix product.  The shift ignores the weights, so a
-    sum whose weighted children all sit far below a zero-weight or dropped
-    sibling flushes to zero or a subnormal; those entries are recomputed as
-    exact log-sum-exps.
+    groups' (g, K, columns) child log values; a (columns, g, S, K) boolean
+    ``kept`` drops each column's edges where it is False, as masked passes
+    do, and is read in place.  Each group and column is shifted by its
+    largest child value and mixed in linear space as one matrix product.  The
+    shift ignores the weights, so a sum whose weighted children all sit far
+    below a zero-weight or dropped sibling flushes to zero or a subnormal;
+    those entries are recomputed as exact log-sum-exps.
     """
     m = x.max(axis=1, keepdims=True)
     shift = np.maximum(m, SHIFT_FLOOR)
-    mixed = mix(w if kept is None else w[..., None] * kept, np.exp(x - shift))
+    lin = np.exp(x - shift)
+    mixed = mix(w, lin) if kept is None else np.einsum("gsk,cgsk,gkc->gsc", w, kept, lin)
     return log_shifted(mixed, shift, lambda: m > -np.inf, lambda g, s, c: x[g, :, c] + (
-        log_w[g, s] if kept is None else np.where(kept[g, s, :, c], log_w[g, s], -np.inf)))
+        log_w[g, s] if kept is None else np.where(kept[c, g, s], log_w[g, s], -np.inf)))
 
 
 def mix(w: np.ndarray, lin: np.ndarray) -> np.ndarray:
     """(g, S, K) weights times (g, K, columns) linear values, one matrix
     product per group, in einsum's own loops: np.matmul hands products this
     size to BLAS threads, which cost far more than the product itself when
-    other work shares the CPUs.  Weights of shape (g, S, K, columns) mix
-    each column with its own."""
-    return np.einsum("gsk...,gk...->gs...", w, lin)
+    other work shares the CPUs."""
+    return np.einsum("gsk,gkc->gsc", w, lin)
 
 
 def log_shifted(mixed: np.ndarray, shift: np.ndarray, nonzero, log_terms) -> np.ndarray:

@@ -6,24 +6,37 @@ weights are zero on dropped edges; a sum node whose children are all dropped
 evaluates to zero (log -inf), as the masked mixture prescribes.  Sample
 moments use divisor L.
 
-Mask bits come from a counter-based Philox stream keyed by the seed and are
-consumed in a fixed chunk order, so results are reproducible no matter how
-the work is scheduled.
+Keep bits come from counter-based Philox streams (Salmon et al., SC 2011)
+keyed by the seed, one random byte per bit.  A bit is kept when a 53-bit
+uniform k (U = k 2^-53, as numpy draws doubles) satisfies k >= T =
+ceil(p 2^53), which is exactly U >= p.  With k = hi 2^45 + lo and T = T_hi
+2^45 + T_lo, the bit is kept when hi > T_hi, and on a tie (hi == T_hi, one
+bit in 256) when lo >= T_lo.  hi is the next byte of ``Philox(key=seed)``'s
+raw 64-bit words in little-endian byte order; each tie takes lo from the top
+45 bits of the next word of a second stream, ``Philox(key=[seed, 1])``, in
+(pass, edge) order.  Pass j uses bytes [j E, (j + 1) E) of the first stream,
+its E bits in the plan order of the sum edges (:attr:`Layout.sum_edge_order`),
+so a chunk of passes is a slice of one sequence and results never depend on
+how passes are chunked.  At p = 0 no bits are drawn: every pass is the plain
+forward pass.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .circuit import Circuit, as_evidence, forward_log_values, node_blocks
+from .circuit import Circuit, as_evidence, forward_log_values
 from .errors import DegenerateSampleError
 from .moments import DropoutConfig, posterior_moments_batch, TaylorMethod
 
-_CHUNK_PASSES = 8192  # fixed so chunking never affects the stream
+_CHUNK_BYTES = 1 << 25  # node values plus keep bits of one chunk of passes
+_BLOCK_BYTES = 1 << 16  # random bytes thresholded at a time, a multiple of 8
+_LO_BITS = 45  # bits of a 53-bit uniform below its top byte
 
 
 @dataclass(frozen=True)
@@ -50,78 +63,90 @@ class McdResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _mask_generator(seed: int):
-    return np.random.Generator(np.random.Philox(key=seed))
+def keep_masks(p: float, seed: int, num_edges: int, num_passes: int,
+               chunk_passes: int) -> Iterator[np.ndarray]:
+    """The (passes, edges) keep bits of ``num_passes`` passes, ``chunk_passes``
+    at a time, drawn as the module docstring describes.  Every chunk but the
+    last must hold whole 8-byte words: chunk_passes * num_edges % 8 == 0."""
+    words, ties = np.random.Philox(key=seed), np.random.Philox(key=[seed, 1])
+    for done in range(0, num_passes, chunk_passes):
+        keep = np.empty((min(chunk_passes, num_passes - done), num_edges), dtype=bool)
+        flat = keep.reshape(-1)
+        for s in range(0, len(flat), _BLOCK_BYTES):  # cache-sized, in order
+            n = min(_BLOCK_BYTES, len(flat) - s)
+            hi = words.random_raw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
+            flat[s : s + n] = byte_keep(hi, p, ties)
+        yield keep
+
+
+def byte_keep(hi: np.ndarray, p: float, ties) -> np.ndarray:
+    """Keep bits of the random bytes ``hi``: hi > T_hi, and on a tie the top
+    45 bits of the next raw word of ``ties`` against T_lo, ties in order."""
+    hi_threshold, lo_threshold = divmod(math.ceil(p * 2.0**53), 1 << _LO_BITS)
+    if not lo_threshold:  # every tie is kept
+        return hi >= hi_threshold
+    keep = hi > hi_threshold
+    tie = np.flatnonzero(hi == hi_threshold)
+    keep[tie] = ties.random_raw(len(tie)) >> (64 - _LO_BITS) >= lo_threshold
+    return keep
 
 
 def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
     """L stochastic forward passes; first and second sample moments.
 
-    A pass where every class likelihood underflows to zero has no defined
-    posterior and contributes a uniform one; if every pass degenerates this
-    raises :class:`DegenerateSampleError`.
+    Passes run in chunks whose node values and keep bits fit in
+    ``_CHUNK_BYTES``, a multiple of 8 passes each, so chunking changes
+    neither the bits nor the results.  A pass where every class likelihood
+    underflows to zero has no defined posterior and contributes a uniform
+    one; if every pass degenerates this raises :class:`DegenerateSampleError`.
     """
     config.check()
     values = as_evidence(evidence, circuit.num_variables)
     num_edges = circuit.layout().num_sum_edges
     L = config.num_passes
     C = circuit.num_classes
-    rng = _mask_generator(config.rng_seed)
 
-    log_priors = np.asarray(circuit.log_class_priors, dtype=np.float64)
-    sum_v = np.zeros(C)
-    sum_v2 = np.zeros(C)
-    post_sum = np.zeros(C)
-    post_sum2 = np.zeros(C)
-    degenerate = 0
-    raw = np.empty((L, C)) if config.keep_samples else None
+    if config.p == 0.0:
+        log_roots = np.repeat(forward_log_values(circuit, values[None, :])[circuit.roots], L, 1)
+    else:
+        pass_bytes = 8 * len(circuit.nodes) + num_edges  # node values and keep bits
+        chunk = max(1, _CHUNK_BYTES // pass_bytes // 8) * 8
+        log_roots = np.empty((C, L))
+        masks = keep_masks(config.p, config.rng_seed, num_edges, L, chunk)
+        for done, keep in zip(range(0, L, chunk), masks):
+            log_roots[:, done : done + len(keep)] = forward_log_values(
+                circuit, values[None, :], keep)[circuit.roots]
 
-    done = 0
-    while done < L:
-        m = min(_CHUNK_PASSES, L - done)
-        keep = np.empty((num_edges, m), dtype=bool)
-        for b in node_blocks(num_edges, 1, m):  # rows in order, so the bits of one draw
-            keep[b] = rng.random(keep[b].shape) >= config.p
-        log_roots = forward_log_values(circuit, values[None, :], keep)[circuit.roots]  # (C, m)
-        lin = np.exp(log_roots)
-        sum_v += lin.sum(axis=1)
-        sum_v2 += (lin * lin).sum(axis=1)
-        if raw is not None:
-            raw[done : done + m] = lin.T
-
-        joint = log_roots + log_priors[:, None]
-        top = joint.max(axis=0)
-        dead = np.isneginf(top)
-        degenerate += int(dead.sum())
-        safe_top = np.where(dead, 0.0, top)
-        with np.errstate(divide="ignore"):
-            post = np.exp(joint - safe_top[None, :])
-        norm = post.sum(axis=0)
-        post = np.where(dead[None, :], 1.0 / C, post / np.where(dead, 1.0, norm)[None, :])
-        post_sum += post.sum(axis=1)
-        post_sum2 += (post * post).sum(axis=1)
-        done += m
-
+    lin = np.exp(log_roots)  # (C, L)
+    joint = log_roots + np.asarray(circuit.log_class_priors, dtype=np.float64)[:, None]
+    top = joint.max(axis=0)
+    dead = np.isneginf(top)
+    degenerate = int(dead.sum())
     if degenerate == L:
         raise DegenerateSampleError(
             f"all {L} passes underflowed to zero likelihood for every class"
         )
+    safe_top = np.where(dead, 0.0, top)
+    with np.errstate(divide="ignore"):
+        post = np.exp(joint - safe_top[None, :])
+    norm = post.sum(axis=0)
+    post = np.where(dead[None, :], 1.0 / C, post / np.where(dead, 1.0, norm)[None, :])
 
-    mean = sum_v / L
-    pmean = post_sum / L
+    mean = lin.sum(axis=1) / L
+    pmean = post.sum(axis=1) / L
     if config.p == 0.0:
         # every pass is the same deterministic forward pass
         var = np.zeros_like(mean)
         pvar = np.zeros_like(pmean)
     else:
-        var = np.maximum(sum_v2 / L - mean**2, 0.0)
-        pvar = np.maximum(post_sum2 / L - pmean**2, 0.0)
+        var = np.maximum((lin * lin).sum(axis=1) / L - mean**2, 0.0)
+        pvar = np.maximum((post * post).sum(axis=1) / L - pmean**2, 0.0)
     return McdResult(
         sample_mean=mean,
         sample_variance=var,
         posterior_sample_mean=pmean,
         posterior_sample_variance=pvar,
-        raw_samples=raw,
+        raw_samples=lin.T.copy() if config.keep_samples else None,
         metadata={"p": config.p, "num_passes": L, "degenerate_passes": degenerate},
     )
 

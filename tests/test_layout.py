@@ -133,7 +133,7 @@ def test_shifted_mix_recovers_sums_below_a_zero_weight_sibling():
     np.testing.assert_allclose(grad, [0.0, 0.0, 14.78, 1.0 - 14.78**2, 0.0, 0.0], rtol=1e-13)
     # Masked passes that keep both edges, drop a, and drop b.
     keep = np.array([[True, False, True], [True, True, False]])
-    masked = forward_log_values(c, x[None], keep)[root]
+    masked = forward_log_values(c, x[None], in_plan_order(c, keep))[root]
     assert masked[:2] == pytest.approx([want, want], rel=1e-14)
     assert masked[2] == -np.inf
 
@@ -163,6 +163,12 @@ def edge_map(circuit: Circuit, perms: dict) -> np.ndarray:
     for e, (i, k) in enumerate(circuit.sum_edges()):
         start.setdefault(i, e)
     return np.array([start[i] + perms[i][k] for i, k in circuit.sum_edges()])
+
+
+def in_plan_order(circuit: Circuit, keep: np.ndarray) -> np.ndarray:
+    """A (sum edges, passes) mask in :meth:`Circuit.sum_edges` order as the
+    (passes, sum edges) plan-order mask that masked passes take."""
+    return keep[circuit.layout().sum_edge_order].T
 
 
 def theta_map(space: ParameterSpace, perms: dict) -> np.ndarray:
@@ -202,8 +208,9 @@ def test_grouped_and_single_groups_agree(circuit, seed, p):
     # following the edge: the MCD posterior means are means over these roots.
     keep = rng.random((circuit.layout().num_sum_edges, 16)) >= 0.3
     keep[:, 0] = True  # a pass that keeps every edge is the plain forward pass
-    masked = forward_log_values(other, X[:1], keep[edge_map(circuit, perms)])[other.roots]
-    expected = forward_log_values(circuit, X[:1], keep)[circuit.roots]
+    masked = forward_log_values(other, X[:1],
+                                in_plan_order(other, keep[edge_map(circuit, perms)]))[other.roots]
+    expected = forward_log_values(circuit, X[:1], in_plan_order(circuit, keep))[circuit.roots]
     assert np.array_equal(np.isneginf(masked), np.isneginf(expected))
     np.testing.assert_allclose(masked[~np.isneginf(masked)],
                                expected[~np.isneginf(expected)], **tol)

@@ -4,11 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from circuq import DegenerateSampleError, McdConfig, build_manual, mcd_infer, mcd_vs_tdi_report
+from circuq import (
+    DegenerateSampleError,
+    McdConfig,
+    RatConfig,
+    build_manual,
+    build_rat,
+    mcd,
+    mcd_infer,
+    mcd_vs_tdi_report,
+)
 from circuq.enumeration import linear_leaf_value
-from circuq.mcd import _mask_generator
+from circuq.mcd import byte_keep, keep_masks
 from circuq.moments import DropoutConfig, tdi_pass
 from circuq.structures import random_dag_circuit, random_evidence, random_tree_circuit
 
@@ -70,6 +81,16 @@ def masked_linear_forward(circuit, x, keep):
     return values[circuit.roots].T
 
 
+def stream_mask(circuit, p, seed, L):
+    """The first L passes of the seed's mask stream, as a (sum edges, passes)
+    mask in sum_edges() order."""
+    order = circuit.layout().sum_edge_order
+    plan_order = next(keep_masks(p, seed, len(order), L, L))
+    keep = np.empty((len(order), L), dtype=bool)
+    keep[order] = plan_order.T
+    return keep
+
+
 class TestMaskedPass:
     def test_raw_samples_equal_linear_forward_under_the_mask_stream(self):
         rng = np.random.default_rng(11)
@@ -82,11 +103,91 @@ class TestMaskedPass:
             nan_rows += bool(np.isnan(x).any())
             p, L, seed = 0.3, 64, 100 + k
             res = mcd_infer(c, x, McdConfig(p, L, seed, keep_samples=True))
-            keep = _mask_generator(seed).random((len(c.sum_edges()), L)) >= p
+            keep = stream_mask(c, p, seed, L)
             want = masked_linear_forward(c, x, keep)
             assert np.all((res.raw_samples == 0.0) == (want == 0.0))
             np.testing.assert_allclose(res.raw_samples, want, rtol=1e-12, atol=0.0)
         assert nan_rows > 0
+
+
+class FixedWords:
+    """A stand-in tie stream that returns given raw words in order."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def random_raw(self, n):
+        taken, self.words = self.words[:n], self.words[n:]
+        return np.array(taken, dtype=np.uint64)
+
+
+class TestMaskStream:
+    @pytest.mark.parametrize("p", [0.0, 2.0**-53, 1 / 256, 0.1, 0.5, 255 / 256, 1 - 2.0**-53])
+    def test_byte_and_tie_keep_equal_the_uniform_threshold(self, p):
+        """hi > T_hi, or lo >= T_lo on a tie, is U = k 2^-53 >= p, at the
+        thresholds' boundaries and at random k."""
+        top, lo_bits = 2**53 - 1, 45
+        T = math.ceil(p * 2.0**53)
+        edges = [0, 1, T, top, (T >> lo_bits) << lo_bits, ((T >> lo_bits) + 1) << lo_bits]
+        k = {min(max(e + d, 0), top) for e in edges for d in (-2, -1, 0, 1, 2)}
+        k = np.array(sorted(k) + list(np.random.default_rng(3).integers(0, top, 10_000)),
+                     dtype=np.uint64)
+        hi = (k >> np.uint64(lo_bits)).astype(np.uint8)
+        lo_words = (k & np.uint64(2**lo_bits - 1)) << np.uint64(64 - lo_bits)
+        tie = hi == T >> lo_bits
+        ties = FixedWords(lo_words[tie])
+        keep = byte_keep(hi, p, ties)
+        np.testing.assert_array_equal(keep, k.astype(np.float64) * 2.0**-53 >= p)
+        # a tie stream is read only where T_lo > 0, one word per tie
+        assert len(ties.words) == (tie.sum() if T % 2**lo_bits == 0 else 0)
+
+    def test_chunks_are_slices_of_one_stream(self):
+        L, E = 37, 13
+        whole = next(keep_masks(0.3, 5, E, L, L))
+        chunks = list(keep_masks(0.3, 5, E, L, 8))
+        assert [len(c) for c in chunks] == [8, 8, 8, 8, 5]
+        np.testing.assert_array_equal(np.concatenate(chunks), whole)
+
+
+mcd_circuits = st.one_of(
+    st.builds(lambda s, i, r, seed: build_rat(RatConfig(s, i, 2, r, 2, 5, rng_seed=seed)),
+              st.integers(1, 3), st.integers(1, 3), st.integers(1, 2), st.integers(0, 1000)),
+    st.integers(0, 2**32 - 1).map(lambda s: random_dag_circuit(np.random.default_rng(s))),
+    st.integers(0, 2**32 - 1).map(
+        lambda s: random_tree_circuit(np.random.default_rng(s), num_classes=2)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(mcd_circuits, st.integers(0, 2**32 - 1), st.sampled_from([0.1, 0.3, 0.5]),
+       st.integers(1, 30))
+def test_results_do_not_depend_on_the_chunk_budget(circuit, seed, p, L):
+    """Chunks of a few passes (here 8, so L is mostly not a multiple of the
+    chunk) give bit-identical raw samples and moments, and the first L' raw
+    samples of an L-pass run are an L'-pass run."""
+    x = random_evidence(np.random.default_rng(seed), circuit, 0.2)
+
+    def run(passes):
+        """The run's result, or None when every pass degenerates."""
+        try:
+            return mcd_infer(circuit, x, McdConfig(p, passes, seed % 1000, keep_samples=True))
+        except DegenerateSampleError:
+            return None
+
+    whole = run(L)
+    budget = mcd._CHUNK_BYTES
+    mcd._CHUNK_BYTES = 1  # the smallest chunk: 8 passes
+    try:
+        chunked = run(L)
+    finally:
+        mcd._CHUNK_BYTES = budget
+    assert (chunked is None) == (whole is None)
+    if whole is None:  # a tiny circuit that dropped every class in every pass
+        return
+    for field in ("raw_samples", "sample_mean", "sample_variance", "posterior_sample_mean",
+                  "posterior_sample_variance"):
+        np.testing.assert_array_equal(getattr(chunked, field), getattr(whole, field))
+    np.testing.assert_array_equal(run(L + 11).raw_samples[:L], whole.raw_samples)
 
 
 class TestStatistics:
@@ -111,8 +212,7 @@ class TestStatistics:
     def test_mask_independence_chi_square(self, two_leaf_sum):
         """Mask bits across passes and edges behave like independent draws."""
         cfg = McdConfig(0.3, 20_000, rng_seed=9)
-        rng = _mask_generator(cfg.rng_seed)
-        keep = rng.random((2, cfg.num_passes)) >= cfg.p
+        keep = stream_mask(two_leaf_sum, cfg.p, cfg.rng_seed, cfg.num_passes)
         # 2x2 contingency table between the two edges
         table = np.zeros((2, 2))
         for i in (0, 1):
