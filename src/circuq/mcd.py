@@ -13,12 +13,13 @@ ceil(p 2^53), which is exactly U >= p.  With k = hi 2^45 + lo and T = T_hi
 2^45 + T_lo, the bit is kept when hi > T_hi, and on a tie (hi == T_hi, one
 bit in 256) when lo >= T_lo.  hi is the next byte of ``Philox(key=seed)``'s
 raw 64-bit words in little-endian byte order; each tie takes lo from the top
-45 bits of the next word of a second stream, ``Philox(key=[seed, 1])``, in
-(pass, edge) order.  Pass j uses bytes [j E, (j + 1) E) of the first stream,
-its E bits in the plan order of the sum edges (:attr:`Layout.sum_edge_order`),
-so a chunk of passes is a slice of one sequence and results never depend on
-how passes are chunked.  At p = 0 no bits are drawn: every pass is the plain
-forward pass.
+45 bits of the next word of a second stream, ``Philox(key=seed).jumped()``
+(the same key, 2^128 draws on), in (pass, edge) order.  Pass j uses bytes
+[j E, (j + 1) E) of the first stream, its E bits in the plan order of the sum
+edges (:attr:`Layout.sum_edge_order`), so a chunk of passes is a slice of one
+sequence and results never depend on how passes are chunked.  At p = 0 no bits are drawn: every pass is the plain
+forward pass.  Memory is the chunk budget plus the root values of all L
+passes, O(classes L), from which the moments are summed once at the end.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ def keep_masks(p: float, seed: int, num_edges: int, num_passes: int,
     """The (passes, edges) keep bits of ``num_passes`` passes, ``chunk_passes``
     at a time, drawn as the module docstring describes.  Every chunk but the
     last must hold whole 8-byte words: chunk_passes * num_edges % 8 == 0."""
-    words, ties = np.random.Philox(key=seed), np.random.Philox(key=[seed, 1])
+    words = np.random.Philox(key=seed)
+    ties = words.jumped()
     for done in range(0, num_passes, chunk_passes):
         keep = np.empty((min(chunk_passes, num_passes - done), num_edges), dtype=bool)
         flat = keep.reshape(-1)
@@ -83,8 +85,6 @@ def byte_keep(hi: np.ndarray, p: float, ties) -> np.ndarray:
     """Keep bits of the random bytes ``hi``: hi > T_hi, and on a tie the top
     45 bits of the next raw word of ``ties`` against T_lo, ties in order."""
     hi_threshold, lo_threshold = divmod(math.ceil(p * 2.0**53), 1 << _LO_BITS)
-    if not lo_threshold:  # every tie is kept
-        return hi >= hi_threshold
     keep = hi > hi_threshold
     tie = np.flatnonzero(hi == hi_threshold)
     keep[tie] = ties.random_raw(len(tie)) >> (64 - _LO_BITS) >= lo_threshold
@@ -117,8 +117,10 @@ def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
             log_roots[:, done : done + len(keep)] = forward_log_values(
                 circuit, values[None, :], keep)[circuit.roots]
 
-    lin = np.exp(log_roots)  # (C, L)
-    joint = log_roots + np.asarray(circuit.log_class_priors, dtype=np.float64)[:, None]
+    # two (C, L) arrays in all: lin, and log_roots turned into post in place
+    lin = np.exp(log_roots)
+    joint = log_roots
+    joint += np.asarray(circuit.log_class_priors, dtype=np.float64)[:, None]
     top = joint.max(axis=0)
     dead = np.isneginf(top)
     degenerate = int(dead.sum())
@@ -126,11 +128,10 @@ def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
         raise DegenerateSampleError(
             f"all {L} passes underflowed to zero likelihood for every class"
         )
-    safe_top = np.where(dead, 0.0, top)
-    with np.errstate(divide="ignore"):
-        post = np.exp(joint - safe_top[None, :])
-    norm = post.sum(axis=0)
-    post = np.where(dead[None, :], 1.0 / C, post / np.where(dead, 1.0, norm)[None, :])
+    joint -= np.where(dead, 0.0, top)
+    post = np.exp(joint, out=joint)
+    post /= np.where(dead, 1.0, post.sum(axis=0))
+    post[:, dead] = 1.0 / C
 
     mean = lin.sum(axis=1) / L
     pmean = post.sum(axis=1) / L
@@ -139,8 +140,8 @@ def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
         var = np.zeros_like(mean)
         pvar = np.zeros_like(pmean)
     else:
-        var = np.maximum((lin * lin).sum(axis=1) / L - mean**2, 0.0)
-        pvar = np.maximum((post * post).sum(axis=1) / L - pmean**2, 0.0)
+        var = np.maximum(np.einsum("cl,cl->c", lin, lin) / L - mean**2, 0.0)
+        pvar = np.maximum(np.einsum("cl,cl->c", post, post) / L - pmean**2, 0.0)
     return McdResult(
         sample_mean=mean,
         sample_variance=var,

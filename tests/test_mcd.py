@@ -138,8 +138,8 @@ class TestMaskStream:
         ties = FixedWords(lo_words[tie])
         keep = byte_keep(hi, p, ties)
         np.testing.assert_array_equal(keep, k.astype(np.float64) * 2.0**-53 >= p)
-        # a tie stream is read only where T_lo > 0, one word per tie
-        assert len(ties.words) == (tie.sum() if T % 2**lo_bits == 0 else 0)
+        # one tie word per tie
+        assert len(ties.words) == 0
 
     def test_chunks_are_slices_of_one_stream(self):
         L, E = 37, 13
