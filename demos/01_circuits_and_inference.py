@@ -48,7 +48,8 @@ print(f"\ntree log-likelihood at {x}: {log_likelihood(tree, x)[0]:.4f}")
 print("with X1 marginalized:",
       f"{log_likelihood(tree, Evidence.of([0.1, None, 0.4]))[0]:.4f}")
 
-# Circuits round-trip through a versioned JSON format with 17-digit numbers.
+# Circuits round-trip bit for bit through a versioned JSON format; floats are
+# written as their repr, the shortest decimal that reads back as the same double.
 blob = serialize(tree)
 restored = deserialize(blob)
 assert log_likelihood(restored, x)[0] == log_likelihood(tree, x)[0]

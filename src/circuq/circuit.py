@@ -320,6 +320,7 @@ _BLOCK_ELEMENTS = 1 << 16  # gathered or produced (groups, width, columns) eleme
 
 _TINY = np.finfo(np.float64).tiny  # below it a linear mixture has lost precision
 SHIFT_FLOOR = np.finfo(np.float64).min  # the shift of a column of -inf, which mixes to 0
+BATCH_ROWS = 256  # rows per pass of the batch calls; a pass holds (nodes, rows) doubles
 
 
 def node_blocks(count: int, width: int, columns: int) -> list[slice]:
@@ -613,11 +614,19 @@ def log_likelihood(circuit: Circuit, evidence) -> np.ndarray:
 
 
 def log_likelihood_batch(circuit: Circuit, X: np.ndarray) -> np.ndarray:
-    """Log value of every class root for a batch: returns (rows, classes)."""
+    """Log value of every class root for a batch: returns (rows, classes).
+
+    Rows run BATCH_ROWS at a time, so the node values held stay bounded for
+    any batch size.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != circuit.num_variables:
         raise ShapeError(f"batch has shape {X.shape}, expected (rows, {circuit.num_variables})")
-    return forward_log_values(circuit, X)[circuit.roots].T.copy()
+    out = np.empty((X.shape[0], circuit.num_classes))
+    for s in range(0, X.shape[0], BATCH_ROWS):
+        rows = slice(s, s + BATCH_ROWS)
+        out[rows] = forward_log_values(circuit, X[rows])[circuit.roots].T
+    return out
 
 
 def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarray] = None):
@@ -726,15 +735,15 @@ def _node_to_json(node: Node) -> dict:
     if node.kind == "sum":
         return {
             "kind": "sum",
-            "children": list(node.children),
+            "children": [int(c) for c in node.children],
             "log_weights": [float(w) for w in node.log_weights],
         }
     if node.kind == "product":
-        return {"kind": "product", "children": list(node.children)}
+        return {"kind": "product", "children": [int(c) for c in node.children]}
     if node.kind == "gaussian":
         return {
             "kind": "gaussian",
-            "variable": node.variable,
+            "variable": int(node.variable),
             "mean": float(node.mean),
             "log_std": float(node.log_std),
         }
@@ -761,60 +770,22 @@ def _node_from_json(obj: dict) -> Node:
     raise SerializationError(f"unknown node kind {kind!r}")
 
 
-def _json_17(obj, out: list) -> None:
-    """Minimal JSON writer printing floats with 17 significant digits.
-
-    The stdlib encoder formats floats with repr and cannot be overridden from
-    the C path, hence the hand-rolled writer.  Infinities use the tokens the
-    stdlib parser accepts.
-    """
-    if obj is None:
-        out.append("null")
-    elif obj is True or obj is False:
-        out.append("true" if obj else "false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if math.isnan(obj):
-            out.append("NaN")
-        elif math.isinf(obj):
-            out.append("Infinity" if obj > 0 else "-Infinity")
-        else:
-            out.append(f"{obj:.17g}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for k, item in enumerate(obj):
-            if k:
-                out.append(", ")
-            _json_17(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for k, (key, value) in enumerate(obj.items()):
-            if k:
-                out.append(", ")
-            out.append(json.dumps(str(key)) + ": ")
-            _json_17(value, out)
-        out.append("}")
-    else:  # pragma: no cover - document construction bug
-        raise SerializationError(f"cannot serialize {type(obj)}")
-
-
 def serialize(circuit: Circuit) -> bytes:
     """Encode a valid circuit as the versioned JSON file format.
 
-    Numbers carry 17 significant digits, so every double round-trips exactly.
+    Floats are written as their ``repr``, the shortest decimal that parses
+    back to the same double, so every parameter round-trips bit for bit,
+    -0.0 included; infinities and NaN use the tokens ``Infinity``,
+    ``-Infinity`` and ``NaN``, which the stdlib parser reads back.
     """
     report = validate(circuit)
     if not report.ok:
         raise SerializationError(f"refusing to serialize an invalid circuit:\n{report}")
     doc = {
         "version": CIRCUIT_FORMAT_VERSION,
-        "num_variables": circuit.num_variables,
+        "num_variables": int(circuit.num_variables),
         "log_class_priors": [float(p) for p in circuit.log_class_priors],
-        "roots": list(circuit.roots),
+        "roots": [int(r) for r in circuit.roots],
         "nodes": [_node_to_json(n) for n in circuit.nodes],
     }
     if circuit.rat is not None:
@@ -824,9 +795,10 @@ def serialize(circuit: Circuit) -> bytes:
                 str(k): list(v) for k, v in circuit.rat.product_partition.items()
             },
         }
-    out: list = []
-    _json_17(doc, out)
-    return "".join(out).encode("utf-8")
+    try:
+        return json.dumps(doc).encode()
+    except TypeError as exc:
+        raise SerializationError(f"cannot serialize circuit: {exc}") from exc
 
 
 def deserialize(data: bytes) -> Circuit:

@@ -28,8 +28,6 @@ from .moments import (
 
 METHODS = ("plain", "tdi", "mcd")
 
-_CHUNK_ROWS = 512
-
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -54,19 +52,13 @@ def posterior_means(circuit: Circuit, X: np.ndarray, config: EvalConfig):
     means = np.empty((rows, C))
     stds = np.zeros((rows, C))
     if config.method == "plain":
-        for start in range(0, rows, _CHUNK_ROWS):
-            chunk = X[start : start + _CHUNK_ROWS]
-            joint = log_likelihood_batch(circuit, chunk) + circuit.log_class_priors[None, :]
-            top = joint.max(axis=1, keepdims=True)
-            post = np.exp(joint - top)
-            means[start : start + chunk.shape[0]] = post / post.sum(axis=1, keepdims=True)
+        joint = log_likelihood_batch(circuit, X) + circuit.log_class_priors[None, :]
+        post = np.exp(joint - joint.max(axis=1, keepdims=True))
+        means[:] = post / post.sum(axis=1, keepdims=True)
     elif config.method == "tdi":
-        dconfig = DropoutConfig.with_p(config.p)
-        for start in range(0, rows, _CHUNK_ROWS):
-            chunk = X[start : start + _CHUNK_ROWS]
-            m, v = posterior_moments_batch(circuit, chunk, dconfig, config.taylor)
-            means[start : start + chunk.shape[0]] = np.clip(m, 0.0, 1.0)
-            stds[start : start + chunk.shape[0]] = np.sqrt(np.maximum(v, 0.0))
+        m, v = posterior_moments_batch(circuit, X, DropoutConfig.with_p(config.p), config.taylor)
+        means[:] = np.clip(m, 0.0, 1.0)
+        stds[:] = np.sqrt(np.maximum(v, 0.0))
     else:
         for r in range(rows):
             res = mcd_infer(

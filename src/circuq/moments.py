@@ -39,7 +39,8 @@ from typing import Optional
 
 import numpy as np
 
-from .circuit import SHIFT_FLOOR, Circuit, as_evidence, log_shifted, logsumexp_axis0, mix
+from .circuit import (BATCH_ROWS, SHIFT_FLOOR, Circuit, as_evidence, log_shifted,
+                      logsumexp_axis0, mix)
 from .errors import StructureError, UnderflowError
 from .signedlog import SignedLog, sl_sum
 
@@ -526,37 +527,44 @@ def posterior_moments_batch(
 ):
     """Posterior means and variances for a batch, shape (rows, classes) each.
 
-    The same Taylor expansion as :func:`posterior_moments`, once for all rows.
-    Zero-covariance strategies take the vectorized pass; RAT_EXACT runs the
-    per-row pass, which also yields the covariances between class roots.
-    Means are returned unclamped.
+    The same Taylor expansion as :func:`posterior_moments`, on BATCH_ROWS rows
+    at a time.  Zero-covariance strategies take the vectorized pass; RAT_EXACT
+    runs the per-row pass, which also yields the covariances between class
+    roots.  Means are returned unclamped.
     """
     if circuit.num_classes < 2:
         raise StructureError("posterior moments need at least two class roots")
     X = np.asarray(X, dtype=np.float64)
     C, rows = circuit.num_classes, X.shape[0]
-    root_cov = np.zeros((C, C, rows))
-    if config.covariance_strategy is CovarianceStrategy.RAT_EXACT:
-        log_e = np.empty((len(circuit.nodes), rows))
-        log_v = np.empty_like(log_e)
-        for r in range(rows):
-            frame = tdi_pass(circuit, X[r], config)
-            log_e[:, r] = frame.log_expectation
-            log_v[:, r] = frame.log_variance
-            root_cov[:, :, r] = _root_cov(frame)
-    else:
-        log_e, log_v = tdi_pass_batch(circuit, X, config)
-    mean, var, _ = _taylor(circuit, log_e, log_v, root_cov, method)
-    return mean.T, np.maximum(var.T, 0.0)
+    mean, var = np.empty((rows, C)), np.empty((rows, C))
+    for s in range(0, rows, BATCH_ROWS):
+        chunk = X[s : s + BATCH_ROWS]
+        n = chunk.shape[0]
+        root_cov = np.zeros((C, C, n))
+        if config.covariance_strategy is CovarianceStrategy.RAT_EXACT:
+            log_e = np.empty((len(circuit.nodes), n))
+            log_v = np.empty_like(log_e)
+            for r in range(n):
+                frame = tdi_pass(circuit, chunk[r], config)
+                log_e[:, r] = frame.log_expectation
+                log_v[:, r] = frame.log_variance
+                root_cov[:, :, r] = _root_cov(frame)
+        else:
+            log_e, log_v = tdi_pass_batch(circuit, chunk, config)
+        m, v, _ = _taylor(circuit, log_e, log_v, root_cov, method, first_row=s)
+        del log_e, log_v  # free this chunk's node moments before the next chunk's pass
+        mean[s : s + n] = m.T
+        var[s : s + n] = np.maximum(v.T, 0.0)
+    return mean, var
 
 
-def _root_shift(circuit: Circuit, log_e: np.ndarray) -> np.ndarray:
+def _root_shift(circuit: Circuit, log_e: np.ndarray, first_row: int = 0) -> np.ndarray:
     """Per-row max_i log E[A_i], the scale every Taylor term is shifted by."""
     log_c = np.asarray(circuit.log_class_priors, dtype=np.float64)[:, None]
     shift = np.max(log_e[circuit.roots] + log_c, axis=0)
     dead = np.isneginf(shift)
     if np.any(dead):
-        idx = int(np.flatnonzero(dead)[0])
+        idx = first_row + int(np.flatnonzero(dead)[0])
         raise UnderflowError(
             f"all class likelihoods vanished for row {idx}; the posterior "
             "denominator is zero"
@@ -586,7 +594,7 @@ def _root_cov(frame: MomentFrame) -> np.ndarray:
     return cov
 
 
-def _taylor(circuit, log_e, log_v, root_cov, method):
+def _taylor(circuit, log_e, log_v, root_cov, method, first_row=0):
     """Taylor moments of the class posteriors A_i / B for every row.
 
     ``log_e`` and ``log_v`` are (nodes, rows) log moments; ``root_cov`` is the
@@ -600,11 +608,11 @@ def _taylor(circuit, log_e, log_v, root_cov, method):
     :func:`posterior_moments` without the division by E[A_i].  EXTENDED keeps
     the mean and adds dependence terms to the variance.  Returns the (C, rows)
     means and variances, and EXTENDED's log T_i (None under SIMPLE).  Classes
-    with E[A_i] = 0 get zeros.
+    with E[A_i] = 0 get zeros.  Errors number rows from ``first_row``.
     """
     roots = circuit.roots
     log_c = np.asarray(circuit.log_class_priors, dtype=np.float64)[:, None]
-    shift = _root_shift(circuit, log_e)
+    shift = _root_shift(circuit, log_e, first_row)
     with np.errstate(divide="ignore"):
         les = log_e[roots] - shift  # E[S_i], shifted
         lvs = log_v[roots] - 2.0 * shift  # Var[S_i], shifted

@@ -30,6 +30,7 @@ from .circuit import (
     Plan,
     SumNode,
     forward_log_values,
+    log_likelihood_batch,
     logsumexp_axis0,
     node_blocks,
 )
@@ -38,7 +39,6 @@ from .errors import ParameterError, ShapeError
 LOG_STD_CLAMP = 7.0  # keep sigma within e^[-7, 7] so densities cannot blow up
 
 _LOG_TINY = math.log(np.finfo(np.float64).tiny)  # below it a shifted mixture flushed
-_SCORE_ROWS = 256  # rows per forward pass when scoring accuracy, about one training step's
 
 
 @dataclass(frozen=True)
@@ -391,14 +391,12 @@ def accuracy(circuit: Circuit, X: np.ndarray, labels: np.ndarray) -> float:
     """Share of rows whose Bayes-posterior argmax matches the label.
 
     Ties break toward the lowest class index (argmax over classes is taken in
-    index order).  Rows run in blocks, so scoring a training set at each
-    epoch's end holds no more node values than a training step.
+    index order).  :func:`log_likelihood_batch` runs the rows in blocks, so
+    scoring a training set at each epoch's end holds no more node values than
+    a training step.
     """
-    X = np.asarray(X, dtype=np.float64)
-    ll = np.concatenate([forward_log_values(circuit, X[s : s + _SCORE_ROWS])[circuit.roots]
-                         for s in range(0, max(len(X), 1), _SCORE_ROWS)], axis=1)
-    joint = ll + np.asarray(circuit.log_class_priors)[:, None]
-    pred = np.argmax(joint, axis=0)
+    joint = log_likelihood_batch(circuit, X) + np.asarray(circuit.log_class_priors)[None, :]
+    pred = np.argmax(joint, axis=1)
     return float(np.mean(pred == np.asarray(labels)))
 
 

@@ -1,9 +1,12 @@
 """Circuit model: validation, log-space inference, serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circuq import (
     Circuit,
@@ -25,6 +28,7 @@ from circuq import (
 )
 from circuq.enumeration import linear_forward
 from circuq.structures import random_tree_circuit, random_dag_circuit, random_evidence
+from circuq.circuit import logsumexp
 
 from conftest import rel_err
 
@@ -198,6 +202,97 @@ class TestSerialization:
         c = Circuit(nodes, [2], 1, np.zeros(1))
         with pytest.raises(SerializationError):
             serialize(c)
+
+    def test_numpy_integer_ids_round_trip(self):
+        i = np.int64
+        nodes = [gaussian(i(0)), gaussian(i(1), 0.5), ProductNode([i(0), i(1)]),
+                 gaussian(i(0), -1.0), gaussian(i(1), 1.0), ProductNode([i(3), i(4)]),
+                 SumNode([i(2), i(5)], np.log([0.25, 0.75]))]
+        c = Circuit(nodes, [i(6)], 2, np.zeros(1))
+        assert validate(c).ok
+        c2 = deserialize(serialize(c))
+        assert c2.roots == [6]
+        assert [n.children for n in c2.nodes if n.kind != "gaussian"] == [[0, 1], [3, 4], [2, 5]]
+        assert [n.variable for n in c2.nodes if n.kind == "gaussian"] == [0, 1, 0, 1]
+        x = np.array([0.3, -0.2])
+        assert log_likelihood(c2, x)[0] == log_likelihood(c, x)[0]
+
+    def test_unencodable_value_raises_serialization_error(self):
+        c = build_rat(RatConfig(2, 2, 1, 1, 1, 2, rng_seed=9))
+        node = next(iter(c.rat.product_partition))
+        c.rat.product_partition[node] = (1j, 0)
+        with pytest.raises(SerializationError, match="complex"):
+            serialize(c)
+
+    def test_old_17_digit_file_loads_unchanged(self):
+        # the writer of format version 1 used to print 17 significant digits,
+        # -0.0 as "-0" and infinities as Infinity; such files still load
+        old = (b'{"version": 1, "num_variables": 1, "log_class_priors": [0], "roots": [2], '
+               b'"nodes": [{"kind": "gaussian", "variable": 0, "mean": 0.10000000000000001, '
+               b'"log_std": -0}, {"kind": "gaussian", "variable": 0, "mean": '
+               b'-1.0000000000000001e-300, "log_std": 0.69314718055994529}, {"kind": "sum", '
+               b'"children": [0, 1], "log_weights": [0, -Infinity]}]}')
+        c = deserialize(old)
+        a, b, s = c.nodes
+        assert _bits([a.mean, a.log_std]) == _bits([0.1, 0.0])
+        assert _bits([b.mean, b.log_std]) == _bits([-1e-300, math.log(2.0)])
+        assert _bits(s.log_weights) == _bits([0.0, -np.inf])
+        assert _bits(c.log_class_priors) == _bits([0.0])
+
+
+SPECIAL_MEANS = (-0.0, 5e-324, 1e308, -1e308)
+
+roundtrip_circuits = st.one_of(
+    st.integers(0, 2**32 - 1).map(
+        lambda s: random_tree_circuit(np.random.default_rng(s), num_classes=2, gaussian_only=True)),
+    st.integers(0, 2**32 - 1).map(lambda s: random_dag_circuit(np.random.default_rng(s))),
+    st.builds(lambda s, i, d, seed: build_rat(RatConfig(s, i, d, 1, 2, 2**d, rng_seed=seed)),
+              st.integers(1, 3), st.integers(1, 3), st.integers(1, 2), st.integers(0, 1000)),
+)
+
+
+def _bits(value) -> list:
+    return np.asarray(value, dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(roundtrip_circuits, st.data())
+def test_round_trip_is_bitwise_exact(circuit, data):
+    """Extreme means (-0.0 among them) and a zero-weight edge survive a
+    round trip bit for bit, and the forward pass gives identical values."""
+    nodes = list(circuit.nodes)
+    leaves = [i for i, n in enumerate(nodes) if n.kind == "gaussian"]
+    chosen = data.draw(st.permutations(leaves))[: len(SPECIAL_MEANS)]
+    for i, mean in zip(chosen, SPECIAL_MEANS):
+        nodes[i] = dataclasses.replace(nodes[i], mean=mean)
+    sums = [i for i, n in enumerate(nodes) if n.kind == "sum" and len(n.children) > 1]
+    if sums:
+        i = data.draw(st.sampled_from(sums))
+        lw = nodes[i].log_weights.copy()
+        lw[0] = -np.inf
+        nodes[i] = SumNode(nodes[i].children, lw - logsumexp(lw))
+    c = Circuit(nodes, circuit.roots, circuit.num_variables, circuit.log_class_priors, circuit.rat)
+    assert validate(c).ok
+
+    c2 = deserialize(serialize(c))
+    assert c2.roots == c.roots and c2.num_variables == c.num_variables
+    assert _bits(c2.log_class_priors) == _bits(c.log_class_priors)
+    for a, b in zip(c.nodes, c2.nodes, strict=True):
+        assert a.kind == b.kind
+        if a.kind in ("sum", "product"):
+            assert b.children == list(a.children)
+        if a.kind == "sum":
+            assert _bits(b.log_weights) == _bits(a.log_weights)
+        if a.kind == "gaussian":
+            assert b.variable == a.variable
+            assert _bits([b.mean, b.log_std]) == _bits([a.mean, a.log_std])
+    if c.rat is not None:
+        assert c2.rat == c.rat
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = np.array([random_evidence(rng, c, 0.2) for _ in range(4)])
+    with np.errstate(all="ignore"):  # a leaf at mean 1e308 overflows its squared distance
+        assert _bits(log_likelihood_batch(c2, X)) == _bits(log_likelihood_batch(c, X))
 
 
 def test_is_tree_detects_sharing():

@@ -158,3 +158,11 @@ class TestRuns:
         )
         assert proc.returncode == 0
         assert "circuq" in proc.stdout
+
+    def test_runs_without_scipy(self):
+        # scipy is a test-only dependency: the package must import and run without it
+        code = ("import sys; sys.modules['scipy'] = None; import circuq, circuq.cli; "
+                "circuq.cli.main(['--version'])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "circuq" in proc.stdout

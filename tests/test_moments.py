@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import circuq.circuit
+import circuq.moments
 from circuq import (
     CovarianceStrategy,
     DropoutConfig,
@@ -15,6 +17,7 @@ from circuq import (
     build_manual,
     build_rat,
     cauchy_bounds,
+    log_likelihood_batch,
     posterior_moments,
     posterior_moments_batch,
     predictive_entropy,
@@ -482,6 +485,11 @@ class TestPosterior:
         c = build_manual(spec)
         with pytest.raises(UnderflowError):
             posterior_moments(c, [1.0], DropoutConfig.with_p(0.1))
+        # a batch names the vanished row by its index in the whole batch
+        X = np.zeros((300, 1))
+        X[290] = 1.0
+        with pytest.raises(UnderflowError, match="row 290"):
+            posterior_moments_batch(c, X, DropoutConfig.with_p(0.1))
 
     def test_needs_two_classes(self, two_leaf_sum):
         with pytest.raises(StructureError):
@@ -554,3 +562,35 @@ class TestMomentDump:
         assert root_line[1] == "sum"
         assert float(root_line[2]) == pytest.approx(0.32, rel=1e-12)
         assert cov_csv.read_text().splitlines()[0] == "node_a,node_b,cov"
+
+
+def test_batches_run_in_passes_of_at_most_256_rows(monkeypatch):
+    """A 600-row call equals its 256-row chunks' calls bit for bit, and no
+    forward or moment pass holds more than 256 columns."""
+    assert circuq.circuit.BATCH_ROWS == 256
+    c = build_rat(RatConfig(3, 3, 2, 2, 3, 6, rng_seed=4))
+    X = np.random.default_rng(8).normal(size=(600, 6))
+    whole = circuq.circuit.forward_log_values(c, X)[c.roots].T  # one 600-column pass
+    columns = []
+    for module, name in ((circuq.circuit, "forward_log_values"), (circuq.moments, "_moment_pass")):
+        def record(circuit, X, *args, _inner=getattr(module, name), **kwargs):
+            columns.append(X.shape[0])
+            return _inner(circuit, X, *args, **kwargs)
+        monkeypatch.setattr(module, name, record)
+
+    config = DropoutConfig.with_p(0.1)
+    chunks = [X[s : s + 256] for s in range(0, 600, 256)]
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64)  # noqa: E731
+
+    ll = log_likelihood_batch(c, X)
+    assert columns == [256, 256, 88]
+    np.testing.assert_array_equal(bits(ll), bits(whole))
+    np.testing.assert_array_equal(
+        bits(ll), bits(np.concatenate([log_likelihood_batch(c, x) for x in chunks])))
+    for method in (TaylorMethod.SIMPLE, TaylorMethod.EXTENDED):
+        columns.clear()
+        mean, var = posterior_moments_batch(c, X, config, method)
+        assert columns == [256, 256, 88]
+        parts = [posterior_moments_batch(c, x, config, method) for x in chunks]
+        np.testing.assert_array_equal(bits(mean), bits(np.concatenate([m for m, _ in parts])))
+        np.testing.assert_array_equal(bits(var), bits(np.concatenate([v for _, v in parts])))
