@@ -23,7 +23,6 @@ from .errors import CircuitError, SerializationError
 from .evaluation import (
     EvalConfig,
     corrupt_sweep,
-    entropies,
     ood_sweep,
     perturb_sweep,
     results_to_json,
@@ -39,7 +38,7 @@ from .moments import (
     write_moment_csv,
 )
 from .structures import RatConfig, build_rat, random_evidence, random_tree_circuit, structure_stats
-from .train import TrainConfig, fit, save_optimizer_state
+from .train import TrainConfig, fit
 
 EXIT_USAGE = 2
 EXIT_MISSING_FILE = 3
@@ -127,8 +126,6 @@ def cmd_train(args) -> int:
     trained, history = fit(circuit, data.features, data.labels, config)
     save(trained, os.path.join(args.out, "model.circuit"))
     history.write_csv(os.path.join(args.out, "history.csv"))
-    if history.optimizer_state is not None:
-        save_optimizer_state(history.optimizer_state, os.path.join(args.out, "optimizer.npz"))
     if history.aborted:
         print(f"training aborted: {history.abort_reason}; last finite state saved")
     else:
@@ -244,11 +241,9 @@ def cmd_ood(args) -> int:
     if args.json:
         results_to_json(result.to_json(), os.path.join(args.out, "ood_sweep.json"))
     # per-sample entropies for downstream comparisons
-    cfg = _eval_config(args)
-    h_id = entropies(circuit, id_ds.features, cfg)
     with open(os.path.join(args.out, "id_entropy.csv"), "w") as fh:
         fh.write("sample_id,entropy\n")
-        for i, h in enumerate(h_id):
+        for i, h in enumerate(result.id_entropy):
             fh.write(f"{i},{h:.17g}\n")
     print(f"auc {result.auc:.4f} ({result.metadata['method']})")
     return 0
@@ -443,20 +438,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _required_placeholders(parser, argv, snapshot) -> list[str]:
+def _subcommand_actions(parser, argv) -> list:
+    """The options of the subcommand that argv names, or none."""
+    sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not argv or not sub_actions or argv[0] not in sub_actions[0].choices:
+        return []
+    return sub_actions[0].choices[argv[0]]._actions
+
+
+def _given(action, argv) -> bool:
+    """Whether argv sets the option, under any of its option strings
+    (``-S 3``, ``-S3``, ``--seed 3`` or ``--seed=3``)."""
+    return any(arg == opt or arg.startswith(opt if len(opt) == 2 else opt + "=")
+               for opt in action.option_strings for arg in argv)
+
+
+def _required_placeholders(actions, argv, snapshot) -> list[str]:
     """Flags for required options missing from argv, filled from the snapshot."""
     extra: list[str] = []
-    if not argv or argv[0].startswith("-"):
-        return extra
-    sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not sub_actions or argv[0] not in sub_actions[0].choices:
-        return extra
-    sub = sub_actions[0].choices[argv[0]]
-    for action in sub._actions:
-        if action.required and not any(opt in argv for opt in action.option_strings):
-            key = action.dest
-            if key in snapshot:
-                extra.extend([action.option_strings[-1], snapshot[key]])
+    for action in actions:
+        if action.required and not _given(action, argv) and action.dest in snapshot:
+            extra.extend([action.option_strings[-1], snapshot[action.dest]])
     return extra
 
 
@@ -473,12 +475,12 @@ def main(argv=None) -> int:
             return _fail(EXIT_MISSING_FILE, "missing-file", f"cannot read config: {exc}")
         if (not argv or argv[0].startswith("-")) and "subcommand" in snapshot:
             argv.insert(0, snapshot["subcommand"])
+        actions = _subcommand_actions(parser, argv)
+        explicit = {a.dest for a in actions if _given(a, argv)}
         # Dummy values satisfy required flags; the snapshot fills them below.
-        args = parser.parse_args(argv + _required_placeholders(parser, argv, snapshot))
+        args = parser.parse_args(argv + _required_placeholders(actions, argv, snapshot))
         for key, raw in snapshot.items():
-            if key == "subcommand" or not hasattr(args, key):
-                continue
-            if f"--{key.replace('_', '-')}" in argv:
+            if key == "subcommand" or key in explicit or not hasattr(args, key):
                 continue  # explicitly given flags win over the snapshot
             current = getattr(args, key)
             if isinstance(current, bool):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import Circuit, log_likelihood_batch
 from .datasets import Dataset, corrupt, rotate
-from .errors import ShapeError
+from .errors import ShapeError, UnderflowError
 from .mcd import McdConfig, mcd_infer
 from .moments import (
     DropoutConfig,
@@ -53,7 +53,12 @@ def posterior_means(circuit: Circuit, X: np.ndarray, config: EvalConfig):
     stds = np.zeros((rows, C))
     if config.method == "plain":
         joint = log_likelihood_batch(circuit, X) + circuit.log_class_priors[None, :]
-        post = np.exp(joint - joint.max(axis=1, keepdims=True))
+        shift = joint.max(axis=1, keepdims=True)
+        dead = np.flatnonzero(np.isneginf(shift))
+        if len(dead):
+            raise UnderflowError(f"all class likelihoods vanished for row {int(dead[0])}; "
+                                 "the posterior denominator is zero")
+        post = np.exp(joint - shift)
         means[:] = post / post.sum(axis=1, keepdims=True)
     elif config.method == "tdi":
         m, v = posterior_moments_batch(circuit, X, DropoutConfig.with_p(config.p), config.taylor)
@@ -71,9 +76,15 @@ def posterior_means(circuit: Circuit, X: np.ndarray, config: EvalConfig):
 
 def entropies(circuit: Circuit, X: np.ndarray, config: EvalConfig) -> np.ndarray:
     means, _ = posterior_means(circuit, X, config)
+    return _entropy_of(means, config)
+
+
+def _entropy_of(means: np.ndarray, config: EvalConfig) -> np.ndarray:
+    """Predictive entropy per row of posterior means, over ln C when
+    normalized."""
     h = predictive_entropy_batch(means)
     if config.normalized_entropy:
-        h = h / math.log(circuit.num_classes)
+        h = h / math.log(means.shape[1])
     return h
 
 
@@ -93,6 +104,8 @@ class SweepResult:
     ood_outlier_rate: np.ndarray
     auc: float
     metadata: dict = field(default_factory=dict)
+    # the ID set's per-sample entropies, from which its rates were counted
+    id_entropy: np.ndarray | None = field(default=None, repr=False)
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -153,6 +166,7 @@ def ood_sweep(
             "id_name": id_data.name,
             "ood_name": ood_data.name,
         },
+        id_entropy=h_id,
     )
 
 
@@ -179,18 +193,8 @@ def perturb_sweep(
     """Accuracy, mean entropy, and mean predicted-class std per rotation angle."""
     if list(angles) != sorted(angles):
         raise ValueError("angles must be ascending")
-    points = []
-    for angle in angles:
-        rotated = rotate(test_data, angle, width, height)
-        means, stds = posterior_means(circuit, rotated.features, config)
-        h = predictive_entropy_batch(means)
-        if config.normalized_entropy:
-            h = h / math.log(circuit.num_classes)
-        acc = accuracy_of_means(means, rotated.labels) if rotated.labels is not None else math.nan
-        pred = np.argmax(means, axis=1)
-        mean_std = float(stds[np.arange(len(pred)), pred].mean())
-        points.append(CurvePoint(float(angle), float(h.mean()), acc, mean_std))
-    return points
+    return [_curve_point(circuit, float(angle), rotate(test_data, angle, width, height), config)
+            for angle in angles]
 
 
 def corrupt_sweep(
@@ -203,19 +207,20 @@ def corrupt_sweep(
 ) -> list[CurvePoint]:
     """Mean entropy and accuracy per (kind, severity); severity 0 is the
     uncorrupted baseline."""
-    points = []
-    for kind in kinds:
-        for severity in severities:
-            data = test_data if severity == 0 else corrupt(test_data, kind, severity, seed)
-            means, stds = posterior_means(circuit, data.features, config)
-            h = predictive_entropy_batch(means)
-            if config.normalized_entropy:
-                h = h / math.log(circuit.num_classes)
-            acc = accuracy_of_means(means, data.labels) if data.labels is not None else math.nan
-            pred = np.argmax(means, axis=1)
-            mean_std = float(stds[np.arange(len(pred)), pred].mean())
-            points.append(CurvePoint((kind, int(severity)), float(h.mean()), acc, mean_std))
-    return points
+    return [_curve_point(circuit, (kind, int(severity)),
+                         test_data if severity == 0 else corrupt(test_data, kind, severity, seed),
+                         config)
+            for kind in kinds for severity in severities]
+
+
+def _curve_point(circuit: Circuit, key, data: Dataset, config: EvalConfig) -> CurvePoint:
+    """Mean entropy, accuracy and mean predicted-class std over one dataset."""
+    means, stds = posterior_means(circuit, data.features, config)
+    h = _entropy_of(means, config)
+    acc = accuracy_of_means(means, data.labels) if data.labels is not None else math.nan
+    pred = np.argmax(means, axis=1)
+    mean_std = float(stds[np.arange(len(pred)), pred].mean())
+    return CurvePoint(key, float(h.mean()), acc, mean_std)
 
 
 def write_curve_csv(points: list[CurvePoint], path, key_header: str) -> None:

@@ -9,8 +9,12 @@ Gradients come from one reverse pass over the groups of the circuit's plan
 the forward's shift and each product group's outer-product axes.  Sum
 weights are parameterized as unconstrained logits mapped through a per-node
 log-softmax, so every update lands back on the weight simplex by
-construction.  Parameters live in one flat vector; applying it builds the
-plan's parameter arrays, not nodes.  Training touches parameters only.
+construction.  Parameters live in one flat vector θ laid out as the plan's
+arrays: each sum layer's (G, S, K) logits in plan order, then the Gaussian
+means, then their log stds.  Applying θ reshapes its slices into the plan's
+parameter arrays, not nodes, and the reverse pass writes each layer's
+gradient into the same slice of the gradient vector.  Training touches
+parameters only.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .circuit import (
     SHIFT_FLOOR,
     Circuit,
     GaussianLeaf,
+    Layout,
     Plan,
     SumNode,
     forward_log_values,
@@ -58,77 +63,65 @@ class TrainConfig:
 # Parameter vector layout
 
 
+def _blocks(theta: np.ndarray, layout: Layout):
+    """θ's blocks as views, in plan order: each sum layer's (G, S, K) logits
+    (None for a product layer), then the Gaussian means, then their log stds."""
+    logits, start = [], 0
+    for layer in layout.layers:
+        if layer.kind == "sum":
+            size = math.prod(layer.shape)
+            logits.append(theta[start : start + size].reshape(layer.shape))
+            start += size
+        else:
+            logits.append(None)
+    n = len(layout.leaves["gaussian"][0])
+    return logits, theta[start : start + n], theta[start + n : start + 2 * n]
+
+
 @dataclass
 class ParameterSpace:
-    """Flat view of the trainable parameters of a circuit.
+    """The trainable parameters of a circuit as one flat vector θ, laid out
+    as the plan's arrays.
 
-    Sum nodes contribute one logit per child (initialized to the current log
-    weights, which already are normalized logits); Gaussian leaves contribute
-    (mean, log_std).  Categorical leaves stay fixed.  ``segments`` lists them
-    in node order as (node_id, kind, offset, size).  The same layout as
-    index arrays: ``weight_offsets`` holds, per layer of the circuit's layout,
-    the (G, S, K) offset of each sum edge's logit (None for a product layer),
-    and ``leaf_offsets`` each Gaussian leaf's mean in the plan's leaf order,
-    its log_std following.
+    θ holds each sum layer's (G, S, K) logits, the layers in the order of
+    :attr:`Layout.sum_edge_order` (initialized to the current log weights,
+    which already are normalized logits), then every Gaussian leaf's mean in
+    the plan's leaf order, then their log stds.  Categorical leaves stay
+    fixed.
     """
 
     circuit: Circuit
-    segments: list
-    size: int
-    weight_offsets: list
-    leaf_offsets: np.ndarray
 
     @staticmethod
     def of(circuit: Circuit) -> "ParameterSpace":
-        segments = []
-        first = np.zeros(len(circuit.nodes), dtype=np.int64)  # offset of each node's parameters
-        offset = 0
-        for i, node in enumerate(circuit.nodes):
-            first[i] = offset
-            if node.kind == "sum":
-                k = len(node.children)
-                segments.append((i, "sum", offset, k))
-                offset += k
-            elif node.kind == "gaussian":
-                segments.append((i, "gaussian", offset, 2))
-                offset += 2
-        layout = circuit.layout()
-        weight_offsets = [
-            None if layer.kind != "sum"
-            else first[layer.nodes][:, :, None] + np.arange(layer.children.shape[1])
-            for layer in layout.layers
-        ]
-        return ParameterSpace(circuit, segments, offset, weight_offsets,
-                              first[layout.leaves["gaussian"][0]])
+        return ParameterSpace(circuit)
+
+    @property
+    def size(self) -> int:
+        layout = self.circuit.layout()
+        return layout.num_sum_edges + 2 * len(layout.leaves["gaussian"][0])
 
     def initial_vector(self) -> np.ndarray:
         plan = self.circuit.plan()
-        theta = np.empty(self.size)
-        for offsets, lw in zip(self.weight_offsets, plan.log_weights):
-            if offsets is not None:
-                theta[offsets] = lw
-        theta[self.leaf_offsets] = plan.mean
-        theta[self.leaf_offsets + 1] = plan.log_std
-        return theta
+        logits = [lw.ravel() for lw in plan.log_weights if lw is not None]
+        return np.concatenate(logits + [plan.mean, plan.log_std])
 
     def apply(self, theta: np.ndarray) -> Circuit:
         """A circuit with these parameters, sharing everything else.
 
         Builds only the plan's parameter arrays: one log-softmax per sum layer
-        and one clip of the log stds.  The circuit carries that plan, so its
-        passes compile nothing, and its nodes are built on first read.
-        Raises ParameterError for a non-finite leaf parameter.
+        and one clip of the log stds, none of them a view of θ.  The circuit
+        carries that plan, so its passes compile nothing, and its nodes are
+        built on first read.  Raises ParameterError for a non-finite leaf
+        parameter.
         """
-        log_weights = []
-        for offsets in self.weight_offsets:
-            if offsets is None:
-                log_weights.append(None)
-            else:
-                logits = theta[offsets]  # (G, S, K)
-                log_weights.append(logits - logsumexp_axis0(logits.transpose(2, 0, 1))[..., None])
-        plan = dataclasses.replace(
-            self.circuit.plan(), log_weights=log_weights, mean=theta[self.leaf_offsets],
-            log_std=np.clip(theta[self.leaf_offsets + 1], -LOG_STD_CLAMP, LOG_STD_CLAMP))
+        plan = self.circuit.plan()
+        logits, mean, log_std = _blocks(theta, plan.layout)
+        log_weights = [None if lg is None
+                       else lg - logsumexp_axis0(lg.transpose(2, 0, 1))[..., None]
+                       for lg in logits]
+        plan = dataclasses.replace(plan, log_weights=log_weights, mean=mean.copy(),
+                                   log_std=np.clip(log_std, -LOG_STD_CLAMP, LOG_STD_CLAMP))
         return dataclasses.replace(self.circuit, nodes=_PlanNodes(self.circuit.nodes, plan),
                                    _layout=plan.layout, _plan=plan)
 
@@ -177,12 +170,11 @@ def loss_and_grad(
     X: np.ndarray,
     labels: np.ndarray,
     objective: str = "head",
-    space: Optional[ParameterSpace] = None,
 ):
     """Mean negative log likelihood of the labeled heads, and its gradient.
 
-    The gradient is taken at the circuit's current parameters, laid out per
-    :class:`ParameterSpace`.  One forward and one reverse pass over the
+    The gradient is taken at the circuit's current parameters, laid out as
+    :class:`ParameterSpace`'s θ.  One forward and one reverse pass over the
     circuit's layers, both linear in the number of edges.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -192,8 +184,6 @@ def loss_and_grad(
     C = circuit.num_classes
     if np.any(labels < 0) or np.any(labels >= C):
         raise ShapeError(f"labels must lie in [0, {C})")
-    if space is None:
-        space = ParameterSpace.of(circuit)
 
     B = X.shape[0]
     plan = circuit.plan()
@@ -222,9 +212,10 @@ def loss_and_grad(
 
     adjoint = np.zeros_like(logv)  # d loss / d log value per node
     np.add.at(adjoint, circuit.roots, seed)
-    grad = np.zeros(space.size)
-    layers = zip(layout.layers, plan.log_weights, plan.weights, space.weight_offsets)
-    for layer, lw, w, offsets in reversed(list(layers)):
+    grad = np.zeros(ParameterSpace(circuit).size)
+    logits_grad, mean_grad, log_std_grad = _blocks(grad, layout)  # views that fill grad
+    layers = zip(layout.layers, plan.log_weights, plan.weights, logits_grad)
+    for layer, lw, w, layer_grad in reversed(list(layers)):
         for b in layer.blocks(B):
             adj = adjoint[layer.nodes[b]]
             if lw is None:
@@ -232,8 +223,8 @@ def loss_and_grad(
                     _scatter(adjoint, kids[b], part, layer.distinct)
             else:
                 kids = layer.children[b]
-                grad[offsets[b]], part = _sum_reverse(w[b], lw[b], logv[kids],
-                                                      logv[layer.nodes[b]], adj)
+                layer_grad[b], part = _sum_reverse(w[b], lw[b], logv[kids],
+                                                   logv[layer.nodes[b]], adj)
                 _scatter(adjoint, kids, part, layer.distinct)
 
     ids, variables = layout.leaves["gaussian"]
@@ -247,8 +238,8 @@ def loss_and_grad(
         used = ~np.isnan(x) & (adj != 0.0)
         d_mean = np.multiply(adj, u, out=np.zeros_like(adj), where=used)
         d_log_std = np.multiply(adj, u * u - 1.0, out=np.zeros_like(adj), where=used)
-        grad[space.leaf_offsets[b]] = d_mean.sum(axis=1) * inv_std
-        grad[space.leaf_offsets[b] + 1] = d_log_std.sum(axis=1)
+        mean_grad[b] = d_mean.sum(axis=1) * inv_std
+        log_std_grad[b] = d_log_std.sum(axis=1)
     # categorical leaves carry no trainable parameters
     return loss, grad
 
@@ -305,7 +296,6 @@ class TrainHistory:
     epochs: list = field(default_factory=list)  # (epoch, loss, accuracy)
     aborted: bool = False
     abort_reason: str = ""
-    optimizer_state: Optional["OptimizerState"] = None
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -330,6 +320,7 @@ def fit(
     if X.shape[0] == 0:
         raise ShapeError("dataset is empty")
     space = ParameterSpace.of(circuit)
+    layout = circuit.layout()
     theta = space.initial_vector()
     state = OptimizerState(
         kind=config.optimizer,
@@ -349,14 +340,13 @@ def fit(
         try:
             for start in range(0, B, batch):
                 idx = order[start : start + batch]
-                loss, grad = loss_and_grad(
-                    current, X[idx], labels[idx], config.objective, space
-                )
+                loss, grad = loss_and_grad(current, X[idx], labels[idx], config.objective)
                 losses.append(loss)
                 theta = _update(theta, grad, state, config)
-                _clamp_log_stds(theta, space)
+                log_std = _blocks(theta, layout)[2]
+                np.clip(log_std, -LOG_STD_CLAMP, LOG_STD_CLAMP, out=log_std)
+                # raises ParameterError for a non-finite leaf parameter
                 current = space.apply(theta)
-            # a non-finite parameter after the epoch's last step aborts here
             acc = accuracy(current, X, labels)
         except ParameterError as exc:
             history.aborted = True
@@ -365,7 +355,6 @@ def fit(
             break
         last_good = theta.copy()
         history.epochs.append((epoch, float(np.mean(losses)), acc))
-    history.optimizer_state = state
     return current, history
 
 
@@ -382,11 +371,6 @@ def _update(theta, grad, state: OptimizerState, config: TrainConfig) -> np.ndarr
     return theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
 
 
-def _clamp_log_stds(theta: np.ndarray, space: ParameterSpace) -> None:
-    log_stds = space.leaf_offsets + 1
-    theta[log_stds] = np.clip(theta[log_stds], -LOG_STD_CLAMP, LOG_STD_CLAMP)
-
-
 def accuracy(circuit: Circuit, X: np.ndarray, labels: np.ndarray) -> float:
     """Share of rows whose Bayes-posterior argmax matches the label.
 
@@ -398,17 +382,3 @@ def accuracy(circuit: Circuit, X: np.ndarray, labels: np.ndarray) -> float:
     joint = log_likelihood_batch(circuit, X) + np.asarray(circuit.log_class_priors)[None, :]
     pred = np.argmax(joint, axis=1)
     return float(np.mean(pred == np.asarray(labels)))
-
-
-def save_optimizer_state(state: OptimizerState, path) -> None:
-    np.savez(path, kind=state.kind, step=state.step, m=state.m, v=state.v)
-
-
-def load_optimizer_state(path) -> OptimizerState:
-    data = np.load(path, allow_pickle=False)
-    return OptimizerState(
-        kind=str(data["kind"]),
-        step=int(data["step"]),
-        m=data["m"],
-        v=data["v"],
-    )

@@ -218,7 +218,7 @@ def test_criterion_6_gradient_correctness():
         X = np.stack([random_evidence(rng, circuit, 0.1) for _ in range(4)])
         y = rng.integers(2, size=4)
         space = ParameterSpace.of(circuit)
-        _, grad = loss_and_grad(circuit, X, y, space=space)
+        _, grad = loss_and_grad(circuit, X, y)
         theta = space.initial_vector()
         h = 1e-5
         for k in range(space.size):

@@ -99,6 +99,25 @@ class TestRuns:
         assert main(["tdi", "--config", str(old), "--out", str(out3)]) == 0
         assert (out1 / "posterior.csv").read_text() == (out3 / "posterior.csv").read_text()
 
+    def test_explicit_short_flags_win_over_the_snapshot(self, workspace):
+        snapshot = str(workspace / "build" / "config.snapshot")  # -S 2 ... --seed 5
+        out = workspace / "rebuild_s3"
+        assert main(["build", "--config", snapshot, "-S", "3", "-I3", "--seed=6",
+                     "--out", str(out)]) == 0
+        lines = (out / "config.snapshot").read_text().splitlines()
+        assert {"S = 3", "I = 3", "D = 2", "R = 1", "seed = 6"} <= set(lines)
+        direct = workspace / "build_s3"
+        assert main(["build", "-S", "3", "-I", "3", "-D", "2", "-R", "1", "--classes", "3",
+                     "--variables", "6", "--seed", "6", "--out", str(direct)]) == 0
+        assert ((out / "model.circuit").read_bytes()
+                == (direct / "model.circuit").read_bytes())
+
+    def test_train_writes_model_history_and_snapshot(self, workspace):
+        assert sorted(p.name for p in (workspace / "train").iterdir()) == [
+            "config.snapshot", "history.csv", "model.circuit"]
+        history = (workspace / "train" / "history.csv").read_text().splitlines()
+        assert history[0] == "epoch,loss,accuracy" and len(history) == 1 + 6
+
     def test_ood_p_zero_matches_plain(self, workspace):
         model = str(workspace / "train" / "model.circuit")
         data = str(workspace / "data.csv")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from circuq import Dataset, EvalConfig, build_manual, ood_sweep
-from circuq.errors import ShapeError
+from circuq.errors import DegenerateSampleError, ShapeError, UnderflowError
 from circuq.evaluation import (
     accuracy_of_means,
     entropies,
@@ -14,6 +14,7 @@ from circuq.evaluation import (
     histogram_overlap,
     outlier_rates,
     perturb_sweep,
+    posterior_means,
     write_curve_csv,
 )
 
@@ -106,6 +107,14 @@ class TestOodSweep:
                             EvalConfig(method=method, p=0.1, mcd_passes=20))
             assert res.metadata["method"] == tag
 
+    def test_sweep_keeps_the_id_entropies_it_counted(self, small_classifier):
+        rng = np.random.default_rng(8)
+        id_data, ood = Dataset(rng.normal(size=(7, 2))), Dataset(rng.normal(size=(5, 2)))
+        config = EvalConfig(method="tdi", normalized_entropy=True)
+        res = ood_sweep(small_classifier, id_data, ood, config)
+        np.testing.assert_array_equal(res.id_entropy,
+                                      entropies(small_classifier, id_data.features, config))
+
     def test_csv_output(self, small_classifier, tmp_path):
         rng = np.random.default_rng(4)
         ds = Dataset(rng.normal(size=(10, 2)))
@@ -131,6 +140,20 @@ class TestMethodPlumbing:
         h_plain = entropies(small_classifier, X, EvalConfig(method="plain"))
         h_mcd = entropies(small_classifier, X, EvalConfig(method="mcd", p=0.0, mcd_passes=3))
         np.testing.assert_allclose(h_plain, h_mcd, atol=1e-9)
+
+    def test_zero_likelihood_row_raises_under_every_method(self):
+        # Row 1 is a state that both class heads give probability 0.
+        c = build_manual("""
+        a categorical 0 1.0 0.0
+        b categorical 0 1.0 0.0
+        root a b
+        """)
+        X = np.array([[0.0], [1.0]])
+        for method in ("plain", "tdi"):
+            with pytest.raises(UnderflowError, match="row 1"):
+                posterior_means(c, X, EvalConfig(method=method))
+        with pytest.raises(DegenerateSampleError):
+            posterior_means(c, X, EvalConfig(method="mcd", mcd_passes=10))
 
     def test_accuracy_tie_break_lowest_index(self):
         means = np.array([[0.4, 0.4, 0.2], [0.1, 0.45, 0.45]])

@@ -130,7 +130,8 @@ def test_shifted_mix_recovers_sums_below_a_zero_weight_sibling():
     # is recomputed exactly: b's share is 1 and a's is 0.
     loss, grad = loss_and_grad(c, x[None], np.array([0]))
     assert loss == pytest.approx(-want, rel=1e-14)
-    np.testing.assert_allclose(grad, [0.0, 0.0, 14.78, 1.0 - 14.78**2, 0.0, 0.0], rtol=1e-13)
+    # θ: s's two logits, then the means of a and b, then their log stds
+    np.testing.assert_allclose(grad, [0.0, 0.0, 0.0, 14.78, 0.0, 1.0 - 14.78**2], rtol=1e-13)
     # Masked passes that keep both edges, drop a, and drop b.
     keep = np.array([[True, False, True], [True, True, False]])
     masked = forward_log_values(c, x[None], in_plan_order(c, keep))[root]
@@ -171,11 +172,14 @@ def in_plan_order(circuit: Circuit, keep: np.ndarray) -> np.ndarray:
     return keep[circuit.layout().sum_edge_order].T
 
 
-def theta_map(space: ParameterSpace, perms: dict) -> np.ndarray:
-    index = np.arange(space.size)
-    for i, kind, offset, size in space.segments:
-        if kind == "sum":
-            index[offset : offset + size] = offset + perms[i]
+def theta_map(circuit: Circuit, other: Circuit, perms: dict) -> np.ndarray:
+    """Index, in the circuit's parameter vector, of each entry of the permuted
+    circuit's: sum edges through both plan orders, leaf parameters in place."""
+    order = circuit.layout().sum_edge_order
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))  # sum_edges() index -> plan position
+    index = np.arange(ParameterSpace.of(circuit).size)
+    index[: len(order)] = position[edge_map(circuit, perms)[other.layout().sum_edge_order]]
     return index
 
 
@@ -220,6 +224,6 @@ def test_grouped_and_single_groups_agree(circuit, seed, p):
     loss_a, grad_a = loss_and_grad(other, X, labels)
     loss_b, grad_b = loss_and_grad(circuit, X, labels)
     assert loss_a == pytest.approx(loss_b, rel=1e-12)
-    index = theta_map(ParameterSpace.of(circuit), perms)
+    index = theta_map(circuit, other, perms)
     np.testing.assert_allclose(grad_a, grad_b[index], rtol=0,
                                atol=1e-12 * max(1.0, np.max(np.abs(grad_b))))

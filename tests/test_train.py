@@ -57,11 +57,9 @@ class TestLossAndGrad:
         root s
         """
         c = build_manual(spec)
-        space = ParameterSpace.of(c)
-        _, grad = loss_and_grad(c, np.array([[0.1]]), np.array([0]), space=space)
-        node_id, kind, off, size = space.segments[-1]
-        assert kind == "sum"
-        np.testing.assert_allclose(grad[off:off + size], 0.0, atol=1e-12)
+        _, grad = loss_and_grad(c, np.array([[0.1]]), np.array([0]))
+        # θ starts with the sum's two logits
+        np.testing.assert_allclose(grad[:2], 0.0, atol=1e-12)
 
     def test_matches_finite_differences_random_circuits(self):
         rng = np.random.default_rng(99)
@@ -70,7 +68,7 @@ class TestLossAndGrad:
             X = np.stack([random_evidence(rng, c, 0.1) for _ in range(4)])
             y = rng.integers(2, size=4)
             space = ParameterSpace.of(c)
-            _, grad = loss_and_grad(c, X, y, space=space)
+            _, grad = loss_and_grad(c, X, y)
             fd = finite_difference_gradient(space, space.initial_vector(), X, y)
             assert grad_close(grad, fd)
 
@@ -84,7 +82,7 @@ class TestLossAndGrad:
         X = rng.normal(size=(5, 4))
         y = rng.integers(3, size=5)
         space = ParameterSpace.of(c)
-        _, grad = loss_and_grad(c, X, y, objective, space)
+        _, grad = loss_and_grad(c, X, y, objective)
         fd = finite_difference_gradient(space, space.initial_vector(), X, y, objective)
         assert grad_close(grad, fd)
 
@@ -96,7 +94,7 @@ class TestLossAndGrad:
             assert np.isnan(X).any()
             y = np.zeros(5, dtype=np.int64)
             space = ParameterSpace.of(c)
-            _, grad = loss_and_grad(c, X, y, space=space)
+            _, grad = loss_and_grad(c, X, y)
             fd = finite_difference_gradient(space, space.initial_vector(), X, y)
             assert grad_close(grad, fd)
 
@@ -123,7 +121,7 @@ class TestLossAndGrad:
                  if node.kind == "sum" and c.nodes[node.children[0]].kind == "categorical")
         assert np.isneginf(forward_log_values(c, X)[s]).tolist() == [True, False, True, False]
         space = ParameterSpace.of(c)
-        _, grad = loss_and_grad(c, X, y, space=space)
+        _, grad = loss_and_grad(c, X, y)
         assert np.all(np.isfinite(grad))
         fd = finite_difference_gradient(space, space.initial_vector(), X, y)
         assert grad_close(grad, fd)
@@ -134,7 +132,7 @@ class TestLossAndGrad:
         X = np.stack([random_evidence(rng, c, 0.0) for _ in range(3)])
         y = rng.integers(3, size=3)
         space = ParameterSpace.of(c)
-        _, grad = loss_and_grad(c, X, y, "cross_entropy", space)
+        _, grad = loss_and_grad(c, X, y, "cross_entropy")
         fd = finite_difference_gradient(space, space.initial_vector(), X, y, "cross_entropy")
         assert grad_close(grad, fd)
 
@@ -243,21 +241,24 @@ class TestFit:
         assert compiled["plan"] == [c]  # each step's circuit carries the plan apply built
         assert trained.layout() is c.layout() and again.layout() is c.layout()
 
-    def test_parameter_layout_is_the_node_order(self):
-        # The optimizer state (optimizer.npz) is laid out this way.
+    def test_parameter_layout_is_the_plan_order(self):
+        # Sum logits layer by layer in the plan's (G, S, K) order, which is
+        # Layout.sum_edge_order; then the Gaussian means; then their log stds.
         c = build_rat(RatConfig(2, 2, 2, 2, 3, 4, rng_seed=1))
-        segments, theta = [], []
-        for i, node in enumerate(c.nodes):
-            if node.kind == "sum":
-                segments.append((i, "sum", len(theta), len(node.children)))
-                theta.extend(node.log_weights)
-            elif node.kind == "gaussian":
-                segments.append((i, "gaussian", len(theta), 2))
-                theta.extend([node.mean, node.log_std])
+        layout = c.layout()
+        theta = [w for layer in layout.layers if layer.kind == "sum"
+                 for i in layer.nodes.ravel() for w in c.nodes[i].log_weights]
+        gaussians = [c.nodes[i] for i in layout.leaves["gaussian"][0]]
+        theta += [g.mean for g in gaussians] + [g.log_std for g in gaussians]
         space = ParameterSpace.of(c)
-        assert space.segments == segments and space.size == len(theta)
-        np.testing.assert_array_equal(space.initial_vector(), theta)
-        applied = space.apply(space.initial_vector())
+        assert space.size == len(theta)
+        initial = space.initial_vector()
+        np.testing.assert_array_equal(initial, theta)
+        node_order = np.concatenate([n.log_weights for n in c.nodes if n.kind == "sum"])
+        np.testing.assert_array_equal(initial[: layout.num_sum_edges],
+                                      node_order[layout.sum_edge_order])
+        applied = space.apply(initial)
+        initial[:] = 0.0  # apply's plan holds no view of the vector
         for node, new in zip(c.nodes, applied.nodes):
             if node.kind == "sum":
                 np.testing.assert_allclose(new.log_weights, node.log_weights, atol=1e-15)
@@ -268,14 +269,3 @@ class TestFit:
         with pytest.raises(ShapeError):
             fit(two_leaf_sum, np.zeros((0, 1)), np.zeros(0, dtype=int))
 
-
-class TestOptimizerState:
-    def test_round_trip(self, tmp_path):
-        from circuq.train import OptimizerState, load_optimizer_state, save_optimizer_state
-
-        state = OptimizerState("adam", step=7, m=np.arange(3.0), v=np.ones(3))
-        path = tmp_path / "opt.npz"
-        save_optimizer_state(state, path)
-        loaded = load_optimizer_state(path)
-        assert loaded.kind == "adam" and loaded.step == 7
-        np.testing.assert_array_equal(loaded.m, state.m)
