@@ -749,7 +749,7 @@ def _node_to_json(node: Node) -> dict:
         }
     return {
         "kind": "categorical",
-        "variable": node.variable,
+        "variable": int(node.variable),
         "log_probs": [float(p) for p in node.log_probs],
     }
 

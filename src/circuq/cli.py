@@ -28,12 +28,13 @@ from .evaluation import (
     results_to_json,
     write_curve_csv,
 )
-from .mcd import McdConfig, mcd_infer, mcd_vs_tdi_report
+from .mcd import mcd_infer_rows, mcd_vs_tdi_report
 from .moments import (
     CovarianceStrategy,
     DropoutConfig,
     TaylorMethod,
-    posterior_moments,
+    posterior_moments_batch,
+    predictive_entropy_batch,
     tdi_pass,
     write_moment_csv,
 )
@@ -160,17 +161,22 @@ def cmd_tdi(args) -> int:
     _require_file(args.input)
     circuit = load(args.model)
     data = load_csv(args.input)
+    if args.dump_moments and data.num_rows == 0:
+        return _fail(EXIT_VALIDATION, "validation", "--dump-moments needs at least one input row")
     config = DropoutConfig.with_p(args.p, _STRATEGIES[args.strategy])
-    method = _TAYLOR[args.taylor]
+    mean, var = posterior_moments_batch(circuit, data.features, config, _TAYLOR[args.taylor])
+    mean = np.clip(mean, 0.0, 1.0)
+    std = np.sqrt(var)
+    entropy = predictive_entropy_batch(mean)
+    normalized = entropy / math.log(circuit.num_classes)
     out_path = os.path.join(args.out, "posterior.csv")
     with open(out_path, "w") as fh:
         fh.write("sample_id,class,mean,variance,std,entropy,normalized_entropy\n")
         for i in range(data.num_rows):
-            pm = posterior_moments(circuit, data.features[i], config, method)
             for c in range(circuit.num_classes):
                 fh.write(
-                    f"{i},{c},{pm.mean[c]:.17g},{pm.variance[c]:.17g},{pm.std[c]:.17g},"
-                    f"{pm.entropy:.17g},{pm.normalized_entropy:.17g}\n"
+                    f"{i},{c},{mean[i, c]:.17g},{var[i, c]:.17g},{std[i, c]:.17g},"
+                    f"{entropy[i]:.17g},{normalized[i]:.17g}\n"
                 )
     if args.dump_moments:
         frame = tdi_pass(circuit, data.features[0], config)
@@ -191,8 +197,7 @@ def cmd_mcd(args) -> int:
     out_path = os.path.join(args.out, "mcd.csv")
     with open(out_path, "w") as fh:
         fh.write("sample_id,class,posterior_mean,posterior_variance,root_mean,root_variance\n")
-        for i in range(data.num_rows):
-            res = mcd_infer(circuit, data.features[i], McdConfig(args.p, args.L, args.seed + i))
+        for i, res in enumerate(mcd_infer_rows(circuit, data.features, args.p, args.L, args.seed)):
             for c in range(circuit.num_classes):
                 fh.write(
                     f"{i},{c},{res.posterior_sample_mean[c]:.17g},"
@@ -366,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.1, help="dropout probability")
     p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="tree_zero")
     p.add_argument("--taylor", choices=sorted(_TAYLOR), default="simple")
-    p.add_argument("--dump-moments", action="store_true",
+    p.add_argument("--dump-moments", action=argparse.BooleanOptionalAction, default=False,
                    help="also dump per-node moment CSVs for the first row")
     common(p)
     p.set_defaults(func=cmd_tdi)
@@ -395,9 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--taylor", choices=sorted(_TAYLOR), default="simple")
         p.add_argument("-L", type=int, default=100)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--normalized", action="store_true",
+        p.add_argument("--normalized", action=argparse.BooleanOptionalAction, default=False,
                        help="normalize entropy by ln(num classes)")
-        p.add_argument("--json", action="store_true", help="also emit a JSON document")
+        p.add_argument("--json", action=argparse.BooleanOptionalAction, default=False,
+                       help="also emit a JSON document")
 
     p = sub.add_parser("ood", help="ID vs OOD entropy threshold sweep")
     p.add_argument("--model", required=True)
@@ -438,61 +444,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _subcommand_actions(parser, argv) -> list:
-    """The options of the subcommand that argv names, or none."""
-    sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not argv or not sub_actions or argv[0] not in sub_actions[0].choices:
-        return []
-    return sub_actions[0].choices[argv[0]]._actions
-
-
-def _given(action, argv) -> bool:
-    """Whether argv sets the option, under any of its option strings
-    (``-S 3``, ``-S3``, ``--seed 3`` or ``--seed=3``)."""
-    return any(arg == opt or arg.startswith(opt if len(opt) == 2 else opt + "=")
-               for opt in action.option_strings for arg in argv)
-
-
-def _required_placeholders(actions, argv, snapshot) -> list[str]:
-    """Flags for required options missing from argv, filled from the snapshot."""
-    extra: list[str] = []
-    for action in actions:
-        if action.required and not _given(action, argv) and action.dest in snapshot:
-            extra.extend([action.option_strings[-1], snapshot[action.dest]])
-    return extra
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
 
-    # --config loads defaults from a snapshot; explicit flags still win.
     if "--config" in argv:
         idx = argv.index("--config")
         try:
             snapshot = _load_snapshot(argv[idx + 1])
         except (IndexError, OSError) as exc:
             return _fail(EXIT_MISSING_FILE, "missing-file", f"cannot read config: {exc}")
-        if (not argv or argv[0].startswith("-")) and "subcommand" in snapshot:
+        if argv[0].startswith("-") and "subcommand" in snapshot:
             argv.insert(0, snapshot["subcommand"])
-        actions = _subcommand_actions(parser, argv)
-        explicit = {a.dest for a in actions if _given(a, argv)}
-        # Dummy values satisfy required flags; the snapshot fills them below.
-        args = parser.parse_args(argv + _required_placeholders(actions, argv, snapshot))
-        for key, raw in snapshot.items():
-            if key == "subcommand" or key in explicit or not hasattr(args, key):
-                continue  # explicitly given flags win over the snapshot
-            current = getattr(args, key)
-            if isinstance(current, bool):
-                setattr(args, key, raw == "True")
-            elif raw == "None":
-                setattr(args, key, None)
-            elif current is None or isinstance(current, str):
-                setattr(args, key, raw)
-            else:
-                setattr(args, key, type(current)(raw))
-    else:
-        args = parser.parse_args(argv)
+        # The snapshot only sets defaults: explicit flags win, and argparse
+        # converts each string default with its option's own type.
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        subparser = subparsers.choices.get(argv[0])
+        for action in subparser._actions if subparser else ():
+            raw = snapshot.get(action.dest)
+            if raw is not None:
+                action.required = False
+                action.default = (raw == "True" if action.nargs == 0
+                                  else None if raw == "None" else raw)
+    args = parser.parse_args(argv)
 
     if args.out is None:
         args.out = os.path.join("runs", args.subcommand)

@@ -137,9 +137,9 @@ def load_csv(path, name: str = "") -> Dataset:
                 labels.append(int(float(parts[-1])))
             else:
                 rows.append([float(v) for v in parts])
-    features = np.array(rows, dtype=np.float64)
-    if features.ndim != 2:
-        features = features.reshape(len(rows), -1)
+    # a header-only file has no rows to take the width from, but has its header
+    width = len(rows[0]) if rows else len(header) - has_labels
+    features = np.array(rows, dtype=np.float64).reshape(len(rows), width)
     return Dataset(
         features=features,
         labels=np.array(labels, dtype=np.int64) if has_labels else None,

@@ -21,6 +21,9 @@ import numpy as np
 from .circuit import Circuit, as_evidence
 from .errors import StructureError
 
+_MAX_EDGES = 22  # 2^22 masks: the largest enumeration this oracle runs
+_CHUNK = 1 << 16  # masks evaluated at a time
+
 
 def linear_leaf_value(node, x: float) -> float:
     """Leaf density/mass in linear space; marginalized (NaN) contributes 1."""
@@ -95,8 +98,6 @@ def enumerate_dropout_moments(
     evidence,
     p: float,
     keep_values: bool = True,
-    max_edges: int = 22,
-    chunk: int = 1 << 16,
 ) -> EnumeratedMoments:
     """Moments of every node under independent Bernoulli(1-p) edge keeps.
 
@@ -108,8 +109,8 @@ def enumerate_dropout_moments(
     values = as_evidence(evidence, circuit.num_variables)
     edges = circuit.sum_edges()
     k = len(edges)
-    if k > max_edges:
-        raise StructureError(f"{k} sum edges exceeds enumeration limit {max_edges}")
+    if k > _MAX_EDGES:
+        raise StructureError(f"{k} sum edges exceeds enumeration limit {_MAX_EDGES}")
     q = 1.0 - p
     num_masks = 1 << k
     edge_offset = {}
@@ -132,8 +133,8 @@ def enumerate_dropout_moments(
     with np.errstate(over="ignore"):
         log_q = math.log(q) if q > 0 else -np.inf
         log_p = math.log(p) if p > 0 else -np.inf
-        for start in range(0, num_masks, chunk):
-            masks = np.arange(start, min(start + chunk, num_masks), dtype=np.uint64)
+        for start in range(0, num_masks, _CHUNK):
+            masks = np.arange(start, min(start + _CHUNK, num_masks), dtype=np.uint64)
             m = masks.shape[0]
             vals = np.empty((n, m))
             for i, node in enumerate(circuit.nodes):

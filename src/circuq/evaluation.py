@@ -18,7 +18,7 @@ import numpy as np
 from .circuit import Circuit, log_likelihood_batch
 from .datasets import Dataset, corrupt, rotate
 from .errors import ShapeError, UnderflowError
-from .mcd import McdConfig, mcd_infer
+from .mcd import mcd_infer_rows
 from .moments import (
     DropoutConfig,
     TaylorMethod,
@@ -27,6 +27,8 @@ from .moments import (
 )
 
 METHODS = ("plain", "tdi", "mcd")
+_NUM_THRESHOLDS = 256  # entropy thresholds per OOD sweep
+_HISTOGRAM_BINS = 50
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,8 @@ def posterior_means(circuit: Circuit, X: np.ndarray, config: EvalConfig):
         means[:] = np.clip(m, 0.0, 1.0)
         stds[:] = np.sqrt(np.maximum(v, 0.0))
     else:
-        for r in range(rows):
-            res = mcd_infer(
-                circuit, X[r], McdConfig(config.p, config.mcd_passes, config.rng_seed + r)
-            )
+        results = mcd_infer_rows(circuit, X, config.p, config.mcd_passes, config.rng_seed)
+        for r, res in enumerate(results):
             means[r] = res.posterior_sample_mean
             stds[r] = np.sqrt(res.posterior_sample_variance)
     return means, stds
@@ -137,7 +137,6 @@ def ood_sweep(
     id_data: Dataset,
     ood_data: Dataset,
     config: EvalConfig,
-    num_thresholds: int = 256,
 ) -> SweepResult:
     """Entropy-threshold sweep: rejection rates on ID and OOD data plus AUC.
 
@@ -150,7 +149,7 @@ def ood_sweep(
     h_id = entropies(circuit, id_data.features, config)
     h_ood = entropies(circuit, ood_data.features, config)
     h_max = 1.0 if config.normalized_entropy else math.log(circuit.num_classes)
-    thresholds = np.linspace(0.0, h_max, num_thresholds)
+    thresholds = np.linspace(0.0, h_max, _NUM_THRESHOLDS)
     id_rate = outlier_rates(h_id, thresholds)
     ood_rate = outlier_rates(h_ood, thresholds)
     auc = float(np.trapezoid(ood_rate, thresholds) / (thresholds[-1] - thresholds[0]))
@@ -239,11 +238,10 @@ def entropy_histograms(
     circuit: Circuit,
     named_datasets: list[tuple[str, Dataset]],
     config: EvalConfig,
-    bins: int = 50,
 ):
     """Binned entropy counts per dataset over [0, H_max]."""
     h_max = 1.0 if config.normalized_entropy else math.log(circuit.num_classes)
-    edges = np.linspace(0.0, h_max, bins + 1)
+    edges = np.linspace(0.0, h_max, _HISTOGRAM_BINS + 1)
     out = {}
     for name, data in named_datasets:
         h = entropies(circuit, data.features, config)

@@ -17,9 +17,14 @@ raw 64-bit words in little-endian byte order; each tie takes lo from the top
 (the same key, 2^128 draws on), in (pass, edge) order.  Pass j uses bytes
 [j E, (j + 1) E) of the first stream, its E bits in the plan order of the sum
 edges (:attr:`Layout.sum_edge_order`), so a chunk of passes is a slice of one
-sequence and results never depend on how passes are chunked.  At p = 0 no bits are drawn: every pass is the plain
-forward pass.  Memory is the chunk budget plus the root values of all L
-passes, O(classes L), from which the moments are summed once at the end.
+sequence and results never depend on how passes are chunked.  At p = 0 no
+bits are drawn: every pass is the plain forward pass.  Memory is the chunk
+budget plus the root values of all L passes, O(classes L), from which the
+moments are summed once at the end.
+
+Over a batch (:func:`mcd_infer_rows`), row r is its own :func:`mcd_infer`
+call with seed ``rng_seed + r``, so a row's result does not depend on the
+rows around it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from .circuit import Circuit, as_evidence, forward_log_values
 from .errors import DegenerateSampleError
-from .moments import DropoutConfig, posterior_moments_batch, TaylorMethod
+from .moments import DropoutConfig, posterior_moments_batch
 
 _CHUNK_BYTES = 1 << 25  # node values plus keep bits of one chunk of passes
 _BLOCK_BYTES = 1 << 16  # random bytes thresholded at a time, a multiple of 8
@@ -152,6 +157,14 @@ def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
     )
 
 
+def mcd_infer_rows(circuit: Circuit, X, p: float, num_passes: int,
+                   rng_seed: int) -> Iterator[McdResult]:
+    """:func:`mcd_infer` on each row of ``X`` in turn, row r with seed
+    ``rng_seed + r``."""
+    for r, x in enumerate(np.asarray(X, dtype=np.float64)):
+        yield mcd_infer(circuit, x, McdConfig(p, num_passes, rng_seed + r))
+
+
 # ---------------------------------------------------------------------------
 # Side-by-side comparison against the closed-form pass
 
@@ -198,20 +211,18 @@ def mcd_vs_tdi_report(
     p: float,
     num_passes: int,
     rng_seed: int = 0,
-    taylor: TaylorMethod = TaylorMethod.SIMPLE,
 ) -> ComparisonTable:
     """Posterior means/variances from both methods, with wall-clock timing."""
     X = np.asarray(evidence_batch, dtype=np.float64)
     config = DropoutConfig.with_p(p)
 
     t0 = time.perf_counter()
-    tdi_mean, tdi_var = posterior_moments_batch(circuit, X, config, taylor)
+    tdi_mean, tdi_var = posterior_moments_batch(circuit, X, config)
     tdi_seconds = time.perf_counter() - t0
 
     rows: list[ComparisonRow] = []
     t0 = time.perf_counter()
-    for s in range(X.shape[0]):
-        res = mcd_infer(circuit, X[s], McdConfig(p, num_passes, rng_seed + s))
+    for s, res in enumerate(mcd_infer_rows(circuit, X, p, num_passes, rng_seed)):
         for c in range(circuit.num_classes):
             rows.append(
                 ComparisonRow(

@@ -26,7 +26,7 @@ Covariance handling between siblings is pluggable:
   |Cov[a,b]| <= sqrt(Var[a] Var[b]) to the frame metadata, for diagnostics.
 
 The class posterior moments are one Taylor expansion over (nodes, rows)
-moment arrays, shared by the single-row and the batch API.
+moment arrays.  The single-row call is the batch call on a batch of one.
 """
 
 from __future__ import annotations
@@ -477,7 +477,34 @@ def posterior_moments(
     config: DropoutConfig,
     method: TaylorMethod = TaylorMethod.SIMPLE,
 ) -> PosteriorMoments:
-    """Taylor-approximated mean and variance of each class posterior.
+    """Taylor-approximated mean and variance of each class posterior for one
+    row: :func:`posterior_moments_batch` on a batch of one, with the means
+    clamped to [0, 1] and their predictive entropy.
+
+    ``metadata`` holds the ``method`` and the unclamped ``raw_mean``.
+    """
+    x = as_evidence(evidence, circuit.num_variables)
+    mean, var = posterior_moments_batch(circuit, x[None, :], config, method)
+    mean_clamped = np.clip(mean[0], 0.0, 1.0)
+    entropy = predictive_entropy(mean_clamped)
+    return PosteriorMoments(
+        mean=mean_clamped,
+        variance=var[0],
+        std=np.sqrt(var[0]),
+        entropy=entropy,
+        normalized_entropy=entropy / math.log(circuit.num_classes),
+        metadata={"method": method.value, "raw_mean": mean[0]},
+    )
+
+
+def posterior_moments_batch(
+    circuit: Circuit,
+    X: np.ndarray,
+    config: DropoutConfig,
+    method: TaylorMethod = TaylorMethod.SIMPLE,
+):
+    """Taylor-approximated posterior means and variances for a batch, shape
+    (rows, classes) each.
 
     With A = S_i c_i for class i and B = sum_j S_j c_j, the ratio moments are
 
@@ -490,47 +517,10 @@ def posterior_moments(
     carries cross terms for the dependence between a root and the sum of all
     roots; its product-variance term uses the crude local-independence
     shortcut Var[XY] = Var[X] Var[Y].
-    """
-    if circuit.num_classes < 2:
-        raise StructureError("posterior moments need at least two class roots")
-    frame = tdi_pass(circuit, evidence, config)
-    mean, var, log_t = _taylor(
-        circuit,
-        frame.log_expectation[:, None],
-        frame.log_variance[:, None],
-        _root_cov(frame)[:, :, None],
-        method,
-    )
-    mean, var = mean[:, 0], np.maximum(var[:, 0], 0.0)
-    mean_clamped = np.clip(mean, 0.0, 1.0)
-    entropy = predictive_entropy(mean_clamped)
-    out = PosteriorMoments(
-        mean=mean_clamped,
-        variance=var,
-        std=np.sqrt(var),
-        entropy=entropy,
-        normalized_entropy=entropy / math.log(circuit.num_classes),
-        metadata=dict(frame.metadata),
-    )
-    if log_t is not None:
-        out.metadata["taylor_t"] = log_t[:, 0]
-    out.metadata["method"] = method.value
-    out.metadata["raw_mean"] = mean
-    return out
 
-
-def posterior_moments_batch(
-    circuit: Circuit,
-    X: np.ndarray,
-    config: DropoutConfig,
-    method: TaylorMethod = TaylorMethod.SIMPLE,
-):
-    """Posterior means and variances for a batch, shape (rows, classes) each.
-
-    The same Taylor expansion as :func:`posterior_moments`, on BATCH_ROWS rows
-    at a time.  Zero-covariance strategies take the vectorized pass; RAT_EXACT
-    runs the per-row pass, which also yields the covariances between class
-    roots.  Means are returned unclamped.
+    Rows run BATCH_ROWS at a time.  Zero-covariance strategies take the
+    vectorized pass; RAT_EXACT runs the per-row pass, which also yields the
+    covariances between class roots.  Means are returned unclamped.
     """
     if circuit.num_classes < 2:
         raise StructureError("posterior moments need at least two class roots")
@@ -551,7 +541,7 @@ def posterior_moments_batch(
                 root_cov[:, :, r] = _root_cov(frame)
         else:
             log_e, log_v = tdi_pass_batch(circuit, chunk, config)
-        m, v, _ = _taylor(circuit, log_e, log_v, root_cov, method, first_row=s)
+        m, v = _taylor(circuit, log_e, log_v, root_cov, method, first_row=s)
         del log_e, log_v  # free this chunk's node moments before the next chunk's pass
         mean[s : s + n] = m.T
         var[s : s + n] = np.maximum(v.T, 0.0)
@@ -605,10 +595,10 @@ def _taylor(circuit, log_e, log_v, root_cov, method, first_row=0):
 
     SIMPLE writes its variance as (Var[A_i] - 2 t_i Cov[A_i,B] + t_i^2 Var[B])
     / E[B]^2 with t_i = E[A_i]/E[B], the docstring formula of
-    :func:`posterior_moments` without the division by E[A_i].  EXTENDED keeps
-    the mean and adds dependence terms to the variance.  Returns the (C, rows)
-    means and variances, and EXTENDED's log T_i (None under SIMPLE).  Classes
-    with E[A_i] = 0 get zeros.  Errors number rows from ``first_row``.
+    :func:`posterior_moments_batch` without the division by E[A_i].  EXTENDED
+    keeps the mean and adds dependence terms to the variance.  Returns the
+    (C, rows) means and variances.  Classes with E[A_i] = 0 get zeros.  Errors
+    number rows from ``first_row``.
     """
     roots = circuit.roots
     log_c = np.asarray(circuit.log_class_priors, dtype=np.float64)[:, None]
@@ -627,7 +617,6 @@ def _taylor(circuit, log_e, log_v, root_cov, method, first_row=0):
         mean = t - cov_ab / eb**2 + t * var_b / eb**2
         if method is TaylorMethod.SIMPLE:
             var = (va - 2.0 * t * cov_ab + t * t * var_b) / eb**2
-            log_t = None
         else:
             # Var[S_i S_j] is expanded over the root sum nodes' children as
             # sum_{k,l} (w_k w_l)^2 Var[N_k] Var[N_l], which factors into
@@ -657,7 +646,7 @@ def _taylor(circuit, log_e, log_v, root_cov, method, first_row=0):
     dead = ea <= 0.0
     mean[dead] = 0.0
     var[dead] = 0.0
-    return mean, var, log_t
+    return mean, var
 
 
 def predictive_entropy(means) -> float:

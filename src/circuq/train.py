@@ -43,6 +43,8 @@ from .errors import ParameterError, ShapeError
 
 LOG_STD_CLAMP = 7.0  # keep sigma within e^[-7, 7] so densities cannot blow up
 
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8  # Adam's usual moment decays and floor
+
 _LOG_TINY = math.log(np.finfo(np.float64).tiny)  # below it a shifted mixture flushed
 
 
@@ -52,9 +54,6 @@ class TrainConfig:
     batch_size: int = 200
     learning_rate: float = 1e-3
     optimizer: str = "adam"  # "adam" or "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     rng_seed: int = 0
     objective: str = "head"  # "head" or "cross_entropy"
 
@@ -364,11 +363,11 @@ def _update(theta, grad, state: OptimizerState, config: TrainConfig) -> np.ndarr
     if state.kind != "adam":
         raise ValueError(f"unknown optimizer {state.kind!r}")
     state.step += 1
-    state.m = config.beta1 * state.m + (1.0 - config.beta1) * grad
-    state.v = config.beta2 * state.v + (1.0 - config.beta2) * grad * grad
-    m_hat = state.m / (1.0 - config.beta1**state.step)
-    v_hat = state.v / (1.0 - config.beta2**state.step)
-    return theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    state.m = _BETA1 * state.m + (1.0 - _BETA1) * grad
+    state.v = _BETA2 * state.v + (1.0 - _BETA2) * grad * grad
+    m_hat = state.m / (1.0 - _BETA1**state.step)
+    v_hat = state.v / (1.0 - _BETA2**state.step)
+    return theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
 
 
 def accuracy(circuit: Circuit, X: np.ndarray, labels: np.ndarray) -> float:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuq import (
+    CategoricalLeaf,
     Circuit,
     Evidence,
     GaussianLeaf,
@@ -216,6 +217,14 @@ class TestSerialization:
         assert [n.variable for n in c2.nodes if n.kind == "gaussian"] == [0, 1, 0, 1]
         x = np.array([0.3, -0.2])
         assert log_likelihood(c2, x)[0] == log_likelihood(c, x)[0]
+
+    def test_numpy_integer_categorical_variable_round_trips(self):
+        leaf = CategoricalLeaf(np.int64(0), np.log([0.25, 0.75]))
+        c = Circuit([leaf], [0], 1, np.zeros(1))
+        assert validate(c).ok
+        c2 = deserialize(serialize(c))
+        assert c2.nodes[0].variable == 0
+        assert log_likelihood(c2, [1.0])[0] == log_likelihood(c, [1.0])[0]
 
     def test_unencodable_value_raises_serialization_error(self):
         c = build_rat(RatConfig(2, 2, 1, 1, 1, 2, rng_seed=9))

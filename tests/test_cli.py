@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from circuq import Dataset, save_csv, synth_blobs
+from circuq import (Dataset, DropoutConfig, McdConfig, load, load_csv, mcd_infer,
+                    mcd_vs_tdi_report, posterior_moments, save_csv, synth_blobs)
 from circuq.cli import build_parser, main
+from circuq.evaluation import EvalConfig, posterior_means
 
 SUBCOMMANDS = ("build", "train", "eval", "tdi", "mcd", "compare", "ood",
                "perturb", "corrupt", "oracle")
@@ -81,6 +83,50 @@ class TestRuns:
         assert (out / "moments_nodes.csv").exists()
         assert (out / "config.snapshot").exists()
 
+    def test_tdi_matches_per_row_posterior_moments(self, workspace):
+        model = workspace / "train" / "model.circuit"
+        out = workspace / "tdi_rows"
+        assert main(["tdi", "--model", str(model), "--input", str(workspace / "data.csv"),
+                     "--p", "0.2", "--out", str(out)]) == 0
+        got = np.loadtxt(out / "posterior.csv", delimiter=",", skiprows=1)
+        circuit, X = load(model), load_csv(workspace / "data.csv").features
+        want = []
+        for r, x in enumerate(X):
+            pm = posterior_moments(circuit, x, DropoutConfig.with_p(0.2))
+            for c in range(circuit.num_classes):
+                want.append([r, c, pm.mean[c], pm.variance[c], pm.std[c], pm.entropy,
+                             pm.normalized_entropy])
+        np.testing.assert_allclose(got, np.array(want), rtol=1e-12, atol=0.0)
+
+    def test_zero_row_input(self, workspace, capsys):
+        model = str(workspace / "train" / "model.circuit")
+        empty = workspace / "empty.csv"
+        save_csv(Dataset(np.empty((0, 6))), empty)
+        out = workspace / "tdi_empty"
+        assert main(["tdi", "--model", model, "--input", str(empty), "--out", str(out)]) == 0
+        assert (out / "posterior.csv").read_text().count("\n") == 1
+        assert main(["mcd", "--model", model, "--input", str(empty),
+                     "--out", str(workspace / "mcd_empty")]) == 0
+        capsys.readouterr()
+        # the moment dump is of the first row, which does not exist
+        assert main(["tdi", "--model", model, "--input", str(empty), "--dump-moments",
+                     "--out", str(workspace / "tdi_empty_dump")]) == 4
+        assert capsys.readouterr().err.startswith("error: code=4")
+
+    def test_replay_switches_a_snapshot_flag_off(self, workspace):
+        first = workspace / "dump_on"
+        assert main(["tdi", "--model", str(workspace / "train" / "model.circuit"),
+                     "--input", str(workspace / "x.csv"), "--dump-moments",
+                     "--out", str(first)]) == 0
+        assert "dump_moments = True" in (first / "config.snapshot").read_text()
+        replay = workspace / "dump_off"
+        assert main(["tdi", "--config", str(first / "config.snapshot"), "--no-dump-moments",
+                     "--out", str(replay)]) == 0
+        assert (replay / "posterior.csv").exists()
+        assert not (replay / "moments_nodes.csv").exists()
+        assert not (replay / "moments_cov.csv").exists()
+        assert "dump_moments = False" in (replay / "config.snapshot").read_text()
+
     def test_snapshot_reruns_identically(self, workspace):
         out1 = workspace / "snap1"
         rc = main(["tdi", "--model", str(workspace / "train" / "model.circuit"),
@@ -144,6 +190,30 @@ class TestRuns:
         assert main(["compare", "--model", model, "--input", str(workspace / "x.csv"),
                      "--p", "0.1", "-L", "25", "--out", str(out2)]) == 0
         assert "# timing," in (out2 / "comparison.csv").read_text()
+
+    def test_mcd_rows_use_seed_plus_row(self, workspace):
+        model = workspace / "train" / "model.circuit"
+        out = workspace / "mcd_rows"
+        assert main(["mcd", "--model", str(model), "--input", str(workspace / "x.csv"),
+                     "--p", "0.2", "-L", "30", "--seed", "11", "--out", str(out)]) == 0
+        circuit, X = load(model), load_csv(workspace / "x.csv").features
+        cli = np.loadtxt(out / "mcd.csv", delimiter=",", skiprows=1)
+        means, stds = posterior_means(circuit, X, EvalConfig("mcd", p=0.2, mcd_passes=30,
+                                                             rng_seed=11))
+        report = mcd_vs_tdi_report(circuit, X, 0.2, 30, 11)
+        C = circuit.num_classes
+        for r, x in enumerate(X):
+            res = mcd_infer(circuit, x, McdConfig(0.2, 30, 11 + r))
+            rows = cli[r * C : (r + 1) * C]
+            np.testing.assert_array_equal(rows[:, 2], res.posterior_sample_mean)
+            np.testing.assert_array_equal(rows[:, 3], res.posterior_sample_variance)
+            np.testing.assert_array_equal(rows[:, 4], res.sample_mean)
+            np.testing.assert_array_equal(rows[:, 5], res.sample_variance)
+            np.testing.assert_array_equal(means[r], res.posterior_sample_mean)
+            np.testing.assert_array_equal(stds[r], np.sqrt(res.posterior_sample_variance))
+            np.testing.assert_array_equal(
+                [(t.mcd_mean, t.mcd_var) for t in report.rows[r * C : (r + 1) * C]],
+                np.stack([res.posterior_sample_mean, res.posterior_sample_variance], 1))
 
     def test_perturb_and_corrupt(self, workspace):
         # 2x3 pseudo-images over the 6 blob features, just to exercise plumbing

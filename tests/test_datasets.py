@@ -184,6 +184,14 @@ class TestCsvAndStandardize:
         assert loaded.labels is None
         np.testing.assert_allclose(loaded.features, ds.features)
 
+    @pytest.mark.parametrize("labels", [None, np.empty(0, dtype=np.int64)])
+    def test_csv_of_zero_rows_round_trips(self, tmp_path, labels):
+        path = tmp_path / "empty.csv"
+        save_csv(Dataset(np.empty((0, 3)), labels), path)
+        loaded = load_csv(path)
+        assert loaded.features.shape == (0, 3)
+        assert (loaded.labels is None) == (labels is None)
+
     def test_standardize_uses_training_stats(self):
         rng = np.random.default_rng(0)
         train = Dataset(rng.normal(3.0, 2.0, size=(100, 4)))
