@@ -53,6 +53,7 @@ from .moments import (
     cauchy_bounds,
     posterior_moments,
     posterior_moments_batch,
+    posterior_summary_batch,
     predictive_entropy,
     rat_product_covariance,
     sum_covariance,

@@ -188,6 +188,14 @@ def as_evidence(evidence, num_variables: int) -> np.ndarray:
     return values
 
 
+def as_batch(X, num_variables: int) -> np.ndarray:
+    """A batch of evidence rows as a float64 (rows, num_variables) array."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != num_variables:
+        raise ShapeError(f"batch has shape {X.shape}, expected (rows, {num_variables})")
+    return X
+
+
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -619,9 +627,7 @@ def log_likelihood_batch(circuit: Circuit, X: np.ndarray) -> np.ndarray:
     Rows run BATCH_ROWS at a time, so the node values held stay bounded for
     any batch size.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != circuit.num_variables:
-        raise ShapeError(f"batch has shape {X.shape}, expected (rows, {circuit.num_variables})")
+    X = as_batch(X, circuit.num_variables)
     out = np.empty((X.shape[0], circuit.num_classes))
     for s in range(0, X.shape[0], BATCH_ROWS):
         rows = slice(s, s + BATCH_ROWS)

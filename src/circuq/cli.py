@@ -33,8 +33,7 @@ from .moments import (
     CovarianceStrategy,
     DropoutConfig,
     TaylorMethod,
-    posterior_moments_batch,
-    predictive_entropy_batch,
+    posterior_summary_batch,
     tdi_pass,
     write_moment_csv,
 )
@@ -57,6 +56,18 @@ def _fail(code: int, kind: str, message: str) -> int:
 def _require_file(path) -> None:
     if not os.path.exists(path):
         raise FileNotFoundError(path)
+
+
+class _NoRows(ValueError):
+    """An input CSV has a header but no data rows."""
+
+
+def _load_rows(path):
+    """load_csv for the subcommands that fit or summarize over rows."""
+    data = load_csv(path)
+    if data.num_rows == 0:
+        raise _NoRows(f"{path} has no data rows")
+    return data
 
 
 def _write_snapshot(args: argparse.Namespace, out_dir: str) -> None:
@@ -113,7 +124,7 @@ def cmd_train(args) -> int:
     _require_file(args.model)
     _require_file(args.data)
     circuit = load(args.model)
-    data = load_csv(args.data)
+    data = _load_rows(args.data)
     if data.labels is None:
         return _fail(EXIT_VALIDATION, "validation", "training data has no label column")
     config = TrainConfig(
@@ -139,7 +150,7 @@ def cmd_eval(args) -> int:
     _require_file(args.model)
     _require_file(args.data)
     circuit = load(args.model)
-    data = load_csv(args.data)
+    data = _load_rows(args.data)
     ll = log_likelihood_batch(circuit, data.features)
     joint = ll + circuit.log_class_priors[None, :]
     pred = np.argmax(joint, axis=1)
@@ -164,19 +175,15 @@ def cmd_tdi(args) -> int:
     if args.dump_moments and data.num_rows == 0:
         return _fail(EXIT_VALIDATION, "validation", "--dump-moments needs at least one input row")
     config = DropoutConfig.with_p(args.p, _STRATEGIES[args.strategy])
-    mean, var = posterior_moments_batch(circuit, data.features, config, _TAYLOR[args.taylor])
-    mean = np.clip(mean, 0.0, 1.0)
-    std = np.sqrt(var)
-    entropy = predictive_entropy_batch(mean)
-    normalized = entropy / math.log(circuit.num_classes)
+    pm = posterior_summary_batch(circuit, data.features, config, _TAYLOR[args.taylor])
     out_path = os.path.join(args.out, "posterior.csv")
     with open(out_path, "w") as fh:
         fh.write("sample_id,class,mean,variance,std,entropy,normalized_entropy\n")
         for i in range(data.num_rows):
             for c in range(circuit.num_classes):
                 fh.write(
-                    f"{i},{c},{mean[i, c]:.17g},{var[i, c]:.17g},{std[i, c]:.17g},"
-                    f"{entropy[i]:.17g},{normalized[i]:.17g}\n"
+                    f"{i},{c},{pm.mean[i, c]:.17g},{pm.variance[i, c]:.17g},{pm.std[i, c]:.17g},"
+                    f"{pm.entropy[i]:.17g},{pm.normalized_entropy[i]:.17g}\n"
                 )
     if args.dump_moments:
         frame = tdi_pass(circuit, data.features[0], config)
@@ -239,8 +246,8 @@ def cmd_ood(args) -> int:
     _require_file(args.id_data)
     _require_file(args.ood_data)
     circuit = load(args.model)
-    id_ds = load_csv(args.id_data)
-    ood_ds = load_csv(args.ood_data)
+    id_ds = _load_rows(args.id_data)
+    ood_ds = _load_rows(args.ood_data)
     result = ood_sweep(circuit, id_ds, ood_ds, _eval_config(args))
     result.write_csv(os.path.join(args.out, "ood_sweep.csv"))
     if args.json:
@@ -258,7 +265,7 @@ def cmd_perturb(args) -> int:
     _require_file(args.model)
     _require_file(args.data)
     circuit = load(args.model)
-    data = load_csv(args.data)
+    data = _load_rows(args.data)
     angles = [float(a) for a in args.angles.split(",")]
     points = perturb_sweep(circuit, data, angles, _eval_config(args), args.width, args.height)
     out_path = os.path.join(args.out, "perturb.csv")
@@ -273,7 +280,7 @@ def cmd_corrupt(args) -> int:
     _require_file(args.model)
     _require_file(args.data)
     circuit = load(args.model)
-    data = load_csv(args.data)
+    data = _load_rows(args.data)
     kinds = args.kinds.split(",")
     for kind in kinds:
         if kind not in CORRUPTION_KINDS:
@@ -476,7 +483,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         return _fail(EXIT_MISSING_FILE, "missing-file", str(exc))
-    except SerializationError as exc:
+    except (SerializationError, _NoRows) as exc:
         return _fail(EXIT_VALIDATION, "validation", str(exc))
     except CircuitError as exc:
         return _fail(EXIT_VALIDATION, "circuit", str(exc))

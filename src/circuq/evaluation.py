@@ -22,7 +22,7 @@ from .mcd import mcd_infer_rows
 from .moments import (
     DropoutConfig,
     TaylorMethod,
-    posterior_moments_batch,
+    posterior_summary_batch,
     predictive_entropy_batch,
 )
 
@@ -63,9 +63,9 @@ def posterior_means(circuit: Circuit, X: np.ndarray, config: EvalConfig):
         post = np.exp(joint - shift)
         means[:] = post / post.sum(axis=1, keepdims=True)
     elif config.method == "tdi":
-        m, v = posterior_moments_batch(circuit, X, DropoutConfig.with_p(config.p), config.taylor)
-        means[:] = np.clip(m, 0.0, 1.0)
-        stds[:] = np.sqrt(np.maximum(v, 0.0))
+        pm = posterior_summary_batch(circuit, X, DropoutConfig.with_p(config.p), config.taylor)
+        means[:] = pm.mean
+        stds[:] = pm.std
     else:
         results = mcd_infer_rows(circuit, X, config.p, config.mcd_passes, config.rng_seed)
         for r, res in enumerate(results):

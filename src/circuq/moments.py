@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circuit import (BATCH_ROWS, SHIFT_FLOOR, Circuit, as_evidence, log_shifted,
+from .circuit import (BATCH_ROWS, SHIFT_FLOOR, Circuit, as_batch, as_evidence, log_shifted,
                       logsumexp_axis0, mix)
 from .errors import StructureError, UnderflowError
 from .signedlog import SignedLog, sl_sum
@@ -184,7 +184,7 @@ def tdi_pass_batch(circuit: Circuit, X: np.ndarray, config: DropoutConfig):
     """
     if config.covariance_strategy is CovarianceStrategy.RAT_EXACT:
         raise StructureError("the batch pass supports zero-covariance strategies only")
-    return _moment_pass(circuit, np.asarray(X, dtype=np.float64), config)
+    return _moment_pass(circuit, as_batch(X, circuit.num_variables), config)
 
 
 def _moment_pass(circuit, X, config, leaf_log_variance=None, on_sum_layer=None):
@@ -461,7 +461,8 @@ def cauchy_bounds(frame: MomentFrame, a: int, b: int) -> tuple[SignedLog, Signed
 
 @dataclass
 class PosteriorMoments:
-    """Approximate moments of the class posterior under dropout."""
+    """Approximate moments of the class posterior under dropout, for one row,
+    or for a batch with a leading row axis on every field."""
 
     mean: np.ndarray
     variance: np.ndarray
@@ -478,22 +479,44 @@ def posterior_moments(
     method: TaylorMethod = TaylorMethod.SIMPLE,
 ) -> PosteriorMoments:
     """Taylor-approximated mean and variance of each class posterior for one
-    row: :func:`posterior_moments_batch` on a batch of one, with the means
-    clamped to [0, 1] and their predictive entropy.
-
-    ``metadata`` holds the ``method`` and the unclamped ``raw_mean``.
+    row: :func:`posterior_summary_batch` on a batch of one.
     """
     x = as_evidence(evidence, circuit.num_variables)
-    mean, var = posterior_moments_batch(circuit, x[None, :], config, method)
-    mean_clamped = np.clip(mean[0], 0.0, 1.0)
-    entropy = predictive_entropy(mean_clamped)
+    pm = posterior_summary_batch(circuit, x[None, :], config, method)
     return PosteriorMoments(
-        mean=mean_clamped,
-        variance=var[0],
-        std=np.sqrt(var[0]),
+        mean=pm.mean[0],
+        variance=pm.variance[0],
+        std=pm.std[0],
+        entropy=float(pm.entropy[0]),
+        normalized_entropy=float(pm.normalized_entropy[0]),
+        metadata={"method": method.value, "raw_mean": pm.metadata["raw_mean"][0]},
+    )
+
+
+def posterior_summary_batch(
+    circuit: Circuit,
+    X: np.ndarray,
+    config: DropoutConfig,
+    method: TaylorMethod = TaylorMethod.SIMPLE,
+) -> PosteriorMoments:
+    """:func:`posterior_moments_batch` summarized per row: the means clamped
+    to [0, 1], their stds, and the predictive entropy of the clamped means,
+    raw and over ln C.  ``metadata`` holds the ``method`` and the unclamped
+    ``raw_mean``.
+
+    The entropy is :func:`predictive_entropy_batch`'s, so a row whose clamped
+    means are all zero gets the uniform entropy ln C.
+    """
+    raw, var = posterior_moments_batch(circuit, X, config, method)
+    mean = np.clip(raw, 0.0, 1.0)
+    entropy = predictive_entropy_batch(mean)
+    return PosteriorMoments(
+        mean=mean,
+        variance=var,
+        std=np.sqrt(var),
         entropy=entropy,
         normalized_entropy=entropy / math.log(circuit.num_classes),
-        metadata={"method": method.value, "raw_mean": mean[0]},
+        metadata={"method": method.value, "raw_mean": raw},
     )
 
 
@@ -524,7 +547,7 @@ def posterior_moments_batch(
     """
     if circuit.num_classes < 2:
         raise StructureError("posterior moments need at least two class roots")
-    X = np.asarray(X, dtype=np.float64)
+    X = as_batch(X, circuit.num_variables)
     C, rows = circuit.num_classes, X.shape[0]
     mean, var = np.empty((rows, C)), np.empty((rows, C))
     for s in range(0, rows, BATCH_ROWS):

@@ -31,6 +31,7 @@ from .circuit import (
     SHIFT_FLOOR,
     Circuit,
     GaussianLeaf,
+    as_batch,
     Layout,
     Plan,
     SumNode,
@@ -314,7 +315,7 @@ def fit(
     Aborts on a non-finite loss or leaf parameter, returning the last finite
     state.  Weights stay normalized because updates act on logits.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = as_batch(X, circuit.num_variables)
     labels = np.asarray(labels, dtype=np.int64)
     if X.shape[0] == 0:
         raise ShapeError("dataset is empty")

@@ -63,6 +63,35 @@ class TestExitCodes:
                    "--out", str(workspace / "out_bad")])
         assert rc == 4
 
+    @pytest.mark.parametrize("width", [5, 7])
+    @pytest.mark.parametrize("argv", [["tdi", "--input"], ["train", "--epochs", "1", "--data"]])
+    def test_input_of_wrong_width_is_4(self, workspace, argv, width, capsys):
+        path = workspace / f"x{width}.csv"
+        save_csv(Dataset(np.zeros((3, width)), np.zeros(3, dtype=np.int64)), path)
+        rc = main(argv + [str(path), "--model", str(workspace / "train" / "model.circuit"),
+                          "--out", str(workspace / f"{argv[0]}_x{width}")])
+        assert rc == 4
+        assert "kind=circuit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "{empty}"],
+        ["eval", "--data", "{empty}"],
+        ["perturb", "--data", "{empty}", "--width", "3", "--height", "2", "--angles", "0,90"],
+        ["corrupt", "--data", "{empty}", "--kinds", "brightness", "--severities", "0,1"],
+        ["ood", "--id-data", "{data}", "--ood-data", "{empty}"],
+        ["ood", "--id-data", "{empty}", "--ood-data", "{data}"],
+    ])
+    def test_zero_row_input_is_a_validation_error(self, workspace, argv, capsys):
+        empty = workspace / "empty_labelled.csv"
+        save_csv(Dataset(np.empty((0, 6)), np.empty(0, dtype=np.int64)), empty)
+        paths = {"empty": str(empty), "data": str(workspace / "data.csv")}
+        argv = [a.format(**paths) for a in argv]
+        rc = main(argv + ["--model", str(workspace / "train" / "model.circuit"),
+                          "--out", str(workspace / f"empty_{argv[0]}")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: code=4 kind=validation") and "no data rows" in err
+
     def test_success_is_0(self, workspace):
         rc = main(["eval", "--model", str(workspace / "train" / "model.circuit"),
                    "--data", str(workspace / "data.csv"),

@@ -26,6 +26,8 @@ from circuq import (
     tdi_pass,
     tdi_pass_batch,
     RatConfig,
+    ShapeError,
+    posterior_summary_batch,
 )
 from circuq.enumeration import enumerate_dropout_moments
 from circuq.structures import (
@@ -455,6 +457,30 @@ class TestPosterior:
         # the RAT_EXACT cases above do carry covariances between class roots
         frame = tdi_pass(rat, X_rat[0], DropoutConfig.with_p(0.15, CovarianceStrategy.RAT_EXACT))
         assert not sum_covariance(frame, rat.roots[0], rat.roots[1]).is_zero
+
+    def test_single_row_is_a_batch_of_one(self):
+        rat = build_rat(RatConfig(2, 2, 2, 1, 3, 4, rng_seed=5))
+        X = np.random.default_rng(3).normal(size=(5, 4))
+        for strategy in CovarianceStrategy:
+            config = DropoutConfig.with_p(0.15, strategy)
+            batch = posterior_summary_batch(rat, X, config, TaylorMethod.EXTENDED)
+            for r in range(X.shape[0]):
+                pm = posterior_moments(rat, X[r], config, TaylorMethod.EXTENDED)
+                for name in ("mean", "variance", "std", "entropy", "normalized_entropy"):
+                    np.testing.assert_array_equal(getattr(pm, name), getattr(batch, name)[r])
+                np.testing.assert_array_equal(pm.metadata["raw_mean"],
+                                              batch.metadata["raw_mean"][r])
+
+    def test_batch_rejects_wrong_width(self):
+        rat = build_rat(RatConfig(2, 2, 2, 1, 3, 4, rng_seed=5))
+        config = DropoutConfig.with_p(0.1)
+        for shape in ((2, 3), (2, 5), (4,)):
+            with pytest.raises(ShapeError):
+                posterior_moments_batch(rat, np.zeros(shape), config)
+            with pytest.raises(ShapeError):
+                tdi_pass_batch(rat, np.zeros(shape), config)
+        mean, var = posterior_moments_batch(rat, np.zeros((0, 4)), config)
+        assert mean.shape == var.shape == (0, 3)
 
     def test_batch_variance_finite_for_far_class(self):
         # the second class sits about e^-450 below the first, so its shifted
