@@ -53,11 +53,6 @@ def _fail(code: int, kind: str, message: str) -> int:
     return code
 
 
-def _require_file(path) -> None:
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-
-
 class _NoRows(ValueError):
     """An input CSV has a header but no data rows."""
 
@@ -121,8 +116,6 @@ def cmd_build(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _require_file(args.model)
-    _require_file(args.data)
     circuit = load(args.model)
     data = _load_rows(args.data)
     if data.labels is None:
@@ -147,8 +140,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require_file(args.model)
-    _require_file(args.data)
     circuit = load(args.model)
     data = _load_rows(args.data)
     ll = log_likelihood_batch(circuit, data.features)
@@ -168,8 +159,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_tdi(args) -> int:
-    _require_file(args.model)
-    _require_file(args.input)
     circuit = load(args.model)
     data = load_csv(args.input)
     if args.dump_moments and data.num_rows == 0:
@@ -197,8 +186,6 @@ def cmd_tdi(args) -> int:
 
 
 def cmd_mcd(args) -> int:
-    _require_file(args.model)
-    _require_file(args.input)
     circuit = load(args.model)
     data = load_csv(args.input)
     out_path = os.path.join(args.out, "mcd.csv")
@@ -216,8 +203,6 @@ def cmd_mcd(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _require_file(args.model)
-    _require_file(args.input)
     circuit = load(args.model)
     data = load_csv(args.input)
     table = mcd_vs_tdi_report(circuit, data.features, args.p, args.L, args.seed)
@@ -242,9 +227,6 @@ def _eval_config(args) -> EvalConfig:
 
 
 def cmd_ood(args) -> int:
-    _require_file(args.model)
-    _require_file(args.id_data)
-    _require_file(args.ood_data)
     circuit = load(args.model)
     id_ds = _load_rows(args.id_data)
     ood_ds = _load_rows(args.ood_data)
@@ -262,8 +244,6 @@ def cmd_ood(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    _require_file(args.model)
-    _require_file(args.data)
     circuit = load(args.model)
     data = _load_rows(args.data)
     angles = [float(a) for a in args.angles.split(",")]
@@ -277,8 +257,6 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
-    _require_file(args.model)
-    _require_file(args.data)
     circuit = load(args.model)
     data = _load_rows(args.data)
     kinds = args.kinds.split(",")
@@ -455,6 +433,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
 
+    subparser = None
     if "--config" in argv:
         idx = argv.index("--config")
         try:
@@ -474,6 +453,14 @@ def main(argv=None) -> int:
                 action.default = (raw == "True" if action.nargs == 0
                                   else None if raw == "None" else raw)
     args = parser.parse_args(argv)
+    # argparse checks choices on the command line only, so a snapshot's
+    # default, unless an explicit flag replaced it, is checked here
+    for action in subparser._actions if subparser else ():
+        if action.choices is not None:
+            try:
+                subparser._check_value(action, getattr(args, action.dest))
+            except argparse.ArgumentError as exc:
+                subparser.error(str(exc))
 
     if args.out is None:
         args.out = os.path.join("runs", args.subcommand)

@@ -39,11 +39,9 @@ class Dataset:
     def num_features(self) -> int:
         return self.features.shape[1]
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         if self.labels is not None and len(self.labels) != self.num_rows:
-            raise ShapeError(
-                f"{len(self.labels)} labels for {self.num_rows} rows"
-            )
+            raise ShapeError(f"{len(self.labels)} labels for {self.num_rows} rows")
 
 
 class IdxFormatError(ValueError):

@@ -14,16 +14,13 @@ that shares a child list mixes its children's moments in linear space as
 matrix products, shifted per group and row by the largest child moment, and
 each group of products combines its factors over their outer product.
 
-Covariance handling between siblings is pluggable:
+Two strategies handle the covariance between siblings:
 
 * ``TREE_ZERO`` ignores sibling covariances.  Exact on tree circuits; on a
   DAG it is exactly the moments of the circuit with every shared child
   duplicated per parent path (each duplicate drawing fresh dropout masks).
 * ``RAT_EXACT`` resolves covariances exactly on binary RAT region graphs,
   where a product's two children always come from independent partitions.
-* ``CAUCHY`` keeps the point estimate at zero covariance and attaches
-  per-node variance intervals derived from the Cauchy-Schwarz bound
-  |Cov[a,b]| <= sqrt(Var[a] Var[b]) to the frame metadata, for diagnostics.
 
 The class posterior moments are one Taylor expansion over (nodes, rows)
 moment arrays.  The single-row call is the batch call on a batch of one.
@@ -32,10 +29,8 @@ moment arrays.  The single-row call is the batch call on a batch of one.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -54,7 +49,6 @@ _LOG_DUST = math.log(1e-12)  # negative rounding dust, relative to the positive 
 class CovarianceStrategy(enum.Enum):
     TREE_ZERO = "tree_zero"
     RAT_EXACT = "rat_exact"
-    CAUCHY = "cauchy"
 
 
 class TaylorMethod(enum.Enum):
@@ -105,7 +99,6 @@ class MomentFrame:
     log_expectation: np.ndarray
     log_variance: np.ndarray
     sibling_cov: dict[tuple[int, int], SignedLog] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
 
     def pair_cov(self, a: int, b: int) -> SignedLog:
         """Covariance of two arbitrary nodes under this frame's strategy."""
@@ -119,26 +112,19 @@ class MomentFrame:
         with np.errstate(divide="ignore"):
             log_e = np.log(np.asarray(expectation, dtype=np.float64))
             log_v = np.log(np.asarray(variance, dtype=np.float64))
-        frame = MomentFrame(
+        return MomentFrame(
             circuit=circuit,
             config=DropoutConfig.with_p(0.0),
             log_expectation=log_e,
             log_variance=log_v,
         )
-        frame.metadata["source"] = "external"
-        return frame
 
 
 # ---------------------------------------------------------------------------
 # The bottom-up pass
 
 
-def tdi_pass(
-    circuit: Circuit,
-    evidence,
-    config: DropoutConfig,
-    leaf_log_variance: Optional[dict[int, float]] = None,
-) -> MomentFrame:
+def tdi_pass(circuit: Circuit, evidence, config: DropoutConfig) -> MomentFrame:
     """One bottom-up pass filling expectation, variance, and covariances.
 
     Sum node:      E = q sum_i w_i E[N_i]
@@ -146,32 +132,19 @@ def tdi_pass(
                          + q^2 sum_{i != j} w_i w_j Cov[N_i, N_j]
     Product node:  E = prod_i E[N_i]
                    Var = prod_i (Var[N_i] + E[N_i]^2) - prod_i E[N_i]^2
-    Leaf:          E = leaf value, Var = 0 (unless a prior leaf variance is
-                   supplied through ``leaf_log_variance``).
+    Leaf:          E = leaf value, Var = 0.
 
     The row runs through the batch moment pass as a batch of one.  The
     covariance term follows the configured strategy: RAT_EXACT adds it to
     each sum layer before the next layer reads it, at most quadratic in local
-    fan-in; the other strategies leave it out.
+    fan-in; TREE_ZERO leaves it out.
     """
     values = as_evidence(evidence, circuit.num_variables)
-    strategy = config.covariance_strategy
-    if strategy is CovarianceStrategy.RAT_EXACT and circuit.rat is None:
+    exact = config.covariance_strategy is CovarianceStrategy.RAT_EXACT
+    if exact and circuit.rat is None:
         raise StructureError("RAT_EXACT requires a circuit tagged with RAT structure")
-
     frame = MomentFrame(circuit, config, np.empty(0), np.empty(0))
-    frame.metadata["p"] = config.p
-    frame.metadata["strategy"] = strategy.value
-    if strategy is CovarianceStrategy.TREE_ZERO and not circuit.is_tree():
-        frame.metadata["treezero_on_dag"] = True
-
-    on_sum_layer = None
-    if strategy is CovarianceStrategy.RAT_EXACT:
-        on_sum_layer = functools.partial(_add_sum_covariances, frame)
-    elif strategy is CovarianceStrategy.CAUCHY:
-        frame.metadata["cauchy_var_bounds"] = {}
-        on_sum_layer = functools.partial(_cauchy_var_bounds, frame.metadata["cauchy_var_bounds"])
-    log_e, log_v = _moment_pass(circuit, values[None, :], config, leaf_log_variance, on_sum_layer)
+    log_e, log_v = _moment_pass(circuit, values[None, :], config, frame if exact else None)
     frame.log_expectation, frame.log_variance = log_e[:, 0], log_v[:, 0]
     return frame
 
@@ -179,33 +152,27 @@ def tdi_pass(
 def tdi_pass_batch(circuit: Circuit, X: np.ndarray, config: DropoutConfig):
     """Per-node log expectation and log variance for a batch of rows.
 
-    Covers the strategies whose point estimates drop sibling covariances
-    (TREE_ZERO and the Cauchy diagnostics).  Returns two (nodes, rows) arrays.
+    Covers TREE_ZERO, the strategy that drops sibling covariances.  Returns
+    two (nodes, rows) arrays.
     """
     if config.covariance_strategy is CovarianceStrategy.RAT_EXACT:
         raise StructureError("the batch pass supports zero-covariance strategies only")
     return _moment_pass(circuit, as_batch(X, circuit.num_variables), config)
 
 
-def _moment_pass(circuit, X, config, leaf_log_variance=None, on_sum_layer=None):
+def _moment_pass(circuit, X, config, exact_frame=None):
     """Log expectation and zero-covariance log variance of every node, as
     (nodes, rows) arrays, from one loop over the circuit's layers.
 
-    ``on_sum_layer(layer, log_weights, log_q, log_e, log_v)`` is the
-    covariance strategy's hook, called after each sum layer and before the
-    next layer reads it; RAT_EXACT adds the sibling covariances to the layer's
-    variances in place.  A ``leaf_log_variance`` key that is not a leaf id
-    raises StructureError.
+    Given the one-row RAT_EXACT ``exact_frame``, the sibling covariances are
+    added to each sum layer's variances in place, before the next layer reads
+    them (:func:`_add_sum_covariances`).
     """
     plan = circuit.plan()
     n, rows = len(circuit.nodes), X.shape[0]
     log_e = np.empty((n, rows))
     log_v = np.full((n, rows), _NEG_INF)
     plan.leaf_log_values(X, log_e)
-    for i, lv in (leaf_log_variance or {}).items():
-        if not 0 <= i < n or circuit.nodes[i].kind not in ("gaussian", "categorical"):
-            raise StructureError(f"leaf_log_variance key {i} is not a leaf id")
-        log_v[i] = lv
     q = np.full((n, 1), config.q)
     if config.exclude_root_heads:
         q[circuit.roots] = 1.0  # root heads keep every edge
@@ -222,8 +189,8 @@ def _moment_pass(circuit, X, config, leaf_log_variance=None, on_sum_layer=None):
                     kids = layer.children[b]
                     log_e[ids], log_v[ids] = _sum_moments(
                         w[b], lw[b], log_e[kids], log_v[kids], log_q[ids], 1.0 - q[ids])
-            if on_sum_layer is not None and lw is not None:
-                on_sum_layer(layer, lw, log_q, log_e, log_v)
+            if exact_frame is not None and lw is not None:
+                _add_sum_covariances(exact_frame, layer, log_q, log_e, log_v)
     return log_e, log_v
 
 
@@ -276,7 +243,7 @@ def _sum_moments(w, lw, ce, cv, log_q, p):
     return log_q + log_e, log_q + log_var
 
 
-def _add_sum_covariances(frame: MomentFrame, layer, lw, log_q, log_e, log_v) -> None:
+def _add_sum_covariances(frame: MomentFrame, layer, log_q, log_e, log_v) -> None:
     """Add 2 q^2 sum_{i < j} w_i w_j Cov[N_i, N_j] to each sum node's variance."""
     frame.log_expectation, frame.log_variance = log_e[:, 0], log_v[:, 0]
     for i in layer.nodes.ravel().tolist():
@@ -291,25 +258,6 @@ def _add_sum_covariances(frame: MomentFrame, layer, lw, log_q, log_e, log_v) -> 
         t1 = float(log_v[i, 0])
         var = SignedLog.from_log(t1) + cov_term.scale_log(2.0 * log_q[i, 0] + math.log(2.0))
         log_v[i, 0] = _nonnegative_log(var, t1, context=f"variance of sum node {i}")
-
-
-def _cauchy_var_bounds(bounds: dict, layer, lw, log_q, log_e, log_v) -> None:
-    """Record, per sum node, the variance interval the Cauchy-Schwarz bound
-    |Cov[a,b]| <= sqrt(Var[a] Var[b]) allows around the zero-covariance point:
-    +- q^2 sum_{i != j} w_i w_j sqrt(Var_i Var_j), clipped at zero.
-
-    The interval is rounded outward by one ulp, so that it holds the point
-    however exp(log Var) is evaluated: np.exp and math.exp differ by up to
-    one ulp."""
-    terms = (lw + 0.5 * log_v[layer.children, 0][:, None, :]).transpose(2, 0, 1)  # (K, G, S)
-    total = 2.0 * logsumexp_axis0(terms)  # log (sum_i t_i)^2
-    gap = logsumexp_axis0(2.0 * terms) - total
-    spread = np.where(gap < 0.0, total + np.log(-np.expm1(gap)), _NEG_INF)
-    point = np.exp(log_v[layer.nodes, 0])
-    half = np.exp(2.0 * log_q[layer.nodes, 0] + spread)
-    lo = np.maximum(np.nextafter(point - half, -np.inf), 0.0)
-    hi = np.nextafter(point + half, np.inf)
-    bounds.update(zip(layer.nodes.ravel().tolist(), zip(lo.ravel().tolist(), hi.ravel().tolist())))
 
 
 def _nonnegative_log(value: SignedLog, log_scale: float, context: str) -> float:
@@ -353,7 +301,7 @@ def _pair_cov_uncached(frame: MomentFrame, a: int, b: int) -> SignedLog:
     if scopes[a] & scopes[b] == 0:
         return SignedLog.zero()  # disjoint scopes share no descendants
     if strategy is not CovarianceStrategy.RAT_EXACT:
-        return SignedLog.zero()  # Cauchy bounds, if any, live in the metadata
+        return SignedLog.zero()  # TREE_ZERO: distinct nodes are uncorrelated
     return _rat_pair_cov(frame, a, b)
 
 
@@ -589,13 +537,11 @@ def _root_cov(frame: MomentFrame) -> np.ndarray:
     """Cov[S_i, S_j] between distinct class roots of one frame, shape (C, C).
 
     Linear and scaled by exp(-2 shift), the units :func:`_taylor` expects.
-    Only RAT_EXACT resolves these; the other strategies take them as zero.
+    Called on RAT_EXACT frames; TREE_ZERO takes these as zero.
     """
     roots = frame.circuit.roots
     C = len(roots)
     cov = np.zeros((C, C))
-    if frame.config.covariance_strategy is not CovarianceStrategy.RAT_EXACT:
-        return cov
     # exp(-2 shift); a frame whose roots all vanish has zero covariances here
     # and fails in _taylor with its row number
     log_c = np.asarray(frame.circuit.log_class_priors, dtype=np.float64)

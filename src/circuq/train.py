@@ -319,6 +319,8 @@ def fit(
     labels = np.asarray(labels, dtype=np.int64)
     if X.shape[0] == 0:
         raise ShapeError("dataset is empty")
+    if labels.shape != (X.shape[0],):
+        raise ShapeError(f"labels of shape {labels.shape} for {X.shape[0]} rows")
     space = ParameterSpace.of(circuit)
     layout = circuit.layout()
     theta = space.initial_vector()

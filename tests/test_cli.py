@@ -55,6 +55,37 @@ class TestExitCodes:
                    "--out", str(workspace / "out_missing")])
         assert rc == 3
 
+    @pytest.mark.parametrize("argv, missing", [
+        (["train", "--model", "{model}", "--data", "{data}"], "model"),
+        (["train", "--model", "{model}", "--data", "{data}"], "data"),
+        (["eval", "--model", "{model}", "--data", "{data}"], "model"),
+        (["eval", "--model", "{model}", "--data", "{data}"], "data"),
+        (["tdi", "--model", "{model}", "--input", "{x}"], "model"),
+        (["tdi", "--model", "{model}", "--input", "{x}"], "x"),
+        (["mcd", "--model", "{model}", "--input", "{x}"], "model"),
+        (["mcd", "--model", "{model}", "--input", "{x}"], "x"),
+        (["compare", "--model", "{model}", "--input", "{x}"], "model"),
+        (["compare", "--model", "{model}", "--input", "{x}"], "x"),
+        (["ood", "--model", "{model}", "--id-data", "{data}", "--ood-data", "{x}"], "model"),
+        (["ood", "--model", "{model}", "--id-data", "{data}", "--ood-data", "{x}"], "data"),
+        (["ood", "--model", "{model}", "--id-data", "{data}", "--ood-data", "{x}"], "x"),
+        (["perturb", "--model", "{model}", "--data", "{data}", "--width", "3", "--height", "2"],
+         "model"),
+        (["perturb", "--model", "{model}", "--data", "{data}", "--width", "3", "--height", "2"],
+         "data"),
+        (["corrupt", "--model", "{model}", "--data", "{data}"], "model"),
+        (["corrupt", "--model", "{model}", "--data", "{data}"], "data"),
+    ])
+    def test_every_missing_input_file_is_3(self, workspace, argv, missing, capsys):
+        paths = {"model": str(workspace / "train" / "model.circuit"),
+                 "data": str(workspace / "data.csv"), "x": str(workspace / "x.csv")}
+        paths[missing] = str(workspace / f"nope_{missing}")
+        argv = [a.format(**paths) for a in argv]
+        rc = main(argv + ["--out", str(workspace / f"missing_{argv[0]}_{missing}")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: code=3 kind=missing-file") and f"nope_{missing}" in err
+
     def test_invalid_circuit_is_4(self, workspace):
         bad = workspace / "bad.circuit"
         model = (workspace / "build" / "model.circuit").read_bytes()
@@ -173,6 +204,28 @@ class TestRuns:
         out3 = workspace / "snap3"
         assert main(["tdi", "--config", str(old), "--out", str(out3)]) == 0
         assert (out1 / "posterior.csv").read_text() == (out3 / "posterior.csv").read_text()
+
+    @pytest.mark.parametrize("key, value", [("strategy", "cauchy"), ("taylor", "bogus")])
+    def test_replay_rejects_a_snapshot_value_outside_choices(self, workspace, key, value,
+                                                             capsys):
+        model, x = str(workspace / "train" / "model.circuit"), str(workspace / "x.csv")
+        first = workspace / f"choices_{key}"
+        assert main(["tdi", "--model", model, "--input", x, "--out", str(first)]) == 0
+        text = (first / "config.snapshot").read_text()
+        assert f"{key} = " in text
+        bad = workspace / f"bad_{key}.snapshot"
+        bad.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} = ") else line
+                               for line in text.splitlines(keepends=True)))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["tdi", "--config", str(bad), "--out", str(workspace / f"replay_{key}")])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{value}'" in capsys.readouterr().err
+        # an explicit flag replaces the snapshot's value before it is checked
+        fixed = workspace / f"replay_{key}_fixed"
+        good = {"strategy": "tree_zero", "taylor": "simple"}[key]
+        assert main(["tdi", "--config", str(bad), f"--{key}", good, "--out", str(fixed)]) == 0
+        assert (fixed / "posterior.csv").read_text() == (first / "posterior.csv").read_text()
 
     def test_explicit_short_flags_win_over_the_snapshot(self, workspace):
         snapshot = str(workspace / "build" / "config.snapshot")  # -S 2 ... --seed 5

@@ -184,6 +184,12 @@ class TestCsvAndStandardize:
         assert loaded.labels is None
         np.testing.assert_allclose(loaded.features, ds.features)
 
+    @pytest.mark.parametrize("count", [7, 12])
+    def test_label_count_must_match_rows(self, count):
+        with pytest.raises(ShapeError, match=f"{count} labels for 10 rows"):
+            Dataset(np.zeros((10, 3)), np.zeros(count, dtype=np.int64))
+        assert Dataset(np.zeros((10, 3)), np.zeros(10, dtype=np.int64)).num_rows == 10
+
     @pytest.mark.parametrize("labels", [None, np.empty(0, dtype=np.int64)])
     def test_csv_of_zero_rows_round_trips(self, tmp_path, labels):
         path = tmp_path / "empty.csv"

@@ -153,40 +153,6 @@ class TestTreeExactness:
         base = math.exp(-0.5 * math.log(2 * math.pi) * 1.0)  # N(0,1) at 0
         assert e == pytest.approx(q**3 * (1 / math.sqrt(2 * math.pi)), rel=1e-12)
 
-    def test_leaf_variance_hook_propagates(self):
-        # the prior-uncertainty hook: a leaf with nonzero variance feeds the
-        # product rule Var = (V + E^2) E2^2 - E^2 E2^2 = V E2^2 and, at p = 0,
-        # the sum rule Var = sum_k w_k^2 Var_k, so it must act at the leaves
-        c = build_manual("""
-        g1 gaussian 0 0.0 1.0
-        g2 gaussian 1 0.0 1.0
-        g3 gaussian 0 0.0 1.0
-        g4 gaussian 1 0.0 1.0
-        p1 product g1 g2
-        p2 product g3 g4
-        s sum 0.6 p1 0.4 p2
-        root s
-        """)
-        frame = tdi_pass(c, [0.0, 0.0], DropoutConfig.with_p(0.0),
-                         leaf_log_variance={0: math.log(0.25)})
-        e2 = 1.0 / (2.0 * math.pi)  # squared standard normal density at 0
-        assert math.exp(frame.log_variance[0]) == pytest.approx(0.25, rel=1e-12)
-        assert math.exp(frame.log_variance[4]) == pytest.approx(0.25 * e2, rel=1e-12)
-        assert frame.log_variance[5] == -math.inf
-        assert math.exp(frame.log_variance[6]) == pytest.approx(0.36 * 0.25 * e2, rel=1e-12)
-
-    def test_leaf_variance_keys_must_be_leaf_ids(self, two_leaf_sum):
-        # -1 once indexed the last node of the circuit but a sentinel row of
-        # the pass, and a sum's id was skipped without a word
-        single = build_manual("g gaussian 0 0.0 1.0\nroot g")
-        for circuit, key in ((single, -1), (single, 1), (two_leaf_sum, 2), (two_leaf_sum, -3)):
-            with pytest.raises(StructureError, match="not a leaf id"):
-                tdi_pass(circuit, [0.0], DropoutConfig.with_p(0.1),
-                         leaf_log_variance={key: math.log(0.25)})
-        frame = tdi_pass(single, [0.0], DropoutConfig.with_p(0.1),
-                         leaf_log_variance={0: math.log(0.25)})
-        assert frame.log_variance[0] == pytest.approx(math.log(0.25), rel=1e-15)
-
     def test_exclude_root_heads_flag(self, two_leaf_sum):
         frame = tdi_pass(two_leaf_sum, [0.0], DropoutConfig.with_p(0.2, exclude_root_heads=True))
         e, v = root_moments(frame, two_leaf_sum)
@@ -265,15 +231,6 @@ class TestCovarianceOps:
         lo0, hi0 = cauchy_bounds(frame, leaf, r)
         assert lo0.is_zero and hi0.is_zero
 
-    def test_cauchy_strategy_attaches_bounds(self, two_leaf_sum):
-        cfg = DropoutConfig.with_p(0.2, CovarianceStrategy.CAUCHY)
-        frame = tdi_pass(two_leaf_sum, [0.0], cfg)
-        bounds = frame.metadata["cauchy_var_bounds"]
-        r = two_leaf_sum.roots[0]
-        lo, hi = bounds[r]
-        point = math.exp(frame.log_variance[r])
-        assert lo <= point <= hi
-
 
 class TestRatExact:
     def test_rat_exact_matches_enumeration(self):
@@ -296,7 +253,6 @@ class TestRatExact:
         exact = tdi_pass(c, ev, DropoutConfig.with_p(0.2, CovarianceStrategy.RAT_EXACT))
         zero = tdi_pass(c, ev, DropoutConfig.with_p(0.2))
         r = c.roots[0]
-        assert zero.metadata.get("treezero_on_dag") is True
         assert abs(exact.log_variance[r] - zero.log_variance[r]) > 1e-6
 
     def test_rat_exact_requires_tag(self, three_var_tree):

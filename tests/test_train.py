@@ -269,3 +269,8 @@ class TestFit:
         with pytest.raises(ShapeError):
             fit(two_leaf_sum, np.zeros((0, 1)), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize("count", [5, 12])
+    def test_label_count_must_match_rows(self, two_leaf_sum, count):
+        with pytest.raises(ShapeError, match="for 10 rows"):
+            fit(two_leaf_sum, np.zeros((10, 1)), np.zeros(count, dtype=int), TrainConfig(epochs=1))
+
