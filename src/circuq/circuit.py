@@ -688,9 +688,12 @@ def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray,
 
 def mix(w: np.ndarray, lin: np.ndarray) -> np.ndarray:
     """(g, S, K) weights times (g, K, columns) linear values, one matrix
-    product per group, in einsum's own loops: np.matmul hands products this
-    size to BLAS threads, which cost far more than the product itself when
-    other work shares the CPUs."""
+    product per group, in einsum's own loops, so that each column's bits do
+    not depend on how many columns a pass holds: a single row is a batch of
+    one to the bit, and a batch split into passes equals one pass.  BLAS
+    (np.matmul) picks its kernel by the product's width, gemv for one column
+    and other kernels for other widths, so there a column's bits change
+    with the batch width."""
     return np.einsum("gsk,gkc->gsc", w, lin)
 
 

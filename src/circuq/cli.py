@@ -38,7 +38,7 @@ from .moments import (
     write_moment_csv,
 )
 from .structures import RatConfig, build_rat, random_evidence, random_tree_circuit, structure_stats
-from .train import TrainConfig, fit
+from .train import OBJECTIVES, OPTIMIZERS, TrainConfig, fit
 
 EXIT_USAGE = 2
 EXIT_MISSING_FILE = 3
@@ -338,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--batch-size", type=int, default=200)
     p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
-    p.add_argument("--objective", choices=("head", "cross_entropy"), default="head")
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
+    p.add_argument("--objective", choices=OBJECTIVES, default="head")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_train)

@@ -5,8 +5,11 @@ to each observed label: loss = -(1/B) sum_b log S_{y_b}(x_b).  A conventional
 cross-entropy objective over the Bayes posterior is available behind a flag.
 
 Gradients come from one reverse pass over the groups of the circuit's plan
-(linear in edges), through each sum group's transposed matrix product under
-the forward's shift and each product group's outer-product axes.  Sum
+(linear in edges), through each sum group's transposed matrix products under
+the forward's shift and each product group's outer-product axes.  The two
+products per sum group run on BLAS, in row chunks small enough that OpenBLAS
+keeps them on its calling thread; so a gradient's bits, unlike the forward's
+values, may change with the batch width.  Sum
 weights are parameterized as unconstrained logits mapped through a per-node
 log-softmax, so every update lands back on the weight simplex by
 construction.  Parameters live in one flat vector θ laid out as the plan's
@@ -48,15 +51,36 @@ _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8  # Adam's usual moment decays and fl
 
 _LOG_TINY = math.log(np.finfo(np.float64).tiny)  # below it a shifted mixture flushed
 
+# Most multiply-adds (S * K * rows) per matrix product of the reverse pass.
+# OpenBLAS hands larger products to its thread pool, whose wake-ups cost far
+# more than a product this size takes on one thread; so the reverse pass
+# splits a block's rows to keep every product within it.
+_PRODUCT_MACS = 1 << 18
+
+OPTIMIZERS = ("adam", "sgd")
+OBJECTIVES = ("head", "cross_entropy")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200
     batch_size: int = 200
     learning_rate: float = 1e-3
-    optimizer: str = "adam"  # "adam" or "sgd"
+    optimizer: str = "adam"  # one of OPTIMIZERS
     rng_seed: int = 0
-    objective: str = "head"  # "head" or "cross_entropy"
+    objective: str = "head"  # one of OBJECTIVES
+
+    def check(self) -> None:
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {self.objective!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +252,21 @@ def loss_and_grad(
                 _scatter(adjoint, kids, part, layer.distinct)
 
     ids, variables = layout.leaves["gaussian"]
+    values = np.ascontiguousarray(X.T)  # (variables, rows)
     for b in node_blocks(len(ids), 1, B):
-        x = X[:, variables[b]].T
+        x = values[variables[b]]
         inv_std = plan.inv_std[b]
-        u = (x - plan.mean[b, None]) * inv_std[:, None]
+        u = x - plan.mean[b, None]
+        u *= inv_std[:, None]
         adj = adjoint[ids[b]]
         # Only rows where the leaf is observed and the loss depends on it
         # contribute: elsewhere the derivative is 0, even where u * u overflows.
+        # d log_std = sum adj (u^2 - 1) = sum (adj u) u - sum adj over those rows.
         used = ~np.isnan(x) & (adj != 0.0)
-        d_mean = np.multiply(adj, u, out=np.zeros_like(adj), where=used)
-        d_log_std = np.multiply(adj, u * u - 1.0, out=np.zeros_like(adj), where=used)
-        mean_grad[b] = d_mean.sum(axis=1) * inv_std
-        log_std_grad[b] = d_log_std.sum(axis=1)
+        adj_u = np.multiply(adj, u, out=np.zeros_like(adj), where=used)
+        mean_grad[b] = adj_u.sum(axis=1) * inv_std
+        np.multiply(adj_u, u, out=adj_u, where=used)
+        log_std_grad[b] = adj_u.sum(axis=1) - adj.sum(axis=1, where=used)
     # categorical leaves carry no trainable parameters
     return loss, grad
 
@@ -251,17 +278,26 @@ def _sum_reverse(w, lw, x, v, adj):
     and the sums' (g, S, rows) log values, and the sums' adjoints.  Under the
     forward pass's shift, a = exp(x - shift) and A = adj exp(shift - v) give
     logit gradients w o (A a^T) - w o sum_rows adj and child adjoints
-    a o (W^T A).  Where the forward's shifted mixture flushed, A would
-    overflow; there the edge shares exp(lw + x - v) are taken exactly, as
-    :func:`circuq.circuit.log_shifted` takes the values.  A sum whose value
-    is 0 passes nothing back.
+    a o (W^T A): per-group matrix products, taken by BLAS in row chunks of
+    at most :data:`_PRODUCT_MACS` multiply-adds each.  Where the forward's
+    shifted mixture flushed, A would overflow; there the edge shares
+    exp(lw + x - v) are taken exactly, as :func:`circuq.circuit.log_shifted`
+    takes the values.  A sum whose value is 0 passes nothing back.
     """
     shift = np.maximum(x.max(axis=1, keepdims=True), SHIFT_FLOOR)
     a = np.exp(x - shift)
     flushed = v - shift < _LOG_TINY
     A = np.where(flushed, 0.0, adj * np.exp(np.minimum(shift - v, -_LOG_TINY)))
-    grad = w * (np.einsum("gsr,gkr->gsk", A, a) - adj.sum(axis=-1)[..., None])
-    part = a * np.einsum("gsk,gsr->gkr", w, A)
+    _, S, K = w.shape
+    step = max(1, _PRODUCT_MACS // (S * K))
+    dots = np.zeros_like(w)
+    part = np.empty_like(a)
+    for start in range(0, a.shape[-1], step):
+        rows = slice(start, start + step)
+        dots += A[..., rows] @ a[..., rows].transpose(0, 2, 1)
+        np.matmul(w.transpose(0, 2, 1), A[..., rows], out=part[..., rows])
+    grad = w * (dots - adj.sum(axis=-1)[..., None])
+    part *= a
     g, s, c = np.nonzero(flushed & (adj != 0.0) & (v > -np.inf))
     if len(g):
         share = adj[g, s, c, None] * np.exp(lw[g, s] + x[g, :, c] - v[g, s, c, None])
@@ -312,9 +348,11 @@ def fit(
 ) -> tuple[Circuit, TrainHistory]:
     """Mini-batch gradient training; returns the trained circuit and history.
 
-    Aborts on a non-finite loss or leaf parameter, returning the last finite
-    state.  Weights stay normalized because updates act on logits.
+    Raises ValueError for an invalid config before any pass.  Aborts on a
+    non-finite loss or leaf parameter, returning the last finite state.
+    Weights stay normalized because updates act on logits.
     """
+    config.check()
     X = as_batch(X, circuit.num_variables)
     labels = np.asarray(labels, dtype=np.int64)
     if X.shape[0] == 0:
@@ -332,7 +370,7 @@ def fit(
     rng = np.random.default_rng(config.rng_seed)
     history = TrainHistory()
     B = X.shape[0]
-    batch = max(1, min(config.batch_size, B))
+    batch = min(config.batch_size, B)
 
     current = space.apply(theta)
     last_good = theta.copy()
@@ -363,8 +401,6 @@ def fit(
 def _update(theta, grad, state: OptimizerState, config: TrainConfig) -> np.ndarray:
     if state.kind == "sgd":
         return theta - config.learning_rate * grad
-    if state.kind != "adam":
-        raise ValueError(f"unknown optimizer {state.kind!r}")
     state.step += 1
     state.m = _BETA1 * state.m + (1.0 - _BETA1) * grad
     state.v = _BETA2 * state.v + (1.0 - _BETA2) * grad * grad

@@ -246,6 +246,15 @@ class TestRuns:
         history = (workspace / "train" / "history.csv").read_text().splitlines()
         assert history[0] == "epoch,loss,accuracy" and len(history) == 1 + 6
 
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_train_without_epochs_is_an_error_line(self, workspace, epochs, capsys):
+        rc = main(["train", "--model", str(workspace / "train" / "model.circuit"),
+                   "--data", str(workspace / "data.csv"), "--epochs", epochs,
+                   "--out", str(workspace / f"train_epochs{epochs}")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: code=1 kind=error") and "epochs" in err
+
     def test_ood_p_zero_matches_plain(self, workspace):
         model = str(workspace / "train" / "model.circuit")
         data = str(workspace / "data.csv")

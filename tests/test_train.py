@@ -16,6 +16,7 @@ from circuq import (
     synth_blobs,
     validate,
 )
+import circuq.train as train_module
 from circuq.errors import ShapeError
 from circuq.circuit import forward_log_values
 from circuq.structures import random_dag_circuit, random_evidence, random_tree_circuit
@@ -135,6 +136,60 @@ class TestLossAndGrad:
         _, grad = loss_and_grad(c, X, y, "cross_entropy")
         fd = finite_difference_gradient(space, space.initial_vector(), X, y, "cross_entropy")
         assert grad_close(grad, fd)
+
+    # random_dag_circuit has one class, under which cross-entropy is constant;
+    # the RAT, whose heads share every region, is the multi-class DAG.
+    @pytest.mark.parametrize("kind, objective", [
+        ("rat", "head"), ("rat", "cross_entropy"), ("tree", "head"),
+        ("tree", "cross_entropy"), ("dag", "head"),
+    ])
+    def test_row_chunked_products_equal_one_product(self, monkeypatch, kind, objective):
+        # A budget of a few hundred multiply-adds splits the sum blocks' rows
+        # into several chunks; the gradient must not depend on the split.
+        rng = np.random.default_rng(41)
+        c = {"rat": lambda: build_rat(RatConfig(3, 3, 2, 2, 3, 6, rng_seed=2)),
+             "tree": lambda: random_tree_circuit(rng, max_sum_edges=12, num_classes=3),
+             "dag": lambda: random_dag_circuit(rng, max_sum_edges=16)}[kind]()
+        X = np.stack([random_evidence(rng, c, 0.1) for _ in range(300)])
+        y = rng.integers(c.num_classes, size=300)
+        assert any(math.prod(layer.shape) * len(X) > 300
+                   for layer in c.layout().layers if layer.kind == "sum")
+        monkeypatch.setattr(train_module, "_PRODUCT_MACS", 1 << 40)
+        loss, whole = loss_and_grad(c, X, y, objective)
+        monkeypatch.setattr(train_module, "_PRODUCT_MACS", 300)
+        split_loss, split = loss_and_grad(c, X, y, objective)
+        assert split_loss == loss and np.abs(whole).max() > 0
+        assert np.abs(split - whole).max() <= 1e-13 * np.abs(whole).max()
+
+    def test_matches_finite_differences_when_the_head_product_is_split(self):
+        c = build_rat(RatConfig(6, 3, 2, 3, 10, 4, rng_seed=3))
+        rng = np.random.default_rng(43)
+        X = rng.normal(size=(256, 4)) * 1.5
+        y = rng.integers(10, size=256)
+        head = [layer for layer in c.layout().layers if layer.kind == "sum"][-1]
+        groups, sums, children = head.shape
+        assert groups == 1 and sums * children * len(X) > train_module._PRODUCT_MACS
+        space = ParameterSpace.of(c)
+        theta = space.initial_vector()
+        _, grad = loss_and_grad(c, X, y)
+        # θ positions of the head's logits and of the Gaussian means and log stds
+        logits, mean, log_std = train_module._blocks(np.arange(space.size), c.layout())
+        picked = np.concatenate([rng.choice(logits[-1].ravel(), 12, replace=False),
+                                 rng.choice(mean, 6, replace=False),
+                                 rng.choice(log_std, 6, replace=False)])
+        h = 1e-5
+        for k in picked:
+            tp, tm = theta.copy(), theta.copy()
+            tp[k] += h
+            tm[k] -= h
+            fd = (loss_and_grad(space.apply(tp), X, y)[0]
+                  - loss_and_grad(space.apply(tm), X, y)[0]) / (2 * h)
+            assert grad_close(grad[k], fd), k
+        # and along one random direction through every parameter at once
+        d = rng.normal(size=space.size)
+        fd = (loss_and_grad(space.apply(theta + h * d), X, y)[0]
+              - loss_and_grad(space.apply(theta - h * d), X, y)[0]) / (2 * h)
+        assert grad_close(grad @ d, fd)
 
     def test_label_validation(self, two_leaf_sum):
         with pytest.raises(ShapeError):
@@ -264,6 +319,22 @@ class TestFit:
                 np.testing.assert_allclose(new.log_weights, node.log_weights, atol=1e-15)
             elif node.kind == "gaussian":
                 assert (new.mean, new.log_std) == (node.mean, node.log_std)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("epochs", -1), ("batch_size", 0), ("batch_size", -2),
+        ("learning_rate", -1e-3), ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("optimizer", "rmsprop"), ("objective", "hinge"),
+    ])
+    def test_invalid_config_is_rejected_before_any_pass(self, monkeypatch, two_leaf_sum,
+                                                        field, value):
+        def no_pass(*args):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr(train_module, "loss_and_grad", no_pass)
+        monkeypatch.setattr(train_module, "accuracy", no_pass)
+        config = TrainConfig(**{"epochs": 1, "batch_size": 4, field: value})
+        with pytest.raises(ValueError, match=field):
+            fit(two_leaf_sum, np.zeros((10, 1)), np.zeros(10, dtype=int), config)
 
     def test_empty_dataset_rejected(self, two_leaf_sum):
         with pytest.raises(ShapeError):
