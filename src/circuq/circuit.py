@@ -14,9 +14,10 @@ reverse pass, which walks the groups backwards.
 
 Circuits are treated as immutable after construction: evaluation never writes
 to the node arena, and the cached plan is derived from it, so a circuit can be
-shared freely across threads.  Validation is a separate pass rather than a
-constructor check, which keeps it possible to build deliberately broken
-circuits for negative tests.
+shared freely across threads.  The one thing passes share is the layout's
+store of spare pass arrays, and each array is taken from it whole.
+Validation is a separate pass rather than a constructor check, which keeps it
+possible to build deliberately broken circuits for negative tests.
 """
 
 from __future__ import annotations
@@ -323,6 +324,15 @@ def validate(circuit: Circuit) -> ValidationReport:
 # per group and row, and a product layer adds its factors' log values over
 # their outer product.  The reverse pass walks the same groups backwards, through
 # transposed matrix products and sums over the outer products' axes.
+#
+# Every pass holds its values in one (nodes, columns) array whose rows are
+# slots, not node ids.  Slots follow the plan: the leaves first, in the order
+# of Layout.leaves, then each layer's (G, S) nodes, so a layer writes one
+# contiguous slice.  Each layer input is compiled to its (G, S) slots; where
+# they are affine, start + g * group stride + s * width stride, as a RAT's
+# region and partition blocks are, the layer reads the input in place as a
+# strided view, and otherwise it gathers the slots.  Only the layout knows
+# this order: callers get node-order rows from Layout.finish.
 
 _BLOCK_ELEMENTS = 1 << 16  # gathered or produced (groups, width, columns) elements per step
 
@@ -337,21 +347,79 @@ def node_blocks(count: int, width: int, columns: int) -> list[slice]:
     if 0 < count * width * columns <= _BLOCK_ELEMENTS:
         return [slice(0, count)]
     step = max(1, _BLOCK_ELEMENTS // max(1, width * columns))
-    return [slice(s, s + step) for s in range(0, count, step)]
+    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
 
 
 @dataclass(frozen=True)
-class SumLayer:
+class SlotRead:
+    """One layer input: the (G, W) slots it reads, and their (group, width)
+    ``strides`` when the slots are affine, first + g * stride_g + w * stride_w,
+    None otherwise."""
+
+    slots: np.ndarray
+    strides: Optional[tuple[int, int]]
+    first: int = 0
+
+    @staticmethod
+    def of(slots: np.ndarray) -> "SlotRead":
+        G, W = slots.shape
+        if slots.size == 0:
+            return SlotRead(slots, None)
+        first = int(slots[0, 0])
+        strides = (int(slots[1, 0]) - first if G > 1 else 0,
+                   int(slots[0, 1]) - first if W > 1 else 0)
+        affine = first + strides[0] * np.arange(G)[:, None] + strides[1] * np.arange(W)
+        return SlotRead(slots, strides if np.array_equal(slots, affine) else None, first)
+
+    def read(self, values: np.ndarray, b: slice) -> np.ndarray:
+        """The (groups, W, columns) values of groups ``b``: a view of
+        ``values`` where the slots are affine, else a gathered copy."""
+        if self.strides is None:
+            return values[self.slots[b]]
+        by_group, by_width = self.strides
+        row, column = values.strides
+        return np.ndarray((b.stop - b.start, self.slots.shape[1], values.shape[1]), values.dtype,
+                          values, (self.first + b.start * by_group) * row,
+                          (by_group * row, by_width * row, column))
+
+    def add(self, values: np.ndarray, b: slice, part: np.ndarray, distinct: bool) -> None:
+        """values[slots of groups b] += part, summing repeated slots; in place
+        through the view where the slots are affine and ``distinct``."""
+        if not distinct:
+            np.add.at(values, self.slots[b], part)
+        elif self.strides is None:
+            values[self.slots[b]] += part
+        else:
+            view = self.read(values, b)
+            view += part
+
+
+class _Output:
+    """The output slots of a layer: G * W consecutive slots from ``start``,
+    its (G, W) ``nodes`` in row-major order."""
+
+    def output(self, values: np.ndarray, b: slice) -> np.ndarray:
+        """The (groups, W, columns) view of the values of groups ``b``."""
+        W = self.nodes.shape[1]
+        return values[self.start + b.start * W : self.start + b.stop * W].reshape(
+            b.stop - b.start, W, values.shape[1])
+
+
+@dataclass(frozen=True)
+class SumLayer(_Output):
     """Stacked groups of sums, each group mixing one child list.
 
     ``nodes`` is (G, S) and ``children`` (G, K); the layer's (G, S, K) sum
     edges are its weights.  ``distinct`` holds when no node appears twice in
-    ``children``.
+    ``children``.  The sums hold the slots from ``start`` on, and ``reads``
+    is one :class:`SlotRead` of the children.
     """
 
     nodes: np.ndarray
     children: np.ndarray
     distinct: bool
+    start: int
+    reads: tuple
 
     kind = "sum"
 
@@ -374,18 +442,22 @@ class SumLayer:
 
 
 @dataclass(frozen=True)
-class ProductLayer:
+class ProductLayer(_Output):
     """Stacked groups of products, each group every combination of its
     factors' nodes.
 
     ``factors`` holds one (G, S_f) array per child position, and ``nodes`` is
     (G, S_1 ... S_F): the products in outer (row-major) order of the factors.
-    ``distinct`` holds when no node appears twice in one factor's array.
+    ``distinct`` holds when no node appears twice in one factor's array.  The
+    products hold the slots from ``start`` on, and ``reads`` has one
+    :class:`SlotRead` per factor.
     """
 
     nodes: np.ndarray
     factors: tuple
     distinct: bool
+    start: int
+    reads: tuple
 
     kind = "product"
 
@@ -393,16 +465,27 @@ class ProductLayer:
         """Group slices whose products stay within the element budget."""
         return node_blocks(len(self.nodes), self.nodes.shape[1], columns)
 
-    def outer(self, parts: list, fold=np.add) -> np.ndarray:
+    def outer(self, parts: list, fold=np.add, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Fold per-factor (groups, S_f, columns) arrays, factor by factor,
-        into the groups' (groups, products, columns) outer combinations."""
+        into the groups' (groups, products, columns) outer combinations.
+        Given a contiguous ``out`` of that shape, the last fold writes there,
+        so ``fold`` must then take ``out=``."""
         acc = None
         for f, x in enumerate(parts):
             shape = [x.shape[0]] + [1] * len(parts) + [x.shape[-1]]
             shape[1 + f] = x.shape[1]
             x = x.reshape(shape)
-            acc = x if acc is None else fold(acc, x)
-        return acc.reshape(acc.shape[0], -1, acc.shape[-1])
+            if acc is None:
+                acc = x
+            elif out is not None and f == len(parts) - 1:
+                shape[1:-1] = [part.shape[1] for part in parts]
+                acc = fold(acc, x, out=out.reshape(shape))
+            else:
+                acc = fold(acc, x)
+        acc = acc.reshape(acc.shape[0], -1, acc.shape[-1])
+        if out is not None and len(parts) == 1:
+            out[...] = acc
+        return acc
 
     def factor_sums(self, adj: np.ndarray) -> list:
         """The reverse of :meth:`outer` with np.add: each factor's (groups,
@@ -420,9 +503,62 @@ class ProductLayer:
         return np.repeat(self.nodes.ravel(), len(self.factors)), kids.ravel()
 
 
+_SPARE_BYTES = 1 << 26  # pass arrays a layout keeps for its next passes
+_SPARE_MIN = 1 << 22  # smaller pass arrays are left to the allocator
+
+
+class _SpareArrays:
+    """Value arrays of finished passes, kept by width for later passes of the
+    same layout: those of at least ``_SPARE_MIN`` bytes, while they total at
+    most ``_SPARE_BYTES``.
+
+    A pass's (nodes, columns) arrays can be large (25 MB each at mid and 256
+    rows).  Allocated fresh for every pass, they cost page faults whenever
+    glibc has returned the last pass's arrays to the system, which it does
+    once freed memory at the top of its heap passes its trim threshold.  A
+    kept array is reused in place.  Small arrays cost little to fault in, and
+    kept for every width a pipeline uses, they would only add to its memory.
+    Taking and giving are single list operations, atomic under the
+    interpreter lock, so two passes never get one array.  A pickled layout
+    keeps none.
+    """
+
+    def __init__(self):
+        self._by_width: dict[int, list] = {}
+
+    def __reduce__(self):
+        return (_SpareArrays, ())
+
+    def take(self, rows: int, columns: int) -> np.ndarray:
+        """An uninitialized (rows, columns) array."""
+        kept = self._by_width.get(columns)
+        if kept:
+            try:
+                return kept.pop()
+            except IndexError:  # another thread took the last one
+                pass
+        return np.empty((rows, columns))
+
+    def give(self, *arrays: np.ndarray) -> None:
+        """Keep arrays that nothing else refers to any more, while they fit."""
+        for a in arrays:
+            if a.nbytes < _SPARE_MIN:
+                continue
+            held = sum(x.nbytes for kept in list(self._by_width.values()) for x in list(kept))
+            if held + a.nbytes <= _SPARE_BYTES:
+                self._by_width.setdefault(a.shape[1], []).append(a)
+
+
 @dataclass(frozen=True)
 class Layout:
-    """Compiled structure, shared by circuits that differ only in parameters."""
+    """Compiled structure, shared by circuits that differ only in parameters.
+
+    Passes keep node values in slots (see the layer-plan comment above):
+    ``slot`` maps a node id to its slot and ``order`` a slot to its node id.
+    The leaves of each kind hold consecutive slots (:meth:`leaf_slots`), and
+    each layer holds G * W of them from its ``start``.  Node ids, the order of
+    :attr:`sum_edge_order` and of training's parameters do not depend on slots.
+    """
 
     layers: list
     leaves: dict  # leaf kind -> (node ids, variables)
@@ -431,10 +567,46 @@ class Layout:
     # index of the e-th edge in that order.
     sum_edge_order: np.ndarray
     is_tree: bool
+    slot: np.ndarray
+    order: np.ndarray
+    spare: _SpareArrays = field(default_factory=_SpareArrays, repr=False, compare=False)
 
     @property
     def num_sum_edges(self) -> int:
         return len(self.sum_edge_order)
+
+    @property
+    def num_leaves(self) -> int:
+        return sum(len(ids) for ids, _ in self.leaves.values())
+
+    def leaf_slots(self, kind: str) -> slice:
+        """The slots of the leaves of one kind, in the order of ``leaves``."""
+        start = 0
+        for k, (ids, _) in self.leaves.items():
+            if k == kind:
+                return slice(start, start + len(ids))
+            start += len(ids)
+        raise KeyError(kind)
+
+    def values(self, columns: int) -> np.ndarray:
+        """An uninitialized (nodes, columns) array for one pass, in slot order."""
+        return self.spare.take(len(self.order), columns)
+
+    def finish(self, values: np.ndarray, nodes=None) -> np.ndarray:
+        """The rows of ``nodes`` of a finished pass's slot-order array, in the
+        order given; by default every node, in node order.  Asking for
+        :attr:`order` returns ``values`` itself; otherwise the rows are
+        copied and ``values`` is kept for a later pass, so the caller must
+        hold no other reference to it."""
+        if nodes is None:
+            rows = values[self.slot]
+        else:
+            slots = self.slot[nodes]
+            if len(slots) == len(values) and np.array_equal(slots, np.arange(len(values))):
+                return values
+            rows = values[slots]
+        self.spare.give(values)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -443,8 +615,8 @@ class Plan:
     non-finite leaf parameter raises ParameterError on construction.
 
     ``log_weights`` holds each sum layer's (G, S, K) log weights, None for a
-    product layer; ``weights`` are their exponentials.  ``log_probs`` is
-    -inf past each categorical leaf's states.
+    product layer; ``weights`` are their exponentials.
+    ``log_probs`` is -inf past each categorical leaf's states.
     """
 
     layout: Layout
@@ -471,37 +643,43 @@ class Plan:
                            [None if lw is None else np.exp(lw) for lw in self.log_weights])
 
     def leaf_log_values(self, X: np.ndarray, out: np.ndarray) -> None:
-        """Write each leaf's log value for the rows of X into ``out``, in blocks
-        of leaves; NaN (marginalized) gives log 1 = 0, and a single row fills
-        every column."""
+        """Write each leaf's log value for the rows of X into its slots of
+        ``out``, in blocks of leaves; NaN (marginalized) gives log 1 = 0, and
+        a single row fills every column."""
         values = np.ascontiguousarray(X.T)  # (variables, rows)
+        missing = np.isnan(values)
+        any_missing = missing.any()
+        first = 0
         for kind, (ids, variables) in self.layout.leaves.items():
             evaluate = self._gaussian if kind == "gaussian" else self._categorical
             for b in node_blocks(len(ids), 1, len(X)):
-                out[ids[b]] = evaluate(values[variables[b]], b)
+                evaluate(values[variables[b]], missing[variables[b]] if any_missing else None,
+                         b, out[first + b.start : first + b.stop])
+            first += len(ids)
 
-    def _gaussian(self, x: np.ndarray, b: slice) -> np.ndarray:
-        # -0.5 z^2 - log_std - log(2 pi) / 2, in place on cache-sized blocks
-        z = x - self.mean[b, None]
+    def _gaussian(self, x: np.ndarray, missing: Optional[np.ndarray], b: slice,
+                  out: np.ndarray) -> None:
+        # -0.5 z^2 - log_std - log(2 pi) / 2, in place on cache-sized blocks;
+        # x is a gathered copy, so z may take its place
+        z = np.subtract(x, self.mean[b, None], out=x)
         z *= self.inv_std[b, None]
-        out = z * -0.5
+        np.multiply(z, -0.5, out=out)
         out *= z
         out -= self.log_std[b, None]
         out -= 0.5 * LOG_2PI
-        missing = np.isnan(x)
-        if missing.any():
-            out[missing] = 0.0
-        return out
+        if missing is not None:
+            np.copyto(out, 0.0, where=missing)
 
-    def _categorical(self, x: np.ndarray, b: slice) -> np.ndarray:
+    def _categorical(self, x: np.ndarray, missing: Optional[np.ndarray], b: slice,
+                     out: np.ndarray) -> None:
         states = self.states[b, None]
-        observed = ~np.isnan(x)
+        observed = np.ones(x.shape, dtype=bool) if missing is None else ~missing
         bad = observed & ((x != np.floor(x)) | (x < 0) | (x >= states))
         if np.any(bad):
             states = states[np.flatnonzero(bad.any(axis=1))[0], 0]
             raise ShapeError(f"categorical values invalid for {states} states")
         k = np.where(observed, x, 0.0).astype(np.int64)
-        return np.where(observed, self.log_probs[b][np.arange(len(k))[:, None], k], 0.0)
+        out[...] = np.where(observed, self.log_probs[b][np.arange(len(k))[:, None], k], 0.0)
 
 
 def _compile_layout(circuit: Circuit) -> Layout:
@@ -516,7 +694,7 @@ def _compile_layout(circuit: Circuit) -> Layout:
             depth[i] = 1 + max(map(depth.__getitem__, node.children))
         levels.setdefault((depth[i], node.kind), []).append(i)
 
-    layers, edge_order = [], []
+    stacked, edge_order = [], []  # (kind, nodes, factors, distinct) per layer
     leaves = {kind: (np.zeros(0, dtype=np.int64),) * 2 for kind in ("gaussian", "categorical")}
     for (_, kind), ids in sorted(levels.items()):
         if kind in ("gaussian", "categorical"):
@@ -534,14 +712,25 @@ def _compile_layout(circuit: Circuit) -> Layout:
             if kind == "sum":
                 edges = edge_start[ids][:, :, None] + np.arange(factors[0].shape[1])
                 edge_order.append(edges.ravel())
-                layers.append(SumLayer(ids, factors[0], distinct))
-            else:
-                layers.append(ProductLayer(ids, factors, distinct))
+            stacked.append((kind, ids, factors, distinct))
+
+    order = np.concatenate([ids for ids, _ in leaves.values()]
+                           + [ids.ravel() for _, ids, _, _ in stacked])
+    slot = np.empty(n, dtype=np.int64)
+    slot[order] = np.arange(n)
+    layers, start = [], sum(len(ids) for ids, _ in leaves.values())
+    for kind, ids, factors, distinct in stacked:
+        reads = tuple(SlotRead.of(slot[f]) for f in factors)
+        if kind == "sum":
+            layers.append(SumLayer(ids, factors[0], distinct, start, reads))
+        else:
+            layers.append(ProductLayer(ids, factors, distinct, start, reads))
+        start += ids.size
 
     references = np.concatenate([layer.edge_ends()[1] for layer in layers] + [circuit.roots])
     parents = np.bincount(references.astype(np.int64), minlength=n)
     return Layout(layers, leaves, np.concatenate([np.zeros(0, dtype=np.int64)] + edge_order),
-                  bool(np.all(parents <= 1)))
+                  bool(np.all(parents <= 1)), slot, order)
 
 
 def _sum_groups(nodes, ids: list[int]) -> list:
@@ -618,7 +807,7 @@ def log_likelihood(circuit: Circuit, evidence) -> np.ndarray:
     add child log values; marginalized leaves contribute 0.
     """
     values = as_evidence(evidence, circuit.num_variables)
-    return forward_log_values(circuit, values[None, :])[circuit.roots, 0]
+    return forward_log_values(circuit, values[None, :], nodes=circuit.roots)[:, 0]
 
 
 def log_likelihood_batch(circuit: Circuit, X: np.ndarray) -> np.ndarray:
@@ -631,38 +820,53 @@ def log_likelihood_batch(circuit: Circuit, X: np.ndarray) -> np.ndarray:
     out = np.empty((X.shape[0], circuit.num_classes))
     for s in range(0, X.shape[0], BATCH_ROWS):
         rows = slice(s, s + BATCH_ROWS)
-        out[rows] = forward_log_values(circuit, X[rows])[circuit.roots].T
+        out[rows] = forward_log_values(circuit, X[rows], nodes=circuit.roots).T
     return out
 
 
-def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarray] = None):
-    """Per-node log values, shape (nodes, columns), from one loop over layers.
+def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarray] = None,
+                       nodes=None) -> np.ndarray:
+    """Log values of ``nodes``, shape (len(nodes), columns), from one loop
+    over layers; by default every node, in node order.
 
     Without ``keep`` the columns are the rows of X.  Monte Carlo dropout
     passes a (passes, sum edges) boolean mask with one row in X, its edges in
     the plan order of :attr:`Layout.sum_edge_order`: column j is then the pass
     in which a sum edge contributes only where its bit in row j of ``keep``
     holds; its weight is zero elsewhere.  Each sum layer reads its edges' bits
-    as a (passes, G, S, K) view.
+    as a (passes, G, S, K) view.  The pass holds every node's values in slot
+    order (:meth:`Layout.finish`): asking for :attr:`Layout.order` returns
+    that array itself, and asking for the roots copies only their rows.  Raises
+    ShapeError unless X is (rows, variables) and, with ``keep``, one row
+    with a (passes, sum edges) mask.
     """
     plan = circuit.plan()
-    X = np.asarray(X, dtype=np.float64)
+    layout = plan.layout
+    X = as_batch(X, circuit.num_variables)
+    if keep is not None:
+        keep = np.asarray(keep)
+        if X.shape[0] != 1 or keep.ndim != 2 or keep.shape[1] != layout.num_sum_edges:
+            raise ShapeError(f"a keep mask of shape {keep.shape} with evidence of shape "
+                             f"{X.shape}; expected one row and (passes, "
+                             f"{layout.num_sum_edges}) keep bits")
     columns = X.shape[0] if keep is None else keep.shape[0]
-    logv = np.empty((len(circuit.nodes), columns))
+    logv = layout.values(columns)
     plan.leaf_log_values(X, logv)
     start = 0  # the layer's first edge in plan order
     with np.errstate(divide="ignore"):
-        for layer, lw, w in zip(plan.layout.layers, plan.log_weights, plan.weights):
+        for layer, lw, w in zip(layout.layers, plan.log_weights, plan.weights):
             if layer.kind == "product":
                 for b in layer.blocks(columns):
-                    logv[layer.nodes[b]] = layer.outer([logv[f[b]] for f in layer.factors])
+                    layer.outer([read.read(logv, b) for read in layer.reads],
+                                out=layer.output(logv, b))
                 continue
             kept = None if keep is None else keep[:, start : start + w.size].reshape(-1, *w.shape)
             start += w.size
+            children = layer.reads[0]
             for b in layer.blocks(columns):
-                logv[layer.nodes[b]] = log_mix(w[b], lw[b], logv[layer.children[b]],
-                                               None if kept is None else kept[:, b])
-    return logv
+                layer.output(logv, b)[...] = log_mix(w[b], lw[b], children.read(logv, b),
+                                                     None if kept is None else kept[:, b])
+    return layout.finish(logv, nodes)
 
 
 def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray,
@@ -680,7 +884,8 @@ def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray,
     """
     m = x.max(axis=1, keepdims=True)
     shift = np.maximum(m, SHIFT_FLOOR)
-    lin = np.exp(x - shift)
+    lin = np.subtract(x, shift)
+    np.exp(lin, out=lin)
     mixed = mix(w, lin) if kept is None else np.einsum("gsk,cgsk,gkc->gsc", w, kept, lin)
     return log_shifted(mixed, shift, lambda: m > -np.inf, lambda g, s, c: x[g, :, c] + (
         log_w[g, s] if kept is None else np.where(kept[c, g, s], log_w[g, s], -np.inf)))
@@ -693,7 +898,15 @@ def mix(w: np.ndarray, lin: np.ndarray) -> np.ndarray:
     one to the bit, and a batch split into passes equals one pass.  BLAS
     (np.matmul) picks its kernel by the product's width, gemv for one column
     and other kernels for other widths, so there a column's bits change
-    with the batch width."""
+    with the batch width.  einsum has such a case too: where both operands
+    hold their K values contiguously, as the weights and a single column
+    do, it sums them in SIMD lanes, while it adds them one k at a time
+    otherwise.  So a single column is mixed from a copy with a gap after
+    each value."""
+    if lin.shape[-1] == 1:
+        spaced = np.empty((*lin.shape[:-1], 2))
+        spaced[..., :1] = lin
+        lin = spaced[..., :1]
     return np.einsum("gsk,gkc->gsc", w, lin)
 
 

@@ -112,7 +112,8 @@ def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
     C = circuit.num_classes
 
     if config.p == 0.0:
-        log_roots = np.repeat(forward_log_values(circuit, values[None, :])[circuit.roots], L, 1)
+        log_roots = np.repeat(forward_log_values(circuit, values[None, :], nodes=circuit.roots),
+                              L, 1)
     else:
         pass_bytes = 8 * len(circuit.nodes) + num_edges  # node values and keep bits
         chunk = max(1, _CHUNK_BYTES // pass_bytes // 8) * 8
@@ -120,7 +121,7 @@ def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
         masks = keep_masks(config.p, config.rng_seed, num_edges, L, chunk)
         for done, keep in zip(range(0, L, chunk), masks):
             log_roots[:, done : done + len(keep)] = forward_log_values(
-                circuit, values[None, :], keep)[circuit.roots]
+                circuit, values[None, :], keep, nodes=circuit.roots)
 
     # two (C, L) arrays in all: lin, and log_roots turned into post in place
     lin = np.exp(log_roots)

@@ -149,53 +149,58 @@ def tdi_pass(circuit: Circuit, evidence, config: DropoutConfig) -> MomentFrame:
     return frame
 
 
-def tdi_pass_batch(circuit: Circuit, X: np.ndarray, config: DropoutConfig):
-    """Per-node log expectation and log variance for a batch of rows.
+def tdi_pass_batch(circuit: Circuit, X: np.ndarray, config: DropoutConfig, nodes=None):
+    """Log expectation and log variance of ``nodes`` for a batch of rows; by
+    default every node, in node order.
 
     Covers TREE_ZERO, the strategy that drops sibling covariances.  Returns
-    two (nodes, rows) arrays.
+    two (len(nodes), rows) arrays.
     """
     if config.covariance_strategy is CovarianceStrategy.RAT_EXACT:
         raise StructureError("the batch pass supports zero-covariance strategies only")
-    return _moment_pass(circuit, as_batch(X, circuit.num_variables), config)
+    return _moment_pass(circuit, as_batch(X, circuit.num_variables), config, nodes=nodes)
 
 
-def _moment_pass(circuit, X, config, exact_frame=None):
-    """Log expectation and zero-covariance log variance of every node, as
-    (nodes, rows) arrays, from one loop over the circuit's layers.
+def _moment_pass(circuit, X, config, exact_frame=None, nodes=None):
+    """Log expectation and zero-covariance log variance of ``nodes`` (every
+    node, in node order, by default), from one loop over the circuit's layers.
 
+    The pass holds every node's moments in the layout's slot order, reads
+    each layer's inputs through its views and writes each layer as one slice.
     Given the one-row RAT_EXACT ``exact_frame``, the sibling covariances are
     added to each sum layer's variances in place, before the next layer reads
     them (:func:`_add_sum_covariances`).
     """
     plan = circuit.plan()
+    layout = plan.layout
     n, rows = len(circuit.nodes), X.shape[0]
-    log_e = np.empty((n, rows))
-    log_v = np.full((n, rows), _NEG_INF)
+    log_e, log_v = layout.values(rows), layout.values(rows)
+    log_v[: layout.num_leaves] = _NEG_INF  # every layer writes its own slots
     plan.leaf_log_values(X, log_e)
     q = np.full((n, 1), config.q)
     if config.exclude_root_heads:
-        q[circuit.roots] = 1.0  # root heads keep every edge
+        q[layout.slot[circuit.roots]] = 1.0  # root heads keep every edge
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_q = np.log(q)
-        for layer, lw, w in zip(plan.layout.layers, plan.log_weights, plan.weights):
+        p = 1.0 - q
+        for layer, lw, w in zip(layout.layers, plan.log_weights, plan.weights):
             for b in layer.blocks(rows):
-                ids = layer.nodes[b]
+                out = layer.output(log_e, b), layer.output(log_v, b)
                 if lw is None:
-                    log_e[ids], log_v[ids] = _product_moments(
-                        layer, [log_e[f[b]] for f in layer.factors],
-                        [log_v[f[b]] for f in layer.factors])
+                    _product_moments(layer, [read.read(log_e, b) for read in layer.reads],
+                                     [read.read(log_v, b) for read in layer.reads], out)
                 else:
-                    kids = layer.children[b]
-                    log_e[ids], log_v[ids] = _sum_moments(
-                        w[b], lw[b], log_e[kids], log_v[kids], log_q[ids], 1.0 - q[ids])
+                    children = layer.reads[0]
+                    _sum_moments(w[b], lw[b], children.read(log_e, b), children.read(log_v, b),
+                                 layer.output(log_q, b), layer.output(p, b), out)
             if exact_frame is not None and lw is not None:
                 _add_sum_covariances(exact_frame, layer, log_q, log_e, log_v)
-    return log_e, log_v
+    return layout.finish(log_e, nodes), layout.finish(log_v, nodes)
 
 
-def _product_moments(layer, ce: list, cv: list):
-    """log E and log Var of a block of product groups of independent factors.
+def _product_moments(layer, ce: list, cv: list, out) -> None:
+    """log E and log Var of a block of product groups of independent factors,
+    written into the pair of (groups, products, rows) arrays ``out``.
 
     Takes each factor's (groups, S_f, rows) moments.  Var = prod(E^2)
     (prod(1 + r_f) - 1) with r_f = Var_f / E_f^2, and the bracket accumulates
@@ -203,20 +208,22 @@ def _product_moments(layer, ce: list, cv: list):
     Where a factor's mean is zero the subtracted product vanishes, and Var is
     the product of the factors' second moments.
     """
-    log_e = layer.outer(ce)
+    log_e, log_v = out
+    layer.outer(ce, out=log_e)
     if max(v.max() for v in cv) == _NEG_INF:  # constant factors: a constant product
-        return log_e, np.full(log_e.shape, _NEG_INF)
+        log_v[...] = _NEG_INF
+        return
     r = [np.exp(v - 2.0 * e) for e, v in zip(ce, cv)]
     acc = layer.outer(r, lambda acc, rf: acc + rf * (1.0 + acc))
-    log_v = 2.0 * log_e + np.log(acc)
+    np.add(2.0 * log_e, np.log(acc), out=log_v)
     if log_e.min() == _NEG_INF:
         second = layer.outer([np.logaddexp(v, 2.0 * e) for e, v in zip(ce, cv)])
-        log_v = np.where(log_e == _NEG_INF, second, log_v)
-    return log_e, log_v
+        np.copyto(log_v, second, where=log_e == _NEG_INF)
 
 
-def _sum_moments(w, lw, ce, cv, log_q, p):
-    """log E and zero-covariance log Var of a block of sum groups.
+def _sum_moments(w, lw, ce, cv, log_q, p, out) -> None:
+    """log E and zero-covariance log Var of a block of sum groups, written
+    into the pair of (g, S, rows) arrays ``out``.
 
     E = q W E_k and Var = q (W o W) (Var_k + p E_k^2), from the groups'
     (g, K, rows) child moments.  E is mixed in linear space under each
@@ -240,13 +247,20 @@ def _sum_moments(w, lw, ce, cv, log_q, p):
         lambda g, s, c: np.concatenate(
             [2.0 * lw[g, s] + cv[g, :, c], np.log(p[g, s]) + 2.0 * (lw[g, s] + ce[g, :, c])],
             axis=1))
-    return log_q + log_e, log_q + log_var
+    np.add(log_q, log_e, out=out[0])
+    np.add(log_q, log_var, out=out[1])
 
 
 def _add_sum_covariances(frame: MomentFrame, layer, log_q, log_e, log_v) -> None:
-    """Add 2 q^2 sum_{i < j} w_i w_j Cov[N_i, N_j] to each sum node's variance."""
-    frame.log_expectation, frame.log_variance = log_e[:, 0], log_v[:, 0]
-    for i in layer.nodes.ravel().tolist():
+    """Add 2 q^2 sum_{i < j} w_i w_j Cov[N_i, N_j] to each sum node's variance.
+
+    ``log_q``, ``log_e`` and ``log_v`` are the pass's slot-order arrays; the
+    frame reads node-order copies of the moments of the layers below.
+    """
+    slot = frame.circuit.layout().slot
+    frame.log_expectation, frame.log_variance = log_e[slot, 0], log_v[slot, 0]
+    for k, i in zip(range(layer.start, layer.start + layer.nodes.size),
+                    layer.nodes.ravel().tolist()):
         node = frame.circuit.nodes[i]
         kids, weights = node.children, node.log_weights
         cov_term = SignedLog.zero()
@@ -255,9 +269,9 @@ def _add_sum_covariances(frame: MomentFrame, layer, log_q, log_e, log_v) -> None
                 c = _pair_cov(frame, kids[a], kids[b])
                 if not c.is_zero:
                     cov_term = cov_term + c.scale_log(float(weights[a] + weights[b]))
-        t1 = float(log_v[i, 0])
-        var = SignedLog.from_log(t1) + cov_term.scale_log(2.0 * log_q[i, 0] + math.log(2.0))
-        log_v[i, 0] = _nonnegative_log(var, t1, context=f"variance of sum node {i}")
+        t1 = float(log_v[k, 0])
+        var = SignedLog.from_log(t1) + cov_term.scale_log(2.0 * log_q[k, 0] + math.log(2.0))
+        log_v[k, 0] = _nonnegative_log(var, t1, context=f"variance of sum node {i}")
 
 
 def _nonnegative_log(value: SignedLog, log_scale: float, context: str) -> float:
@@ -490,18 +504,22 @@ def posterior_moments_batch(
     shortcut Var[XY] = Var[X] Var[Y].
 
     Rows run BATCH_ROWS at a time.  Zero-covariance strategies take the
-    vectorized pass; RAT_EXACT runs the per-row pass, which also yields the
-    covariances between class roots.  Means are returned unclamped.
+    vectorized pass, which hands back only the roots' rows (every node's for
+    EXTENDED, which reads the root heads' children); RAT_EXACT runs the
+    per-row pass, which also yields the covariances between class roots.
+    Means are returned unclamped.
     """
     if circuit.num_classes < 2:
         raise StructureError("posterior moments need at least two class roots")
     X = as_batch(X, circuit.num_variables)
     C, rows = circuit.num_classes, X.shape[0]
+    roots = circuit.roots
     mean, var = np.empty((rows, C)), np.empty((rows, C))
     for s in range(0, rows, BATCH_ROWS):
         chunk = X[s : s + BATCH_ROWS]
         n = chunk.shape[0]
         root_cov = np.zeros((C, C, n))
+        log_v = None  # every node's log variance, where EXTENDED needs it
         if config.covariance_strategy is CovarianceStrategy.RAT_EXACT:
             log_e = np.empty((len(circuit.nodes), n))
             log_v = np.empty_like(log_e)
@@ -510,19 +528,24 @@ def posterior_moments_batch(
                 log_e[:, r] = frame.log_expectation
                 log_v[:, r] = frame.log_variance
                 root_cov[:, :, r] = _root_cov(frame)
-        else:
+            root_e, root_v = log_e[roots], log_v[roots]
+        elif method is TaylorMethod.EXTENDED:
             log_e, log_v = tdi_pass_batch(circuit, chunk, config)
-        m, v = _taylor(circuit, log_e, log_v, root_cov, method, first_row=s)
-        del log_e, log_v  # free this chunk's node moments before the next chunk's pass
+            root_e, root_v = log_e[roots], log_v[roots]
+        else:
+            root_e, root_v = tdi_pass_batch(circuit, chunk, config, nodes=roots)
+        m, v = _taylor(circuit, root_e, root_v, root_cov, method, first_row=s, log_v=log_v)
+        log_e = log_v = None  # free this chunk's node moments before the next chunk's pass
         mean[s : s + n] = m.T
         var[s : s + n] = np.maximum(v.T, 0.0)
     return mean, var
 
 
-def _root_shift(circuit: Circuit, log_e: np.ndarray, first_row: int = 0) -> np.ndarray:
-    """Per-row max_i log E[A_i], the scale every Taylor term is shifted by."""
+def _root_shift(circuit: Circuit, root_e: np.ndarray, first_row: int = 0) -> np.ndarray:
+    """Per-row max_i log E[A_i], the scale every Taylor term is shifted by,
+    from the roots' (C, rows) log expectations."""
     log_c = np.asarray(circuit.log_class_priors, dtype=np.float64)[:, None]
-    shift = np.max(log_e[circuit.roots] + log_c, axis=0)
+    shift = np.max(root_e + log_c, axis=0)
     dead = np.isneginf(shift)
     if np.any(dead):
         idx = first_row + int(np.flatnonzero(dead)[0])
@@ -553,10 +576,12 @@ def _root_cov(frame: MomentFrame) -> np.ndarray:
     return cov
 
 
-def _taylor(circuit, log_e, log_v, root_cov, method, first_row=0):
+def _taylor(circuit, root_e, root_v, root_cov, method, first_row=0, log_v=None):
     """Taylor moments of the class posteriors A_i / B for every row.
 
-    ``log_e`` and ``log_v`` are (nodes, rows) log moments; ``root_cov`` is the
+    ``root_e`` and ``root_v`` are the roots' (C, rows) log moments, and
+    ``log_v`` is every node's (nodes, rows) log variance in node order, which
+    only EXTENDED reads, at the root heads' children.  ``root_cov`` is the
     (C, C, rows) linear covariance between distinct roots, zero on its
     diagonal, scaled like the variances.  Each Taylor term is a degree-zero
     ratio of moments, so shifting every moment by its degree in the per-row
@@ -571,10 +596,10 @@ def _taylor(circuit, log_e, log_v, root_cov, method, first_row=0):
     """
     roots = circuit.roots
     log_c = np.asarray(circuit.log_class_priors, dtype=np.float64)[:, None]
-    shift = _root_shift(circuit, log_e, first_row)
+    shift = _root_shift(circuit, root_e, first_row)
     with np.errstate(divide="ignore"):
-        les = log_e[roots] - shift  # E[S_i], shifted
-        lvs = log_v[roots] - 2.0 * shift  # Var[S_i], shifted
+        les = root_e - shift  # E[S_i], shifted
+        lvs = root_v - 2.0 * shift  # Var[S_i], shifted
         c = np.exp(log_c)
         ea = np.exp(les + log_c)  # E[A_i]
         va = np.exp(lvs + 2.0 * log_c)  # Var[A_i]

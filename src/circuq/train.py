@@ -18,6 +18,12 @@ means, then their log stds.  Applying θ reshapes its slices into the plan's
 parameter arrays, not nodes, and the reverse pass writes each layer's
 gradient into the same slice of the gradient vector.  Training touches
 parameters only.
+
+The forward values and the adjoints are (nodes, rows) arrays in the layout's
+slot order (:class:`circuq.circuit.Layout`): the reverse pass reads each
+layer's values and adjoints as one slice, reads its children through the
+layer's slot views, and adds the children's adjoints in place through them.
+θ's order, the plan edge order, does not depend on slots.
 """
 
 from __future__ import annotations
@@ -212,8 +218,9 @@ def loss_and_grad(
     B = X.shape[0]
     plan = circuit.plan()
     layout = plan.layout
-    logv = forward_log_values(circuit, X)  # (nodes, B)
-    root_ll = logv[circuit.roots]  # (C, B)
+    logv = forward_log_values(circuit, X, nodes=layout.order)  # (nodes, B), slot order
+    roots = layout.slot[circuit.roots]
+    root_ll = logv[roots]  # (C, B)
 
     if objective == "head":
         picked = root_ll[labels, np.arange(B)]
@@ -234,31 +241,33 @@ def loss_and_grad(
         bad = int(np.flatnonzero(~np.isfinite(root_ll[labels, np.arange(B)]))[0])
         raise ParameterError(f"non-finite loss; first offending sample index {bad}")
 
-    adjoint = np.zeros_like(logv)  # d loss / d log value per node
-    np.add.at(adjoint, circuit.roots, seed)
+    adjoint = layout.values(B)  # d loss / d log value per slot
+    adjoint.fill(0.0)
+    np.add.at(adjoint, roots, seed)
     grad = np.zeros(ParameterSpace(circuit).size)
     logits_grad, mean_grad, log_std_grad = _blocks(grad, layout)  # views that fill grad
     layers = zip(layout.layers, plan.log_weights, plan.weights, logits_grad)
     for layer, lw, w, layer_grad in reversed(list(layers)):
         for b in layer.blocks(B):
-            adj = adjoint[layer.nodes[b]]
+            adj = layer.output(adjoint, b)
             if lw is None:
-                for kids, part in zip(layer.factors, layer.factor_sums(adj)):
-                    _scatter(adjoint, kids[b], part, layer.distinct)
+                for read, part in zip(layer.reads, layer.factor_sums(adj)):
+                    read.add(adjoint, b, part, layer.distinct)
             else:
-                kids = layer.children[b]
-                layer_grad[b], part = _sum_reverse(w[b], lw[b], logv[kids],
-                                                   logv[layer.nodes[b]], adj)
-                _scatter(adjoint, kids, part, layer.distinct)
+                children = layer.reads[0]
+                layer_grad[b], part = _sum_reverse(w[b], lw[b], children.read(logv, b),
+                                                   layer.output(logv, b), adj)
+                children.add(adjoint, b, part, layer.distinct)
 
-    ids, variables = layout.leaves["gaussian"]
+    _, variables = layout.leaves["gaussian"]
+    leaf_adjoint = adjoint[layout.leaf_slots("gaussian")]
     values = np.ascontiguousarray(X.T)  # (variables, rows)
-    for b in node_blocks(len(ids), 1, B):
+    for b in node_blocks(len(variables), 1, B):
         x = values[variables[b]]
         inv_std = plan.inv_std[b]
         u = x - plan.mean[b, None]
         u *= inv_std[:, None]
-        adj = adjoint[ids[b]]
+        adj = leaf_adjoint[b]
         # Only rows where the leaf is observed and the loss depends on it
         # contribute: elsewhere the derivative is 0, even where u * u overflows.
         # d log_std = sum adj (u^2 - 1) = sum (adj u) u - sum adj over those rows.
@@ -268,6 +277,7 @@ def loss_and_grad(
         np.multiply(adj_u, u, out=adj_u, where=used)
         log_std_grad[b] = adj_u.sum(axis=1) - adj.sum(axis=1, where=used)
     # categorical leaves carry no trainable parameters
+    layout.spare.give(logv, adjoint)
     return loss, grad
 
 
@@ -304,15 +314,6 @@ def _sum_reverse(w, lw, x, v, adj):
         np.add.at(grad, (g, s), share)
         np.add.at(part, (g[:, None], np.arange(x.shape[1]), c[:, None]), share)
     return grad, part
-
-
-def _scatter(adjoint, ids, values, distinct: bool) -> None:
-    """adjoint[ids] += values, summing repeated ids; a plain += suffices
-    where the layout found a layer's children distinct."""
-    if distinct:
-        adjoint[ids] += values
-    else:
-        np.add.at(adjoint, ids, values)
 
 
 # ---------------------------------------------------------------------------

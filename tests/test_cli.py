@@ -49,12 +49,6 @@ class TestHelp:
 
 
 class TestExitCodes:
-    def test_missing_model_is_3(self, workspace):
-        rc = main(["eval", "--model", str(workspace / "nope.circuit"),
-                   "--data", str(workspace / "data.csv"),
-                   "--out", str(workspace / "out_missing")])
-        assert rc == 3
-
     @pytest.mark.parametrize("argv, missing", [
         (["train", "--model", "{model}", "--data", "{data}"], "model"),
         (["train", "--model", "{model}", "--data", "{data}"], "data"),

@@ -2,6 +2,9 @@
 ungrouped evaluation of one circuit agree."""
 
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from circuq import (
     Circuit,
     DropoutConfig,
     RatConfig,
+    ShapeError,
     SumNode,
     build_manual,
     build_rat,
@@ -20,10 +24,12 @@ from circuq import (
     tdi_pass,
     tdi_pass_batch,
 )
+import circuq.circuit as circuit_module
 from circuq.circuit import forward_log_values
 from circuq.enumeration import enumerate_dropout_moments, linear_forward
 from circuq.structures import random_dag_circuit, random_evidence, random_tree_circuit
 from circuq.train import ParameterSpace, loss_and_grad
+from circuq.moments import posterior_moments_batch
 
 SMALL_RAT = RatConfig(5, 5, 3, 2, 5, 16, rng_seed=1)
 MID_RAT = RatConfig(10, 10, 4, 5, 10, 64, rng_seed=1)
@@ -98,6 +104,153 @@ class TestCompiledGroups:
         x = np.array([0.3, -0.4])
         assert log_likelihood(c, x)[0] == pytest.approx(math.log(linear_forward(c, x)[-1]),
                                                         rel=1e-14)
+
+
+class TestSlots:
+    """Passes hold node values in slots: the leaves, then each layer's (G, S)
+    nodes as one contiguous range, read in place where the slots are affine."""
+
+    @staticmethod
+    def numbered(layout):
+        """A (slots, 2) value array whose entries are their own slot."""
+        return np.repeat(np.arange(len(layout.order), dtype=np.float64)[:, None], 2, axis=1)
+
+    def test_rat_layers_write_one_range_and_read_every_input_as_a_view(self):
+        for config in (SMALL_RAT, MID_RAT):
+            c = build_rat(config)
+            layout = c.layout()
+            np.testing.assert_array_equal(layout.slot[layout.order], np.arange(len(c.nodes)))
+            values = self.numbered(layout)
+            start = 0
+            for kind, (ids, _) in layout.leaves.items():
+                assert layout.leaf_slots(kind) == slice(start, start + len(ids))
+                np.testing.assert_array_equal(layout.slot[ids], start + np.arange(len(ids)))
+                start += len(ids)
+            for layer in layout.layers:
+                G, W = layer.nodes.shape
+                assert layer.start == start
+                np.testing.assert_array_equal(layout.slot[layer.nodes],
+                                              start + np.arange(G * W).reshape(G, W))
+                start += G * W
+                every = slice(0, G)
+                assert np.shares_memory(layer.output(values, every), values)
+                for read in layer.reads:
+                    view = read.read(values, every)
+                    assert read.strides is not None and np.shares_memory(view, values)
+                    np.testing.assert_array_equal(view[..., 1], read.slots)
+            assert start == len(c.nodes)
+
+    def test_permuted_children_fall_back_to_gathered_slots(self):
+        c, _ = permuted(build_rat(SMALL_RAT), np.random.default_rng(0))
+        layout = c.layout()
+        values = self.numbered(layout)
+        reads = [read for layer in layout.layers for read in layer.reads]
+        gathered = [read for read in reads if read.strides is None]
+        assert gathered
+        for read in gathered:
+            got = read.read(values, slice(0, len(read.slots)))
+            assert not np.shares_memory(got, values)
+            np.testing.assert_array_equal(got[..., 1], read.slots)
+
+    def test_rows_map_slots_back_to_nodes(self):
+        c = build_rat(SMALL_RAT)
+        layout = c.layout()
+        X = np.random.default_rng(2).normal(size=(5, c.num_variables))
+        every = forward_log_values(c, X)
+        slots = forward_log_values(c, X, nodes=layout.order)
+        np.testing.assert_array_equal(slots[layout.slot], every)
+        assert layout.finish(slots, layout.order) is slots
+        np.testing.assert_array_equal(forward_log_values(c, X, nodes=c.roots), every[c.roots])
+
+
+class TestSpareArrays:
+    """A layout keeps the large value arrays of finished passes for later
+    ones; these tests keep arrays of any size."""
+
+    def test_a_finished_pass_array_is_reused_and_pickles_drop_it(self, monkeypatch):
+        c = build_rat(SMALL_RAT)
+        layout = c.layout()
+        X = np.random.default_rng(1).normal(size=(5, c.num_variables))
+        slots = forward_log_values(c, X, nodes=layout.order)  # the caller's own array
+        layout.finish(slots, c.roots)
+        assert layout.values(len(X)) is not slots  # too small to keep
+        monkeypatch.setattr(circuit_module, "_SPARE_MIN", 0)
+        roots = layout.finish(slots, c.roots)  # copies the roots and keeps the array
+        assert layout.values(len(X)) is slots
+        layout.finish(slots, c.roots)
+        again = pickle.loads(pickle.dumps(c))
+        assert again.layout().values(len(X)) is not slots
+        np.testing.assert_array_equal(forward_log_values(again, X, nodes=c.roots), roots)
+
+    def test_threads_sharing_a_circuit_never_share_a_pass_array(self, monkeypatch):
+        monkeypatch.setattr(circuit_module, "_SPARE_MIN", 0)
+        c = build_rat(SMALL_RAT)
+        rng = np.random.default_rng(2)
+        batches = [rng.normal(size=(9, c.num_variables)) for _ in range(4)]
+        labels = rng.integers(c.num_classes, size=9)
+        config = DropoutConfig.with_p(0.1)
+
+        def passes(x):
+            return (log_likelihood_batch(c, x), *posterior_moments_batch(c, x, config),
+                    *loss_and_grad(c, x, labels)[1:])
+
+        expected = [passes(x) for x in batches]
+        wrong = []
+
+        def work():
+            for _ in range(8):
+                for x, want in zip(batches, expected):
+                    if not all(np.array_equal(a, b) for a, b in zip(passes(x), want)):
+                        wrong.append(x)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+
+
+def test_a_row_is_a_batch_of_one_to_the_bit():
+    """Every node's value and moments for one row equal that row's column of
+    a wider pass bit for bit, sums over many children included, in groups
+    of many sums (the RAT) and of one (its permuted copy)."""
+    rat = build_rat(MID_RAT)
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64)  # noqa: E731
+    config = DropoutConfig.with_p(0.1)
+    for c in (rat, permuted(rat, np.random.default_rng(3))[0]):
+        X = np.random.default_rng(4).normal(size=(7, c.num_variables))
+        X[2, ::5] = np.nan
+        values = forward_log_values(c, X)
+        log_e, log_v = tdi_pass_batch(c, X, config)
+        for r in (0, 2, 6):
+            np.testing.assert_array_equal(bits(forward_log_values(c, X[r : r + 1])[:, 0]),
+                                          bits(values[:, r]))
+            one_e, one_v = tdi_pass_batch(c, X[r : r + 1], config)
+            np.testing.assert_array_equal(bits(one_e[:, 0]), bits(log_e[:, r]))
+            np.testing.assert_array_equal(bits(one_v[:, 0]), bits(log_v[:, r]))
+
+
+def test_keep_mask_needs_one_row_and_every_sum_edge():
+    c = build_rat(SMALL_RAT)
+    edges = c.layout().num_sum_edges
+    X = np.random.default_rng(0).normal(size=(2, c.num_variables))
+    for rows, shape in ((2, (2, edges)), (1, (2, edges + 1)), (1, (2, edges - 1)),
+                        (1, (edges,))):
+        with pytest.raises(ShapeError):
+            forward_log_values(c, X[:rows], np.ones(shape, dtype=bool))
+    for bad in (X[0], np.zeros((2, c.num_variables + 1))):  # 1-D; one variable too many
+        with pytest.raises(ShapeError):
+            forward_log_values(c, bad)
+    kept = forward_log_values(c, X[:1], np.ones((2, edges), dtype=bool), nodes=c.roots)
+    np.testing.assert_allclose(kept, np.repeat(forward_log_values(c, X[:1])[c.roots], 2, 1),
+                               rtol=1e-13)
 
 
 def test_shifted_mix_recovers_sums_below_a_zero_weight_sibling():

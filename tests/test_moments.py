@@ -576,3 +576,22 @@ def test_batches_run_in_passes_of_at_most_256_rows(monkeypatch):
         parts = [posterior_moments_batch(c, x, config, method) for x in chunks]
         np.testing.assert_array_equal(bits(mean), bits(np.concatenate([m for m, _ in parts])))
         np.testing.assert_array_equal(bits(var), bits(np.concatenate([v for _, v in parts])))
+
+
+def test_large_rat_moments_are_finite_and_a_row_is_a_batch_of_one():
+    """The large RAT scale (S20/I20/D5/R10, 256 variables, 187,602 nodes at
+    two classes) keeps finite root moments, and one row through the batch
+    pass equals its row of a larger batch bit for bit."""
+    c = build_rat(RatConfig(20, 20, 5, 10, 2, 256, rng_seed=1))
+    X = np.random.default_rng(3).normal(size=(3, 256))
+    X[1, ::7] = np.nan
+    config = DropoutConfig.with_p(0.1)
+    log_e, log_v = tdi_pass_batch(c, X, config, nodes=c.roots)
+    assert np.all(np.isfinite(log_e)) and np.all(np.isfinite(log_v))
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64)  # noqa: E731
+    for r in range(len(X)):
+        one_e, one_v = tdi_pass_batch(c, X[r : r + 1], config, nodes=c.roots)
+        np.testing.assert_array_equal(bits(one_e[:, 0]), bits(log_e[:, r]))
+        np.testing.assert_array_equal(bits(one_v[:, 0]), bits(log_v[:, r]))
+    mean, var = posterior_moments_batch(c, X, config)
+    assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
