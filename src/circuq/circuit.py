@@ -558,6 +558,12 @@ class Layout:
     The leaves of each kind hold consecutive slots (:meth:`leaf_slots`), and
     each layer holds G * W of them from its ``start``.  Node ids, the order of
     :attr:`sum_edge_order` and of training's parameters do not depend on slots.
+
+    The leaves and the ``prefix`` layers before the first sum layer have no
+    sum below them, so a masked pass computes their ``invariant`` slots,
+    the first ones, once for all its passes (:func:`forward_log_values`).
+    ``narrow`` flags each sum layer that reads only those slots, and
+    ``shared`` lists those slots that the other layers past the prefix read.
     """
 
     layers: list
@@ -569,6 +575,10 @@ class Layout:
     is_tree: bool
     slot: np.ndarray
     order: np.ndarray
+    prefix: int
+    invariant: int
+    narrow: tuple
+    shared: np.ndarray
     spare: _SpareArrays = field(default_factory=_SpareArrays, repr=False, compare=False)
 
     @property
@@ -729,8 +739,16 @@ def _compile_layout(circuit: Circuit) -> Layout:
 
     references = np.concatenate([layer.edge_ends()[1] for layer in layers] + [circuit.roots])
     parents = np.bincount(references.astype(np.int64), minlength=n)
+    prefix = next((k for k, layer in enumerate(layers) if layer.kind == "sum"), len(layers))
+    invariant = layers[prefix].start if prefix < len(layers) else n
+    narrow = tuple(layer.kind == "sum" and bool(np.all(layer.reads[0].slots < invariant))
+                   for layer in layers)
+    wide_reads = [read.slots.ravel() for layer, one in zip(layers[prefix:], narrow[prefix:])
+                  if not one for read in layer.reads]
+    shared = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)] + wide_reads))
     return Layout(layers, leaves, np.concatenate([np.zeros(0, dtype=np.int64)] + edge_order),
-                  bool(np.all(parents <= 1)), slot, order)
+                  bool(np.all(parents <= 1)), slot, order, prefix, invariant, narrow,
+                  shared[shared < invariant])
 
 
 def _sum_groups(nodes, ids: list[int]) -> list:
@@ -834,39 +852,68 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
     the plan order of :attr:`Layout.sum_edge_order`: column j is then the pass
     in which a sum edge contributes only where its bit in row j of ``keep``
     holds; its weight is zero elsewhere.  Each sum layer reads its edges' bits
-    as a (passes, G, S, K) view.  The pass holds every node's values in slot
+    as a (passes, G, S, K) view.  With one row, the leaves and the product
+    layers below the first sum layer (the layout's invariant prefix) are the
+    same in every pass, so a masked pass computes them in one column.  The
+    sum layers that read only those values shift and exponentiate that
+    column once and mix it under each pass's bits, which does each pass's
+    arithmetic unchanged.  The other layers run on every pass's column, and
+    only the prefix values they read, or that ``nodes`` asks for, are copied
+    into every column.  The pass holds every node's values in slot
     order (:meth:`Layout.finish`): asking for :attr:`Layout.order` returns
     that array itself, and asking for the roots copies only their rows.  Raises
     ShapeError unless X is (rows, variables) and, with ``keep``, one row
-    with a (passes, sum edges) mask.
+    with a (passes, sum edges) boolean mask.
     """
     plan = circuit.plan()
     layout = plan.layout
     X = as_batch(X, circuit.num_variables)
     if keep is not None:
         keep = np.asarray(keep)
+        if keep.dtype != bool:
+            raise ShapeError(f"a keep mask of dtype {keep.dtype}; expected boolean keep bits")
         if X.shape[0] != 1 or keep.ndim != 2 or keep.shape[1] != layout.num_sum_edges:
             raise ShapeError(f"a keep mask of shape {keep.shape} with evidence of shape "
                              f"{X.shape}; expected one row and (passes, "
                              f"{layout.num_sum_edges}) keep bits")
-    columns = X.shape[0] if keep is None else keep.shape[0]
-    logv = layout.values(columns)
-    plan.leaf_log_values(X, logv)
-    start = 0  # the layer's first edge in plan order
+    head = layout.values(X.shape[0]) if keep is None else np.empty((layout.invariant, 1))
+    plan.leaf_log_values(X, head)
     with np.errstate(divide="ignore"):
-        for layer, lw, w in zip(layout.layers, plan.log_weights, plan.weights):
-            if layer.kind == "product":
-                for b in layer.blocks(columns):
-                    layer.outer([read.read(logv, b) for read in layer.reads],
-                                out=layer.output(logv, b))
-                continue
-            kept = None if keep is None else keep[:, start : start + w.size].reshape(-1, *w.shape)
-            start += w.size
-            children = layer.reads[0]
-            for b in layer.blocks(columns):
-                layer.output(logv, b)[...] = log_mix(w[b], lw[b], children.read(logv, b),
-                                                     None if kept is None else kept[:, b])
+        _forward_layers(plan, range(layout.prefix), head, head)
+        if keep is None:
+            logv = head
+        else:
+            logv = layout.values(len(keep))
+            wanted = np.arange(layout.invariant) if nodes is None else layout.slot[nodes]
+            shared = np.union1d(layout.shared, wanted[wanted < layout.invariant])
+            logv[shared] = head[shared]
+        _forward_layers(plan, range(layout.prefix, len(layout.layers)), logv, head, keep)
     return layout.finish(logv, nodes)
+
+
+def _forward_layers(plan: Plan, layers: range, values: np.ndarray, head: np.ndarray,
+                    keep: Optional[np.ndarray] = None) -> None:
+    """Run the plan's ``layers`` on the slot-order ``values``, with the
+    first sum edge of ``keep`` in the first of them.  Sum layers that
+    :attr:`Layout.narrow` flags read their children from ``head``, which
+    holds the invariant prefix's slots."""
+    layout = plan.layout
+    columns = values.shape[1]
+    start = 0  # the layer's first edge in plan order
+    for k in layers:
+        layer = layout.layers[k]
+        if layer.kind == "product":
+            for b in layer.blocks(columns):
+                layer.outer([read.read(values, b) for read in layer.reads],
+                            out=layer.output(values, b))
+            continue
+        w, lw = plan.weights[k], plan.log_weights[k]
+        kept = None if keep is None else keep[:, start : start + w.size].reshape(-1, *w.shape)
+        start += w.size
+        children, source = layer.reads[0], head if layout.narrow[k] else values
+        for b in layer.blocks(columns):
+            layer.output(values, b)[...] = log_mix(w[b], lw[b], children.read(source, b),
+                                                   None if kept is None else kept[:, b])
 
 
 def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray,
@@ -876,7 +923,8 @@ def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray,
     ``w`` and ``log_w`` are the (g, S, K) weights and their logs, ``x`` the
     groups' (g, K, columns) child log values; a (columns, g, S, K) boolean
     ``kept`` drops each column's edges where it is False, as masked passes
-    do, and is read in place.  Each group and column is shifted by its
+    do, and is read in place.  Under ``kept``, ``x`` may instead hold one
+    column that every pass shares.  Each group and column is shifted by its
     largest child value and mixed in linear space as one matrix product.  The
     shift ignores the weights, so a sum whose weighted children all sit far
     below a zero-weight or dropped sibling flushes to zero or a subnormal;
@@ -886,7 +934,11 @@ def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray,
     shift = np.maximum(m, SHIFT_FLOOR)
     lin = np.subtract(x, shift)
     np.exp(lin, out=lin)
-    mixed = mix(w, lin) if kept is None else np.einsum("gsk,cgsk,gkc->gsc", w, kept, lin)
+    if kept is None:
+        mixed = mix(w, lin)
+    else:  # a shared column is read at stride 0 along the passes
+        x = np.broadcast_to(x, (*x.shape[:2], len(kept)))
+        mixed = np.einsum("gsk,cgsk,gkc->gsc", w, kept, np.broadcast_to(lin, x.shape))
     return log_shifted(mixed, shift, lambda: m > -np.inf, lambda g, s, c: x[g, :, c] + (
         log_w[g, s] if kept is None else np.where(kept[c, g, s], log_w[g, s], -np.inf)))
 

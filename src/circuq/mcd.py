@@ -4,7 +4,11 @@ Every sum-node edge keeps its child with probability q = 1 - p, independently
 per pass and per edge.  Passes are the columns of one forward pass whose sum
 weights are zero on dropped edges; a sum node whose children are all dropped
 evaluates to zero (log -inf), as the masked mixture prescribes.  Sample
-moments use divisor L.
+moments use divisor L.  The evidence is one row, so the leaves and the
+product layers below the first sum layer, the layout's invariant prefix,
+take the same values in every pass: the masked forward pass computes them
+once, in one column, and the sum layers above them mix that column under
+each pass's keep bits (:func:`circuq.circuit.forward_log_values`).
 
 Keep bits come from counter-based Philox streams (Salmon et al., SC 2011)
 keyed by the seed, one random byte per bit.  A bit is kept when a 53-bit
@@ -36,7 +40,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .circuit import Circuit, as_evidence, forward_log_values
+from .circuit import Circuit, as_batch, as_evidence, forward_log_values
 from .errors import DegenerateSampleError
 from .moments import DropoutConfig, posterior_moments_batch
 
@@ -161,8 +165,8 @@ def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
 def mcd_infer_rows(circuit: Circuit, X, p: float, num_passes: int,
                    rng_seed: int) -> Iterator[McdResult]:
     """:func:`mcd_infer` on each row of ``X`` in turn, row r with seed
-    ``rng_seed + r``."""
-    for r, x in enumerate(np.asarray(X, dtype=np.float64)):
+    ``rng_seed + r``.  Raises ShapeError unless X is (rows, variables)."""
+    for r, x in enumerate(as_batch(X, circuit.num_variables)):
         yield mcd_infer(circuit, x, McdConfig(p, num_passes, rng_seed + r))
 
 

@@ -155,6 +155,11 @@ class TestMethodPlumbing:
         with pytest.raises(DegenerateSampleError):
             posterior_means(c, X, EvalConfig(method="mcd", mcd_passes=10))
 
+    @pytest.mark.parametrize("method", ["plain", "tdi", "mcd"])
+    def test_a_one_dimensional_batch_names_its_shape(self, small_classifier, method):
+        with pytest.raises(ShapeError, match=r"^batch has shape \(2,\), expected \(rows, 2\)$"):
+            posterior_means(small_classifier, np.zeros(2), EvalConfig(method=method))
+
     def test_accuracy_tie_break_lowest_index(self):
         means = np.array([[0.4, 0.4, 0.2], [0.1, 0.45, 0.45]])
         assert accuracy_of_means(means, np.array([0, 1])) == 1.0

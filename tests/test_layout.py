@@ -253,6 +253,17 @@ def test_keep_mask_needs_one_row_and_every_sum_edge():
                                rtol=1e-13)
 
 
+def test_keep_mask_must_be_boolean():
+    """A float or integer mask would scale the weights by its values
+    instead of keeping or dropping edges."""
+    c = build_rat(SMALL_RAT)
+    x = np.random.default_rng(0).normal(size=(1, c.num_variables))
+    edges = c.layout().num_sum_edges
+    for mask in (np.full((2, edges), 0.5), np.full((2, edges), 2), np.ones((2, edges), np.uint8)):
+        with pytest.raises(ShapeError, match="boolean"):
+            forward_log_values(c, x, mask)
+
+
 def test_shifted_mix_recovers_sums_below_a_zero_weight_sibling():
     # The group shift is the largest child value, a's, which carries weight 0;
     # b sits 800 nats below it, so exp(b - a) flushes to zero.  b's log value

@@ -18,6 +18,7 @@ from circuq import (
     mcd_infer,
     mcd_vs_tdi_report,
 )
+from circuq.circuit import forward_log_values, log_mix
 from circuq.enumeration import linear_leaf_value
 from circuq.mcd import byte_keep, keep_masks
 from circuq.moments import DropoutConfig, tdi_pass
@@ -108,6 +109,95 @@ class TestMaskedPass:
             assert np.all((res.raw_samples == 0.0) == (want == 0.0))
             np.testing.assert_allclose(res.raw_samples, want, rtol=1e-12, atol=0.0)
         assert nan_rows > 0
+
+
+def full_width_masked_forward(circuit, x, keep, nodes=None):
+    """The masked pass with every layer, the leaves included, in one column
+    per pass and each sum layer mixed by circuit.log_mix: the pass without
+    its one-column invariant prefix.  Rows of ``nodes``, by default every
+    node in node order."""
+    plan = circuit.plan()
+    layout = plan.layout
+    values = np.empty((len(circuit.nodes), len(keep)))
+    plan.leaf_log_values(x[None], values)
+    start = 0
+    with np.errstate(divide="ignore"):
+        for layer, lw, w in zip(layout.layers, plan.log_weights, plan.weights):
+            for b in layer.blocks(len(keep)):
+                if layer.kind == "product":
+                    layer.outer([read.read(values, b) for read in layer.reads],
+                                out=layer.output(values, b))
+                else:
+                    kept = keep[:, start : start + w.size].reshape(-1, *w.shape)[:, b]
+                    layer.output(values, b)[...] = log_mix(w[b], lw[b],
+                                                           layer.reads[0].read(values, b), kept)
+            start += 0 if w is None else w.size
+    return values[layout.slot if nodes is None else layout.slot[nodes]]
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def masked_circuits():
+    """The small and mid RATs, and random trees and DAGs in which layers past
+    the invariant prefix read prefix values."""
+    rng = np.random.default_rng(5)
+    others = [random_tree_circuit(rng, num_classes=2) for _ in range(3)]
+    others += [random_dag_circuit(rng) for _ in range(3)]
+    assert all(len(c.layout().shared) for c in others)
+    return [build_rat(RatConfig(5, 5, 3, 2, 5, 16, rng_seed=1)),
+            build_rat(RatConfig(10, 10, 4, 5, 10, 64, rng_seed=1))] + others
+
+
+@pytest.mark.parametrize("L", [1, 2, 8, 100])
+def test_an_all_ones_mask_is_the_plain_forward(masked_circuits, L):
+    rng = np.random.default_rng(L)
+    for c in masked_circuits:
+        x = random_evidence(rng, c, 0.2)
+        keep = np.ones((L, c.layout().num_sum_edges), dtype=bool)
+        np.testing.assert_array_equal(bits(forward_log_values(c, x[None], keep)),
+                                      bits(forward_log_values(c, np.repeat(x[None], L, 0))))
+
+
+# The sum mixes its dominant child a (log value about 690) with b (about
+# -110), so a pass that drops a flushes b's share under a's shift to zero,
+# and the sum is recomputed as an exact log-sum-exp.
+FLUSHED_FIRST_SUM = """
+a gaussian 0 0.0 1e-300
+b gaussian 0 14.78 1.0
+s sum 0.5 a 0.5 b
+root s
+"""
+NO_SUM = """
+a gaussian 0 0.0 1.0
+b categorical 1 0.25 0.75
+p product a b
+root p
+"""
+
+
+def test_the_invariant_prefix_equals_the_full_width_pass(masked_circuits):
+    """One-column leaves and products, broadcast where later layers read
+    them, give each pass's values bit for bit as if every layer ran in
+    every pass's column, for every node and for the roots alone."""
+    flushed, no_sum = build_manual(FLUSHED_FIRST_SUM), build_manual(NO_SUM)
+    rng = np.random.default_rng(9)
+    cases = [(c, random_evidence(rng, c, 0.2), 0.3) for c in masked_circuits]
+    cases += [(flushed, np.array([0.0]), 0.5), (no_sum, np.array([0.3, 1.0]), 0.3)]
+    for c, x, p in cases:
+        for L in (1, 7, 40):
+            keep = rng.random((L, c.layout().num_sum_edges)) >= p
+            for nodes in (None, c.roots):
+                np.testing.assert_array_equal(
+                    bits(forward_log_values(c, x[None], keep, nodes=nodes)),
+                    bits(full_width_masked_forward(c, x, keep, nodes)))
+    keep = np.array([[False, True], [True, True]])  # a dropped, then both kept
+    roots = forward_log_values(flushed, np.array([[0.0]]), keep, nodes=flushed.roots)[0]
+    b = forward_log_values(flushed, np.array([[0.0]]), nodes=[1])[0, 0]
+    assert roots[0] == pytest.approx(math.log(0.5) + b, rel=1e-14)
+    assert roots[1] > 600
 
 
 class FixedWords:
