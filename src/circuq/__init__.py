@@ -39,7 +39,6 @@ from .evaluation import (
     EvalConfig,
     SweepResult,
     corrupt_sweep,
-    entropy_histograms,
     ood_sweep,
     perturb_sweep,
 )
@@ -50,13 +49,9 @@ from .moments import (
     MomentFrame,
     PosteriorMoments,
     TaylorMethod,
-    cauchy_bounds,
     posterior_moments,
     posterior_moments_batch,
     posterior_summary_batch,
-    predictive_entropy,
-    rat_product_covariance,
-    sum_covariance,
     tdi_pass,
     tdi_pass_batch,
 )

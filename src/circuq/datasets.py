@@ -29,7 +29,6 @@ class Dataset:
     features: np.ndarray  # (rows, num_features)
     labels: Optional[np.ndarray] = None
     name: str = ""
-    normalization: Optional[dict] = None  # {"mean": ..., "std": ...} per feature
 
     @property
     def num_rows(self) -> int:
@@ -146,23 +145,6 @@ def load_csv(path, name: str = "") -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Standardization
-
-
-def standardize(dataset: Dataset, stats: Optional[dict] = None) -> Dataset:
-    """Per-feature z-scoring; statistics come from the given dataset unless
-    training-set statistics are passed in."""
-    if stats is None:
-        mean = dataset.features.mean(axis=0)
-        std = dataset.features.std(axis=0)
-        std = np.where(std < 1e-9, 1.0, std)
-        stats = {"mean": mean, "std": std}
-    features = (dataset.features - stats["mean"]) / stats["std"]
-    return Dataset(features=features, labels=dataset.labels, name=dataset.name,
-                   normalization=stats)
-
-
-# ---------------------------------------------------------------------------
 # Rotation
 
 
@@ -177,8 +159,7 @@ def rotate(dataset: Dataset, degrees: float, width: int, height: int) -> Dataset
             f"{width}x{height} does not match {dataset.num_features} features"
         )
     if degrees % 360.0 == 0.0:
-        return Dataset(dataset.features.copy(), dataset.labels, dataset.name,
-                       dataset.normalization)
+        return Dataset(dataset.features.copy(), dataset.labels, dataset.name)
     theta = np.deg2rad(degrees)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
@@ -208,7 +189,7 @@ def rotate(dataset: Dataset, degrees: float, width: int, height: int) -> Dataset
             continue
         gathered = images[:, rr[inside], cc[inside]]
         out[:, inside] += w[inside][None, :] * gathered
-    return Dataset(out, dataset.labels, dataset.name, dataset.normalization)
+    return Dataset(out, dataset.labels, dataset.name)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +213,7 @@ def corrupt(dataset: Dataset, kind: str, severity: int, seed: int = 0) -> Datase
         x = x + BRIGHTNESS_DELTA[severity - 1]
     else:
         x = (x - 0.5) * CONTRAST_FACTOR[severity - 1] + 0.5
-    return Dataset(np.clip(x, 0.0, 1.0), dataset.labels, dataset.name,
-                   dataset.normalization)
+    return Dataset(np.clip(x, 0.0, 1.0), dataset.labels, dataset.name)
 
 
 # ---------------------------------------------------------------------------

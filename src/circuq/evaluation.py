@@ -1,5 +1,5 @@
-"""Scenario runners: entropy-threshold OOD sweeps, rotation and corruption
-curves, and entropy histograms.
+"""Scenario runners: entropy-threshold OOD sweeps and rotation and
+corruption curves.
 
 Every runner reduces to one primitive: per-sample posterior means under one
 of three methods (plain Bayes posterior, closed-form dropout moments, or
@@ -28,7 +28,6 @@ from .moments import (
 
 METHODS = ("plain", "tdi", "mcd")
 _NUM_THRESHOLDS = 256  # entropy thresholds per OOD sweep
-_HISTOGRAM_BINS = 50
 
 
 @dataclass(frozen=True)
@@ -228,33 +227,6 @@ def write_curve_csv(points: list[CurvePoint], path, key_header: str) -> None:
         for pt in points:
             key = pt.key if not isinstance(pt.key, tuple) else ",".join(str(k) for k in pt.key)
             fh.write(f"{key},{pt.mean_entropy:.17g},{pt.accuracy:.17g},{pt.mean_std:.17g}\n")
-
-
-# ---------------------------------------------------------------------------
-# Histograms
-
-
-def entropy_histograms(
-    circuit: Circuit,
-    named_datasets: list[tuple[str, Dataset]],
-    config: EvalConfig,
-):
-    """Binned entropy counts per dataset over [0, H_max]."""
-    h_max = 1.0 if config.normalized_entropy else math.log(circuit.num_classes)
-    edges = np.linspace(0.0, h_max, _HISTOGRAM_BINS + 1)
-    out = {}
-    for name, data in named_datasets:
-        h = entropies(circuit, data.features, config)
-        counts, _ = np.histogram(np.clip(h, 0.0, h_max), bins=edges)
-        out[name] = counts
-    return edges, out
-
-
-def histogram_overlap(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection of two normalized histograms, in [0, 1]."""
-    pa = a / max(a.sum(), 1)
-    pb = b / max(b.sum(), 1)
-    return float(np.minimum(pa, pb).sum())
 
 
 def results_to_json(obj, path) -> None:

@@ -192,9 +192,6 @@ class ComparisonTable:
     tdi_passes: int
     mcd_passes: int
 
-    def mean_abs_gap(self) -> float:
-        return float(np.mean([abs(r.tdi_mean - r.mcd_mean) for r in self.rows]))
-
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("sample_id,class,tdi_mean,tdi_var,mcd_mean,mcd_var\n")

@@ -61,23 +61,24 @@ class DropoutConfig:
     """Dropout probability and sibling-covariance strategy.
 
     The keep probability q is the stored quantity and p is derived as 1 - q,
-    so p + q == 1 holds exactly in floating point.  ``exclude_root_heads``
-    evaluates root sum nodes without dropout on their outgoing edges.
+    so p + q == 1 holds exactly in floating point.  Every sum edge, the class
+    roots' included, keeps its child with probability q, which must lie in
+    (0, 1]: p in [0, 1).
     """
 
     q: float
     covariance_strategy: CovarianceStrategy = CovarianceStrategy.TREE_ZERO
-    exclude_root_heads: bool = False
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.q <= 1.0):
+            raise ValueError(f"dropout probability p must be in [0, 1), got p = {self.p}")
 
     @staticmethod
     def with_p(
         p: float,
         covariance_strategy: CovarianceStrategy = CovarianceStrategy.TREE_ZERO,
-        exclude_root_heads: bool = False,
     ) -> "DropoutConfig":
-        if not (0.0 <= p < 1.0):
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        return DropoutConfig(1.0 - p, covariance_strategy, exclude_root_heads)
+        return DropoutConfig(1.0 - p, covariance_strategy)
 
     @property
     def p(self) -> float:
@@ -104,21 +105,6 @@ class MomentFrame:
         """Covariance of two arbitrary nodes under this frame's strategy."""
         return _pair_cov(self, a, b)
 
-    @staticmethod
-    def from_linear(
-        circuit: Circuit, expectation: np.ndarray, variance: np.ndarray
-    ) -> "MomentFrame":
-        """Wrap externally computed linear-space moments (e.g. enumerated ones)."""
-        with np.errstate(divide="ignore"):
-            log_e = np.log(np.asarray(expectation, dtype=np.float64))
-            log_v = np.log(np.asarray(variance, dtype=np.float64))
-        return MomentFrame(
-            circuit=circuit,
-            config=DropoutConfig.with_p(0.0),
-            log_expectation=log_e,
-            log_variance=log_v,
-        )
-
 
 # ---------------------------------------------------------------------------
 # The bottom-up pass
@@ -134,10 +120,12 @@ def tdi_pass(circuit: Circuit, evidence, config: DropoutConfig) -> MomentFrame:
                    Var = prod_i (Var[N_i] + E[N_i]^2) - prod_i E[N_i]^2
     Leaf:          E = leaf value, Var = 0.
 
-    The row runs through the batch moment pass as a batch of one.  The
-    covariance term follows the configured strategy: RAT_EXACT adds it to
-    each sum layer before the next layer reads it, at most quadratic in local
-    fan-in; TREE_ZERO leaves it out.
+    Every sum node, the class roots included, keeps each edge with the one
+    probability q = ``config.q``.  The row runs through the batch moment pass
+    as a batch of one.  The covariance term follows the configured strategy:
+    RAT_EXACT adds it to each sum layer before the next layer reads it, at
+    most quadratic in local fan-in, and raises StructureError where the
+    circuit's ``rat`` tags cannot resolve a pair; TREE_ZERO leaves it out.
     """
     values = as_evidence(evidence, circuit.num_variables)
     exact = config.covariance_strategy is CovarianceStrategy.RAT_EXACT
@@ -173,16 +161,12 @@ def _moment_pass(circuit, X, config, exact_frame=None, nodes=None):
     """
     plan = circuit.plan()
     layout = plan.layout
-    n, rows = len(circuit.nodes), X.shape[0]
+    rows = X.shape[0]
     log_e, log_v = layout.values(rows), layout.values(rows)
     log_v[: layout.num_leaves] = _NEG_INF  # every layer writes its own slots
     plan.leaf_log_values(X, log_e)
-    q = np.full((n, 1), config.q)
-    if config.exclude_root_heads:
-        q[layout.slot[circuit.roots]] = 1.0  # root heads keep every edge
+    log_q, p = np.log(config.q), config.p
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_q = np.log(q)
-        p = 1.0 - q
         for layer, lw, w in zip(layout.layers, plan.log_weights, plan.weights):
             for b in layer.blocks(rows):
                 out = layer.output(log_e, b), layer.output(log_v, b)
@@ -192,7 +176,7 @@ def _moment_pass(circuit, X, config, exact_frame=None, nodes=None):
                 else:
                     children = layer.reads[0]
                     _sum_moments(w[b], lw[b], children.read(log_e, b), children.read(log_v, b),
-                                 layer.output(log_q, b), layer.output(p, b), out)
+                                 log_q, p, out)
             if exact_frame is not None and lw is not None:
                 _add_sum_covariances(exact_frame, layer, log_q, log_e, log_v)
     return layout.finish(log_e, nodes), layout.finish(log_v, nodes)
@@ -245,7 +229,7 @@ def _sum_moments(w, lw, ce, cv, log_q, p, out) -> None:
     log_var = log_shifted(
         var, sv, lambda: (mv > _NEG_INF) | ((p > 0.0) & (me > _NEG_INF)),
         lambda g, s, c: np.concatenate(
-            [2.0 * lw[g, s] + cv[g, :, c], np.log(p[g, s]) + 2.0 * (lw[g, s] + ce[g, :, c])],
+            [2.0 * lw[g, s] + cv[g, :, c], np.log(p) + 2.0 * (lw[g, s] + ce[g, :, c])],
             axis=1))
     np.add(log_q, log_e, out=out[0])
     np.add(log_q, log_var, out=out[1])
@@ -254,8 +238,9 @@ def _sum_moments(w, lw, ce, cv, log_q, p, out) -> None:
 def _add_sum_covariances(frame: MomentFrame, layer, log_q, log_e, log_v) -> None:
     """Add 2 q^2 sum_{i < j} w_i w_j Cov[N_i, N_j] to each sum node's variance.
 
-    ``log_q``, ``log_e`` and ``log_v`` are the pass's slot-order arrays; the
-    frame reads node-order copies of the moments of the layers below.
+    ``log_q`` is log q; ``log_e`` and ``log_v`` are the pass's slot-order
+    arrays, and the frame reads node-order copies of the moments of the
+    layers below.
     """
     slot = frame.circuit.layout().slot
     frame.log_expectation, frame.log_variance = log_e[slot, 0], log_v[slot, 0]
@@ -270,7 +255,7 @@ def _add_sum_covariances(frame: MomentFrame, layer, log_q, log_e, log_v) -> None
                 if not c.is_zero:
                     cov_term = cov_term + c.scale_log(float(weights[a] + weights[b]))
         t1 = float(log_v[k, 0])
-        var = SignedLog.from_log(t1) + cov_term.scale_log(2.0 * log_q[k, 0] + math.log(2.0))
+        var = SignedLog.from_log(t1) + cov_term.scale_log(2.0 * log_q + math.log(2.0))
         log_v[k, 0] = _nonnegative_log(var, t1, context=f"variance of sum node {i}")
 
 
@@ -302,21 +287,17 @@ def _pair_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
     cached = frame.sibling_cov.get(key)
     if cached is not None:
         return cached
-    result = _pair_cov_uncached(frame, a, b)
+    scopes = frame.circuit.scopes()
+    if np.isneginf(frame.log_variance[a]) or np.isneginf(frame.log_variance[b]):
+        result = SignedLog.zero()  # Cauchy-Schwarz: zero variance forces zero covariance
+    elif scopes[a] & scopes[b] == 0:
+        result = SignedLog.zero()  # disjoint scopes share no descendants
+    elif frame.config.covariance_strategy is not CovarianceStrategy.RAT_EXACT:
+        result = SignedLog.zero()  # TREE_ZERO: distinct nodes are uncorrelated
+    else:
+        result = _rat_pair_cov(frame, a, b)
     frame.sibling_cov[key] = result
     return result
-
-
-def _pair_cov_uncached(frame: MomentFrame, a: int, b: int) -> SignedLog:
-    strategy = frame.config.covariance_strategy
-    if np.isneginf(frame.log_variance[a]) or np.isneginf(frame.log_variance[b]):
-        return SignedLog.zero()  # Cauchy-Schwarz: zero variance forces zero covariance
-    scopes = frame.circuit.scopes()
-    if scopes[a] & scopes[b] == 0:
-        return SignedLog.zero()  # disjoint scopes share no descendants
-    if strategy is not CovarianceStrategy.RAT_EXACT:
-        return SignedLog.zero()  # TREE_ZERO: distinct nodes are uncorrelated
-    return _rat_pair_cov(frame, a, b)
 
 
 def _rat_pair_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
@@ -350,7 +331,7 @@ def _rat_pair_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
                 f"covariance between products {a} and {b} of different partitions is "
                 "not resolvable on a RAT structure"
             )
-        return rat_product_covariance(frame, a, b)
+        return _product_product_cov(frame, a, b)
     raise StructureError(
         f"covariance between nodes {a} ({na.kind}) and {b} ({nb.kind}) is not "
         "resolvable on a RAT structure"
@@ -359,11 +340,8 @@ def _rat_pair_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
 
 def _sum_sum_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
     """Cov of two sum nodes: q^2 sum_i sum_j w_i^A w_j^B Cov[N_i^A, N_j^B]."""
-    circuit = frame.circuit
-    na, nb = circuit.nodes[a], circuit.nodes[b]
-    config = frame.config
-    qq = math.prod(1.0 if config.exclude_root_heads and s in circuit.roots else config.q
-                   for s in (a, b))
+    na, nb = frame.circuit.nodes[a], frame.circuit.nodes[b]
+    qq = frame.config.q * frame.config.q
     log_qq = math.log(qq) if qq > 0 else _NEG_INF
     terms = []
     for wi, ci in zip(na.log_weights, na.children):
@@ -374,32 +352,26 @@ def _sum_sum_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
     return sl_sum(terms).scale_log(log_qq)
 
 
-def sum_covariance(frame: MomentFrame, sum_a: int, sum_b: int) -> SignedLog:
-    """Covariance of two sum nodes with child covariances per the frame's strategy."""
-    circuit = frame.circuit
-    for s in (sum_a, sum_b):
-        if circuit.nodes[s].kind != "sum":
-            raise StructureError(f"node {s} is not a sum node")
-    return _sum_sum_cov(frame, sum_a, sum_b)
-
-
-def rat_product_covariance(frame: MomentFrame, prod_a: int, prod_b: int) -> SignedLog:
-    """Covariance of two binary RAT products via their partition factors:
+def _product_product_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
+    """Cov of two binary products of one RAT partition, via their factors:
 
     Cov[P_lr, P_l'r'] = Cov[L_l, L_l'] E[R_r] E[R_r']
                         + Cov[R_r, R_r'] E[L_l] E[L_l']
                         + Cov[L_l, L_l'] Cov[R_r, R_r']
+
+    A circuit file's ``rat`` block is outside input, so a tagged product that
+    is not binary, or whose factors' scopes differ from its partner's, raises
+    StructureError.
     """
     circuit = frame.circuit
-    na, nb = circuit.nodes[prod_a], circuit.nodes[prod_b]
-    for node_id, node in ((prod_a, na), (prod_b, nb)):
-        if node.kind != "product" or len(node.children) != 2:
+    for node_id in (a, b):
+        if len(circuit.nodes[node_id].children) != 2:
             raise StructureError(f"node {node_id} is not a binary product")
-    la, ra = na.children
-    lb, rb = nb.children
+    la, ra = circuit.nodes[a].children
+    lb, rb = circuit.nodes[b].children
     scopes = circuit.scopes()
     if scopes[la] != scopes[lb] or scopes[ra] != scopes[rb]:
-        raise StructureError(f"products {prod_a} and {prod_b} are not partition-aligned")
+        raise StructureError(f"products {a} and {b} are not partition-aligned")
     cov_l = _pair_cov(frame, la, lb)
     cov_r = _pair_cov(frame, ra, rb)
     le = frame.log_expectation
@@ -407,14 +379,6 @@ def rat_product_covariance(frame: MomentFrame, prod_a: int, prod_b: int) -> Sign
     term2 = cov_r.scale_log(float(le[la] + le[lb]))
     term3 = cov_l * cov_r
     return term1 + term2 + term3
-
-
-def cauchy_bounds(frame: MomentFrame, a: int, b: int) -> tuple[SignedLog, SignedLog]:
-    """Cauchy-Schwarz covariance interval +-sqrt(Var[a] Var[b])."""
-    half = 0.5 * (float(frame.log_variance[a]) + float(frame.log_variance[b]))
-    if half == _NEG_INF or math.isnan(half):
-        return SignedLog.zero(), SignedLog.zero()
-    return SignedLog(-1, half), SignedLog(1, half)
 
 
 # ---------------------------------------------------------------------------
@@ -643,16 +607,6 @@ def _taylor(circuit, root_e, root_v, root_cov, method, first_row=0, log_v=None):
     return mean, var
 
 
-def predictive_entropy(means) -> float:
-    """Entropy of the class posterior after clamping and renormalization."""
-    m = np.asarray(means, dtype=np.float64)
-    if np.any(m < 0.0):
-        raise ValueError("posterior means must be nonnegative")
-    if float(m.sum()) <= 0.0:
-        raise ValueError("all posterior means are zero")
-    return float(predictive_entropy_batch(m[None, :])[0])
-
-
 def predictive_entropy_batch(means: np.ndarray) -> np.ndarray:
     """Row-wise predictive entropy for an array of posterior means."""
     m = np.asarray(means, dtype=np.float64)
@@ -666,8 +620,15 @@ def predictive_entropy_batch(means: np.ndarray) -> np.ndarray:
 
 
 def write_moment_csv(frame: MomentFrame, nodes_path, cov_path) -> None:
-    """Write node moments and materialized covariances as two CSV files."""
+    """Write node moments and materialized covariances as two CSV files.
+
+    The covariances between class roots, which the posterior reads, are
+    materialized first, so every strategy's dump holds them.
+    """
     circuit = frame.circuit
+    for i, a in enumerate(circuit.roots):
+        for b in circuit.roots[i + 1 :]:
+            frame.pair_cov(a, b)
     with open(nodes_path, "w") as fh:
         fh.write("node_id,kind,expectation,variance\n")
         for i, node in enumerate(circuit.nodes):

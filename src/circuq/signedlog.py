@@ -41,14 +41,6 @@ class SignedLog:
         return SignedLog(0, _NEG_INF)
 
     @staticmethod
-    def from_float(x: float) -> "SignedLog":
-        if x == 0.0:
-            return SignedLog(0, _NEG_INF)
-        if x > 0.0:
-            return SignedLog(1, math.log(x))
-        return SignedLog(-1, math.log(-x))
-
-    @staticmethod
     def from_log(log_mag: float, sign: int = 1) -> "SignedLog":
         """Wrap a log-magnitude that is already known; -inf collapses to zero."""
         if log_mag == _NEG_INF or sign == 0:
@@ -83,9 +75,6 @@ class SignedLog:
             return SignedLog.zero()
         return SignedLog(a.sign, a.log_mag + log1mexp(diff))
 
-    def __sub__(self, other: "SignedLog") -> "SignedLog":
-        return self + (-other)
-
     def __mul__(self, other: "SignedLog") -> "SignedLog":
         if self.sign == 0 or other.sign == 0:
             return SignedLog.zero()
@@ -96,19 +85,6 @@ class SignedLog:
         if self.sign == 0 or log_factor == _NEG_INF:
             return SignedLog.zero()
         return SignedLog(self.sign, self.log_mag + log_factor)
-
-    def sqrt(self) -> "SignedLog":
-        if self.sign < 0:
-            raise ValueError("sqrt of a negative signed-log value")
-        if self.sign == 0:
-            return SignedLog.zero()
-        return SignedLog(1, 0.5 * self.log_mag)
-
-    def __le__(self, other: "SignedLog") -> bool:
-        return (self - other).sign <= 0
-
-    def __lt__(self, other: "SignedLog") -> bool:
-        return (self - other).sign < 0
 
 
 def sl_sum(values) -> SignedLog:

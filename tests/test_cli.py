@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from circuq import (Dataset, DropoutConfig, McdConfig, load, load_csv, mcd_infer,
-                    mcd_vs_tdi_report, posterior_moments, save_csv, synth_blobs)
+from circuq import (CovarianceStrategy, Dataset, DropoutConfig, McdConfig, load, load_csv,
+                    mcd_infer, mcd_vs_tdi_report, posterior_moments, save_csv, synth_blobs,
+                    tdi_pass)
 from circuq.cli import build_parser, main
 from circuq.evaluation import EvalConfig, posterior_means
 
@@ -151,6 +152,25 @@ class TestRuns:
                 want.append([r, c, pm.mean[c], pm.variance[c], pm.std[c], pm.entropy,
                              pm.normalized_entropy])
         np.testing.assert_allclose(got, np.array(want), rtol=1e-12, atol=0.0)
+
+    def test_tdi_rat_exact_dumps_the_class_root_covariances(self, workspace):
+        model = workspace / "build" / "model.circuit"
+        out = workspace / "tdi_exact"
+        assert main(["tdi", "--model", str(model), "--input", str(workspace / "x.csv"),
+                     "--strategy", "rat_exact", "--p", "0.2", "--dump-moments",
+                     "--out", str(out)]) == 0
+        circuit, X = load(model), load_csv(workspace / "x.csv").features
+        post = np.loadtxt(out / "posterior.csv", delimiter=",", skiprows=1)
+        sums = post[:, 2].reshape(len(X), circuit.num_classes).sum(axis=1)
+        np.testing.assert_allclose(sums, 1.0, rtol=0.0, atol=1e-9)
+        dumped = {(int(a), int(b)): c for a, b, c in
+                  np.loadtxt(out / "moments_cov.csv", delimiter=",", skiprows=1)}
+        frame = tdi_pass(circuit, X[0], DropoutConfig.with_p(0.2, CovarianceStrategy.RAT_EXACT))
+        roots = circuit.roots
+        pairs = [(a, b) for i, a in enumerate(roots) for b in roots[i + 1 :]]
+        want = [frame.pair_cov(a, b).to_float() for a, b in pairs]
+        assert any(want)  # the class roots share their products
+        np.testing.assert_allclose([dumped[pair] for pair in pairs], want, rtol=1e-12, atol=0.0)
 
     def test_zero_row_input(self, workspace, capsys):
         model = str(workspace / "train" / "model.circuit")

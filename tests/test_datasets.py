@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from circuq import Dataset, corrupt, load_csv, load_idx, rotate, save_csv, synth_blobs
-from circuq.datasets import IdxFormatError, standardize, write_idx
+from circuq.datasets import IdxFormatError, write_idx
 from circuq.errors import ShapeError
 
 
@@ -197,18 +197,6 @@ class TestCsvAndStandardize:
         loaded = load_csv(path)
         assert loaded.features.shape == (0, 3)
         assert (loaded.labels is None) == (labels is None)
-
-    def test_standardize_uses_training_stats(self):
-        rng = np.random.default_rng(0)
-        train = Dataset(rng.normal(3.0, 2.0, size=(100, 4)))
-        test = Dataset(rng.normal(3.0, 2.0, size=(50, 4)))
-        strain = standardize(train)
-        assert abs(strain.features.mean()) < 1e-9
-        stest = standardize(test, strain.normalization)
-        np.testing.assert_allclose(
-            stest.features,
-            (test.features - strain.normalization["mean"]) / strain.normalization["std"],
-        )
 
     def test_no_nans_emitted(self):
         ds = synth_blobs(2, 3, 10, 1.0, seed=0)

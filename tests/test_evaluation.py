@@ -1,4 +1,4 @@
-"""Evaluation harness: sweeps, curves, histograms."""
+"""Evaluation harness: sweeps and curves."""
 
 import math
 
@@ -10,8 +10,6 @@ from circuq.errors import DegenerateSampleError, ShapeError, UnderflowError
 from circuq.evaluation import (
     accuracy_of_means,
     entropies,
-    entropy_histograms,
-    histogram_overlap,
     outlier_rates,
     perturb_sweep,
     posterior_means,
@@ -199,40 +197,6 @@ def small_classifier_4var():
         root p1 p2
         """
     )
-
-
-class TestHistograms:
-    def test_one_hot_mass_in_first_bin(self):
-        # tight leaves make posteriors one-hot deep inside a class region
-        c = build_manual(
-            """
-            a1 gaussian 0 0.3 0.1
-            b1 gaussian 1 0.3 0.1
-            p1 product a1 b1
-            a2 gaussian 0 0.7 0.1
-            b2 gaussian 1 0.7 0.1
-            p2 product a2 b2
-            root p1 p2
-            """
-        )
-        X = np.tile(np.array([[0.3, 0.3]]), (20, 1)) \
-            + np.random.default_rng(0).normal(0, 0.005, size=(20, 2))
-        edges, hists = entropy_histograms(c, [("id", Dataset(X))], EvalConfig(method="plain"))
-        assert hists["id"][0] == 20
-
-    def test_counts_conserve_samples(self):
-        c = small_classifier_4var()
-        rng = np.random.default_rng(8)
-        X = rng.uniform(0, 1, size=(37, 4))
-        edges, hists = entropy_histograms(c, [("d", Dataset(X))], EvalConfig(method="plain"))
-        assert hists["d"].sum() == 37
-        assert len(edges) == 51
-
-    def test_overlap_range(self):
-        a = np.array([5, 0, 0])
-        b = np.array([0, 0, 5])
-        assert histogram_overlap(a, b) == 0.0
-        assert histogram_overlap(a, a) == pytest.approx(1.0)
 
 
 def test_curve_csv(tmp_path):

@@ -10,26 +10,23 @@ import circuq.moments
 from circuq import (
     CovarianceStrategy,
     DropoutConfig,
-    MomentFrame,
     StructureError,
     TaylorMethod,
     UnderflowError,
     build_manual,
     build_rat,
-    cauchy_bounds,
     log_likelihood_batch,
     posterior_moments,
     posterior_moments_batch,
-    predictive_entropy,
-    rat_product_covariance,
-    sum_covariance,
     tdi_pass,
     tdi_pass_batch,
     RatConfig,
     ShapeError,
     posterior_summary_batch,
 )
+from circuq.circuit import Circuit, GaussianLeaf, ProductNode, RatAnnotation, SumNode
 from circuq.enumeration import enumerate_dropout_moments
+from circuq.moments import predictive_entropy_batch
 from circuq.structures import (
     copy_paste_expand,
     random_dag_circuit,
@@ -94,6 +91,18 @@ class TestFrozenExamples:
         assert np.all(np.isneginf(frame.log_variance))
 
 
+class TestDropoutConfig:
+    @pytest.mark.parametrize("q", [1.5, -0.2, math.nan, 0.0])
+    def test_keep_rate_outside_zero_one_is_rejected(self, q):
+        with pytest.raises(ValueError, match=r"dropout probability p must be in \[0, 1\)"):
+            DropoutConfig(q)
+
+    @pytest.mark.parametrize("p", [1.0, -0.1, math.nan])
+    def test_with_p_rejects_through_the_same_check(self, p):
+        with pytest.raises(ValueError, match=r"got p = "):
+            DropoutConfig.with_p(p)
+
+
 class TestTreeExactness:
     def test_random_trees_match_enumeration(self):
         rng = np.random.default_rng(2024)
@@ -153,13 +162,6 @@ class TestTreeExactness:
         base = math.exp(-0.5 * math.log(2 * math.pi) * 1.0)  # N(0,1) at 0
         assert e == pytest.approx(q**3 * (1 / math.sqrt(2 * math.pi)), rel=1e-12)
 
-    def test_exclude_root_heads_flag(self, two_leaf_sum):
-        frame = tdi_pass(two_leaf_sum, [0.0], DropoutConfig.with_p(0.2, exclude_root_heads=True))
-        e, v = root_moments(frame, two_leaf_sum)
-        # the only sum is the root: no dropout at all
-        assert e == pytest.approx(0.4, rel=1e-12)
-        assert v == 0.0
-
 
 class TestCovarianceOps:
     def test_shared_single_child_covariance(self):
@@ -171,13 +173,11 @@ class TestCovarianceOps:
         root sa
         """
         c = build_manual(spec)
-        # build a frame under TREE_ZERO; Cov[sa, sb] still sees the shared child
         frame = tdi_pass(c, [0.3], DropoutConfig.with_p(0.2))
         sa = [i for i, n in enumerate(c.nodes) if n.kind == "sum"]
-        cov = sum_covariance(frame, sa[0], sa[1])
-        var_child = math.exp(frame.log_variance[c.nodes[sa[0]].children[0]])
-        # q^2 * 1 * 1 * Cov[N, N] with Var[N] = 0 for a leaf: here child is the leaf
-        assert cov.to_float() == pytest.approx(0.64 * var_child, abs=1e-15)
+        # Cov = q^2 Var[g], and a leaf has no variance: the pair is uncorrelated
+        assert frame.pair_cov(sa[0], sa[1]).is_zero
+        assert enumerate_dropout_moments(c, [0.3], 0.2).cov(sa[0], sa[1]) == 0.0
 
     def test_shared_sum_child_covariance_value(self):
         # two parent sums over one shared mixture: Cov = q^2 Var[child]
@@ -190,17 +190,17 @@ class TestCovarianceOps:
         root pa
         """
         c = build_manual(spec)
+        s, pa, pb = [i for i, n in enumerate(c.nodes) if n.kind == "sum"]
+        en = enumerate_dropout_moments(c, [0.0], 0.2)
+        assert en.cov(pa, pb) == pytest.approx(0.64 * 0.016, rel=1e-12)
+        # TREE_ZERO takes distinct nodes as uncorrelated, the shared child's too
         frame = tdi_pass(c, [0.0], DropoutConfig.with_p(0.2))
-        sums = [i for i, n in enumerate(c.nodes) if n.kind == "sum"]
-        s, pa, pb = sums
-        cov = sum_covariance(frame, pa, pb)
-        assert cov.to_float() == pytest.approx(0.64 * 0.016, rel=1e-12)
+        assert frame.pair_cov(pa, pb).is_zero
 
     def test_disjoint_subtrees_zero(self, three_var_tree):
         frame = tdi_pass(three_var_tree, [0.0, 0.0, 0.0], DropoutConfig.with_p(0.2))
         sums = [i for i, n in enumerate(three_var_tree.nodes) if n.kind == "sum"]
-        cov = sum_covariance(frame, sums[0], sums[1])
-        assert cov.is_zero
+        assert frame.pair_cov(sums[0], sums[1]).is_zero
 
     def test_shared_leaf_dag_matches_enumeration(self):
         rng = np.random.default_rng(11)
@@ -212,24 +212,21 @@ class TestCovarianceOps:
                 continue
             ev = random_evidence(rng, c)
             en = enumerate_dropout_moments(c, ev, 0.15)
-            frame = MomentFrame.from_linear(c, en.expectation, en.variance)
             # enumerated covariances satisfy the Cauchy-Schwarz interval
+            sd = np.sqrt(en.variance)
             for a in sums:
                 for b in sums:
-                    lo, hi = cauchy_bounds(frame, a, b)
-                    assert lo.to_float() - 1e-12 <= en.cov(a, b) <= hi.to_float() + 1e-12
+                    assert abs(en.cov(a, b)) <= sd[a] * sd[b] + 1e-12
             found += 1
         assert found >= 10
 
     def test_cauchy_bounds_basics(self, two_leaf_sum):
         frame = tdi_pass(two_leaf_sum, [0.0], DropoutConfig.with_p(0.2))
         r = two_leaf_sum.roots[0]
-        lo, hi = cauchy_bounds(frame, r, r)
-        assert lo.to_float() == pytest.approx(-0.016, rel=1e-12)
-        assert hi.to_float() == pytest.approx(+0.016, rel=1e-12)
+        assert frame.pair_cov(r, r).to_float() == pytest.approx(0.016, rel=1e-12)
+        # a zero-variance leaf bounds its covariance with the root at zero
         leaf = two_leaf_sum.nodes[r].children[0]
-        lo0, hi0 = cauchy_bounds(frame, leaf, r)
-        assert lo0.is_zero and hi0.is_zero
+        assert frame.pair_cov(leaf, r).is_zero
 
 
 class TestRatExact:
@@ -266,8 +263,15 @@ class TestRatExact:
         frame = tdi_pass(c, ev, DropoutConfig.with_p(0.2, CovarianceStrategy.RAT_EXACT))
         prods = [i for i in c.rat.product_partition]
         p0 = prods[-1]
-        diag = rat_product_covariance(frame, p0, p0).to_float()
-        assert diag == pytest.approx(math.exp(frame.log_variance[p0]), rel=1e-10)
+        assert frame.pair_cov(p0, p0).to_float() == math.exp(frame.log_variance[p0])
+        # two products of one partition: the partition-factor formula
+        # matches enumeration
+        en = enumerate_dropout_moments(c, ev, 0.2)
+        pairs = [(a, b) for a in prods for b in prods
+                 if a < b and c.rat.product_partition[a] == c.rat.product_partition[b]]
+        assert pairs
+        got = [frame.pair_cov(a, b).to_float() for a, b in pairs]
+        np.testing.assert_allclose(got, [en.cov(a, b) for a, b in pairs], rtol=1e-9, atol=1e-15)
 
     def test_product_covariance_independent_partitions_zero(self):
         c = build_rat(RatConfig(2, 2, 1, 1, 1, 2, rng_seed=1))
@@ -275,33 +279,33 @@ class TestRatExact:
         frame = tdi_pass(c, ev, DropoutConfig.with_p(0.2, CovarianceStrategy.RAT_EXACT))
         prods = sorted(c.rat.product_partition)
         # leaf-distribution children are dropout-free, so all terms vanish
-        cov = rat_product_covariance(frame, prods[0], prods[1])
-        assert cov.is_zero
+        assert frame.pair_cov(prods[0], prods[1]).is_zero
 
     def test_negative_variance_guard(self):
         from circuq.moments import _nonnegative_log
         from circuq.signedlog import SignedLog
 
         scale = math.log(0.25)
-        assert _nonnegative_log(SignedLog.from_float(0.5), scale, "v") == math.log(0.5)
-        dust = SignedLog.from_float(-0.9e-12 * 0.25)
+        assert _nonnegative_log(SignedLog(1, math.log(0.5)), scale, "v") == math.log(0.5)
+        dust = SignedLog(-1, math.log(0.9e-12 * 0.25))
         assert _nonnegative_log(dust, scale, "v") == -math.inf
         with pytest.raises(StructureError, match="variance of sum node 7"):
-            _nonnegative_log(SignedLog.from_float(-1.1e-12 * 0.25), scale,
+            _nonnegative_log(SignedLog(-1, math.log(1.1e-12 * 0.25)), scale,
                              "variance of sum node 7")
 
     def test_non_binary_product_rejected(self):
-        spec = """
-        a gaussian 0 0.0 1.0
-        b gaussian 1 0.0 1.0
-        c gaussian 2 0.0 1.0
-        p product a b c
-        root p
-        """
-        circ = build_manual(spec)
-        frame = tdi_pass(circ, [0, 0, 0], DropoutConfig.with_p(0.1))
-        with pytest.raises(StructureError):
-            rat_product_covariance(frame, 3, 3)
+        # a circuit file's rat tags put a three-factor product and a binary
+        # product of one scope into one partition, under a sum that mixes them
+        nodes = [GaussianLeaf(v, mean, 0.0) for v in range(3) for mean in (-0.5, 0.5)]
+        nodes += [SumNode([2 * v, 2 * v + 1], np.log([0.5, 0.5])) for v in range(3)]  # 6-8
+        nodes += [SumNode([2, 3, 4, 5], np.log([0.25] * 4))]  # 9, over variables 1 and 2
+        nodes += [ProductNode([6, 7, 8]), ProductNode([6, 9])]  # 10, 11
+        nodes += [SumNode([10, 11], np.log([0.5, 0.5]))]  # 12
+        circ = Circuit(nodes, [12], 3, np.zeros(1),
+                       rat=RatAnnotation(sum_region={}, product_partition={10: (0, 0), 11: (0, 0)}))
+        with pytest.raises(StructureError, match="node 10 is not a binary product"):
+            tdi_pass(circ, [0.1, -0.2, 0.3],
+                     DropoutConfig.with_p(0.1, CovarianceStrategy.RAT_EXACT))
 
 
 class TestCopyPaste:
@@ -412,7 +416,7 @@ class TestPosterior:
                         assert abs(pm.metadata["raw_mean"].sum() - 1.0) < 1e-9
         # the RAT_EXACT cases above do carry covariances between class roots
         frame = tdi_pass(rat, X_rat[0], DropoutConfig.with_p(0.15, CovarianceStrategy.RAT_EXACT))
-        assert not sum_covariance(frame, rat.roots[0], rat.roots[1]).is_zero
+        assert not frame.pair_cov(rat.roots[0], rat.roots[1]).is_zero
 
     def test_single_row_is_a_batch_of_one(self):
         rat = build_rat(RatConfig(2, 2, 2, 1, 3, 4, rng_seed=5))
@@ -481,8 +485,6 @@ class TestPosterior:
 def _wide_pair(rng):
     """A 10-component mixture against a fixed factorized alternative, with
     evidence near the class overlap (10 sum edges total)."""
-    from circuq.circuit import Circuit, GaussianLeaf, ProductNode, SumNode
-
     nodes = []
 
     def add(n):
@@ -504,29 +506,23 @@ def _wide_pair(rng):
 
 class TestPredictiveEntropy:
     def test_one_hot(self):
-        assert predictive_entropy([1.0, 0.0, 0.0, 0.0]) < 1e-9
+        assert predictive_entropy_batch(np.array([[1.0, 0.0, 0.0, 0.0]]))[0] < 1e-9
 
     def test_uniform_ten(self):
-        assert predictive_entropy([0.1] * 10) == pytest.approx(math.log(10), abs=1e-12)
+        h = predictive_entropy_batch(np.full((1, 10), 0.1))[0]
+        assert h == pytest.approx(math.log(10), abs=1e-12)
 
     def test_binary_uniform(self):
-        assert predictive_entropy([0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-12)
+        h = predictive_entropy_batch(np.array([[0.5, 0.5]]))[0]
+        assert h == pytest.approx(math.log(2), abs=1e-12)
 
     def test_bounds_property(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
             k = int(rng.integers(2, 12))
-            m = rng.uniform(0, 1, size=k)
-            if m.sum() == 0:
-                continue
-            h = predictive_entropy(m)
-            assert -1e-12 <= h <= math.log(k) + 1e-12
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            predictive_entropy([0.0, 0.0])
-        with pytest.raises(ValueError):
-            predictive_entropy([-0.1, 1.1])
+            m = rng.uniform(0, 1, size=(3, k))
+            h = predictive_entropy_batch(m)
+            assert np.all((-1e-12 <= h) & (h <= math.log(k) + 1e-12))
 
 
 class TestMomentDump:
