@@ -48,6 +48,7 @@ from .moments import (
     DropoutConfig,
     MomentFrame,
     PosteriorMoments,
+    SignedLog,
     TaylorMethod,
     posterior_moments,
     posterior_moments_batch,
@@ -55,7 +56,6 @@ from .moments import (
     tdi_pass,
     tdi_pass_batch,
 )
-from .signedlog import SignedLog
 from .structures import (
     RatConfig,
     build_manual,

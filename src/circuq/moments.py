@@ -6,13 +6,15 @@ covariances of those values propagate bottom-up through the circuit in closed
 form, so the model uncertainty at the roots costs one traversal instead of
 many stochastic forward passes.
 
-Moments are stored in log space, expectations and variances of nonnegative
-circuit values as log magnitudes and covariances as (sign, log|x|) pairs,
-because deep circuits underflow linear doubles long before they get
-interesting.  The pass runs on the circuit's layer plan: each group of sums
-that shares a child list mixes its children's moments in linear space as
-matrix products, shifted per group and row by the largest child moment, and
-each group of products combines its factors over their outer product.
+Moments are stored in log space as log magnitudes, because deep circuits
+underflow linear doubles long before they get interesting.  Covariances are
+log magnitudes too: every node value is a polynomial in the keep bits with
+nonnegative coefficients, so it never decreases when a bit turns on, and by
+Harris's inequality no two node values have a negative covariance.  The
+pass runs on the circuit's layer plan: each group of sums that shares a
+child list mixes its children's moments in linear space as matrix products,
+shifted per group and row by the largest child moment, and each group of
+products combines its factors over their outer product.
 
 Two strategies handle the covariance between siblings:
 
@@ -35,15 +37,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (BATCH_ROWS, SHIFT_FLOOR, Circuit, as_batch, as_evidence, log_shifted,
-                      logsumexp_axis0, mix)
+                      logsumexp, logsumexp_axis0, mix)
 from .errors import StructureError, UnderflowError
-from .signedlog import SignedLog, sl_sum
 
 _NEG_INF = float("-inf")
 
 ENTROPY_CLAMP = 1e-12
-
-_LOG_DUST = math.log(1e-12)  # negative rounding dust, relative to the positive term
 
 
 class CovarianceStrategy(enum.Enum):
@@ -85,25 +84,50 @@ class DropoutConfig:
         return 1.0 - self.q
 
 
+@dataclass(frozen=True, slots=True)
+class SignedLog:
+    """A covariance as its sign, 0 or +1, and the log of its magnitude."""
+
+    sign: int
+    log_mag: float
+
+    @staticmethod
+    def zero() -> "SignedLog":
+        return SignedLog(0, _NEG_INF)
+
+    @staticmethod
+    def from_log(log_mag: float) -> "SignedLog":
+        """Wrap a log magnitude; -inf is zero."""
+        return SignedLog.zero() if log_mag == _NEG_INF else SignedLog(1, log_mag)
+
+    def to_float(self) -> float:
+        return math.exp(self.log_mag) if self.sign else 0.0
+
+    @property
+    def is_zero(self) -> bool:
+        return self.sign == 0
+
+
 @dataclass
 class MomentFrame:
-    """Per-evaluation store of node moments in signed log space.
+    """Per-evaluation store of node moments in log space.
 
     ``log_expectation`` and ``log_variance`` are log magnitudes (the values
-    themselves are nonnegative).  ``sibling_cov`` holds signed covariances for
-    node pairs that were materialized during the pass: pairs sharing a parent,
-    plus same-region pairs the exact RAT strategy resolves recursively.
+    themselves are nonnegative).  ``sibling_cov`` holds the log magnitudes of
+    the covariances, -inf for zero, of node pairs that were materialized
+    during the pass: pairs sharing a parent, plus same-region pairs the exact
+    RAT strategy resolves recursively.
     """
 
     circuit: Circuit
     config: DropoutConfig
     log_expectation: np.ndarray
     log_variance: np.ndarray
-    sibling_cov: dict[tuple[int, int], SignedLog] = field(default_factory=dict)
+    sibling_cov: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def pair_cov(self, a: int, b: int) -> SignedLog:
         """Covariance of two arbitrary nodes under this frame's strategy."""
-        return _pair_cov(self, a, b)
+        return SignedLog.from_log(_pair_cov(self, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +264,7 @@ def _add_sum_covariances(frame: MomentFrame, layer, log_q, log_e, log_v) -> None
 
     ``log_q`` is log q; ``log_e`` and ``log_v`` are the pass's slot-order
     arrays, and the frame reads node-order copies of the moments of the
-    layers below.
+    layers below.  Every term is nonnegative, so the sum stays in log space.
     """
     slot = frame.circuit.layout().slot
     frame.log_expectation, frame.log_variance = log_e[slot, 0], log_v[slot, 0]
@@ -248,59 +272,49 @@ def _add_sum_covariances(frame: MomentFrame, layer, log_q, log_e, log_v) -> None
                     layer.nodes.ravel().tolist()):
         node = frame.circuit.nodes[i]
         kids, weights = node.children, node.log_weights
-        cov_term = SignedLog.zero()
+        cov_term = _NEG_INF
         for a in range(len(kids)):
             for b in range(a + 1, len(kids)):
-                c = _pair_cov(frame, kids[a], kids[b])
-                if not c.is_zero:
-                    cov_term = cov_term + c.scale_log(float(weights[a] + weights[b]))
-        t1 = float(log_v[k, 0])
-        var = SignedLog.from_log(t1) + cov_term.scale_log(2.0 * log_q + math.log(2.0))
-        log_v[k, 0] = _nonnegative_log(var, t1, context=f"variance of sum node {i}")
+                c = _pair_cov(frame, kids[a], kids[b]) + float(weights[a] + weights[b])
+                cov_term = _log_add(cov_term, c)
+        log_v[k, 0] = _log_add(float(log_v[k, 0]), cov_term + (2.0 * log_q + math.log(2.0)))
 
 
-def _nonnegative_log(value: SignedLog, log_scale: float, context: str) -> float:
-    """log of a quantity that exact math keeps nonnegative.
-
-    ``log_scale`` is the log of the positive term the value was computed
-    from.  A negative result within 1e-12 of that scale is rounding dust and
-    becomes zero; a larger one is an error.
-    """
-    if value.sign >= 0:
-        return value.log_mag if value.sign > 0 else _NEG_INF
-    if value.log_mag <= log_scale + _LOG_DUST:
-        return _NEG_INF
-    raise StructureError(
-        f"{context} is negative: -{math.exp(value.log_mag):.3e} against a positive "
-        f"term of {math.exp(log_scale):.3e}"
-    )
+def _log_add(a: float, b: float) -> float:
+    """log(exp(a) + exp(b)), the larger operand first; -inf is zero."""
+    if a < b:
+        a, b = b, a
+    if b == _NEG_INF:
+        return a
+    return a + math.log1p(math.exp(b - a))
 
 
 # ---------------------------------------------------------------------------
 # Pairwise covariances
 
 
-def _pair_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
+def _pair_cov(frame: MomentFrame, a: int, b: int) -> float:
+    """log Cov[a, b], -inf for zero."""
     if a == b:
-        return SignedLog.from_log(float(frame.log_variance[a]))
+        return float(frame.log_variance[a])
     key = (a, b) if a < b else (b, a)
     cached = frame.sibling_cov.get(key)
     if cached is not None:
         return cached
     scopes = frame.circuit.scopes()
-    if np.isneginf(frame.log_variance[a]) or np.isneginf(frame.log_variance[b]):
-        result = SignedLog.zero()  # Cauchy-Schwarz: zero variance forces zero covariance
+    if frame.log_variance[a] == _NEG_INF or frame.log_variance[b] == _NEG_INF:
+        result = _NEG_INF  # Cauchy-Schwarz: zero variance forces zero covariance
     elif scopes[a] & scopes[b] == 0:
-        result = SignedLog.zero()  # disjoint scopes share no descendants
+        result = _NEG_INF  # disjoint scopes share no descendants
     elif frame.config.covariance_strategy is not CovarianceStrategy.RAT_EXACT:
-        result = SignedLog.zero()  # TREE_ZERO: distinct nodes are uncorrelated
+        result = _NEG_INF  # TREE_ZERO: distinct nodes are uncorrelated
     else:
         result = _rat_pair_cov(frame, a, b)
     frame.sibling_cov[key] = result
     return result
 
 
-def _rat_pair_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
+def _rat_pair_cov(frame: MomentFrame, a: int, b: int) -> float:
     circuit = frame.circuit
     rat = circuit.rat
     na, nb = circuit.nodes[a], circuit.nodes[b]
@@ -309,7 +323,7 @@ def _rat_pair_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
         rb = rat.sum_region.get(b)
         if ra is not None and rb is not None:
             if ra[0] != rb[0]:
-                return SignedLog.zero()  # different repetitions share nothing
+                return _NEG_INF  # different repetitions share nothing
             if ra != rb:
                 raise StructureError(
                     f"covariance between sums {a} and {b} of different regions is not "
@@ -325,7 +339,7 @@ def _rat_pair_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
         if pa is None or pb is None:
             raise StructureError(f"products {a} and {b} lack partition tags")
         if pa[0] != pb[0]:
-            return SignedLog.zero()  # different repetitions share nothing
+            return _NEG_INF  # different repetitions share nothing
         if pa != pb:
             raise StructureError(
                 f"covariance between products {a} and {b} of different partitions is "
@@ -338,22 +352,22 @@ def _rat_pair_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
     )
 
 
-def _sum_sum_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
-    """Cov of two sum nodes: q^2 sum_i sum_j w_i^A w_j^B Cov[N_i^A, N_j^B]."""
+def _sum_sum_cov(frame: MomentFrame, a: int, b: int) -> float:
+    """log Cov of two sum nodes: q^2 sum_i sum_j w_i^A w_j^B Cov[N_i^A, N_j^B]."""
     na, nb = frame.circuit.nodes[a], frame.circuit.nodes[b]
     qq = frame.config.q * frame.config.q
     log_qq = math.log(qq) if qq > 0 else _NEG_INF
     terms = []
     for wi, ci in zip(na.log_weights, na.children):
         for wj, cj in zip(nb.log_weights, nb.children):
-            c = _pair_cov(frame, ci, cj)
-            if not c.is_zero:
-                terms.append(c.scale_log(float(wi + wj)))
-    return sl_sum(terms).scale_log(log_qq)
+            c = _pair_cov(frame, ci, cj) + float(wi + wj)
+            if c > _NEG_INF:
+                terms.append(c)
+    return logsumexp(np.array(terms)) + log_qq
 
 
-def _product_product_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
-    """Cov of two binary products of one RAT partition, via their factors:
+def _product_product_cov(frame: MomentFrame, a: int, b: int) -> float:
+    """log Cov of two binary products of one RAT partition, via their factors:
 
     Cov[P_lr, P_l'r'] = Cov[L_l, L_l'] E[R_r] E[R_r']
                         + Cov[R_r, R_r'] E[L_l] E[L_l']
@@ -375,10 +389,9 @@ def _product_product_cov(frame: MomentFrame, a: int, b: int) -> SignedLog:
     cov_l = _pair_cov(frame, la, lb)
     cov_r = _pair_cov(frame, ra, rb)
     le = frame.log_expectation
-    term1 = cov_l.scale_log(float(le[ra] + le[rb]))
-    term2 = cov_r.scale_log(float(le[la] + le[lb]))
-    term3 = cov_l * cov_r
-    return term1 + term2 + term3
+    term1 = cov_l + float(le[ra] + le[rb])
+    term2 = cov_r + float(le[la] + le[lb])
+    return _log_add(_log_add(term1, term2), cov_l + cov_r)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +548,8 @@ def _root_cov(frame: MomentFrame) -> np.ndarray:
     log_scale = -2.0 * float(np.max(frame.log_expectation[roots] + log_c))
     for i in range(C):
         for j in range(i + 1, C):
-            c = _pair_cov(frame, roots[i], roots[j]).scale_log(log_scale)
-            cov[i, j] = cov[j, i] = c.to_float()
+            c = _pair_cov(frame, roots[i], roots[j]) + log_scale
+            cov[i, j] = cov[j, i] = math.exp(c) if c > _NEG_INF else 0.0
     return cov
 
 
@@ -570,7 +583,8 @@ def _taylor(circuit, root_e, root_v, root_cov, method, first_row=0, log_v=None):
         eb = ea.sum(axis=0)
         ck = np.einsum("j,ijr->ir", c[:, 0], root_cov)  # sum_j c_j Cov[S_i, S_j]
         cov_ab = va + c * ck  # Cov[A_i, B]
-        var_b = np.maximum(cov_ab.sum(axis=0), 0.0)
+        # Var[B] needs no clamp: va is an exp, and root_cov is zero or an exp
+        var_b = cov_ab.sum(axis=0)
         t = ea / eb
         mean = t - cov_ab / eb**2 + t * var_b / eb**2
         if method is TaylorMethod.SIMPLE:
@@ -638,4 +652,4 @@ def write_moment_csv(frame: MomentFrame, nodes_path, cov_path) -> None:
     with open(cov_path, "w") as fh:
         fh.write("node_a,node_b,cov\n")
         for (a, b), c in sorted(frame.sibling_cov.items()):
-            fh.write(f"{a},{b},{c.to_float():.17g}\n")
+            fh.write(f"{a},{b},{math.exp(c) if c > _NEG_INF else 0.0:.17g}\n")

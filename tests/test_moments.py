@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import circuq.circuit
 import circuq.moments
@@ -22,6 +24,7 @@ from circuq import (
     tdi_pass_batch,
     RatConfig,
     ShapeError,
+    SignedLog,
     posterior_summary_batch,
 )
 from circuq.circuit import Circuit, GaussianLeaf, ProductNode, RatAnnotation, SumNode
@@ -281,18 +284,6 @@ class TestRatExact:
         # leaf-distribution children are dropout-free, so all terms vanish
         assert frame.pair_cov(prods[0], prods[1]).is_zero
 
-    def test_negative_variance_guard(self):
-        from circuq.moments import _nonnegative_log
-        from circuq.signedlog import SignedLog
-
-        scale = math.log(0.25)
-        assert _nonnegative_log(SignedLog(1, math.log(0.5)), scale, "v") == math.log(0.5)
-        dust = SignedLog(-1, math.log(0.9e-12 * 0.25))
-        assert _nonnegative_log(dust, scale, "v") == -math.inf
-        with pytest.raises(StructureError, match="variance of sum node 7"):
-            _nonnegative_log(SignedLog(-1, math.log(1.1e-12 * 0.25)), scale,
-                             "variance of sum node 7")
-
     def test_non_binary_product_rejected(self):
         # a circuit file's rat tags put a three-factor product and a binary
         # product of one scope into one partition, under a sum that mixes them
@@ -306,6 +297,74 @@ class TestRatExact:
         with pytest.raises(StructureError, match="node 10 is not a binary product"):
             tdi_pass(circ, [0.1, -0.2, 0.3],
                      DropoutConfig.with_p(0.1, CovarianceStrategy.RAT_EXACT))
+
+
+# Binary RATs small enough to enumerate every dropout mask.
+ENUMERABLE_RATS = [
+    RatConfig(2, 2, 1, 1, 1, 2, rng_seed=3),
+    RatConfig(2, 2, 1, 1, 1, 3, rng_seed=5),
+    RatConfig(2, 1, 2, 1, 1, 4, rng_seed=3),
+    RatConfig(2, 1, 2, 1, 1, 5, rng_seed=8),
+    RatConfig(2, 1, 2, 1, 2, 4, rng_seed=1),
+]
+
+
+class TestNonnegativeCovariance:
+    """Every node value is a polynomial in the keep bits with nonnegative
+    coefficients, so it never decreases when a bit turns on, and by Harris's
+    inequality no two node values are negatively correlated.  RAT_EXACT
+    carries its covariances as log magnitudes on that premise."""
+
+    def test_enumerated_covariances_are_nonnegative(self):
+        rng = np.random.default_rng(19)
+        circuits = ([random_tree_circuit(rng, max_sum_edges=12) for _ in range(20)]
+                    + [random_dag_circuit(rng, max_sum_edges=10) for _ in range(20)]
+                    + [build_rat(config) for config in ENUMERABLE_RATS])
+        pairs = 0
+        for c in circuits:
+            ev = random_evidence(rng, c)
+            for p in (0.1, 0.3, 0.7):
+                en = enumerate_dropout_moments(c, ev, p)
+                e = en.expectation
+                for a in range(len(c.nodes)):
+                    for b in range(a + 1, len(c.nodes)):
+                        assert en.cov(a, b) >= -1e-12 * e[a] * e[b], (a, b, p)
+                        pairs += 1
+        assert pairs > 10_000
+
+    def test_rat_exact_covariances_are_log_magnitudes(self):
+        rng = np.random.default_rng(20)
+        for config in ENUMERABLE_RATS:
+            c = build_rat(config)
+            ev = rng.normal(size=config.num_variables)
+            for p in (0.1, 0.3, 0.7):
+                frame = tdi_pass(c, ev, DropoutConfig.with_p(p, CovarianceStrategy.RAT_EXACT))
+                for a in c.roots:
+                    for b in c.roots:
+                        frame.pair_cov(a, b)
+                assert frame.sibling_cov
+                for v in frame.sibling_cov.values():
+                    assert isinstance(v, float)
+                    assert math.isfinite(v) or v == -math.inf
+
+
+class TestSignedLog:
+    def test_zero(self):
+        for z in (SignedLog.zero(), SignedLog.from_log(-math.inf)):
+            assert z.sign == 0 and z.to_float() == 0.0
+            assert z.is_zero
+
+    @given(st.floats(min_value=-100, max_value=100).map(lambda e: 10.0**e))
+    def test_from_to(self, x):
+        # one log/exp round trip costs about |log x| ulps, within 1e-12
+        # relative across the full double range
+        assert SignedLog.from_log(math.log(x)).to_float() == pytest.approx(x, rel=1e-12)
+
+    def test_extreme_magnitudes(self):
+        for x in (1e-300, 1e300):
+            got = SignedLog.from_log(math.log(x))
+            assert got.sign == 1
+            assert got.to_float() == pytest.approx(x, rel=1e-12)
 
 
 class TestCopyPaste:
