@@ -32,7 +32,6 @@ from .mcd import mcd_infer_rows, mcd_vs_tdi_report
 from .moments import (
     CovarianceStrategy,
     DropoutConfig,
-    TaylorMethod,
     posterior_summary_batch,
     tdi_pass,
     write_moment_csv,
@@ -45,7 +44,6 @@ EXIT_MISSING_FILE = 3
 EXIT_VALIDATION = 4
 
 _STRATEGIES = {s.value: s for s in CovarianceStrategy}
-_TAYLOR = {t.value: t for t in TaylorMethod}
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -164,7 +162,7 @@ def cmd_tdi(args) -> int:
     if args.dump_moments and data.num_rows == 0:
         return _fail(EXIT_VALIDATION, "validation", "--dump-moments needs at least one input row")
     config = DropoutConfig.with_p(args.p, _STRATEGIES[args.strategy])
-    pm = posterior_summary_batch(circuit, data.features, config, _TAYLOR[args.taylor])
+    pm = posterior_summary_batch(circuit, data.features, config)
     out_path = os.path.join(args.out, "posterior.csv")
     with open(out_path, "w") as fh:
         fh.write("sample_id,class,mean,variance,std,entropy,normalized_entropy\n")
@@ -219,10 +217,9 @@ def _eval_config(args) -> EvalConfig:
     return EvalConfig(
         method=args.method,
         p=args.p,
-        taylor=_TAYLOR[getattr(args, "taylor", "simple")],
-        mcd_passes=getattr(args, "L", 100),
-        rng_seed=getattr(args, "seed", 0),
-        normalized_entropy=getattr(args, "normalized", False),
+        mcd_passes=args.L,
+        rng_seed=args.seed,
+        normalized_entropy=args.normalized,
     )
 
 
@@ -355,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="CSV of evidence rows")
     p.add_argument("--p", type=float, default=0.1, help="dropout probability")
     p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="tree_zero")
-    p.add_argument("--taylor", choices=sorted(_TAYLOR), default="simple")
     p.add_argument("--dump-moments", action=argparse.BooleanOptionalAction, default=False,
                    help="also dump per-node moment CSVs for the first row")
     common(p)
@@ -382,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     def eval_common(p):
         p.add_argument("--method", choices=("plain", "tdi", "mcd"), default="tdi")
         p.add_argument("--p", type=float, default=0.1)
-        p.add_argument("--taylor", choices=sorted(_TAYLOR), default="simple")
         p.add_argument("-L", type=int, default=100)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--normalized", action=argparse.BooleanOptionalAction, default=False,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import ShapeError, UnderflowError
 from .mcd import mcd_infer_rows
 from .moments import (
     DropoutConfig,
-    TaylorMethod,
     posterior_summary_batch,
     predictive_entropy_batch,
 )
@@ -34,7 +33,6 @@ _NUM_THRESHOLDS = 256  # entropy thresholds per OOD sweep
 class EvalConfig:
     method: str = "plain"
     p: float = 0.1
-    taylor: TaylorMethod = TaylorMethod.SIMPLE
     mcd_passes: int = 100
     rng_seed: int = 0
     normalized_entropy: bool = False
@@ -62,7 +60,7 @@ def posterior_means(circuit: Circuit, X: np.ndarray, config: EvalConfig):
         post = np.exp(joint - shift)
         means[:] = post / post.sum(axis=1, keepdims=True)
     elif config.method == "tdi":
-        pm = posterior_summary_batch(circuit, X, DropoutConfig.with_p(config.p), config.taylor)
+        pm = posterior_summary_batch(circuit, X, DropoutConfig.with_p(config.p))
         means[:] = pm.mean
         stds[:] = pm.std
     else:
@@ -230,21 +228,6 @@ def write_curve_csv(points: list[CurvePoint], path, key_header: str) -> None:
 
 
 def results_to_json(obj, path) -> None:
-    def default(o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.integer, np.floating)):
-            return o.item()
-        if isinstance(o, SweepResult):
-            return o.to_json()
-        if isinstance(o, CurvePoint):
-            return {
-                "key": o.key,
-                "mean_entropy": o.mean_entropy,
-                "accuracy": o.accuracy,
-                "mean_std": o.mean_std,
-            }
-        raise TypeError(f"cannot serialize {type(o)}")
-
+    """Write a dict of plain values, or a list of :class:`CurvePoint`, as JSON."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, default=default, indent=2)
+        json.dump(obj, fh, default=asdict, indent=2)

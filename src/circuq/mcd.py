@@ -127,7 +127,8 @@ def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
             log_roots[:, done : done + len(keep)] = forward_log_values(
                 circuit, values[None, :], keep, nodes=circuit.roots)
 
-    # two (C, L) arrays in all: lin, and log_roots turned into post in place
+    # (C, L) arrays: lin, log_roots turned into post in place, and lin's
+    # deviations below
     lin = np.exp(log_roots)
     joint = log_roots
     joint += np.asarray(circuit.log_class_priors, dtype=np.float64)[:, None]
@@ -150,8 +151,11 @@ def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
         var = np.zeros_like(mean)
         pvar = np.zeros_like(pmean)
     else:
-        var = np.maximum(np.einsum("cl,cl->c", lin, lin) / L - mean**2, 0.0)
-        pvar = np.maximum(np.einsum("cl,cl->c", post, post) / L - pmean**2, 0.0)
+        # sums of squared deviations from the mean, which cannot be negative
+        dev = lin - mean[:, None]
+        var = np.einsum("cl,cl->c", dev, dev) / L
+        post -= pmean[:, None]
+        pvar = np.einsum("cl,cl->c", post, post) / L
     return McdResult(
         sample_mean=mean,
         sample_variance=var,

@@ -213,8 +213,8 @@ def _product_moments(layer, ce: list, cv: list, out) -> None:
     Takes each factor's (groups, S_f, rows) moments.  Var = prod(E^2)
     (prod(1 + r_f) - 1) with r_f = Var_f / E_f^2, and the bracket accumulates
     over the outer product as acc + r_f (1 + acc), which cannot cancel.
-    Where a factor's mean is zero the subtracted product vanishes, and Var is
-    the product of the factors' second moments.
+    Node values are nonnegative, so a factor whose mean is zero is zero under
+    every mask: there the product is zero, with zero variance, and r_f is NaN.
     """
     log_e, log_v = out
     layer.outer(ce, out=log_e)
@@ -224,9 +224,7 @@ def _product_moments(layer, ce: list, cv: list, out) -> None:
     r = [np.exp(v - 2.0 * e) for e, v in zip(ce, cv)]
     acc = layer.outer(r, lambda acc, rf: acc + rf * (1.0 + acc))
     np.add(2.0 * log_e, np.log(acc), out=log_v)
-    if log_e.min() == _NEG_INF:
-        second = layer.outer([np.logaddexp(v, 2.0 * e) for e, v in zip(ce, cv)])
-        np.copyto(log_v, second, where=log_e == _NEG_INF)
+    log_v[log_e == _NEG_INF] = _NEG_INF
 
 
 def _sum_moments(w, lw, ce, cv, log_q, p, out) -> None:

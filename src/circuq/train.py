@@ -321,14 +321,6 @@ def _sum_reverse(w, lw, x, v, adj):
 
 
 @dataclass
-class OptimizerState:
-    kind: str
-    step: int = 0
-    m: Optional[np.ndarray] = None
-    v: Optional[np.ndarray] = None
-
-
-@dataclass
 class TrainHistory:
     epochs: list = field(default_factory=list)  # (epoch, loss, accuracy)
     aborted: bool = False
@@ -363,11 +355,8 @@ def fit(
     space = ParameterSpace.of(circuit)
     layout = circuit.layout()
     theta = space.initial_vector()
-    state = OptimizerState(
-        kind=config.optimizer,
-        m=np.zeros_like(theta),
-        v=np.zeros_like(theta),
-    )
+    m = v = 0.0  # Adam's moment estimates, θ-sized after its first step
+    step = 0
     rng = np.random.default_rng(config.rng_seed)
     history = TrainHistory()
     B = X.shape[0]
@@ -383,7 +372,15 @@ def fit(
                 idx = order[start : start + batch]
                 loss, grad = loss_and_grad(current, X[idx], labels[idx], config.objective)
                 losses.append(loss)
-                theta = _update(theta, grad, state, config)
+                if config.optimizer == "sgd":
+                    theta = theta - config.learning_rate * grad
+                else:
+                    step += 1
+                    m = _BETA1 * m + (1.0 - _BETA1) * grad
+                    v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
+                    m_hat = m / (1.0 - _BETA1**step)
+                    v_hat = v / (1.0 - _BETA2**step)
+                    theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
                 log_std = _blocks(theta, layout)[2]
                 np.clip(log_std, -LOG_STD_CLAMP, LOG_STD_CLAMP, out=log_std)
                 # raises ParameterError for a non-finite leaf parameter
@@ -397,17 +394,6 @@ def fit(
         last_good = theta.copy()
         history.epochs.append((epoch, float(np.mean(losses)), acc))
     return current, history
-
-
-def _update(theta, grad, state: OptimizerState, config: TrainConfig) -> np.ndarray:
-    if state.kind == "sgd":
-        return theta - config.learning_rate * grad
-    state.step += 1
-    state.m = _BETA1 * state.m + (1.0 - _BETA1) * grad
-    state.v = _BETA2 * state.v + (1.0 - _BETA2) * grad * grad
-    m_hat = state.m / (1.0 - _BETA1**state.step)
-    v_hat = state.v / (1.0 - _BETA2**state.step)
-    return theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
 
 
 def accuracy(circuit: Circuit, X: np.ndarray, labels: np.ndarray) -> float:

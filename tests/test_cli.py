@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, snapshots."""
 
+import json
 import subprocess
 import sys
 
@@ -47,6 +48,14 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["build", "--no-such-flag"])
         assert exc.value.code == 2
+
+    def test_taylor_is_not_an_option(self, workspace, capsys):
+        model, data = str(workspace / "train" / "model.circuit"), str(workspace / "data.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["ood", "--model", model, "--id-data", data, "--ood-data", data,
+                  "--taylor", "simple", "--out", str(workspace / "ood_taylor")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --taylor simple" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -218,8 +227,14 @@ class TestRuns:
         out3 = workspace / "snap3"
         assert main(["tdi", "--config", str(old), "--out", str(out3)]) == 0
         assert (out1 / "posterior.csv").read_text() == (out3 / "posterior.csv").read_text()
+        # and so does one written before --taylor was removed, under SIMPLE
+        old = workspace / "snap_taylor.snapshot"
+        old.write_text((out1 / "config.snapshot").read_text() + "taylor = extended\n")
+        out4 = workspace / "snap4"
+        assert main(["tdi", "--config", str(old), "--out", str(out4)]) == 0
+        assert (out1 / "posterior.csv").read_text() == (out4 / "posterior.csv").read_text()
 
-    @pytest.mark.parametrize("key, value", [("strategy", "cauchy"), ("taylor", "bogus")])
+    @pytest.mark.parametrize("key, value", [("strategy", "cauchy")])
     def test_replay_rejects_a_snapshot_value_outside_choices(self, workspace, key, value,
                                                              capsys):
         model, x = str(workspace / "train" / "model.circuit"), str(workspace / "x.csv")
@@ -237,7 +252,7 @@ class TestRuns:
         assert f"invalid choice: '{value}'" in capsys.readouterr().err
         # an explicit flag replaces the snapshot's value before it is checked
         fixed = workspace / f"replay_{key}_fixed"
-        good = {"strategy": "tree_zero", "taylor": "simple"}[key]
+        good = {"strategy": "tree_zero"}[key]
         assert main(["tdi", "--config", str(bad), f"--{key}", good, "--out", str(fixed)]) == 0
         assert (fixed / "posterior.csv").read_text() == (first / "posterior.csv").read_text()
 
@@ -327,15 +342,24 @@ class TestRuns:
         out = workspace / "out_perturb"
         assert main(["perturb", "--model", model, "--data", data,
                      "--width", "3", "--height", "2", "--angles", "0,90",
-                     "--method", "plain", "--out", str(out)]) == 0
+                     "--method", "plain", "--json", "--out", str(out)]) == 0
         lines = (out / "perturb.csv").read_text().strip().splitlines()
         assert lines[0] == "angle,mean_entropy,accuracy,mean_std"
         assert len(lines) == 3
         out2 = workspace / "out_corrupt"
         assert main(["corrupt", "--model", model, "--data", data,
                      "--kinds", "brightness", "--severities", "0,1,2",
-                     "--method", "plain", "--out", str(out2)]) == 0
+                     "--method", "tdi", "--json", "--out", str(out2)]) == 0
         assert len((out2 / "corrupt.csv").read_text().strip().splitlines()) == 4
+        # the JSON document holds the CSV's points, a corruption key as [kind, severity]
+        for path, keys in ((out / "perturb.json", [0.0, 90.0]),
+                           (out2 / "corrupt.json", [["brightness", s] for s in range(3)])):
+            points = json.loads(path.read_text())
+            assert [pt["key"] for pt in points] == keys
+            rows = np.loadtxt(path.with_suffix(".csv"), delimiter=",", skiprows=1,
+                              usecols=(-3, -2, -1))
+            assert [[pt["mean_entropy"], pt["accuracy"], pt["mean_std"]]
+                    for pt in points] == rows.tolist()
 
     def test_oracle_subcommand_passes(self, workspace):
         out = workspace / "out_oracle"

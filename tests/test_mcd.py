@@ -288,6 +288,18 @@ class TestStatistics:
         assert rel_err(res.sample_mean[0], 0.32) < 0.01
         assert rel_err(res.sample_variance[0], 0.016) < 0.03
 
+    def test_variances_are_the_variances_of_the_samples(self):
+        c = build_rat(RatConfig(3, 2, 2, 2, 3, 8, rng_seed=4))
+        x = np.random.default_rng(4).normal(size=8)
+        res = mcd_infer(c, x, McdConfig(0.2, 300, rng_seed=3, keep_samples=True))
+        lin = res.raw_samples
+        joint = lin * np.exp(c.log_class_priors)
+        post = joint / joint.sum(axis=1, keepdims=True)
+        assert res.sample_variance.min() > 0.0 and res.posterior_sample_variance.min() > 0.0
+        np.testing.assert_allclose(res.sample_variance, lin.var(axis=0), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(res.posterior_sample_variance, post.var(axis=0),
+                                   rtol=1e-12, atol=0.0)
+
     def test_convergence_to_closed_form_on_trees(self):
         rng = np.random.default_rng(77)
         for _ in range(6):

@@ -1,5 +1,6 @@
 """Closed-form dropout moments: exactness, covariance strategies, posteriors."""
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from circuq import (
     UnderflowError,
     build_manual,
     build_rat,
+    deserialize,
     log_likelihood_batch,
     posterior_moments,
     posterior_moments_batch,
@@ -26,6 +28,7 @@ from circuq import (
     ShapeError,
     SignedLog,
     posterior_summary_batch,
+    serialize,
 )
 from circuq.circuit import Circuit, GaussianLeaf, ProductNode, RatAnnotation, SumNode
 from circuq.enumeration import enumerate_dropout_moments
@@ -137,6 +140,36 @@ class TestTreeExactness:
                 np.nan_to_num(frame.log_variance, neginf=-1e9),
                 atol=1e-10,
             )
+
+    @pytest.mark.parametrize("p", [0.1, 0.3])
+    def test_product_with_a_zero_mean_factor_matches_enumeration(self, p):
+        # x0 = 0 has probability 0 under a0, so pa is 0 under every mask while
+        # its other factor s1 has a nonzero variance
+        spec = """
+        a0 categorical 0 0.0 1.0
+        b0 categorical 0 0.5 0.5
+        a1 categorical 1 0.5 0.5
+        b1 categorical 1 0.25 0.75
+        s1 sum 0.6 a1 0.4 b1
+        c1 categorical 1 0.1 0.9
+        d1 categorical 1 0.7 0.3
+        t1 sum 0.5 c1 0.5 d1
+        pa product a0 s1
+        pb product b0 t1
+        r sum 0.3 pa 0.7 pb
+        root r
+        """
+        c = build_manual(spec)
+        en = enumerate_dropout_moments(c, [0.0, 0.0], p)
+        frame = tdi_pass(c, [0.0, 0.0], DropoutConfig.with_p(p))
+        kinds = [n.kind for n in c.nodes]
+        zero = [i for i, e in enumerate(en.expectation) if e == 0.0 and kinds[i] == "product"]
+        assert len(zero) == 1 and frame.log_variance[zero[0]] == -math.inf
+        assert any(en.variance[c.nodes[zero[0]].children] > 0.0)
+        np.testing.assert_allclose(np.exp(frame.log_expectation), en.expectation,
+                                   rtol=1e-12, atol=0.0)
+        # enumeration leaves rounding dust of about 1e-16 on the leaves' variances
+        np.testing.assert_allclose(np.exp(frame.log_variance), en.variance, rtol=1e-9, atol=1e-15)
 
     def test_monotone_vanishing_variance(self, three_var_tree):
         x = [0.2, -0.1, 0.5]
@@ -297,6 +330,56 @@ class TestRatExact:
         with pytest.raises(StructureError, match="node 10 is not a binary product"):
             tdi_pass(circ, [0.1, -0.2, 0.3],
                      DropoutConfig.with_p(0.1, CovarianceStrategy.RAT_EXACT))
+
+    def test_a_product_and_a_sum_of_one_scope_are_rejected(self):
+        nodes = [GaussianLeaf(v, mean, 0.0) for v in range(2) for mean in (-0.5, 0.5)]
+        nodes += [SumNode([0, 1], np.log([0.5, 0.5])), SumNode([2, 3], np.log([0.5, 0.5]))]  # 4, 5
+        nodes += [ProductNode([4, 5]), SumNode([6], np.zeros(1))]  # 6, 7
+        nodes += [SumNode([6, 7], np.log([0.5, 0.5]))]  # 8, mixing a product and a sum
+        circ = Circuit(nodes, [8], 2, np.zeros(1),
+                       rat=RatAnnotation(sum_region={4: (0, 1), 5: (0, 2), 7: (0, 0)},
+                                         product_partition={6: (0, 0)}))
+        with pytest.raises(StructureError, match=r"nodes 6 \(product\) and 7 \(sum\)"):
+            tdi_pass(circ, [0.1, -0.2], DropoutConfig.with_p(0.1, CovarianceStrategy.RAT_EXACT))
+
+    # A circuit file's rat block is outside input.  On RatConfig(2, 1, 2, 1, 2,
+    # 4, rng_seed=3), product 10 = sum 3 x sum 8 shares the root partition
+    # (0, 0) with products 11-13, and sums 3 and 4 form region (0, 1).
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda doc: doc["rat"]["sum_region"].pop("3"), "inconsistently tagged"),
+        (lambda doc: doc["rat"]["sum_region"].update({"3": [0, 99]}), "of different regions"),
+        (lambda doc: doc["rat"]["product_partition"].pop("10"), "lack partition tags"),
+        (lambda doc: doc["rat"]["product_partition"].update({"10": [0, 99]}),
+         "of different partitions"),
+        (lambda doc: doc["nodes"][10]["children"].reverse(), "not partition-aligned"),
+    ], ids=["sum-untagged", "sum-moved", "product-untagged", "product-moved",
+            "factors-swapped"])
+    def test_a_tampered_rat_block_is_a_structure_error(self, tamper, message):
+        c = build_rat(RatConfig(2, 1, 2, 1, 2, 4, rng_seed=3))
+        doc = json.loads(serialize(c))
+        assert doc["nodes"][10]["children"] == [3, 8]
+        assert doc["rat"]["sum_region"]["4"] == doc["rat"]["sum_region"]["3"]
+        tamper(doc)
+        tampered = deserialize(json.dumps(doc).encode())
+        ev = np.array([0.1, -0.2, 0.4, 0.0])
+        with pytest.raises(StructureError, match=message):
+            tdi_pass(tampered, ev, DropoutConfig.with_p(0.2, CovarianceStrategy.RAT_EXACT))
+
+    def test_pair_cov_is_zero_across_repetitions_and_disjoint_scopes(self):
+        c = build_rat(RatConfig(2, 1, 2, 2, 1, 4, rng_seed=3))
+        ev = np.array([0.1, -0.2, 0.4, 0.0])
+        frame = tdi_pass(c, ev, DropoutConfig.with_p(0.2, CovarianceStrategy.RAT_EXACT))
+        en = enumerate_dropout_moments(c, ev, 0.2)
+        scopes, region = c.scopes(), c.rat.sum_region
+        sums = sorted(region)
+        across = [(a, b) for a in sums for b in sums
+                  if region[a][0] < region[b][0] and scopes[a] & scopes[b]]
+        disjoint = [(a, b) for a in sums for b in sums if a < b and not scopes[a] & scopes[b]]
+        assert across and disjoint
+        for a, b in across + disjoint:
+            assert frame.log_variance[a] > -math.inf and frame.log_variance[b] > -math.inf
+            assert frame.pair_cov(a, b).is_zero
+            assert abs(en.cov(a, b)) <= 1e-12 * en.expectation[a] * en.expectation[b]
 
 
 # Binary RATs small enough to enumerate every dropout mask.

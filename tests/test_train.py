@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 
 from circuq import (
+    CovarianceStrategy,
+    DropoutConfig,
     ParameterSpace,
     RatConfig,
     TrainConfig,
     build_manual,
     build_rat,
+    deserialize,
     fit,
     loss_and_grad,
+    posterior_moments,
+    serialize,
     synth_blobs,
     validate,
 )
@@ -208,6 +213,20 @@ class TestFit:
         )
         assert history.epochs[-1][2] >= 0.95
         assert validate(trained).ok
+
+    def test_rat_exact_reads_the_trained_nodes_as_the_saved_file_does(self):
+        # RAT_EXACT walks single nodes, which a fitted circuit builds from its
+        # plan on first read
+        data = synth_blobs(2, 4, 20, separation=5.0, seed=3)
+        c = build_rat(RatConfig(2, 1, 2, 1, 2, 4, rng_seed=3))
+        trained, _ = fit(c, data.features, data.labels,
+                         TrainConfig(epochs=2, batch_size=10, learning_rate=2e-2, rng_seed=0))
+        config = DropoutConfig.with_p(0.2, CovarianceStrategy.RAT_EXACT)
+        got = posterior_moments(trained, data.features[0], config)
+        want = posterior_moments(deserialize(serialize(trained)), data.features[0], config)
+        np.testing.assert_array_equal(got.mean, want.mean)
+        np.testing.assert_array_equal(got.variance, want.variance)
+        assert got.variance.max() > 0.0
 
     def test_zero_learning_rate_is_identity(self):
         data = synth_blobs(2, 4, 20, separation=5.0, seed=1)
