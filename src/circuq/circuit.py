@@ -333,6 +333,13 @@ def validate(circuit: Circuit) -> ValidationReport:
 # region and partition blocks are, the layer reads the input in place as a
 # strided view, and otherwise it gathers the slots.  Only the layout knows
 # this order: callers get node-order rows from Layout.finish.
+#
+# A product layer that only the next sum layer reads, as its groups'
+# children in slot order, is fused (Layout.fused): in a RAT, every partition
+# layer.  A pass that returns none of its nodes, as the roots-only inference
+# calls do, makes each sum block's products in a block-sized array and never
+# writes their slots; a pass that returns every node, as training's does,
+# fuses nothing.  The arithmetic is the same, so the bits are too.
 
 _BLOCK_ELEMENTS = 1 << 16  # gathered or produced (groups, width, columns) elements per step
 
@@ -502,6 +509,12 @@ class ProductLayer(_Output):
         kids = np.stack([f[:, i] for f, i in zip(self.factors, position)], axis=-1)
         return np.repeat(self.nodes.ravel(), len(self.factors)), kids.ravel()
 
+    def feeding(self, sums: SumLayer, b: slice) -> slice:
+        """The groups of this layer that the groups ``b`` of ``sums``, the
+        sum layer it is fused into, read as their children, in order."""
+        per_sum = sums.children.shape[1] // self.nodes.shape[1]
+        return slice(b.start * per_sum, b.stop * per_sum)
+
 
 _SPARE_BYTES = 1 << 26  # pass arrays a layout keeps for its next passes
 _SPARE_MIN = 1 << 22  # smaller pass arrays are left to the allocator
@@ -564,6 +577,13 @@ class Layout:
     the first ones, once for all its passes (:func:`forward_log_values`).
     ``narrow`` flags each sum layer that reads only those slots, and
     ``shared`` lists those slots that the other layers past the prefix read.
+
+    ``fused`` flags each product layer that only the next layer reads: a
+    sum layer whose groups' children are the products' slots in order,
+    whole product groups per sum group, with no root among the products.  A
+    pass that returns none of its nodes (:meth:`fuses`) makes those
+    products inside the sum layer's step, a block of sum groups at a time,
+    and never writes their slots (:meth:`steps`).
     """
 
     layers: list
@@ -579,6 +599,7 @@ class Layout:
     invariant: int
     narrow: tuple
     shared: np.ndarray
+    fused: tuple
     spare: _SpareArrays = field(default_factory=_SpareArrays, repr=False, compare=False)
 
     @property
@@ -597,6 +618,35 @@ class Layout:
                 return slice(start, start + len(ids))
             start += len(ids)
         raise KeyError(kind)
+
+    def fuses(self, nodes, roots) -> bool:
+        """Whether a pass that returns ``nodes`` may fuse: True when they are
+        the circuit's ``roots`` list itself, one identity check, since no
+        root lies in a fused layer; False for None and :attr:`order`, every
+        node; otherwise True when no node of ``nodes`` lies in a fused
+        layer."""
+        if nodes is roots:
+            return True
+        if nodes is None or nodes is self.order:
+            return False
+        slots = self.slot[nodes]
+        return not any(np.any((slots >= layer.start) & (slots < layer.start + layer.nodes.size))
+                       for layer, fused in zip(self.layers, self.fused) if fused)
+
+    def steps(self, layers: range, fuse: bool):
+        """(k, products, layer) for each step of a pass over ``layers``:
+        layer k alone, with ``products`` None, or, where ``fuse`` holds and
+        :attr:`fused` flags product layer k - 1, that product layer inside
+        the step of sum layer k, which makes each block's products itself
+        (:meth:`ProductLayer.feeding`) and leaves their slots unwritten."""
+        k = layers.start
+        while k < layers.stop:
+            if fuse and self.fused[k]:
+                yield k + 1, self.layers[k], self.layers[k + 1]
+                k += 2
+            else:
+                yield k, None, self.layers[k]
+                k += 1
 
     def values(self, columns: int) -> np.ndarray:
         """An uninitialized (nodes, columns) array for one pass, in slot order."""
@@ -746,9 +796,20 @@ def _compile_layout(circuit: Circuit) -> Layout:
     wide_reads = [read.slots.ravel() for layer, one in zip(layers[prefix:], narrow[prefix:])
                   if not one for read in layer.reads]
     shared = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)] + wide_reads))
+    # reads per slot: a sum group reads each child once, and the roots are read too
+    readers = np.bincount(np.concatenate([read.slots.ravel() for layer in layers
+                                          for read in layer.reads] + [slot[circuit.roots]]),
+                          minlength=n)
+    fused = tuple(
+        layer.kind == "product" and sums is not None and sums.kind == "sum"
+        and sums.children.shape[1] % layer.nodes.shape[1] == 0
+        and np.array_equal(sums.reads[0].slots.ravel(),
+                           np.arange(layer.start, layer.start + layer.nodes.size))
+        and bool(np.all(readers[layer.start : layer.start + layer.nodes.size] == 1))
+        for layer, sums in zip(layers, layers[1:] + [None]))
     return Layout(layers, leaves, np.concatenate([np.zeros(0, dtype=np.int64)] + edge_order),
                   bool(np.all(parents <= 1)), slot, order, prefix, invariant, narrow,
-                  shared[shared < invariant])
+                  shared[shared < invariant], fused)
 
 
 def _sum_groups(nodes, ids: list[int]) -> list:
@@ -859,9 +920,13 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
     column once and mix it under each pass's bits, which does each pass's
     arithmetic unchanged.  The other layers run on every pass's column, and
     only the prefix values they read, or that ``nodes`` asks for, are copied
-    into every column.  The pass holds every node's values in slot
-    order (:meth:`Layout.finish`): asking for :attr:`Layout.order` returns
-    that array itself, and asking for the roots copies only their rows.  Raises
+    into every column.  The pass holds node values in slot order
+    (:meth:`Layout.finish`): asking for :attr:`Layout.order` returns that
+    array itself, and asking for the roots copies only their rows.  Where
+    ``nodes`` names no node of a fused product layer (:meth:`Layout.fuses`),
+    as the roots do, each such layer runs inside the step of the sum layer
+    that reads it, the first one included in a masked pass, where it stays
+    in one column, and its slots are left unwritten.  Raises
     ShapeError unless X is (rows, variables) and, with ``keep``, one row
     with a (passes, sum edges) boolean mask.
     """
@@ -876,10 +941,14 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
             raise ShapeError(f"a keep mask of shape {keep.shape} with evidence of shape "
                              f"{X.shape}; expected one row and (passes, "
                              f"{layout.num_sum_edges}) keep bits")
+    fuse = layout.fuses(nodes, circuit.roots)
+    split = layout.prefix  # the first layer of the pass that runs in every column
+    if fuse and split and layout.fused[split - 1]:
+        split -= 1  # the product layer fused into the first sum layer
     head = layout.values(X.shape[0]) if keep is None else np.empty((layout.invariant, 1))
     plan.leaf_log_values(X, head)
     with np.errstate(divide="ignore"):
-        _forward_layers(plan, range(layout.prefix), head, head)
+        _forward_layers(plan, range(split), head, head, fuse)
         if keep is None:
             logv = head
         else:
@@ -887,21 +956,21 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
             wanted = np.arange(layout.invariant) if nodes is None else layout.slot[nodes]
             shared = np.union1d(layout.shared, wanted[wanted < layout.invariant])
             logv[shared] = head[shared]
-        _forward_layers(plan, range(layout.prefix, len(layout.layers)), logv, head, keep)
+        _forward_layers(plan, range(split, len(layout.layers)), logv, head, fuse, keep)
     return layout.finish(logv, nodes)
 
 
 def _forward_layers(plan: Plan, layers: range, values: np.ndarray, head: np.ndarray,
-                    keep: Optional[np.ndarray] = None) -> None:
-    """Run the plan's ``layers`` on the slot-order ``values``, with the
-    first sum edge of ``keep`` in the first of them.  Sum layers that
-    :attr:`Layout.narrow` flags read their children from ``head``, which
+                    fuse: bool, keep: Optional[np.ndarray] = None) -> None:
+    """Run the plan's ``layers`` on the slot-order ``values``, fused where
+    ``fuse`` holds (:meth:`Layout.steps`), with the first sum edge of
+    ``keep`` in the first of them.  Sum layers that :attr:`Layout.narrow`
+    flags, and the product layer fused into one, read from ``head``, which
     holds the invariant prefix's slots."""
     layout = plan.layout
     columns = values.shape[1]
     start = 0  # the layer's first edge in plan order
-    for k in layers:
-        layer = layout.layers[k]
+    for k, products, layer in layout.steps(layers, fuse):
         if layer.kind == "product":
             for b in layer.blocks(columns):
                 layer.outer([read.read(values, b) for read in layer.reads],
@@ -910,9 +979,15 @@ def _forward_layers(plan: Plan, layers: range, values: np.ndarray, head: np.ndar
         w, lw = plan.weights[k], plan.log_weights[k]
         kept = None if keep is None else keep[:, start : start + w.size].reshape(-1, *w.shape)
         start += w.size
-        children, source = layer.reads[0], head if layout.narrow[k] else values
+        source = head if layout.narrow[k] else values
         for b in layer.blocks(columns):
-            layer.output(values, b)[...] = log_mix(w[b], lw[b], children.read(source, b),
+            if products is None:
+                x = layer.reads[0].read(source, b)
+            else:
+                g = products.feeding(layer, b)
+                x = products.outer([read.read(source, g) for read in products.reads])
+                x = x.reshape(b.stop - b.start, -1, x.shape[-1])
+            layer.output(values, b)[...] = log_mix(w[b], lw[b], x,
                                                    None if kept is None else kept[:, b])
 
 

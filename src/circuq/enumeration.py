@@ -89,8 +89,8 @@ class EnumeratedMoments:
         w = self.probs[keep] / mass
         post = numer[:, keep] / denom[keep]
         means = post @ w
-        variances = (post * post) @ w - means**2
-        return means, np.maximum(variances, 0.0), 1.0 - mass
+        dev = post - means[:, None]  # deviations from the mean: no cancellation
+        return means, (dev * dev) @ w, 1.0 - mass
 
 
 def enumerate_dropout_moments(
@@ -105,6 +105,13 @@ def enumerate_dropout_moments(
     (one child, one parent) is still a single edge with a single variable, so
     enumeration reflects the true dependence structure that the tree-shaped
     closed forms may only approximate.
+
+    Each chunk of masks gives its probability mass, its mean and its sum of
+    squared deviations from that mean, M2, of every node's value less the
+    node's value under the first mask; chunks merge by the pairwise update
+    M2 = M2_a + M2_b + delta^2 W_a W_b / W (Chan et al.), whose terms are
+    never negative, so a variance is never negative, and a node whose value
+    is the same under every mask has variance exactly 0.
     """
     values = as_evidence(evidence, circuit.num_variables)
     edges = circuit.sum_edges()
@@ -118,8 +125,8 @@ def enumerate_dropout_moments(
         edge_offset.setdefault(node_id, {})[pos] = e
 
     n = len(circuit.nodes)
-    sum_e = np.zeros(n)
-    sum_e2 = np.zeros(n)
+    mass, mean, m2 = 0.0, np.zeros(n), np.zeros(n)  # of values less ``first``
+    first = None  # every node's value under mask 0
     store = keep_values and num_masks * n <= 8_000_000
     all_values = np.empty((n, num_masks)) if store else None
     all_probs = np.empty(num_masks) if store else None
@@ -158,19 +165,29 @@ def enumerate_dropout_moments(
                 probs = np.where(keeps == k, 1.0, 0.0)
             else:
                 probs = np.exp(keeps * log_q + (k - keeps) * log_p)
-            sum_e += vals @ probs
-            sum_e2 += (vals * vals) @ probs
             if store:
                 all_values[:, start : start + m] = vals
                 all_probs[start : start + m] = probs
+            if first is None:
+                first = vals[:, 0].copy()
+            chunk_mass = probs.sum()
+            if chunk_mass > 0.0:
+                dev = vals  # in place: the chunk's values are not read again
+                dev -= first[:, None]
+                chunk_mean = (dev @ probs) / chunk_mass
+                dev -= chunk_mean[:, None]
+                delta = chunk_mean - mean
+                total = mass + chunk_mass
+                mean += delta * (chunk_mass / total)
+                m2 += np.square(dev, out=dev) @ probs + delta * delta * (mass * chunk_mass / total)
+                mass = total
 
-    variance = np.maximum(sum_e2 - sum_e**2, 0.0)
     return EnumeratedMoments(
         circuit=circuit,
         p=p,
         num_edges=k,
-        expectation=sum_e,
-        variance=variance,
+        expectation=first + mean,
+        variance=m2 / mass,
         values=all_values,
         probs=all_probs,
     )

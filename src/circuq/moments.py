@@ -177,8 +177,12 @@ def _moment_pass(circuit, X, config, exact_frame=None, nodes=None):
     """Log expectation and zero-covariance log variance of ``nodes`` (every
     node, in node order, by default), from one loop over the circuit's layers.
 
-    The pass holds every node's moments in the layout's slot order, reads
-    each layer's inputs through its views and writes each layer as one slice.
+    The pass holds node moments in the layout's slot order, reads each
+    layer's inputs through its views and writes each layer as one slice.
+    Where ``nodes`` names no node of a fused product layer, as the roots do
+    (:meth:`Layout.fuses`), each block of such a layer's products is made
+    inside the step of the sum layer that reads it and mixed at once, and
+    its slots are left unwritten; ``nodes`` None, every node, fuses nothing.
     Given the one-row RAT_EXACT ``exact_frame``, the sibling covariances are
     added to each sum layer's variances in place, before the next layer reads
     them (:func:`_add_sum_covariances`).
@@ -190,17 +194,27 @@ def _moment_pass(circuit, X, config, exact_frame=None, nodes=None):
     log_v[: layout.num_leaves] = _NEG_INF  # every layer writes its own slots
     plan.leaf_log_values(X, log_e)
     log_q, p = np.log(config.q), config.p
+    fuse = layout.fuses(nodes, circuit.roots)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for layer, lw, w in zip(layout.layers, plan.log_weights, plan.weights):
+        for k, products, layer in layout.steps(range(len(layout.layers)), fuse):
+            lw, w = plan.log_weights[k], plan.weights[k]
             for b in layer.blocks(rows):
                 out = layer.output(log_e, b), layer.output(log_v, b)
                 if lw is None:
                     _product_moments(layer, [read.read(log_e, b) for read in layer.reads],
                                      [read.read(log_v, b) for read in layer.reads], out)
-                else:
+                    continue
+                if products is None:
                     children = layer.reads[0]
-                    _sum_moments(w[b], lw[b], children.read(log_e, b), children.read(log_v, b),
-                                 log_q, p, out)
+                    ce, cv = children.read(log_e, b), children.read(log_v, b)
+                else:  # the block's products, made here and read once
+                    g = products.feeding(layer, b)
+                    ce = np.empty((g.stop - g.start, products.nodes.shape[1], rows))
+                    cv = np.empty_like(ce)
+                    _product_moments(products, [read.read(log_e, g) for read in products.reads],
+                                     [read.read(log_v, g) for read in products.reads], (ce, cv))
+                    ce, cv = (a.reshape(b.stop - b.start, -1, rows) for a in (ce, cv))
+                _sum_moments(w[b], lw[b], ce, cv, log_q, p, out)
             if exact_frame is not None and lw is not None:
                 _add_sum_covariances(exact_frame, layer, log_q, log_e, log_v)
     return layout.finish(log_e, nodes), layout.finish(log_v, nodes)

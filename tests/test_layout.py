@@ -163,6 +163,93 @@ class TestSlots:
         np.testing.assert_array_equal(forward_log_values(c, X, nodes=c.roots), every[c.roots])
 
 
+def fused_slots(layout) -> np.ndarray:
+    """True at each slot of a product layer that :attr:`Layout.fused` flags."""
+    hidden = np.zeros(len(layout.order), dtype=bool)
+    for layer, fused in zip(layout.layers, layout.fused):
+        if fused:
+            hidden[layer.start : layer.start + layer.nodes.size] = True
+    return hidden
+
+
+# Every combination of {a, b} and {c, d}, one product group that the two sums
+# read in slot order: the product layer fuses into the sum layer.
+FUSED_DAG = """
+a gaussian 0 0.0 1.0
+b gaussian 0 1.0 1.0
+c gaussian 1 0.0 1.0
+d gaussian 1 1.0 1.0
+p1 product a c
+p2 product a d
+p3 product b c
+p4 product b d
+s1 sum 0.1 p1 0.2 p2 0.3 p3 0.4 p4
+s2 sum 0.4 p1 0.3 p2 0.2 p3 0.1 p4
+"""
+
+
+class TestFusedLayers:
+    """A product layer that only the next sum layer reads, as its children in
+    slot order, runs inside that layer's step in passes that return no node
+    of it."""
+
+    def test_rat_partition_layers_fuse_into_their_regions_and_heads(self):
+        small, mid = build_rat(SMALL_RAT).layout(), build_rat(MID_RAT).layout()
+        # the input distributions' products (layer 0) feed the partitions'
+        # products, and the last partitions (5 at small, 7 at mid) feed the heads
+        assert small.fused == (False, True, False, True, False, True, False)
+        assert mid.fused == (False, True, False, True, False, True, False, True, False)
+
+    @pytest.mark.parametrize("extra, fuses", [
+        ("root s1 s2", True),
+        ("root s1 s2 p4", False),  # a root lies in the product layer
+        ("t sum 1.0 p4\nroot s1 s2 t", False),  # p4 also feeds a second sum layer
+    ], ids=["only-the-sums-read", "a-root", "a-second-parent"])
+    def test_a_product_read_elsewhere_does_not_fuse(self, extra, fuses):
+        c = build_manual(FUSED_DAG + extra)
+        layout = c.layout()
+        assert [layer.kind for layer in layout.layers][:2] == ["product", "sum"]
+        assert layout.fused[0] is fuses and not any(layout.fused[1:])
+        X = np.random.default_rng(0).normal(size=(3, 2))
+        X[1, 0] = np.nan
+        bits = lambda a: np.ascontiguousarray(a).view(np.int64)  # noqa: E731
+        np.testing.assert_array_equal(bits(forward_log_values(c, X, nodes=c.roots)),
+                                      bits(forward_log_values(c, X)[c.roots]))
+        config = DropoutConfig.with_p(0.2)
+        for root, every in zip(tdi_pass_batch(c, X, config, nodes=c.roots),
+                               tdi_pass_batch(c, X, config)):
+            np.testing.assert_array_equal(bits(root), bits(every[c.roots]))
+
+    def test_root_only_passes_never_write_a_fused_layer(self, monkeypatch):
+        monkeypatch.setattr(circuit_module, "_SPARE_MIN", 0)  # keep every pass array
+        c = build_rat(SMALL_RAT)
+        layout = c.layout()
+        hidden = fused_slots(layout)
+        assert hidden.any()
+        X = np.random.default_rng(1).normal(size=(5, c.num_variables))
+
+        def poisoned(count):
+            arrays = [layout.values(len(X)) for _ in range(count)]
+            for a in arrays:
+                a.fill(np.nan)
+            layout.spare.give(*arrays)
+            return arrays
+
+        for run, count in ((lambda: forward_log_values(c, X, nodes=c.roots), 1),
+                           (lambda: tdi_pass_batch(c, X, DropoutConfig.with_p(0.1),
+                                                   nodes=c.roots), 2)):
+            arrays = poisoned(count)
+            run()
+            taken = [layout.values(len(X)) for _ in arrays]  # the same arrays, reused
+            assert sorted(map(id, taken)) == sorted(map(id, arrays))
+            for a in arrays:
+                assert np.isnan(a[hidden]).all() and not np.isnan(a[~hidden]).any()
+        # a request for every slot fuses nothing
+        arrays = poisoned(1)
+        assert forward_log_values(c, X, nodes=layout.order) is arrays[0]
+        assert not np.isnan(arrays[0]).any()
+
+
 class TestSpareArrays:
     """A layout keeps the large value arrays of finished passes for later
     ones; these tests keep arrays of any size."""

@@ -21,7 +21,7 @@ from circuq import (
 from circuq.circuit import forward_log_values, log_mix
 from circuq.enumeration import linear_leaf_value
 from circuq.mcd import byte_keep, keep_masks
-from circuq.moments import DropoutConfig, tdi_pass
+from circuq.moments import DropoutConfig, tdi_pass, tdi_pass_batch
 from circuq.structures import random_dag_circuit, random_evidence, random_tree_circuit
 
 from conftest import rel_err
@@ -278,6 +278,53 @@ def test_results_do_not_depend_on_the_chunk_budget(circuit, seed, p, L):
                   "posterior_sample_variance"):
         np.testing.assert_array_equal(getattr(chunked, field), getattr(whole, field))
     np.testing.assert_array_equal(run(L + 11).raw_samples[:L], whole.raw_samples)
+
+
+fusion_cases = st.one_of(
+    mcd_circuits.map(lambda c: (c, None)),
+    # RATs over 2^D variables, whose first product layer reads the leaves
+    # and fuses into the first sum layer
+    st.builds(lambda s, i, d, r, seed: (build_rat(RatConfig(s, i, d, r, 2, 2**d, rng_seed=seed)),
+                                        None),
+              st.integers(1, 3), st.integers(1, 3), st.integers(1, 2), st.integers(1, 2),
+              st.integers(0, 1000)),
+    st.just((build_manual(FLUSHED_FIRST_SUM), np.array([0.0]))),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fusion_cases, st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.3]))
+def test_root_only_passes_equal_the_every_node_passes(case, seed, p):
+    """A request for the roots alone fuses each product layer that
+    Layout.fused flags into the sum layer that reads it, in the forward, the
+    moment and the masked pass; its rows equal the roots' rows of the
+    every-node passes, which fuse nothing, bit for bit, with marginalized
+    evidence too.  So do the rows of a request that also names a product of
+    a fused layer."""
+    circuit, x = case
+    rng = np.random.default_rng(seed)
+    layout = circuit.layout()
+    if x is None:
+        X = np.array([random_evidence(rng, circuit, 0.3) for _ in range(4)]
+                     + [np.full(circuit.num_variables, np.nan)])
+    else:
+        X = x[None]
+    config = DropoutConfig.with_p(p)
+    keep = rng.random((7, layout.num_sum_edges)) >= max(p, 0.2)
+    forward, moments = forward_log_values(circuit, X), tdi_pass_batch(circuit, X, config)
+    masked = forward_log_values(circuit, X[:1], keep)
+    hidden = [int(i) for layer, fused in zip(layout.layers, layout.fused) if fused
+              for i in layer.nodes.ravel()]
+    requests = [circuit.roots]
+    if hidden:
+        requests.append(circuit.roots + [hidden[rng.integers(len(hidden))]])
+    for nodes in requests:
+        np.testing.assert_array_equal(bits(forward_log_values(circuit, X, nodes=nodes)),
+                                      bits(forward[nodes]))
+        for got, want in zip(tdi_pass_batch(circuit, X, config, nodes=nodes), moments):
+            np.testing.assert_array_equal(bits(got), bits(want[nodes]))
+        np.testing.assert_array_equal(bits(forward_log_values(circuit, X[:1], keep, nodes=nodes)),
+                                      bits(masked[nodes]))
 
 
 class TestStatistics:

@@ -168,8 +168,35 @@ class TestTreeExactness:
         assert any(en.variance[c.nodes[zero[0]].children] > 0.0)
         np.testing.assert_allclose(np.exp(frame.log_expectation), en.expectation,
                                    rtol=1e-12, atol=0.0)
-        # enumeration leaves rounding dust of about 1e-16 on the leaves' variances
+        # the leaves and pa have variance exactly 0 on both sides
         np.testing.assert_allclose(np.exp(frame.log_variance), en.variance, rtol=1e-9, atol=1e-15)
+
+    def test_enumeration_gives_a_node_the_same_under_every_mask_variance_zero(self):
+        """The oracle takes variances from deviations from the mean, so a
+        node whose value no mask changes (a leaf, a product of leaves, a sum
+        over a zero-valued child) gets variance exactly 0 and its value as
+        expectation, and no variance is negative."""
+        rng = np.random.default_rng(8)
+        circuits = [random_tree_circuit(rng, max_sum_edges=12) for _ in range(4)]
+        circuits += [random_dag_circuit(rng) for _ in range(4)]
+        zero = build_manual("""
+        a categorical 0 0.0 1.0
+        b categorical 0 0.5 0.5
+        s sum 1.0 a
+        t sum 0.5 s 0.5 b
+        root t
+        """)
+        cases = [(c, random_evidence(rng, c, 0.3)) for c in circuits] + [(zero, [0.0])]
+        for c, x in cases:
+            for p in (0.1, 0.3):
+                en = enumerate_dropout_moments(c, x, p)
+                constant = np.all(en.values == en.values[:, :1], axis=1)
+                assert constant.any()
+                np.testing.assert_array_equal(en.variance[constant], 0.0)
+                np.testing.assert_array_equal(en.expectation[constant], en.values[constant, 0])
+                assert np.all(en.variance >= 0.0)
+                if c.num_classes > 1:
+                    assert np.all(en.posterior_moments()[1] >= 0.0)
 
     def test_monotone_vanishing_variance(self, three_var_tree):
         x = [0.2, -0.1, 0.5]
