@@ -12,7 +12,6 @@ from .circuit import (
     Evidence,
     GaussianLeaf,
     ProductNode,
-    RatAnnotation,
     SumNode,
     ValidationReport,
     deserialize,

@@ -22,9 +22,11 @@ possible to build deliberately broken circuits for negative tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -81,21 +83,6 @@ Node = Union[SumNode, ProductNode, GaussianLeaf, CategoricalLeaf]
 
 
 @dataclass
-class RatAnnotation:
-    """Structural tags attached to circuits built as binary RAT region graphs.
-
-    ``sum_region`` maps a sum node to its (repetition, region) pair and
-    ``product_partition`` maps a product node to its (repetition, partition)
-    pair.  Class heads carry the reserved repetition index -1.  The exact
-    covariance strategy needs these tags to know which node pairs live in the
-    same partition.
-    """
-
-    sum_region: dict[int, tuple[int, int]] = field(default_factory=dict)
-    product_partition: dict[int, tuple[int, int]] = field(default_factory=dict)
-
-
-@dataclass
 class Circuit:
     """Arena of nodes in topological order plus one root per class."""
 
@@ -103,7 +90,6 @@ class Circuit:
     roots: list[int]
     num_variables: int
     log_class_priors: np.ndarray
-    rat: Optional[RatAnnotation] = None
 
     _scopes: Optional[list[int]] = field(default=None, repr=False, compare=False)
     _layout: Optional["Layout"] = field(default=None, repr=False, compare=False)
@@ -279,8 +265,10 @@ def validate(circuit: Circuit) -> ValidationReport:
         elif node.kind == "gaussian":
             if not (0 <= node.variable < circuit.num_variables):
                 bad(i, "variable-range", f"variable {node.variable} out of range")
-            if not (math.isfinite(node.mean) and math.isfinite(node.log_std)):
-                bad(i, "leaf-parameter", "non-finite Gaussian parameter")
+            if not all(isinstance(v, numbers.Real) and math.isfinite(v)
+                       for v in (node.mean, node.log_std)):
+                bad(i, "leaf-parameter", f"Gaussian mean {node.mean!r} and log_std "
+                    f"{node.log_std!r} must be finite real numbers")
         elif node.kind == "categorical":
             if not (0 <= node.variable < circuit.num_variables):
                 bad(i, "variable-range", f"variable {node.variable} out of range")
@@ -647,6 +635,37 @@ class Layout:
             else:
                 yield k, None, self.layers[k]
                 k += 1
+
+    @functools.cached_property
+    def regions(self) -> tuple[list[int], list[int]]:
+        """Per node, as plain ints built on first use: its connected component
+        once the nodes that no node reads, the roots, are taken out (-1 for
+        those), and the first sum over its set of children (-1 for a node that
+        is no sum).  On a RAT the components are the repetitions, and the sums
+        over one set of children are the sums of one region."""
+        ends = [layer.edge_ends() for layer in self.layers]
+        parents, children = (np.concatenate([np.zeros(0, dtype=np.int64)] + [e[k] for e in ends])
+                             for k in (0, 1))
+        read = np.zeros(len(self.order), dtype=bool)
+        read[children] = True
+        parents, children = parents[read[parents]], children[read[parents]]
+        label = np.arange(len(self.order))
+        while True:  # each edge lowers both its ends to the lower label
+            low = np.minimum(label[parents], label[children])
+            lowered = label.copy()
+            np.minimum.at(lowered, parents, low)
+            np.minimum.at(lowered, children, low)
+            if np.array_equal(lowered, label):
+                break
+            label = lowered
+        group, first = [-1] * len(self.order), {}
+        for layer in self.layers:
+            if layer.kind == "sum":
+                for members, kids in zip(layer.nodes.tolist(), layer.children.tolist()):
+                    g = first.setdefault(frozenset(kids), members[0])
+                    for i in members:
+                        group[i] = g
+        return np.where(read, label, -1).tolist(), group
 
     def values(self, columns: int) -> np.ndarray:
         """An uninitialized (nodes, columns) array for one pass, in slot order."""
@@ -1137,17 +1156,7 @@ def serialize(circuit: Circuit) -> bytes:
         "roots": [int(r) for r in circuit.roots],
         "nodes": [_node_to_json(n) for n in circuit.nodes],
     }
-    if circuit.rat is not None:
-        doc["rat"] = {
-            "sum_region": {str(k): list(v) for k, v in circuit.rat.sum_region.items()},
-            "product_partition": {
-                str(k): list(v) for k, v in circuit.rat.product_partition.items()
-            },
-        }
-    try:
-        return json.dumps(doc).encode()
-    except TypeError as exc:
-        raise SerializationError(f"cannot serialize circuit: {exc}") from exc
+    return json.dumps(doc).encode()
 
 
 def deserialize(data: bytes) -> Circuit:
@@ -1169,16 +1178,6 @@ def deserialize(data: bytes) -> Circuit:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed circuit file: {exc}") from exc
-    if "rat" in doc:
-        try:
-            circuit.rat = RatAnnotation(
-                sum_region={int(k): tuple(v) for k, v in doc["rat"]["sum_region"].items()},
-                product_partition={
-                    int(k): tuple(v) for k, v in doc["rat"]["product_partition"].items()
-                },
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SerializationError(f"malformed rat annotation: {exc}") from exc
     report = validate(circuit)
     if not report.ok:
         raise SerializationError(f"circuit file fails validation:\n{report}")

@@ -59,16 +59,23 @@ class EnumeratedMoments:
     num_edges: int
     expectation: np.ndarray  # (nodes,)
     variance: np.ndarray  # (nodes,)
+    mass: float  # total mask probability, which variances and covariances divide by
     values: Optional[np.ndarray]  # (nodes, 2^k) when retained
     probs: Optional[np.ndarray]  # (2^k,) when retained
 
     def cov(self, a: int, b: int) -> float:
+        """Cov[a, b] from deviations from the values a_0, b_0 under the first
+        mask, as the variances are taken: the mean of (a - a_0)(b - b_0) over
+        the mass the variances divide by, less (E[a] - a_0)(E[b] - b_0).  A
+        node that no mask changes has covariance exactly 0 with every node."""
         if a == b:
             return float(self.variance[a])
         if self.values is None:
             raise StructureError("mask values were not retained; rerun with keep_values=True")
-        ea, eb = self.expectation[a], self.expectation[b]
-        return float(np.dot(self.probs, self.values[a] * self.values[b]) - ea * eb)
+        a0, b0 = self.values[a, 0], self.values[b, 0]
+        shift = (self.expectation[a] - a0) * (self.expectation[b] - b0)
+        return float(np.dot(self.probs, (self.values[a] - a0) * (self.values[b] - b0)) / self.mass
+                     - shift)
 
     def posterior_moments(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Exact per-class posterior mean and variance over the mask distribution.
@@ -188,6 +195,7 @@ def enumerate_dropout_moments(
         num_edges=k,
         expectation=first + mean,
         variance=m2 / mass,
+        mass=mass,
         values=all_values,
         probs=all_probs,
     )

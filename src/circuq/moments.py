@@ -21,8 +21,9 @@ Two strategies handle the covariance between siblings:
 * ``TREE_ZERO`` ignores sibling covariances.  Exact on tree circuits; on a
   DAG it is exactly the moments of the circuit with every shared child
   duplicated per parent path (each duplicate drawing fresh dropout masks).
-* ``RAT_EXACT`` resolves covariances exactly on binary RAT region graphs,
-  where a product's two children always come from independent partitions.
+* ``RAT_EXACT`` resolves covariances exactly from the circuit's own
+  structure (:func:`_pair_cov`).  Every pair of a binary RAT region graph
+  resolves; elsewhere a pair that no rule covers raises StructureError.
 
 The class posterior moments are one Taylor expansion over (nodes, rows)
 moment arrays.  The single-row call is the batch call on a batch of one.
@@ -115,8 +116,8 @@ class MomentFrame:
     ``log_expectation`` and ``log_variance`` are log magnitudes (the values
     themselves are nonnegative).  ``sibling_cov`` holds the log magnitudes of
     the covariances, -inf for zero, of node pairs that were materialized
-    during the pass: pairs sharing a parent, plus same-region pairs the exact
-    RAT strategy resolves recursively.
+    during the pass: pairs sharing a parent, plus the pairs below them that
+    RAT_EXACT resolves recursively (:func:`_pair_cov`).
     """
 
     circuit: Circuit
@@ -149,12 +150,11 @@ def tdi_pass(circuit: Circuit, evidence, config: DropoutConfig) -> MomentFrame:
     as a batch of one.  The covariance term follows the configured strategy:
     RAT_EXACT adds it to each sum layer before the next layer reads it, at
     most quadratic in local fan-in, and raises StructureError where the
-    circuit's ``rat`` tags cannot resolve a pair; TREE_ZERO leaves it out.
+    circuit's structure cannot resolve a pair (:func:`_pair_cov`);
+    TREE_ZERO leaves it out.
     """
     values = as_evidence(evidence, circuit.num_variables)
     exact = config.covariance_strategy is CovarianceStrategy.RAT_EXACT
-    if exact and circuit.rat is None:
-        raise StructureError("RAT_EXACT requires a circuit tagged with RAT structure")
     frame = MomentFrame(circuit, config, np.empty(0), np.empty(0))
     log_e, log_v = _moment_pass(circuit, values[None, :], config, frame if exact else None)
     frame.log_expectation, frame.log_variance = log_e[:, 0], log_v[:, 0]
@@ -306,7 +306,18 @@ def _log_add(a: float, b: float) -> float:
 
 
 def _pair_cov(frame: MomentFrame, a: int, b: int) -> float:
-    """log Cov[a, b], -inf for zero."""
+    """log Cov[a, b], -inf for zero.
+
+    RAT_EXACT decides a pair of nodes with variance and overlapping scopes
+    from the circuit's structure (:attr:`Layout.regions`): nodes of two
+    components share no descendant, so they are independent; two sums over
+    one set of children expand bilinearly (:func:`_sum_sum_cov`); two
+    products split into their factors (:func:`_product_product_cov`).  Any
+    other pair raises StructureError.  The bilinear expansion is wrong where
+    one sum is the other's ancestor, since the lower sum's keep bits then lie
+    inside the upper sum's children; two sums over one set of children cannot
+    be that.
+    """
     if a == b:
         return float(frame.log_variance[a])
     key = (a, b) if a < b else (b, a)
@@ -321,47 +332,22 @@ def _pair_cov(frame: MomentFrame, a: int, b: int) -> float:
     elif frame.config.covariance_strategy is not CovarianceStrategy.RAT_EXACT:
         result = _NEG_INF  # TREE_ZERO: distinct nodes are uncorrelated
     else:
-        result = _rat_pair_cov(frame, a, b)
+        component, group = frame.circuit.layout().regions
+        ca, cb = component[a], component[b]
+        if ca != cb and ca >= 0 and cb >= 0:
+            result = _NEG_INF
+        elif group[a] >= 0 and group[a] == group[b]:
+            result = _sum_sum_cov(frame, a, b)
+        elif frame.circuit.nodes[a].kind == frame.circuit.nodes[b].kind == "product":
+            result = _product_product_cov(frame, a, b)
+        else:
+            kinds = frame.circuit.nodes[a].kind, frame.circuit.nodes[b].kind
+            raise StructureError(
+                f"covariance between nodes {a} ({kinds[0]}) and {b} ({kinds[1]}) is not "
+                "resolvable: they may share a descendant, and are neither two sums over "
+                "one set of children nor two products")
     frame.sibling_cov[key] = result
     return result
-
-
-def _rat_pair_cov(frame: MomentFrame, a: int, b: int) -> float:
-    circuit = frame.circuit
-    rat = circuit.rat
-    na, nb = circuit.nodes[a], circuit.nodes[b]
-    if na.kind == "sum" and nb.kind == "sum":
-        ra = rat.sum_region.get(a)
-        rb = rat.sum_region.get(b)
-        if ra is not None and rb is not None:
-            if ra[0] != rb[0]:
-                return _NEG_INF  # different repetitions share nothing
-            if ra != rb:
-                raise StructureError(
-                    f"covariance between sums {a} and {b} of different regions is not "
-                    "resolvable on a RAT structure"
-                )
-            return _sum_sum_cov(frame, a, b)
-        if ra is None and rb is None:
-            return _sum_sum_cov(frame, a, b)  # class heads over tagged products
-        raise StructureError(f"sums {a} and {b} are inconsistently tagged")
-    if na.kind == "product" and nb.kind == "product":
-        pa = rat.product_partition.get(a)
-        pb = rat.product_partition.get(b)
-        if pa is None or pb is None:
-            raise StructureError(f"products {a} and {b} lack partition tags")
-        if pa[0] != pb[0]:
-            return _NEG_INF  # different repetitions share nothing
-        if pa != pb:
-            raise StructureError(
-                f"covariance between products {a} and {b} of different partitions is "
-                "not resolvable on a RAT structure"
-            )
-        return _product_product_cov(frame, a, b)
-    raise StructureError(
-        f"covariance between nodes {a} ({na.kind}) and {b} ({nb.kind}) is not "
-        "resolvable on a RAT structure"
-    )
 
 
 def _sum_sum_cov(frame: MomentFrame, a: int, b: int) -> float:
@@ -379,15 +365,16 @@ def _sum_sum_cov(frame: MomentFrame, a: int, b: int) -> float:
 
 
 def _product_product_cov(frame: MomentFrame, a: int, b: int) -> float:
-    """log Cov of two binary products of one RAT partition, via their factors:
+    """log Cov of two binary partition-aligned products, via their factors:
 
     Cov[P_lr, P_l'r'] = Cov[L_l, L_l'] E[R_r] E[R_r']
                         + Cov[R_r, R_r'] E[L_l] E[L_l']
                         + Cov[L_l, L_l'] Cov[R_r, R_r']
 
-    A circuit file's ``rat`` block is outside input, so a tagged product that
-    is not binary, or whose factors' scopes differ from its partner's, raises
-    StructureError.
+    The factors of two partition-aligned products split into two scopes that
+    share no variable, so (L_l, L_l') is independent of (R_r, R_r').  A
+    product that is not binary, or whose factors' scopes differ from its
+    partner's, raises StructureError.
     """
     circuit = frame.circuit
     for node_id in (a, b):

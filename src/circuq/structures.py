@@ -4,7 +4,10 @@
 recursively splits the variable set into two balanced random parts, leaf
 regions hold factorized Gaussian input distributions, internal regions hold
 sum nodes over all cross products of their child regions, and the class heads
-mix the root-partition products of every repetition.
+mix the root-partition products of every repetition.  The result is plain
+nodes: the exact covariance strategy reads each region (the sums over one
+set of children) and repetition (a connected component below the heads)
+off the structure itself.
 
 ``build_manual`` parses a small line-oriented text description into a
 circuit, which is how the hand-crafted fixtures for the enumeration oracle
@@ -23,7 +26,6 @@ from .circuit import (
     Circuit,
     GaussianLeaf,
     ProductNode,
-    RatAnnotation,
     SumNode,
     log_softmax,
     validate,
@@ -59,17 +61,13 @@ def build_rat(config: RatConfig) -> Circuit:
     config.check()
     rng = np.random.default_rng(config.rng_seed)
     nodes: list = []
-    rat = RatAnnotation()
-    region_serial = [0]
 
     def add(node) -> int:
         nodes.append(node)
         return len(nodes) - 1
 
-    def build_region(variables: np.ndarray, level: int, rep: int) -> list[int]:
+    def build_region(variables: np.ndarray, level: int) -> list[int]:
         """Returns the ids of this region's nodes (dists or sums)."""
-        region_id = region_serial[0]
-        region_serial[0] += 1
         if level == config.depth:
             dists = []
             for _ in range(config.num_input_dists):
@@ -81,28 +79,18 @@ def build_rat(config: RatConfig) -> Circuit:
             return dists
         perm = rng.permutation(variables)
         half = len(perm) // 2
-        left = build_region(np.sort(perm[:half]), level + 1, rep)
-        right = build_region(np.sort(perm[half:]), level + 1, rep)
-        products = []
-        for l in left:
-            for r in right:
-                pid = add(ProductNode([l, r]))
-                rat.product_partition[pid] = (rep, region_id)
-                products.append(pid)
+        left = build_region(np.sort(perm[:half]), level + 1)
+        right = build_region(np.sort(perm[half:]), level + 1)
+        products = [add(ProductNode([l, r])) for l in left for r in right]
         if level == 0:
             return products  # root-partition products feed the class heads
-        sums = []
-        for _ in range(config.num_sums):
-            logits = rng.normal(0.0, 0.1, size=len(products))
-            sid = add(SumNode(list(products), log_softmax(logits)))
-            rat.sum_region[sid] = (rep, region_id)
-            sums.append(sid)
-        return sums
+        return [add(SumNode(list(products), log_softmax(rng.normal(0.0, 0.1, size=len(products)))))
+                for _ in range(config.num_sums)]
 
     variables = np.arange(config.num_variables)
     top: list[int] = []
-    for rep in range(config.num_repetitions):
-        top.extend(build_region(variables, 0, rep))
+    for _ in range(config.num_repetitions):
+        top.extend(build_region(variables, 0))
 
     roots = []
     for _ in range(config.num_classes):
@@ -114,7 +102,6 @@ def build_rat(config: RatConfig) -> Circuit:
         roots=roots,
         num_variables=config.num_variables,
         log_class_priors=np.full(config.num_classes, -math.log(config.num_classes)),
-        rat=rat,
     )
     report = validate(circuit)
     if not report.ok:  # pragma: no cover - construction bug guard

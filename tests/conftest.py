@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from circuq import (
+    Circuit,
     Dataset,
     RatConfig,
+    SumNode,
     TrainConfig,
     build_manual,
     build_rat,
@@ -56,6 +58,38 @@ root s1
 
 def rel_err(a: float, b: float, floor: float = 1e-30) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def below(circuit, nodes) -> set:
+    """``nodes`` and all their descendants."""
+    seen, stack = set(), list(nodes)
+    while stack:
+        i = stack.pop()
+        if i not in seen:
+            seen.add(i)
+            stack.extend(circuit.nodes[i].children)
+    return seen
+
+
+def repetitions(circuit, num_repetitions: int) -> dict:
+    """Each node below the class heads of a ``build_rat`` circuit, mapped to
+    its repetition: the heads mix the root-partition products of each
+    repetition in turn, in runs of one length."""
+    head = circuit.nodes[circuit.roots[0]].children
+    run = len(head) // num_repetitions
+    rep = {}
+    for r in range(num_repetitions):
+        for i in below(circuit, head[r * run : (r + 1) * run]):
+            assert rep.setdefault(i, r) == r
+    return rep
+
+
+def partition_products(circuit) -> list:
+    """The products of a RAT's partitions, the ones a sum reads; a product
+    over a leaf region's leaves is read by a product."""
+    nodes = circuit.nodes
+    return sorted({k for node in nodes if node.kind == "sum" for k in node.children
+                   if nodes[k].kind == "product"})
 
 
 @pytest.fixture(scope="session")
@@ -148,3 +182,16 @@ def image_model():
     )
     return {"circuit": trained, "history": history, "train": train, "test": test,
             "side": 8}
+
+
+def permuted(circuit: Circuit, rng: np.random.Generator):
+    """The circuit with each sum's children and weights permuted, and each
+    sum's permutation (new position -> old position)."""
+    nodes, perms = list(circuit.nodes), {}
+    for i, node in enumerate(nodes):
+        if node.kind == "sum":
+            perm = rng.permutation(len(node.children))
+            perms[i] = perm
+            nodes[i] = SumNode([node.children[k] for k in perm], node.log_weights[perm])
+    return Circuit(nodes, list(circuit.roots), circuit.num_variables,
+                   circuit.log_class_priors), perms

@@ -16,7 +16,6 @@ from circuq import (
     DropoutConfig,
     RatConfig,
     ShapeError,
-    SumNode,
     build_manual,
     build_rat,
     log_likelihood,
@@ -30,6 +29,8 @@ from circuq.enumeration import enumerate_dropout_moments, linear_forward
 from circuq.structures import random_dag_circuit, random_evidence, random_tree_circuit
 from circuq.train import ParameterSpace, loss_and_grad
 from circuq.moments import posterior_moments_batch
+
+from conftest import partition_products, permuted, repetitions
 
 SMALL_RAT = RatConfig(5, 5, 3, 2, 5, 16, rng_seed=1)
 MID_RAT = RatConfig(10, 10, 4, 5, 10, 64, rng_seed=1)
@@ -66,16 +67,19 @@ class TestCompiledGroups:
         # distributions (products over fresh leaves) are groups of one
         for config in (SMALL_RAT, MID_RAT):
             c = build_rat(config)
-            tags = c.rat.product_partition
+            # a partition is one repetition's split of one region's scope
+            scopes, rep = c.scopes(), repetitions(c, config.num_repetitions)
+            partition = {i: (rep[i], *(scopes[k] for k in c.nodes[i].children))
+                         for i in partition_products(c)}
             seen = []
             for layer in c.layout().layers:
                 if layer.kind == "product":
                     for ids in layer.nodes.tolist():
-                        group = {tags.get(i) for i in ids}
+                        group = {partition.get(i) for i in ids}
                         assert len(group) == 1
                         assert None not in group or len(ids) == 1
                         seen.extend(group - {None})
-            assert sorted(seen) == sorted(set(tags.values()))
+            assert sorted(seen) == sorted(set(partition.values()))
 
     def test_tree_compiles_to_groups_of_one(self):
         for seed in range(5):
@@ -393,19 +397,6 @@ def test_shifted_mix_recovers_sums_below_a_zero_weight_sibling():
 # ---------------------------------------------------------------------------
 # Cross-path property: permuting each sum's children splits every group into
 # groups of one, and must not change any result.
-
-
-def permuted(circuit: Circuit, rng: np.random.Generator):
-    """The circuit with each sum's children and weights permuted, and each
-    sum's permutation (new position -> old position)."""
-    nodes, perms = list(circuit.nodes), {}
-    for i, node in enumerate(nodes):
-        if node.kind == "sum":
-            perm = rng.permutation(len(node.children))
-            perms[i] = perm
-            nodes[i] = SumNode([node.children[k] for k in perm], node.log_weights[perm])
-    return Circuit(nodes, list(circuit.roots), circuit.num_variables,
-                   circuit.log_class_priors, rat=circuit.rat), perms
 
 
 def edge_map(circuit: Circuit, perms: dict) -> np.ndarray:

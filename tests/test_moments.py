@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from circuq import (
     posterior_summary_batch,
     serialize,
 )
-from circuq.circuit import Circuit, GaussianLeaf, ProductNode, RatAnnotation, SumNode
+from circuq.circuit import Circuit, GaussianLeaf, ProductNode, SumNode
 from circuq.enumeration import enumerate_dropout_moments
 from circuq.moments import predictive_entropy_batch
 from circuq.structures import (
@@ -40,7 +41,7 @@ from circuq.structures import (
     random_tree_circuit,
 )
 
-from conftest import rel_err
+from conftest import permuted, rel_err, repetitions
 
 
 def root_moments(frame, circuit):
@@ -198,6 +199,22 @@ class TestTreeExactness:
                 if c.num_classes > 1:
                     assert np.all(en.posterior_moments()[1] >= 0.0)
 
+    def test_enumeration_gives_a_node_no_mask_changes_covariance_zero(self):
+        """Covariances come from deviations too, so a node whose value no
+        mask changes has covariance exactly 0 with every node."""
+        rng = np.random.default_rng(8)
+        pairs = 0
+        for _ in range(6):
+            c = random_tree_circuit(rng, max_sum_edges=12)
+            en = enumerate_dropout_moments(c, random_evidence(rng, c), 0.1)
+            constant = np.flatnonzero(np.all(en.values == en.values[:, :1], axis=1))
+            for a in constant.tolist():
+                for b in range(len(c.nodes)):
+                    if a != b:
+                        assert en.cov(a, b) == 0.0, (a, b)
+                        pairs += 1
+        assert pairs > 1000
+
     def test_monotone_vanishing_variance(self, three_var_tree):
         x = [0.2, -0.1, 0.5]
         last = math.inf
@@ -292,6 +309,13 @@ class TestCovarianceOps:
         assert frame.pair_cov(leaf, r).is_zero
 
 
+def product_groups(c) -> list:
+    """The layout's product groups, node ids each: on a RAT, its partitions
+    and its input distributions."""
+    return [ids for layer in c.layout().layers if layer.kind == "product"
+            for ids in layer.nodes.tolist()]
+
+
 class TestRatExact:
     def test_rat_exact_matches_enumeration(self):
         for depth, num_inputs, n in ((1, 2, 2), (2, 1, 4)):
@@ -315,23 +339,27 @@ class TestRatExact:
         r = c.roots[0]
         assert abs(exact.log_variance[r] - zero.log_variance[r]) > 1e-6
 
-    def test_rat_exact_requires_tag(self, three_var_tree):
-        with pytest.raises(StructureError):
-            tdi_pass(three_var_tree, [0, 0, 0],
-                     DropoutConfig.with_p(0.1, CovarianceStrategy.RAT_EXACT))
+    def test_the_three_variable_tree_resolves_to_tree_zero(self, three_var_tree):
+        # once the root is taken out, its two products lie in two components,
+        # and every other sibling pair has a zero-variance member
+        ev = [0.2, -0.1, 0.4]
+        exact = tdi_pass(three_var_tree, ev,
+                         DropoutConfig.with_p(0.1, CovarianceStrategy.RAT_EXACT))
+        zero = tdi_pass(three_var_tree, ev, DropoutConfig.with_p(0.1))
+        assert exact.log_expectation.tobytes() == zero.log_expectation.tobytes()
+        assert exact.log_variance.tobytes() == zero.log_variance.tobytes()
 
     def test_product_covariance_diagonal_consistency(self):
         c = build_rat(RatConfig(2, 1, 2, 1, 1, 4, rng_seed=3))
         ev = np.array([0.1, -0.2, 0.4, 0.0])
         frame = tdi_pass(c, ev, DropoutConfig.with_p(0.2, CovarianceStrategy.RAT_EXACT))
-        prods = [i for i in c.rat.product_partition]
-        p0 = prods[-1]
+        partitions = product_groups(c)
+        p0 = partitions[-1][-1]
         assert frame.pair_cov(p0, p0).to_float() == math.exp(frame.log_variance[p0])
         # two products of one partition: the partition-factor formula
         # matches enumeration
         en = enumerate_dropout_moments(c, ev, 0.2)
-        pairs = [(a, b) for a in prods for b in prods
-                 if a < b and c.rat.product_partition[a] == c.rat.product_partition[b]]
+        pairs = [(a, b) for ids in partitions for a in ids for b in ids if a < b]
         assert pairs
         got = [frame.pair_cov(a, b).to_float() for a, b in pairs]
         np.testing.assert_allclose(got, [en.cov(a, b) for a, b in pairs], rtol=1e-9, atol=1e-15)
@@ -340,20 +368,19 @@ class TestRatExact:
         c = build_rat(RatConfig(2, 2, 1, 1, 1, 2, rng_seed=1))
         ev = np.array([0.2, -0.1])
         frame = tdi_pass(c, ev, DropoutConfig.with_p(0.2, CovarianceStrategy.RAT_EXACT))
-        prods = sorted(c.rat.product_partition)
+        prods = [i for i, node in enumerate(c.nodes) if node.kind == "product"]
         # leaf-distribution children are dropout-free, so all terms vanish
         assert frame.pair_cov(prods[0], prods[1]).is_zero
 
     def test_non_binary_product_rejected(self):
-        # a circuit file's rat tags put a three-factor product and a binary
-        # product of one scope into one partition, under a sum that mixes them
+        # a three-factor product and a binary product of one scope, under a
+        # sum that mixes them
         nodes = [GaussianLeaf(v, mean, 0.0) for v in range(3) for mean in (-0.5, 0.5)]
         nodes += [SumNode([2 * v, 2 * v + 1], np.log([0.5, 0.5])) for v in range(3)]  # 6-8
         nodes += [SumNode([2, 3, 4, 5], np.log([0.25] * 4))]  # 9, over variables 1 and 2
         nodes += [ProductNode([6, 7, 8]), ProductNode([6, 9])]  # 10, 11
         nodes += [SumNode([10, 11], np.log([0.5, 0.5]))]  # 12
-        circ = Circuit(nodes, [12], 3, np.zeros(1),
-                       rat=RatAnnotation(sum_region={}, product_partition={10: (0, 0), 11: (0, 0)}))
+        circ = Circuit(nodes, [12], 3, np.zeros(1))
         with pytest.raises(StructureError, match="node 10 is not a binary product"):
             tdi_pass(circ, [0.1, -0.2, 0.3],
                      DropoutConfig.with_p(0.1, CovarianceStrategy.RAT_EXACT))
@@ -363,29 +390,21 @@ class TestRatExact:
         nodes += [SumNode([0, 1], np.log([0.5, 0.5])), SumNode([2, 3], np.log([0.5, 0.5]))]  # 4, 5
         nodes += [ProductNode([4, 5]), SumNode([6], np.zeros(1))]  # 6, 7
         nodes += [SumNode([6, 7], np.log([0.5, 0.5]))]  # 8, mixing a product and a sum
-        circ = Circuit(nodes, [8], 2, np.zeros(1),
-                       rat=RatAnnotation(sum_region={4: (0, 1), 5: (0, 2), 7: (0, 0)},
-                                         product_partition={6: (0, 0)}))
+        circ = Circuit(nodes, [8], 2, np.zeros(1))
         with pytest.raises(StructureError, match=r"nodes 6 \(product\) and 7 \(sum\)"):
             tdi_pass(circ, [0.1, -0.2], DropoutConfig.with_p(0.1, CovarianceStrategy.RAT_EXACT))
 
-    # A circuit file's rat block is outside input.  On RatConfig(2, 1, 2, 1, 2,
-    # 4, rng_seed=3), product 10 = sum 3 x sum 8 shares the root partition
-    # (0, 0) with products 11-13, and sums 3 and 4 form region (0, 1).
+    # A circuit file is outside input.  On RatConfig(2, 1, 2, 1, 2, 4,
+    # rng_seed=3), product 10 = sum 3 x sum 8 shares the root partition with
+    # products 11-13; with its factors swapped it still validates, but no
+    # longer aligns with them.
     @pytest.mark.parametrize("tamper, message", [
-        (lambda doc: doc["rat"]["sum_region"].pop("3"), "inconsistently tagged"),
-        (lambda doc: doc["rat"]["sum_region"].update({"3": [0, 99]}), "of different regions"),
-        (lambda doc: doc["rat"]["product_partition"].pop("10"), "lack partition tags"),
-        (lambda doc: doc["rat"]["product_partition"].update({"10": [0, 99]}),
-         "of different partitions"),
         (lambda doc: doc["nodes"][10]["children"].reverse(), "not partition-aligned"),
-    ], ids=["sum-untagged", "sum-moved", "product-untagged", "product-moved",
-            "factors-swapped"])
+    ], ids=["factors-swapped"])
     def test_a_tampered_rat_block_is_a_structure_error(self, tamper, message):
         c = build_rat(RatConfig(2, 1, 2, 1, 2, 4, rng_seed=3))
         doc = json.loads(serialize(c))
         assert doc["nodes"][10]["children"] == [3, 8]
-        assert doc["rat"]["sum_region"]["4"] == doc["rat"]["sum_region"]["3"]
         tamper(doc)
         tampered = deserialize(json.dumps(doc).encode())
         ev = np.array([0.1, -0.2, 0.4, 0.0])
@@ -397,10 +416,9 @@ class TestRatExact:
         ev = np.array([0.1, -0.2, 0.4, 0.0])
         frame = tdi_pass(c, ev, DropoutConfig.with_p(0.2, CovarianceStrategy.RAT_EXACT))
         en = enumerate_dropout_moments(c, ev, 0.2)
-        scopes, region = c.scopes(), c.rat.sum_region
-        sums = sorted(region)
-        across = [(a, b) for a in sums for b in sums
-                  if region[a][0] < region[b][0] and scopes[a] & scopes[b]]
+        scopes, rep = c.scopes(), repetitions(c, 2)
+        sums = sorted(i for i in rep if c.nodes[i].kind == "sum")
+        across = [(a, b) for a in sums for b in sums if rep[a] < rep[b] and scopes[a] & scopes[b]]
         disjoint = [(a, b) for a in sums for b in sums if a < b and not scopes[a] & scopes[b]]
         assert across and disjoint
         for a, b in across + disjoint:
@@ -417,6 +435,134 @@ ENUMERABLE_RATS = [
     RatConfig(2, 1, 2, 1, 1, 5, rng_seed=8),
     RatConfig(2, 1, 2, 1, 2, 4, rng_seed=1),
 ]
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+# tests/data/rat_tagged.circuit is build_rat(TAGGED_RAT) as the writer of
+# format version 1 wrote it while RAT_EXACT read partition tags: with a
+# "rat" block of (repetition, region) and (repetition, partition) tags.
+# rat_tampered.circuit is the same file with every sum tag moved to another
+# sum and half the product tags dropped, the rest moved.
+TAGGED_RAT = RatConfig(2, 1, 2, 2, 2, 4, rng_seed=3)
+ROWS = np.array([[0.1, -0.2, 0.4, 0.0], [np.nan, 0.3, -1.0, 0.5]])
+
+
+def rat_exact_bits(c, X, p=0.2) -> list:
+    """The bytes of RAT_EXACT's posterior means and variances for ``X`` and,
+    row by row, of the frame's moments and materialized covariances, the
+    class roots' included."""
+    config = DropoutConfig.with_p(p, CovarianceStrategy.RAT_EXACT)
+    bits = [a.tobytes() for a in posterior_moments_batch(c, X, config)]
+    for x in X:
+        frame = tdi_pass(c, x, config)
+        for a in c.roots:
+            for b in c.roots:
+                frame.pair_cov(a, b)
+        bits += [frame.log_expectation.tobytes(), frame.log_variance.tobytes(),
+                 sorted(frame.sibling_cov.items())]
+    return bits
+
+
+class TestRatExactFromStructure:
+    """RAT_EXACT decides each covariance from the circuit's structure, so a
+    RAT gets the same bits however it was built, saved or loaded, and any
+    other circuit either resolves exactly or raises StructureError."""
+
+    @pytest.mark.parametrize("name", ["rat_tagged", "rat_tampered"])
+    def test_an_old_tagged_file_gives_the_untagged_bits(self, name):
+        data = (DATA / f"{name}.circuit").read_bytes()
+        assert "rat" in json.loads(data)
+        old = deserialize(data)
+        untagged = deserialize(serialize(build_rat(TAGGED_RAT)))
+        assert "rat" not in json.loads(serialize(untagged))
+        assert serialize(old) == serialize(untagged)
+        assert rat_exact_bits(old, ROWS) == rat_exact_bits(untagged, ROWS)
+
+    def test_a_rat_rebuilt_node_by_node_gets_build_rats_bits(self):
+        c = build_rat(RatConfig(3, 2, 2, 2, 3, 6, rng_seed=4))
+        copies = {"sum": lambda n: SumNode(list(n.children), n.log_weights.copy()),
+                  "product": lambda n: ProductNode(list(n.children)),
+                  "gaussian": lambda n: GaussianLeaf(n.variable, n.mean, n.log_std)}
+        rebuilt = Circuit([copies[n.kind](n) for n in c.nodes], list(c.roots), c.num_variables,
+                          c.log_class_priors.copy())
+        X = np.array([[0.3, -0.1, 0.8, np.nan, 0.0, -0.6], [0.2, 0.1, -0.3, 0.4, 1.1, 0.5]])
+        assert rat_exact_bits(rebuilt, X) == rat_exact_bits(c, X)
+
+    def test_a_rat_with_permuted_children_resolves(self):
+        # sums of one region still share one set of children
+        c = build_rat(RatConfig(2, 2, 2, 2, 2, 4, rng_seed=6))
+        shuffled, _ = permuted(c, np.random.default_rng(1))
+        config = DropoutConfig.with_p(0.2, CovarianceStrategy.RAT_EXACT)
+        for x in ROWS:
+            a, b = tdi_pass(c, x, config), tdi_pass(shuffled, x, config)
+            np.testing.assert_allclose(b.log_variance, a.log_variance, rtol=0, atol=1e-12)
+            r, s = c.roots
+            assert b.pair_cov(r, s).log_mag == pytest.approx(a.pair_cov(r, s).log_mag, abs=1e-12)
+
+    def test_sums_over_different_children_that_share_a_descendant_are_rejected(self):
+        # u and t both mix the sum s; their keep bits are independent, but the
+        # bilinear expansion is exact only for two sums over one set of children
+        spec = """
+        a categorical 0 0.5 0.5
+        b categorical 0 0.25 0.75
+        s sum 0.6 a 0.4 b
+        u sum 0.5 s 0.5 a
+        t sum 0.5 s 0.5 b
+        r sum 0.5 u 0.5 t
+        root r
+        """
+        c = build_manual(spec)
+        u, t = c.nodes[c.roots[0]].children
+        assert enumerate_dropout_moments(c, [1.0], 0.2).cov(u, t) > 0.0
+        with pytest.raises(StructureError, match=rf"nodes {u} \(sum\) and {t} \(sum\)"):
+            tdi_pass(c, [1.0], DropoutConfig.with_p(0.2, CovarianceStrategy.RAT_EXACT))
+
+    def test_a_root_is_never_taken_as_independent(self):
+        # no node reads a class head, so it lies in no component: its pair
+        # with one of its children is correlated and not resolvable
+        c = build_rat(RatConfig(2, 1, 2, 1, 2, 4, rng_seed=1))
+        r = c.roots[0]
+        child = c.nodes[r].children[-1]
+        frame = tdi_pass(c, ROWS[0], DropoutConfig.with_p(0.2, CovarianceStrategy.RAT_EXACT))
+        assert enumerate_dropout_moments(c, ROWS[0], 0.2).cov(r, child) > 0.0
+        with pytest.raises(StructureError):
+            frame.pair_cov(r, child)
+
+    def test_rat_exact_resolves_exactly_or_raises(self):
+        rng = np.random.default_rng(24)
+        kinds = ([("tree", random_tree_circuit(rng, max_sum_edges=12)) for _ in range(30)]
+                 + [("dag", random_dag_circuit(rng, max_sum_edges=12)) for _ in range(30)]
+                 + [("rat", build_rat(config)) for config in ENUMERABLE_RATS])
+        resolved = {"tree": 0, "dag": 0, "rat": 0}
+        raised = {"tree": 0, "dag": 0, "rat": 0}
+        for kind, c in kinds:
+            rows = [random_evidence(rng, c, 0.0), random_evidence(rng, c, 0.0)]
+            rows[1][rng.integers(c.num_variables)] = np.nan
+            for x in rows:
+                config = DropoutConfig.with_p(0.2, CovarianceStrategy.RAT_EXACT)
+                try:
+                    frame = tdi_pass(c, x, config)
+                    root_cov = {(a, b): frame.pair_cov(a, b).to_float()
+                                for a in c.roots for b in c.roots if a < b}
+                except StructureError:
+                    raised[kind] += 1
+                    continue
+                resolved[kind] += 1
+                en = enumerate_dropout_moments(c, x, 0.2)
+                for i, node in enumerate(c.nodes):
+                    if node.kind == "sum":
+                        v = frame.pair_cov(i, i).to_float()
+                        assert rel_err(v, en.variance[i]) < 1e-9, (kind, i)
+                for (a, b), got in root_cov.items():
+                    assert rel_err(got, en.cov(a, b)) < 1e-9, (kind, a, b)
+                if kind == "tree":
+                    zero = tdi_pass(c, x, DropoutConfig.with_p(0.2))
+                    assert frame.log_expectation.tobytes() == zero.log_expectation.tobytes()
+                    assert frame.log_variance.tobytes() == zero.log_variance.tobytes()
+        assert resolved["rat"] == 2 * len(ENUMERABLE_RATS) and not raised["rat"]
+        for kind in ("tree", "dag"):
+            assert resolved[kind] >= 10 and raised[kind] >= 5, (kind, resolved, raised)
 
 
 class TestNonnegativeCovariance:

@@ -16,6 +16,8 @@ from circuq import (
 )
 from circuq.structures import random_dag_circuit, random_evidence, random_tree_circuit
 
+from conftest import partition_products
+
 
 class TestBuildRat:
     def test_minimal_structure(self):
@@ -51,13 +53,13 @@ class TestBuildRat:
 
     def test_every_product_is_binary_or_leaf_region(self):
         c = build_rat(RatConfig(3, 2, 2, 1, 2, 8, rng_seed=2))
-        for i in c.rat.product_partition:
+        for i in partition_products(c):
             assert len(c.nodes[i].children) == 2
 
     def test_scope_partition(self):
         c = build_rat(RatConfig(2, 2, 2, 1, 1, 8, rng_seed=4))
         scopes = c.scopes()
-        for i in c.rat.product_partition:
+        for i in partition_products(c):
             left, right = c.nodes[i].children
             assert scopes[left] & scopes[right] == 0
             assert scopes[left] | scopes[right] == scopes[i]
