@@ -208,27 +208,47 @@ class ValidationReport:
         return "\n".join(f"[{v.constraint}] node={v.node}: {v.message}" for v in self.violations)
 
 
+def _unnormalized(log_values) -> Optional[str]:
+    """Why the exponentials of ``log_values`` are no distribution, or None
+    when they are real numbers that sum to 1."""
+    values = np.asarray(log_values)
+    if values.dtype.kind not in "biuf":  # strings and complex numbers
+        return f"have logs {log_values!r} that are not real numbers"
+    total = float(np.exp(values.astype(np.float64, copy=False)).sum())
+    if not math.isfinite(total) or abs(total - 1.0) > NORMALIZATION_TOL:
+        return f"sum to {total!r}, expected 1"
+    return None
+
+
 def validate(circuit: Circuit) -> ValidationReport:
-    """Check every structural invariant; violations are data, not exceptions."""
+    """Check every structural invariant, including that node ids are integers
+    and parameters real numbers; violations are data, not exceptions."""
     out: list[Violation] = []
     n = len(circuit.nodes)
 
     def bad(node, constraint, message):
         out.append(Violation(node, constraint, message))
 
-    # Topological order and index density first: scope computation needs them.
+    # Node ids, their topological order and leaf variables first: scope
+    # computation needs them.  An id is an int or a numpy integer; testing
+    # against numbers.Integral would cost several times as much per edge.
     order_ok = True
     for i, node in enumerate(circuit.nodes):
+        if node.kind in ("gaussian", "categorical") and not (
+                (type(node.variable) is int or isinstance(node.variable, np.integer))
+                and 0 <= node.variable < circuit.num_variables):
+            bad(i, "variable-range", f"variable {node.variable!r} out of range")
+            order_ok = False
         for c in node.children:
-            if not (0 <= c < n):
-                bad(i, "index", f"child {c} out of range 0..{n - 1}")
+            if not ((type(c) is int or isinstance(c, np.integer)) and 0 <= c < n):
+                bad(i, "index", f"child {c!r} is not a node id in 0..{n - 1}")
                 order_ok = False
             elif c >= i:
                 bad(i, "topological-order", f"child {c} does not precede parent {i}")
                 order_ok = False
     for r in circuit.roots:
-        if not (0 <= r < n):
-            bad(None, "index", f"root {r} out of range 0..{n - 1}")
+        if not ((type(r) is int or isinstance(r, np.integer)) and 0 <= r < n):
+            bad(None, "index", f"root {r!r} is not a node id in 0..{n - 1}")
             order_ok = False
     if not order_ok:
         return ValidationReport(out)
@@ -241,12 +261,11 @@ def validate(circuit: Circuit) -> ValidationReport:
             if not node.children:
                 bad(i, "empty-children", "sum node has no children")
                 continue
-            if len(node.log_weights) != len(node.children):
+            if np.shape(node.log_weights) != (len(node.children),):
                 bad(i, "weight-arity", "weight count differs from child count")
                 continue
-            total = float(np.exp(np.asarray(node.log_weights, dtype=np.float64)).sum())
-            if not math.isfinite(total) or abs(total - 1.0) > NORMALIZATION_TOL:
-                bad(i, "weight-normalization", f"weights sum to {total!r}, expected 1")
+            if problem := _unnormalized(node.log_weights):
+                bad(i, "weight-normalization", f"weights {problem}")
             first = scopes[node.children[0]]
             for c in node.children[1:]:
                 if scopes[c] != first:
@@ -263,19 +282,13 @@ def validate(circuit: Circuit) -> ValidationReport:
                     break
                 seen |= scopes[c]
         elif node.kind == "gaussian":
-            if not (0 <= node.variable < circuit.num_variables):
-                bad(i, "variable-range", f"variable {node.variable} out of range")
             if not all(isinstance(v, numbers.Real) and math.isfinite(v)
                        for v in (node.mean, node.log_std)):
                 bad(i, "leaf-parameter", f"Gaussian mean {node.mean!r} and log_std "
                     f"{node.log_std!r} must be finite real numbers")
         elif node.kind == "categorical":
-            if not (0 <= node.variable < circuit.num_variables):
-                bad(i, "variable-range", f"variable {node.variable} out of range")
-            probs = np.exp(np.asarray(node.log_probs, dtype=np.float64))
-            total = float(probs.sum())
-            if not math.isfinite(total) or abs(total - 1.0) > NORMALIZATION_TOL:
-                bad(i, "leaf-normalization", f"probabilities sum to {total!r}, expected 1")
+            if problem := _unnormalized(node.log_probs):
+                bad(i, "leaf-normalization", f"probabilities {problem}")
         else:  # pragma: no cover - unreachable with the declared node types
             bad(i, "unknown-kind", f"unknown node kind {node.kind!r}")
 
@@ -285,13 +298,11 @@ def validate(circuit: Circuit) -> ValidationReport:
         if scopes[r] != full_scope:
             bad(r, "root-scope", "root scope does not cover all variables")
 
-    priors = np.asarray(circuit.log_class_priors, dtype=np.float64)
-    if priors.shape != (len(circuit.roots),):
-        bad(None, "prior-arity", f"{priors.shape[0]} priors for {len(circuit.roots)} roots")
-    else:
-        total = float(np.exp(priors).sum())
-        if not math.isfinite(total) or abs(total - 1.0) > NORMALIZATION_TOL:
-            bad(None, "prior-normalization", f"class priors sum to {total!r}, expected 1")
+    priors = circuit.log_class_priors
+    if np.shape(priors) != (len(circuit.roots),):
+        bad(None, "prior-arity", f"{np.size(priors)} priors for {len(circuit.roots)} roots")
+    elif problem := _unnormalized(priors):
+        bad(None, "prior-normalization", f"class priors {problem}")
 
     return ValidationReport(out)
 
@@ -324,10 +335,11 @@ def validate(circuit: Circuit) -> ValidationReport:
 #
 # A product layer that only the next sum layer reads, as its groups'
 # children in slot order, is fused (Layout.fused): in a RAT, every partition
-# layer.  A pass that returns none of its nodes, as the roots-only inference
-# calls do, makes each sum block's products in a block-sized array and never
-# writes their slots; a pass that returns every node, as training's does,
-# fuses nothing.  The arithmetic is the same, so the bits are too.
+# layer.  Every pass runs it inside that sum layer's step, one block of sum
+# groups and the products they read at a time.  The request decides only
+# where a block's products go: a roots-only request makes them in a
+# block-sized array and never writes their slots, and any other request,
+# training's included, writes them into their slots.
 
 _BLOCK_ELEMENTS = 1 << 16  # gathered or produced (groups, width, columns) elements per step
 
@@ -560,18 +572,19 @@ class Layout:
     each layer holds G * W of them from its ``start``.  Node ids, the order of
     :attr:`sum_edge_order` and of training's parameters do not depend on slots.
 
-    The leaves and the ``prefix`` layers before the first sum layer have no
+    The leaves and the product layers before the first sum layer have no
     sum below them, so a masked pass computes their ``invariant`` slots,
     the first ones, once for all its passes (:func:`forward_log_values`).
-    ``narrow`` flags each sum layer that reads only those slots, and
-    ``shared`` lists those slots that the other layers past the prefix read.
+    ``prefix`` is the first layer that runs in every pass's column: the
+    first sum layer, or the product layer fused into it.  ``narrow`` flags
+    each sum layer that reads only the invariant slots, and ``shared``
+    lists those slots that the other layers past the prefix read.
 
     ``fused`` flags each product layer that only the next layer reads: a
     sum layer whose groups' children are the products' slots in order,
-    whole product groups per sum group, with no root among the products.  A
-    pass that returns none of its nodes (:meth:`fuses`) makes those
-    products inside the sum layer's step, a block of sum groups at a time,
-    and never writes their slots (:meth:`steps`).
+    whole product groups per sum group, with no root among the products.
+    Every pass makes those products inside the sum layer's step, a block of
+    sum groups at a time (:meth:`steps`).
     """
 
     layers: list
@@ -607,34 +620,15 @@ class Layout:
             start += len(ids)
         raise KeyError(kind)
 
-    def fuses(self, nodes, roots) -> bool:
-        """Whether a pass that returns ``nodes`` may fuse: True when they are
-        the circuit's ``roots`` list itself, one identity check, since no
-        root lies in a fused layer; False for None and :attr:`order`, every
-        node; otherwise True when no node of ``nodes`` lies in a fused
-        layer."""
-        if nodes is roots:
-            return True
-        if nodes is None or nodes is self.order:
-            return False
-        slots = self.slot[nodes]
-        return not any(np.any((slots >= layer.start) & (slots < layer.start + layer.nodes.size))
-                       for layer, fused in zip(self.layers, self.fused) if fused)
-
-    def steps(self, layers: range, fuse: bool):
-        """(k, products, layer) for each step of a pass over ``layers``:
-        layer k alone, with ``products`` None, or, where ``fuse`` holds and
-        :attr:`fused` flags product layer k - 1, that product layer inside
-        the step of sum layer k, which makes each block's products itself
-        (:meth:`ProductLayer.feeding`) and leaves their slots unwritten."""
-        k = layers.start
-        while k < layers.stop:
-            if fuse and self.fused[k]:
-                yield k + 1, self.layers[k], self.layers[k + 1]
-                k += 2
-            else:
-                yield k, None, self.layers[k]
-                k += 1
+    def steps(self, layers: range):
+        """(k, products, layer) for each step of a pass over ``layers``, which
+        holds both layers of a fused pair or neither: layer k alone, with
+        ``products`` None, or, where :attr:`fused` flags product layer k - 1,
+        that product layer inside the step of sum layer k, which makes each
+        block's products itself (:meth:`ProductLayer.feeding`)."""
+        for k in layers:
+            if not self.fused[k]:
+                yield k, self.layers[k - 1] if k and self.fused[k - 1] else None, self.layers[k]
 
     @functools.cached_property
     def regions(self) -> tuple[list[int], list[int]]:
@@ -808,11 +802,11 @@ def _compile_layout(circuit: Circuit) -> Layout:
 
     references = np.concatenate([layer.edge_ends()[1] for layer in layers] + [circuit.roots])
     parents = np.bincount(references.astype(np.int64), minlength=n)
-    prefix = next((k for k, layer in enumerate(layers) if layer.kind == "sum"), len(layers))
-    invariant = layers[prefix].start if prefix < len(layers) else n
+    first_sum = next((k for k, layer in enumerate(layers) if layer.kind == "sum"), len(layers))
+    invariant = layers[first_sum].start if first_sum < len(layers) else n
     narrow = tuple(layer.kind == "sum" and bool(np.all(layer.reads[0].slots < invariant))
                    for layer in layers)
-    wide_reads = [read.slots.ravel() for layer, one in zip(layers[prefix:], narrow[prefix:])
+    wide_reads = [read.slots.ravel() for layer, one in zip(layers[first_sum:], narrow[first_sum:])
                   if not one for read in layer.reads]
     shared = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)] + wide_reads))
     # reads per slot: a sum group reads each child once, and the roots are read too
@@ -826,6 +820,7 @@ def _compile_layout(circuit: Circuit) -> Layout:
                            np.arange(layer.start, layer.start + layer.nodes.size))
         and bool(np.all(readers[layer.start : layer.start + layer.nodes.size] == 1))
         for layer, sums in zip(layers, layers[1:] + [None]))
+    prefix = first_sum - 1 if first_sum and fused[first_sum - 1] else first_sum
     return Layout(layers, leaves, np.concatenate([np.zeros(0, dtype=np.int64)] + edge_order),
                   bool(np.all(parents <= 1)), slot, order, prefix, invariant, narrow,
                   shared[shared < invariant], fused)
@@ -941,13 +936,14 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
     only the prefix values they read, or that ``nodes`` asks for, are copied
     into every column.  The pass holds node values in slot order
     (:meth:`Layout.finish`): asking for :attr:`Layout.order` returns that
-    array itself, and asking for the roots copies only their rows.  Where
-    ``nodes`` names no node of a fused product layer (:meth:`Layout.fuses`),
-    as the roots do, each such layer runs inside the step of the sum layer
-    that reads it, the first one included in a masked pass, where it stays
-    in one column, and its slots are left unwritten.  Raises
-    ShapeError unless X is (rows, variables) and, with ``keep``, one row
-    with a (passes, sum edges) boolean mask.
+    array itself, and asking for the roots copies only their rows.  Each
+    product layer that :attr:`Layout.fused` flags runs inside the step of
+    the sum layer that reads it (:meth:`Layout.steps`), the first one
+    included in a masked pass, where it stays in one column.  A request for
+    the circuit's roots list itself makes those products in block-sized
+    arrays and leaves their slots unwritten; any other request writes them
+    into their slots.  Raises ShapeError unless X is (rows, variables) and,
+    with ``keep``, one row with a (passes, sum edges) boolean mask.
     """
     plan = circuit.plan()
     layout = plan.layout
@@ -960,36 +956,37 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
             raise ShapeError(f"a keep mask of shape {keep.shape} with evidence of shape "
                              f"{X.shape}; expected one row and (passes, "
                              f"{layout.num_sum_edges}) keep bits")
-    fuse = layout.fuses(nodes, circuit.roots)
-    split = layout.prefix  # the first layer of the pass that runs in every column
-    if fuse and split and layout.fused[split - 1]:
-        split -= 1  # the product layer fused into the first sum layer
+    roots_only = nodes is circuit.roots
     head = layout.values(X.shape[0]) if keep is None else np.empty((layout.invariant, 1))
     plan.leaf_log_values(X, head)
     with np.errstate(divide="ignore"):
-        _forward_layers(plan, range(split), head, head, fuse)
+        _forward_layers(plan, range(layout.prefix), head, head, roots_only)
         if keep is None:
             logv = head
         else:
             logv = layout.values(len(keep))
-            wanted = np.arange(layout.invariant) if nodes is None else layout.slot[nodes]
-            shared = np.union1d(layout.shared, wanted[wanted < layout.invariant])
-            logv[shared] = head[shared]
-        _forward_layers(plan, range(split, len(layout.layers)), logv, head, fuse, keep)
+            logv[layout.shared] = head[layout.shared]
+        _forward_layers(plan, range(layout.prefix, len(layout.layers)), logv, head, roots_only,
+                        keep)
+    if keep is not None:  # after the layers, which make the fused prefix products in head
+        wanted = np.arange(layout.invariant) if nodes is None else layout.slot[nodes]
+        wanted = wanted[wanted < layout.invariant]
+        logv[wanted] = head[wanted]
     return layout.finish(logv, nodes)
 
 
 def _forward_layers(plan: Plan, layers: range, values: np.ndarray, head: np.ndarray,
-                    fuse: bool, keep: Optional[np.ndarray] = None) -> None:
-    """Run the plan's ``layers`` on the slot-order ``values``, fused where
-    ``fuse`` holds (:meth:`Layout.steps`), with the first sum edge of
-    ``keep`` in the first of them.  Sum layers that :attr:`Layout.narrow`
-    flags, and the product layer fused into one, read from ``head``, which
-    holds the invariant prefix's slots."""
+                    roots_only: bool, keep: Optional[np.ndarray] = None) -> None:
+    """Run the plan's ``layers`` on the slot-order ``values``, step by step
+    (:meth:`Layout.steps`), with the first sum edge of ``keep`` in the first
+    of them.  Sum layers that :attr:`Layout.narrow` flags, and the product
+    layer fused into one, read from ``head``, which holds the invariant
+    prefix's slots.  A fused product layer writes its slots, in the array
+    it reads from, unless the pass is ``roots_only``."""
     layout = plan.layout
     columns = values.shape[1]
     start = 0  # the layer's first edge in plan order
-    for k, products, layer in layout.steps(layers, fuse):
+    for k, products, layer in layout.steps(layers):
         if layer.kind == "product":
             for b in layer.blocks(columns):
                 layer.outer([read.read(values, b) for read in layer.reads],
@@ -1004,7 +1001,8 @@ def _forward_layers(plan: Plan, layers: range, values: np.ndarray, head: np.ndar
                 x = layer.reads[0].read(source, b)
             else:
                 g = products.feeding(layer, b)
-                x = products.outer([read.read(source, g) for read in products.reads])
+                x = products.outer([read.read(source, g) for read in products.reads],
+                                   out=None if roots_only else products.output(source, g))
                 x = x.reshape(b.stop - b.start, -1, x.shape[-1])
             layer.output(values, b)[...] = log_mix(w[b], lw[b], x,
                                                    None if kept is None else kept[:, b])
@@ -1130,9 +1128,9 @@ def _node_from_json(obj: dict) -> Node:
         if kind == "product":
             return ProductNode(list(obj["children"]))
         if kind == "gaussian":
-            return GaussianLeaf(int(obj["variable"]), float(obj["mean"]), float(obj["log_std"]))
+            return GaussianLeaf(obj["variable"], float(obj["mean"]), float(obj["log_std"]))
         if kind == "categorical":
-            return CategoricalLeaf(int(obj["variable"]), np.array(obj["log_probs"], dtype=np.float64))
+            return CategoricalLeaf(obj["variable"], np.array(obj["log_probs"], dtype=np.float64))
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed node record: {exc}") from exc
     raise SerializationError(f"unknown node kind {kind!r}")
@@ -1172,7 +1170,7 @@ def deserialize(data: bytes) -> Circuit:
     try:
         circuit = Circuit(
             nodes=[_node_from_json(n) for n in doc["nodes"]],
-            roots=[int(r) for r in doc["roots"]],
+            roots=list(doc["roots"]),
             num_variables=int(doc["num_variables"]),
             log_class_priors=np.array(doc["log_class_priors"], dtype=np.float64),
         )

@@ -179,13 +179,14 @@ def _moment_pass(circuit, X, config, exact_frame=None, nodes=None):
 
     The pass holds node moments in the layout's slot order, reads each
     layer's inputs through its views and writes each layer as one slice.
-    Where ``nodes`` names no node of a fused product layer, as the roots do
-    (:meth:`Layout.fuses`), each block of such a layer's products is made
-    inside the step of the sum layer that reads it and mixed at once, and
-    its slots are left unwritten; ``nodes`` None, every node, fuses nothing.
-    Given the one-row RAT_EXACT ``exact_frame``, the sibling covariances are
-    added to each sum layer's variances in place, before the next layer reads
-    them (:func:`_add_sum_covariances`).
+    Each block of a fused product layer's products is made inside the step
+    of the sum layer that reads it and mixed at once (:meth:`Layout.steps`).
+    A request for the circuit's roots list itself makes the block in
+    block-sized arrays and leaves the products' slots unwritten; any other
+    request writes it into their slots.  Given the one-row RAT_EXACT
+    ``exact_frame``, the sibling covariances are added to each sum layer's
+    variances in place, before the next layer reads them
+    (:func:`_add_sum_covariances`).
     """
     plan = circuit.plan()
     layout = plan.layout
@@ -194,9 +195,9 @@ def _moment_pass(circuit, X, config, exact_frame=None, nodes=None):
     log_v[: layout.num_leaves] = _NEG_INF  # every layer writes its own slots
     plan.leaf_log_values(X, log_e)
     log_q, p = np.log(config.q), config.p
-    fuse = layout.fuses(nodes, circuit.roots)
+    roots_only = nodes is circuit.roots
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k, products, layer in layout.steps(range(len(layout.layers)), fuse):
+        for k, products, layer in layout.steps(range(len(layout.layers))):
             lw, w = plan.log_weights[k], plan.weights[k]
             for b in layer.blocks(rows):
                 out = layer.output(log_e, b), layer.output(log_v, b)
@@ -209,8 +210,8 @@ def _moment_pass(circuit, X, config, exact_frame=None, nodes=None):
                     ce, cv = children.read(log_e, b), children.read(log_v, b)
                 else:  # the block's products, made here and read once
                     g = products.feeding(layer, b)
-                    ce = np.empty((g.stop - g.start, products.nodes.shape[1], rows))
-                    cv = np.empty_like(ce)
+                    ce, cv = (np.empty((g.stop - g.start, products.nodes.shape[1], rows))
+                              if roots_only else products.output(a, g) for a in (log_e, log_v))
                     _product_moments(products, [read.read(log_e, g) for read in products.reads],
                                      [read.read(log_v, g) for read in products.reads], (ce, cv))
                     ce, cv = (a.reshape(b.stop - b.start, -1, rows) for a in (ce, cv))

@@ -1,6 +1,7 @@
 """Circuit model: validation, log-space inference, serialization."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -77,6 +78,36 @@ class TestValidate:
         nodes = [gaussian(0), gaussian(0)]
         c = Circuit(nodes, [0, 1], 1, np.log([0.6, 0.6]))
         assert any(v.constraint == "prior-normalization" for v in validate(c).violations)
+
+    @pytest.mark.parametrize("children, roots, log_weights, log_probs, priors, constraint", [
+        ([0, 1], [3], ["-0.69", "-0.69"], [0.0], [0.0], "weight-normalization"),
+        ([0, 1], [3], np.log([0.5, 0.5]) + 0j, [0.0], [0.0], "weight-normalization"),
+        (["0", 1], [3], np.log([0.5, 0.5]), [0.0], [0.0], "index"),
+        ([0.0, 1], [3], np.log([0.5, 0.5]), [0.0], [0.0], "index"),
+        ([0, 1], ["3"], np.log([0.5, 0.5]), [0.0], [0.0], "index"),
+        ([0, 1], [3], np.log([0.5, 0.5]), [0.0 + 1j], [0.0], "leaf-normalization"),
+        ([0, 1], [3], np.log([0.5, 0.5]), ["0"], [0.0], "leaf-normalization"),
+        ([0, 1], [3], np.log([0.5, 0.5]), [0.0], [0j], "prior-normalization"),
+    ], ids=["string-weights", "complex-weights", "string-child", "float-child", "string-root",
+            "complex-probs", "string-probs", "complex-prior"])
+    def test_values_of_the_wrong_type_are_violations(self, children, roots, log_weights,
+                                                     log_probs, priors, constraint):
+        """A node id that is no integer, or a weight, probability or prior
+        that is no real number, is reported, not raised, and the circuit
+        refuses to serialize rather than write a converted value."""
+        nodes = [gaussian(0), gaussian(0), CategoricalLeaf(0, np.array(log_probs)),
+                 SumNode(children, np.asarray(log_weights))]
+        c = Circuit(nodes, roots, 1, np.array(priors))
+        report = validate(c)
+        assert [v.constraint for v in report.violations] == [constraint]
+        with pytest.raises(SerializationError, match=rf"\[{constraint}\]"):
+            serialize(c)
+
+    def test_a_leaf_variable_that_is_no_index_is_a_violation(self):
+        for variable in ("0", -1, 0.0):
+            c = Circuit([gaussian(variable)], [0], 1, np.zeros(1))
+            report = validate(c)
+            assert [v.constraint for v in report.violations] == ["variable-range"]
 
 
 class TestLogLikelihood:
@@ -189,6 +220,21 @@ class TestSerialization:
     def test_malformed_bytes(self):
         with pytest.raises(SerializationError):
             deserialize(b"not json at all")
+
+    @pytest.mark.parametrize("field, value, constraint", [
+        ("roots", [2.7], "index"), ("roots", ["2"], "index"),
+        ("variable", 0.9, "variable-range"), ("variable", "0", "variable-range")])
+    def test_a_non_integer_id_in_a_file_fails_validation(self, field, value, constraint):
+        """Ids are read as the file gives them, not truncated to a node or
+        variable that the file does not name."""
+        doc = json.loads(serialize(build_manual("a gaussian 0 0 1\nb gaussian 0 1 1\n"
+                                                "s sum 0.5 a 0.5 b\nroot s")))
+        if field == "roots":
+            doc["roots"] = value
+        else:
+            doc["nodes"][0]["variable"] = value
+        with pytest.raises(SerializationError, match=rf"\[{constraint}\]"):
+            deserialize(json.dumps(doc).encode())
 
     def test_rat_round_trip_preserves_likelihood(self):
         c = build_rat(RatConfig(2, 2, 1, 1, 1, 2, rng_seed=9))

@@ -98,6 +98,29 @@ class TestExitCodes:
                    "--out", str(workspace / "out_bad")])
         assert rc == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "{data}"],
+        ["eval", "--data", "{data}"],
+        ["tdi", "--input", "{x}"],
+        ["mcd", "--input", "{x}"],
+        ["compare", "--input", "{x}"],
+        ["ood", "--id-data", "{data}", "--ood-data", "{x}"],
+        ["perturb", "--data", "{data}", "--width", "3", "--height", "2"],
+        ["corrupt", "--data", "{data}"],
+    ])
+    def test_a_string_node_id_is_4(self, workspace, argv, capsys):
+        doc = json.loads((workspace / "build" / "model.circuit").read_bytes())
+        node = next(n for n in doc["nodes"] if n["kind"] != "gaussian")
+        node["children"][0] = str(node["children"][0])
+        bad = workspace / "string_child.circuit"
+        bad.write_text(json.dumps(doc))
+        paths = {"data": str(workspace / "data.csv"), "x": str(workspace / "x.csv")}
+        argv = [a.format(**paths) for a in argv]
+        rc = main(argv + ["--model", str(bad), "--out", str(workspace / f"string_{argv[0]}")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: code=4 kind=validation") and "[index]" in err
+
     @pytest.mark.parametrize("width", [5, 7])
     @pytest.mark.parametrize("argv", [["tdi", "--input"], ["train", "--epochs", "1", "--data"]])
     def test_input_of_wrong_width_is_4(self, workspace, argv, width, capsys):

@@ -24,11 +24,11 @@ from circuq import (
     tdi_pass_batch,
 )
 import circuq.circuit as circuit_module
-from circuq.circuit import forward_log_values
+from circuq.circuit import forward_log_values, log_mix
 from circuq.enumeration import enumerate_dropout_moments, linear_forward
 from circuq.structures import random_dag_circuit, random_evidence, random_tree_circuit
 from circuq.train import ParameterSpace, loss_and_grad
-from circuq.moments import posterior_moments_batch
+from circuq.moments import _product_moments, _sum_moments, posterior_moments_batch
 
 from conftest import partition_products, permuted, repetitions
 
@@ -192,10 +192,39 @@ s2 sum 0.4 p1 0.3 p2 0.2 p3 0.1 p4
 """
 
 
+def unfused_passes(circuit, X, config):
+    """The forward and the moment pass layer by layer, each product layer
+    whole and written into its slots before the sum layer that reads it
+    runs: the schedule without fused steps.  Returns the slot-order log
+    values, and the log expectations and variances in node order."""
+    plan = circuit.plan()
+    layout = plan.layout
+    logv, log_e, log_v = (np.empty((len(layout.order), len(X))) for _ in range(3))
+    plan.leaf_log_values(X, logv)
+    plan.leaf_log_values(X, log_e)
+    log_v[: layout.num_leaves] = -np.inf
+    log_q = np.log(config.q)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for layer, lw, w in zip(layout.layers, plan.log_weights, plan.weights):
+            for b in layer.blocks(len(X)):
+                out = layer.output(log_e, b), layer.output(log_v, b)
+                if layer.kind == "product":
+                    layer.outer([read.read(logv, b) for read in layer.reads],
+                                out=layer.output(logv, b))
+                    _product_moments(layer, [read.read(log_e, b) for read in layer.reads],
+                                     [read.read(log_v, b) for read in layer.reads], out)
+                else:
+                    children = layer.reads[0]
+                    layer.output(logv, b)[...] = log_mix(w[b], lw[b], children.read(logv, b))
+                    _sum_moments(w[b], lw[b], children.read(log_e, b), children.read(log_v, b),
+                                 log_q, config.p, out)
+    return logv, log_e[layout.slot], log_v[layout.slot]
+
+
 class TestFusedLayers:
     """A product layer that only the next sum layer reads, as its children in
-    slot order, runs inside that layer's step in passes that return no node
-    of it."""
+    slot order, runs inside that layer's step in every pass.  A request for
+    the roots alone never writes its slots; any other request does."""
 
     def test_rat_partition_layers_fuse_into_their_regions_and_heads(self):
         small, mid = build_rat(SMALL_RAT).layout(), build_rat(MID_RAT).layout()
@@ -231,27 +260,63 @@ class TestFusedLayers:
         hidden = fused_slots(layout)
         assert hidden.any()
         X = np.random.default_rng(1).normal(size=(5, c.num_variables))
+        keep = np.random.default_rng(2).random((3, layout.num_sum_edges)) >= 0.2
+        config = DropoutConfig.with_p(0.1)
 
-        def poisoned(count):
-            arrays = [layout.values(len(X)) for _ in range(count)]
+        def poisoned(count, columns):
+            arrays = [layout.values(columns) for _ in range(count)]
             for a in arrays:
                 a.fill(np.nan)
             layout.spare.give(*arrays)
             return arrays
 
-        for run, count in ((lambda: forward_log_values(c, X, nodes=c.roots), 1),
-                           (lambda: tdi_pass_batch(c, X, DropoutConfig.with_p(0.1),
-                                                   nodes=c.roots), 2)):
-            arrays = poisoned(count)
+        # a request for the roots writes no fused slot, and any other request
+        # writes every slot; a masked pass fills its slots below the
+        # invariant ones only where later layers or the request read them
+        every, past = slice(None), slice(layout.invariant, None)
+        for run, count, columns, rows, roots_only in (
+                (lambda: forward_log_values(c, X, nodes=c.roots), 1, len(X), every, True),
+                (lambda: tdi_pass_batch(c, X, config, nodes=c.roots), 2, len(X), every, True),
+                (lambda: forward_log_values(c, X[:1], keep, nodes=c.roots), 1, len(keep), past,
+                 True),
+                (lambda: tdi_pass_batch(c, X, config), 2, len(X), every, False),
+                (lambda: forward_log_values(c, X[:1], keep), 1, len(keep), every, False)):
+            arrays = poisoned(count, columns)
             run()
-            taken = [layout.values(len(X)) for _ in arrays]  # the same arrays, reused
+            taken = [layout.values(columns) for _ in arrays]  # the same arrays, reused
             assert sorted(map(id, taken)) == sorted(map(id, arrays))
             for a in arrays:
-                assert np.isnan(a[hidden]).all() and not np.isnan(a[~hidden]).any()
-        # a request for every slot fuses nothing
-        arrays = poisoned(1)
+                np.testing.assert_array_equal(np.isnan(a[rows]), np.broadcast_to(
+                    (hidden & roots_only)[rows, None], a[rows].shape))
+        arrays = poisoned(1, len(X))
         assert forward_log_values(c, X, nodes=layout.order) is arrays[0]
         assert not np.isnan(arrays[0]).any()
+
+    @pytest.mark.parametrize("name", ["small", "mid", "fused-dag", "trees", "dags"])
+    def test_the_fused_steps_equal_an_unfused_pass(self, name):
+        """The every-node forward, which training reads, and the every-node
+        moment pass equal, bit for bit, a pass that runs each product layer
+        whole before the sum layer that reads it, with marginalized evidence
+        and a row of it."""
+        rng = np.random.default_rng(7)
+        circuits = {
+            "small": lambda: [build_rat(SMALL_RAT)],
+            "mid": lambda: [build_rat(MID_RAT)],
+            "fused-dag": lambda: [build_manual(FUSED_DAG + "root s1 s2")],
+            "trees": lambda: [random_tree_circuit(rng, num_classes=2) for _ in range(6)],
+            "dags": lambda: [random_dag_circuit(rng) for _ in range(6)],
+        }[name]()
+        bits = lambda a: np.ascontiguousarray(a).view(np.int64)  # noqa: E731
+        for c in circuits:
+            X = np.array([random_evidence(rng, c, 0.3) for _ in range(6)])
+            X[0] = np.nan
+            for p in (0.0, 0.1, 0.3):
+                config = DropoutConfig.with_p(p)
+                logv, log_e, log_v = unfused_passes(c, X, config)
+                np.testing.assert_array_equal(
+                    bits(forward_log_values(c, X, nodes=c.layout().order)), bits(logv))
+                for got, want in zip(tdi_pass_batch(c, X, config), (log_e, log_v)):
+                    np.testing.assert_array_equal(bits(got), bits(want))
 
 
 class TestSpareArrays:

@@ -295,12 +295,13 @@ fusion_cases = st.one_of(
 @settings(max_examples=30, deadline=None)
 @given(fusion_cases, st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.3]))
 def test_root_only_passes_equal_the_every_node_passes(case, seed, p):
-    """A request for the roots alone fuses each product layer that
-    Layout.fused flags into the sum layer that reads it, in the forward, the
-    moment and the masked pass; its rows equal the roots' rows of the
-    every-node passes, which fuse nothing, bit for bit, with marginalized
-    evidence too.  So do the rows of a request that also names a product of
-    a fused layer."""
+    """Every pass runs each product layer that Layout.fused flags inside
+    the sum layer that reads it.  A request for the roots alone makes its
+    products in block-sized arrays, in the forward, the moment and the
+    masked pass, and its rows equal the roots' rows of the every-node
+    passes, which write the products into their slots, bit for bit, with
+    marginalized evidence too.  So do the rows of a request that also names
+    a product of a fused layer, which writes them too."""
     circuit, x = case
     rng = np.random.default_rng(seed)
     layout = circuit.layout()
