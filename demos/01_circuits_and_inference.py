@@ -3,6 +3,7 @@
 Run with:  python demos/01_circuits_and_inference.py
 """
 
+import io
 import math
 
 import numpy as np
@@ -48,9 +49,10 @@ print(f"\ntree log-likelihood at {x}: {log_likelihood(tree, x)[0]:.4f}")
 print("with X1 marginalized:",
       f"{log_likelihood(tree, Evidence.of([0.1, None, 0.4]))[0]:.4f}")
 
-# Circuits round-trip bit for bit through a versioned JSON format; floats are
-# written as their repr, the shortest decimal that reads back as the same double.
+# Circuits round-trip bit for bit through the circuit file: an .npz archive
+# of columns (kind codes, child ids, weights, leaf parameters) of raw doubles.
 blob = serialize(tree)
 restored = deserialize(blob)
 assert log_likelihood(restored, x)[0] == log_likelihood(tree, x)[0]
-print(f"\nserialized size: {len(blob)} bytes; round-trip is exact")
+print(f"\ncircuit file: {len(blob)} bytes, an .npz archive of "
+      f"{len(np.load(io.BytesIO(blob)).files)} arrays; round-trip is exact")

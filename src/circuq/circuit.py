@@ -1,5 +1,5 @@
-"""Circuit data model, structural validation, the layer plan, and log-space
-likelihood inference.
+"""Circuit data model, structural validation, the circuit file, the layer
+plan, and log-space likelihood inference.
 
 A circuit is a dense arena of nodes in topological order (children strictly
 before parents).  Sum nodes mix same-scope children with normalized weights,
@@ -23,14 +23,18 @@ possible to build deliberately broken circuits for negative tests.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import math
 import numbers
+import zipfile
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .errors import ParameterError, SerializationError, ShapeError
 
@@ -38,7 +42,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 NORMALIZATION_TOL = 1e-9
 
-CIRCUIT_FORMAT_VERSION = 1
+CIRCUIT_FORMAT_VERSION = 2  # the version serialize() writes
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +109,7 @@ class Circuit:
             scopes: list[int] = []
             for node in self.nodes:
                 if node.kind in ("gaussian", "categorical"):
-                    scopes.append(1 << node.variable)
+                    scopes.append(1 << int(node.variable))  # a numpy integer would overflow
                 else:
                     s = 0
                     for c in node.children:
@@ -222,7 +226,218 @@ def _unnormalized(log_values) -> Optional[str]:
 
 def validate(circuit: Circuit) -> ValidationReport:
     """Check every structural invariant, including that node ids are integers
-    and parameters real numbers; violations are data, not exceptions."""
+    and parameters real numbers; violations are data, not exceptions.
+
+    The check runs over the circuit's columns with numpy; only a circuit
+    that it does not find valid is walked node by node to name what fails.
+    """
+    columns = _columns(circuit)
+    if columns is not None and _holds(columns):
+        return ValidationReport([])
+    return _node_report(circuit)
+
+
+# A circuit as columns: one array per field, over every node of a kind in
+# node order, with each node's children, weights or probabilities in turn
+# (compressed sparse rows).  The circuit file holds these arrays, and
+# validate() checks them.
+
+_SUM, _PRODUCT, _GAUSSIAN, _CATEGORICAL = range(4)  # kind codes, the leaves' last
+_TYPE_CODE = {SumNode: _SUM, ProductNode: _PRODUCT, GaussianLeaf: _GAUSSIAN,
+              CategoricalLeaf: _CATEGORICAL}
+_INT, _REAL = np.dtype("<i8"), np.dtype("<f8")
+
+
+@dataclass
+class _Columns:
+    num_variables: int
+    kinds: np.ndarray  # uint8 kind code per node
+    counts: np.ndarray  # children per node, 0 for a leaf
+    children: np.ndarray  # each node's child ids in turn
+    log_weights: np.ndarray  # each sum's log weights in turn
+    variables: np.ndarray  # per leaf, Gaussian or categorical
+    means: np.ndarray  # per Gaussian leaf
+    log_stds: np.ndarray  # per Gaussian leaf
+    states: np.ndarray  # per categorical leaf, its number of log probabilities
+    log_probs: np.ndarray  # each categorical leaf's log probabilities in turn
+    roots: np.ndarray
+    log_class_priors: np.ndarray
+
+
+_MEMBERS = {"kinds": np.dtype(np.uint8), "counts": _INT, "children": _INT,
+            "log_weights": _REAL, "variables": _INT, "means": _REAL, "log_stds": _REAL,
+            "states": _INT, "log_probs": _REAL, "roots": _INT, "log_class_priors": _REAL}
+
+
+def _ids(values: list) -> Optional[np.ndarray]:
+    """Node ids or variables as int64 when each is an int or a numpy integer,
+    as :func:`_node_report` requires, else None.  The types are tested as a
+    set: np.array would take a bool as 1 and truncate a float."""
+    if not all(t is int or issubclass(t, np.integer) for t in set(map(type, values))):
+        return None
+    try:
+        return np.array(values, dtype=_INT)
+    except OverflowError:  # out of range for any node or variable
+        return None
+
+
+def _reals(values: list) -> Optional[np.ndarray]:
+    """Gaussian parameters as float64 when each is a real number, else None."""
+    if not all(issubclass(t, numbers.Real) for t in set(map(type, values))):
+        return None
+    try:
+        return np.array(values, dtype=_REAL)
+    except OverflowError:
+        return None
+
+
+def _tables(tables: list) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(float64 concatenation, lengths) of one-axis tables of real numbers,
+    else None."""
+    if not tables:
+        return np.zeros(0, dtype=_REAL), np.zeros(0, dtype=_INT)
+    try:
+        flat = np.concatenate(tables)
+        lengths = np.fromiter(map(len, tables), dtype=_INT, count=len(tables))
+    except (TypeError, ValueError):  # a scalar, a zero-axis array, or types numpy cannot mix
+        return None
+    if flat.ndim != 1 or flat.dtype.kind not in "biuf":
+        return None
+    return flat.astype(_REAL, copy=False), lengths
+
+
+def _columns(circuit: Circuit) -> Optional[_Columns]:
+    """The circuit's columns, or None when a value is of a type that
+    :func:`_node_report` reports or that the columns cannot hold exactly: an
+    id or variable that is no integer, a parameter that is no real number, a
+    weight table whose length is not its sum's child count, a leaf with
+    children, or a ``num_variables`` that is no int."""
+    num_variables = circuit.num_variables
+    if type(num_variables) is not int or num_variables < 0:
+        return None
+    nodes = circuit.nodes
+    try:
+        codes = np.fromiter(map(_TYPE_CODE.__getitem__, map(type, nodes)), dtype=np.uint8,
+                            count=len(nodes))
+    except KeyError:  # a node of another type, which the node report judges by its kind
+        return None
+    kids = list(map(attrgetter("children"), nodes))
+    counts = np.fromiter(map(len, kids), dtype=_INT, count=len(kids))
+    children = _ids(list(itertools.chain.from_iterable(kids)))
+    roots = _ids(list(circuit.roots))
+
+    def of_kind(mask, field):
+        return list(map(attrgetter(field), itertools.compress(nodes, mask.tolist())))
+
+    weights = _tables(of_kind(codes == _SUM, "log_weights"))
+    variables = _ids(of_kind(codes >= _GAUSSIAN, "variable"))
+    gaussian = codes == _GAUSSIAN
+    means = _reals(of_kind(gaussian, "mean"))
+    log_stds = _reals(of_kind(gaussian, "log_std"))
+    probs = _tables(of_kind(codes == _CATEGORICAL, "log_probs"))
+    priors = np.asarray(circuit.log_class_priors)
+    if (children is None or roots is None or weights is None or variables is None
+            or means is None or log_stds is None or probs is None
+            or not np.array_equal(weights[1], counts[codes == _SUM])
+            or np.any(counts[codes >= _GAUSSIAN])
+            or priors.ndim != 1 or priors.dtype.kind not in "biuf"):
+        return None
+    return _Columns(num_variables, codes, counts, children, weights[0], variables, means,
+                    log_stds, probs[1], probs[0], roots, priors.astype(_REAL, copy=False))
+
+
+# validate() decides a circuit valid from its columns only where a
+# normalization sum clears NORMALIZATION_TOL by this many ulps per term: the
+# columns sum each table's exponentials in another order than the node
+# report does, and the two may differ in the last bits.
+_SUM_ULPS = 4
+
+# Scopes are filled by relaxation, one pass per level of the circuit; a
+# circuit deeper than this is left to the node report.
+_SCOPE_ROUNDS = 64
+
+
+def _normalized(log_values: np.ndarray, lengths: np.ndarray) -> bool:
+    """True when every table of ``lengths`` consecutive log values has
+    exponentials that sum to 1 within NORMALIZATION_TOL, with a margin for
+    rounding; False when one does not, or is too close to tell."""
+    if not len(lengths):
+        return True
+    if np.any(lengths == 0):
+        return False
+    totals = np.add.reduceat(np.exp(log_values), np.cumsum(lengths) - lengths)
+    margin = _SUM_ULPS * np.finfo(np.float64).eps * lengths
+    return bool(np.all(np.abs(totals - 1.0) <= NORMALIZATION_TOL - margin))
+
+
+def _holds(c: _Columns) -> bool:
+    """True when the columns meet every rule of :func:`_node_report`; False
+    when one fails, or when the arithmetic is too close to tell."""
+    n, kinds, counts, children = len(c.kinds), c.kinds, c.counts, c.children
+    is_sum, is_product = kinds == _SUM, kinds == _PRODUCT
+    inner = np.flatnonzero(is_sum | is_product)
+    parent = np.repeat(np.arange(n), counts)
+    if (np.any(counts[inner] == 0) or not len(c.roots)
+            # a root covers every variable only if each is some leaf's
+            or c.num_variables > len(c.variables)
+            or not np.all((c.roots >= 0) & (c.roots < n))
+            or not np.all((children >= 0) & (children < parent))
+            or not np.all((c.variables >= 0) & (c.variables < c.num_variables))
+            or not (np.all(np.isfinite(c.means)) and np.all(np.isfinite(c.log_stds)))
+            or not _normalized(c.log_weights, counts[is_sum])
+            or not _normalized(c.log_probs, c.states)
+            or len(c.log_class_priors) != len(c.roots)
+            or _unnormalized(c.log_class_priors) is not None):
+        return False
+
+    # Scopes as bit-words, 64 variables to a uint64, each word on its own.
+    # A sum takes its first child's scope and a product the union of its
+    # children's, level by level until none changes.  Then, when each sum's
+    # children all share its scope, every scope is the union of the node's
+    # children's, as the node report computes it.
+    words = max(1, -(-c.num_variables // 64))
+    scope = np.zeros((words, n), dtype=np.uint64)
+    scope[c.variables // 64, np.flatnonzero(~(is_sum | is_product))] = (
+        np.uint64(1) << (c.variables % 64).astype(np.uint64))
+    sum_edge, product_edge = np.repeat(is_sum, counts), np.repeat(is_product, counts)
+    setting = product_edge.copy()
+    setting[(np.cumsum(counts) - counts)[is_sum]] = True
+    # A round ORs each node's k-th scope-setting child into it, for every k;
+    # with the nodes ranked by how many they have, those that have a k-th
+    # are a prefix.
+    fan_in = np.where(is_sum[inner], 1, counts[inner])
+    rank = np.argsort(-fan_in, kind="stable")
+    ranked, first = inner[rank], (np.cumsum(fan_in) - fan_in)[rank]
+    have = np.searchsorted(-fan_in[rank], -np.arange(fan_in.max(initial=0)))
+    settings = children[setting]
+    columns = [settings[first[:m] + k] for k, m in enumerate(have.tolist())]
+    summed, factors = children[sum_edge], children[product_edge]
+    product_starts = np.cumsum(counts[is_product]) - counts[is_product]
+    bits = np.zeros(n, dtype=_INT)
+    for word in scope:
+        for _ in range(_SCOPE_ROUNDS):
+            relaxed = np.zeros(len(ranked), dtype=np.uint64)
+            for column in columns:
+                relaxed[: len(column)] |= word[column]
+            if np.array_equal(relaxed, word[ranked]):
+                break
+            word[ranked] = relaxed
+        else:
+            return False
+        if not np.array_equal(word[summed], np.repeat(word[is_sum], counts[is_sum])):
+            return False
+        bits += np.bitwise_count(word)
+    if not np.array_equal(np.add.reduceat(bits[factors], product_starts), bits[is_product]):
+        return False
+    full = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
+    if c.num_variables % 64:
+        full[-1] = (np.uint64(1) << np.uint64(c.num_variables % 64)) - np.uint64(1)
+    return bool(np.all(scope[:, c.roots] == full[:, None]))
+
+
+def _node_report(circuit: Circuit) -> ValidationReport:
+    """The report of :func:`validate`, node by node: the reference that the
+    array check (:func:`_holds`) must agree with, and what names violations."""
     out: list[Violation] = []
     n = len(circuit.nodes)
 
@@ -1094,30 +1309,161 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (versioned JSON circuit files)
+# Circuit files
+#
+# Format version 2 is an uncompressed .npz archive (a zip of .npy arrays):
+# a "header" member with the JSON {"version": 2, "num_variables": V} as
+# bytes, and one member per column of _Columns.  Raw doubles keep every
+# parameter's bits, -0.0 included.  Version 1, the JSON format of earlier
+# writers, is still read; a zip file is told from it by its first bytes.
+
+_ZIP_MAGIC = b"PK\x03\x04"
 
 
-def _node_to_json(node: Node) -> dict:
-    if node.kind == "sum":
-        return {
-            "kind": "sum",
-            "children": [int(c) for c in node.children],
-            "log_weights": [float(w) for w in node.log_weights],
-        }
-    if node.kind == "product":
-        return {"kind": "product", "children": [int(c) for c in node.children]}
-    if node.kind == "gaussian":
-        return {
-            "kind": "gaussian",
-            "variable": int(node.variable),
-            "mean": float(node.mean),
-            "log_std": float(node.log_std),
-        }
-    return {
-        "kind": "categorical",
-        "variable": int(node.variable),
-        "log_probs": [float(p) for p in node.log_probs],
-    }
+def serialize(circuit: Circuit) -> bytes:
+    """Encode a valid circuit as a circuit file of format version 2."""
+    columns = _columns(circuit)
+    if columns is None or not _holds(columns):
+        report = _node_report(circuit)
+        if not report.ok:
+            raise SerializationError(f"refusing to serialize an invalid circuit:\n{report}")
+        if columns is None:
+            raise SerializationError("refusing to serialize a circuit whose num_variables is no "
+                                     "int, or whose leaves have children or tables of two axes")
+    header = json.dumps({"version": CIRCUIT_FORMAT_VERSION, "num_variables": columns.num_variables})
+    members = {"header": np.frombuffer(header.encode(), dtype=np.uint8),
+               **{name: getattr(columns, name) for name in _MEMBERS}}
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as archive:
+        for name, array in members.items():
+            # np.savez would stamp each member with the current time; the
+            # fixed stamp of a bare ZipInfo gives one circuit one file
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
+                npy_format.write_array(fh, array, allow_pickle=False)
+    return out.getvalue()
+
+
+def deserialize(data: bytes) -> Circuit:
+    """Decode a circuit file of format version 2, or 1; raises
+    SerializationError for a malformed file or an invalid circuit."""
+    if data[:4] != _ZIP_MAGIC:
+        return _deserialize_json(data)
+    columns = _read_columns(data)
+    circuit = _circuit(columns)
+    if not _holds(columns):
+        report = _node_report(circuit)
+        if not report.ok:
+            raise SerializationError(f"circuit file fails validation:\n{report}")
+    return circuit
+
+
+def _malformed(message: str) -> SerializationError:
+    return SerializationError(f"malformed circuit file: {message}")
+
+
+def _num_variables(doc: dict, data: bytes) -> int:
+    """The file's number of variables: an int from 0 up to the file's size,
+    since each variable is some leaf's and each leaf takes some bytes."""
+    count = doc.get("num_variables")
+    if type(count) is not int or not 0 <= count <= len(data):
+        raise _malformed(f"num_variables {count!r} is not a number of variables")
+    return count
+
+
+def _read_columns(data: bytes) -> _Columns:
+    """A version-2 file's columns, each member's presence, dtype and shape
+    checked before it is read, and their lengths checked against each
+    other."""
+    try:
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
+            arrays = {name: _read_member(archive, name, dtype)
+                      for name, dtype in {"header": np.dtype(np.uint8), **_MEMBERS}.items()}
+    except SerializationError:
+        raise
+    # a damaged archive; ValueError covers bad offsets and undecodable names
+    except (zipfile.BadZipFile, EOFError, NotImplementedError, ValueError) as exc:
+        raise SerializationError(f"not a circuit file: {exc}") from exc
+    try:
+        header = json.loads(arrays.pop("header").tobytes())
+    except ValueError as exc:  # undecodable bytes or no JSON
+        raise _malformed(f"header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise _malformed("the header is not an object")
+    version = header.get("version")
+    if version != CIRCUIT_FORMAT_VERSION:
+        raise SerializationError(f"unknown circuit file version {version!r}")
+    c = _Columns(_num_variables(header, data), **arrays)
+
+    kinds, counts, states = c.kinds, c.counts, c.states
+    if np.any(kinds > _CATEGORICAL):
+        raise _malformed(f"unknown node kind code {int(kinds[kinds > _CATEGORICAL][0])}")
+    leaves = kinds >= _GAUSSIAN
+    if (len(counts) != len(kinds) or np.any(counts < 0) or np.any(counts > len(c.children))
+            or np.any(counts[leaves])):
+        raise _malformed("counts must hold one child count per node, 0 for a leaf")
+    if np.any(states < 0) or np.any(states > len(c.log_probs)):
+        raise _malformed("states must lie between 0 and the number of log probabilities")
+    gaussian = np.sum(kinds == _GAUSSIAN)
+    implied = {"children": counts.sum(), "log_weights": counts[kinds == _SUM].sum(),
+               "variables": leaves.sum(), "means": gaussian, "log_stds": gaussian,
+               "states": np.sum(kinds == _CATEGORICAL), "log_probs": states.sum()}
+    for name, length in implied.items():
+        if len(getattr(c, name)) != length:
+            raise _malformed(f"{name} holds {len(getattr(c, name))} values, "
+                             f"but the other members imply {length}")
+    return c
+
+
+def _read_member(archive: zipfile.ZipFile, name: str, dtype: np.dtype) -> np.ndarray:
+    """Member ``name`` as a one-axis array of ``dtype``, its .npy header
+    checked against the bytes stored before an array is allocated."""
+    try:
+        info = archive.getinfo(f"{name}.npy")
+    except KeyError:
+        raise _malformed(f"no member {name!r}") from None
+    if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+        raise _malformed(f"member {name!r} is compressed or encrypted")
+    member = archive.read(info)
+    raw = io.BytesIO(member)
+    try:
+        version = npy_format.read_magic(raw)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"unsupported .npy version {version}")
+        read_header = (npy_format.read_array_header_1_0 if version == (1, 0)
+                       else npy_format.read_array_header_2_0)
+        shape, _, found = read_header(raw)
+    except ValueError as exc:
+        raise _malformed(f"member {name!r}: {exc}") from exc
+    if found != dtype or len(shape) != 1:
+        raise _malformed(f"member {name!r} is an array of {found} with shape {shape}, "
+                         f"expected one axis of {dtype}")
+    stored = len(member) - raw.tell()
+    if shape[0] * dtype.itemsize != stored:
+        raise _malformed(f"member {name!r} declares {shape[0]} values in {stored} bytes")
+    raw.seek(0)
+    return np.load(raw, allow_pickle=False)
+
+
+def _circuit(c: _Columns) -> Circuit:
+    """The circuit whose columns ``c`` are, with the types the version-1
+    reader gives: Python ints and floats, and a float64 array per table."""
+    kids = c.children.tolist()
+    ends = np.cumsum(c.counts).tolist()
+    weights = iter(_split(c.log_weights, c.counts[c.kinds == _SUM]))
+    tables = iter(_split(c.log_probs, c.states))
+    variables, means, log_stds = (iter(a.tolist()) for a in (c.variables, c.means, c.log_stds))
+    make = (lambda a, b: SumNode(kids[a:b], next(weights)),  # by kind code
+            lambda a, b: ProductNode(kids[a:b]),
+            lambda a, b: GaussianLeaf(next(variables), next(means), next(log_stds)),
+            lambda a, b: CategoricalLeaf(next(variables), next(tables)))
+    nodes = [make[k](a, b) for k, a, b in zip(c.kinds.tolist(), [0] + ends, ends)]
+    return Circuit(nodes, c.roots.tolist(), c.num_variables, c.log_class_priors)
+
+
+def _split(values: np.ndarray, lengths: np.ndarray) -> list:
+    """Consecutive slices of ``values`` of the given lengths."""
+    ends = np.cumsum(lengths).tolist()
+    return [values[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _node_from_json(obj: dict) -> Node:
@@ -1136,28 +1482,9 @@ def _node_from_json(obj: dict) -> Node:
     raise SerializationError(f"unknown node kind {kind!r}")
 
 
-def serialize(circuit: Circuit) -> bytes:
-    """Encode a valid circuit as the versioned JSON file format.
-
-    Floats are written as their ``repr``, the shortest decimal that parses
-    back to the same double, so every parameter round-trips bit for bit,
-    -0.0 included; infinities and NaN use the tokens ``Infinity``,
-    ``-Infinity`` and ``NaN``, which the stdlib parser reads back.
-    """
-    report = validate(circuit)
-    if not report.ok:
-        raise SerializationError(f"refusing to serialize an invalid circuit:\n{report}")
-    doc = {
-        "version": CIRCUIT_FORMAT_VERSION,
-        "num_variables": int(circuit.num_variables),
-        "log_class_priors": [float(p) for p in circuit.log_class_priors],
-        "roots": [int(r) for r in circuit.roots],
-        "nodes": [_node_to_json(n) for n in circuit.nodes],
-    }
-    return json.dumps(doc).encode()
-
-
-def deserialize(data: bytes) -> Circuit:
+def _deserialize_json(data: bytes) -> Circuit:
+    """Decode a file of format version 1: a JSON object whose floats are
+    decimals that read back as the written doubles."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -1165,13 +1492,14 @@ def deserialize(data: bytes) -> Circuit:
     if not isinstance(doc, dict):
         raise SerializationError("not a circuit file: top level is not an object")
     version = doc.get("version")
-    if version != CIRCUIT_FORMAT_VERSION:
+    if version != 1:
         raise SerializationError(f"unknown circuit file version {version!r}")
+    num_variables = _num_variables(doc, data)
     try:
         circuit = Circuit(
             nodes=[_node_from_json(n) for n in doc["nodes"]],
             roots=list(doc["roots"]),
-            num_variables=int(doc["num_variables"]),
+            num_variables=num_variables,
             log_class_priors=np.array(doc["log_class_priors"], dtype=np.float64),
         )
     except (KeyError, TypeError, ValueError) as exc:

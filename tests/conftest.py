@@ -56,6 +56,27 @@ root s1
 """
 
 
+def v1_doc(circuit: Circuit) -> dict:
+    """The circuit as a JSON object of circuit format version 1, as its
+    writer wrote it, for tests that edit a file's fields and load the edited
+    file through the version-1 reader: ``deserialize(json.dumps(doc).encode())``."""
+    def record(node):
+        if node.kind in ("sum", "product"):
+            out = {"kind": node.kind, "children": [int(c) for c in node.children]}
+            if node.kind == "sum":
+                out["log_weights"] = [float(w) for w in node.log_weights]
+            return out
+        if node.kind == "gaussian":
+            return {"kind": "gaussian", "variable": int(node.variable), "mean": float(node.mean),
+                    "log_std": float(node.log_std)}
+        return {"kind": "categorical", "variable": int(node.variable),
+                "log_probs": [float(p) for p in node.log_probs]}
+
+    return {"version": 1, "num_variables": int(circuit.num_variables),
+            "log_class_priors": [float(p) for p in circuit.log_class_priors],
+            "roots": [int(r) for r in circuit.roots], "nodes": [record(n) for n in circuit.nodes]}
+
+
 def rel_err(a: float, b: float, floor: float = 1e-30) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
 

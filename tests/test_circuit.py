@@ -1,8 +1,10 @@
 """Circuit model: validation, log-space inference, serialization."""
 
 import dataclasses
+import io
 import json
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -22,8 +24,10 @@ from circuq import (
     build_manual,
     build_rat,
     deserialize,
+    DropoutConfig,
     log_likelihood,
     log_likelihood_batch,
+    posterior_moments_batch,
     RatConfig,
     serialize,
     validate,
@@ -32,7 +36,7 @@ from circuq.enumeration import linear_forward
 from circuq.structures import random_tree_circuit, random_dag_circuit, random_evidence
 from circuq.circuit import logsumexp
 
-from conftest import rel_err
+from conftest import rel_err, v1_doc
 
 
 def gaussian(v=0, mean=0.0, log_std=0.0):
@@ -201,18 +205,13 @@ class TestSerialization:
         assert c2.roots == [0] and c2.num_variables == 1
 
     def test_unnormalized_weights_rejected_on_load(self):
-        import json
-
-        blob = serialize(build_manual("a gaussian 0 0 1\nb gaussian 0 1 1\ns sum 0.5 a 0.5 b\nroot s"))
-        doc = json.loads(blob)
+        doc = v1_doc(build_manual("a gaussian 0 0 1\nb gaussian 0 1 1\ns sum 0.5 a 0.5 b\nroot s"))
         doc["nodes"][2]["log_weights"] = [math.log(0.5), math.log(0.4)]
         with pytest.raises(SerializationError):
             deserialize(json.dumps(doc).encode())
 
     def test_unknown_version(self):
-        blob = serialize(build_manual("a gaussian 0 0 1\nroot a"))
-        import json
-        doc = json.loads(blob)
+        doc = v1_doc(build_manual("a gaussian 0 0 1\nroot a"))
         doc["version"] = 99
         with pytest.raises(SerializationError):
             deserialize(json.dumps(doc).encode())
@@ -227,8 +226,7 @@ class TestSerialization:
     def test_a_non_integer_id_in_a_file_fails_validation(self, field, value, constraint):
         """Ids are read as the file gives them, not truncated to a node or
         variable that the file does not name."""
-        doc = json.loads(serialize(build_manual("a gaussian 0 0 1\nb gaussian 0 1 1\n"
-                                                "s sum 0.5 a 0.5 b\nroot s")))
+        doc = v1_doc(build_manual("a gaussian 0 0 1\nb gaussian 0 1 1\ns sum 0.5 a 0.5 b\nroot s"))
         if field == "roots":
             doc["roots"] = value
         else:
@@ -298,6 +296,8 @@ SPECIAL_MEANS = (-0.0, 5e-324, 1e308, -1e308)
 roundtrip_circuits = st.one_of(
     st.integers(0, 2**32 - 1).map(
         lambda s: random_tree_circuit(np.random.default_rng(s), num_classes=2, gaussian_only=True)),
+    st.integers(0, 2**32 - 1).map(
+        lambda s: random_tree_circuit(np.random.default_rng(s), num_classes=2, num_variables=4)),
     st.integers(0, 2**32 - 1).map(lambda s: random_dag_circuit(np.random.default_rng(s))),
     st.builds(lambda s, i, d, seed: build_rat(RatConfig(s, i, d, 1, 2, 2**d, rng_seed=seed)),
               st.integers(1, 3), st.integers(1, 3), st.integers(1, 2), st.integers(0, 1000)),
@@ -311,8 +311,10 @@ def _bits(value) -> list:
 @settings(max_examples=40, deadline=None)
 @given(roundtrip_circuits, st.data())
 def test_round_trip_is_bitwise_exact(circuit, data):
-    """Extreme means (-0.0 among them) and a zero-weight edge survive a
-    round trip bit for bit, and the forward pass gives identical values."""
+    """Extreme means (-0.0, a subnormal and +-1e308 among them) and a
+    zero-weight edge survive a round trip bit for bit, through the file that
+    serialize writes and through a version-1 file of the same circuit, and
+    the forward pass gives identical values."""
     nodes = list(circuit.nodes)
     leaves = [i for i, n in enumerate(nodes) if n.kind == "gaussian"]
     chosen = data.draw(st.permutations(leaves))[: len(SPECIAL_MEANS)]
@@ -327,23 +329,25 @@ def test_round_trip_is_bitwise_exact(circuit, data):
     c = Circuit(nodes, circuit.roots, circuit.num_variables, circuit.log_class_priors)
     assert validate(c).ok
 
-    c2 = deserialize(serialize(c))
-    assert c2.roots == c.roots and c2.num_variables == c.num_variables
-    assert _bits(c2.log_class_priors) == _bits(c.log_class_priors)
-    for a, b in zip(c.nodes, c2.nodes, strict=True):
-        assert a.kind == b.kind
-        if a.kind in ("sum", "product"):
-            assert b.children == list(a.children)
-        if a.kind == "sum":
-            assert _bits(b.log_weights) == _bits(a.log_weights)
-        if a.kind == "gaussian":
-            assert b.variable == a.variable
-            assert _bits([b.mean, b.log_std]) == _bits([a.mean, a.log_std])
-
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     X = np.array([random_evidence(rng, c, 0.2) for _ in range(4)])
-    with np.errstate(all="ignore"):  # a leaf at mean 1e308 overflows its squared distance
-        assert _bits(log_likelihood_batch(c2, X)) == _bits(log_likelihood_batch(c, X))
+    for c2 in (deserialize(serialize(c)), deserialize(json.dumps(v1_doc(c)).encode())):
+        assert c2.roots == c.roots and c2.num_variables == c.num_variables
+        assert _bits(c2.log_class_priors) == _bits(c.log_class_priors)
+        for a, b in zip(c.nodes, c2.nodes, strict=True):
+            assert a.kind == b.kind
+            if a.kind in ("sum", "product"):
+                assert b.children == list(a.children)
+            if a.kind == "sum":
+                assert _bits(b.log_weights) == _bits(a.log_weights)
+            if a.kind in ("gaussian", "categorical"):
+                assert b.variable == a.variable
+            if a.kind == "gaussian":
+                assert _bits([b.mean, b.log_std]) == _bits([a.mean, a.log_std])
+            if a.kind == "categorical":
+                assert _bits(b.log_probs) == _bits(a.log_probs)
+        with np.errstate(all="ignore"):  # a leaf at mean 1e308 overflows its squared distance
+            assert _bits(log_likelihood_batch(c2, X)) == _bits(log_likelihood_batch(c, X))
 
 
 def test_is_tree_detects_sharing():
@@ -352,3 +356,237 @@ def test_is_tree_detects_sharing():
     assert not c.is_tree()
     chain = [gaussian(0), SumNode([0], np.zeros(1))]
     assert Circuit(chain, [1], 1, np.zeros(1)).is_tree()
+
+
+# ---------------------------------------------------------------------------
+# The circuit file, format version 2
+
+TWO_LEAF_MIXTURE = "a gaussian 0 0 1\nb gaussian 0 1 1\ns sum 0.5 a 0.5 b\nroot s"
+MEMBERS = ["header", "kinds", "counts", "children", "log_weights", "variables", "means",
+           "log_stds", "states", "log_probs", "roots", "log_class_priors"]
+
+
+def members(blob: bytes) -> dict:
+    """The arrays of a version-2 file, by member name."""
+    with np.load(io.BytesIO(blob), allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def archive(arrays: dict) -> bytes:
+    """A zip of .npy members: arrays, or raw member bytes, by name."""
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as z:
+        for name, value in arrays.items():
+            if not isinstance(value, bytes):
+                npy = io.BytesIO()
+                np.save(npy, value, allow_pickle=True)
+                value = npy.getvalue()
+            z.writestr(f"{name}.npy", value)
+    return out.getvalue()
+
+
+def header(**fields) -> np.ndarray:
+    return np.frombuffer(json.dumps({"version": 2, "num_variables": 1, **fields}).encode(),
+                         dtype=np.uint8)
+
+
+def huge_member() -> bytes:
+    """An .npy member whose header declares 10**12 child ids in 16 bytes."""
+    npy = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        npy, {"descr": "<i8", "fortran_order": False, "shape": (10**12,)})
+    return npy.getvalue() + np.zeros(2, dtype=np.int64).tobytes()
+
+
+class TestCircuitFile:
+    def test_the_file_is_an_npz_of_columns(self):
+        c = build_manual(TWO_LEAF_MIXTURE)
+        blob = serialize(c)
+        assert blob[:4] == b"PK\x03\x04" and blob == serialize(c)
+        arrays = members(blob)
+        assert list(arrays) == MEMBERS
+        assert json.loads(arrays.pop("header").tobytes()) == {"version": 2, "num_variables": 1}
+        assert {k: v.tolist() for k, v in arrays.items()} == {
+            "kinds": [2, 2, 0], "counts": [0, 0, 2], "children": [0, 1],
+            "log_weights": [math.log(0.5)] * 2, "variables": [0, 0], "means": [0.0, 1.0],
+            "log_stds": [0.0, 0.0], "states": [], "log_probs": [], "roots": [2],
+            "log_class_priors": [0.0]}
+
+    def test_a_mid_rat_round_trips_its_likelihoods_and_tdi_bit_for_bit(self):
+        c = build_rat(RatConfig(10, 10, 4, 5, 10, 64, rng_seed=1))
+        c2 = deserialize(serialize(c))
+        X = np.random.default_rng(0).normal(size=(8, 64))
+        X[1, ::3] = np.nan
+        config = DropoutConfig.with_p(0.1)
+        assert _bits(log_likelihood_batch(c2, X)) == _bits(log_likelihood_batch(c, X))
+        for a, b in zip(posterior_moments_batch(c2, X, config),
+                        posterior_moments_batch(c, X, config), strict=True):
+            assert _bits(a) == _bits(b)
+
+    @pytest.mark.parametrize("count", [2.9, "2", True, -1], ids=["float", "string", "bool",
+                                                                  "negative"])
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_num_variables_must_be_a_count(self, version, count):
+        """Neither reader truncates a count: such a file used to load as a
+        circuit over int(count) variables."""
+        c = build_manual("a gaussian 0 0 1\nb gaussian 1 1 1\np product a b\nroot p")
+        if version == 1:
+            doc = v1_doc(c)
+            doc["num_variables"] = count
+            blob = json.dumps(doc).encode()
+        else:
+            blob = archive({**members(serialize(c)), "header": header(num_variables=count)})
+        with pytest.raises(SerializationError, match=r"num_variables .* is not a number"):
+            deserialize(blob)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda m, blob: blob[: len(blob) // 2], "not a circuit file"),
+        (lambda m, blob: b"\x00\x01 no zip and no JSON", "not a circuit file"),
+        (lambda m, blob: archive({k: v for k, v in m.items() if k != "children"}),
+         "no member 'children'"),
+        (lambda m, blob: archive({**m, "children": m["children"].astype(np.float64)}),
+         "member 'children' is an array of float64"),
+        (lambda m, blob: archive({**m, "roots": m["roots"].astype(object)}),
+         "member 'roots' is an array of object"),
+        (lambda m, blob: archive({**m, "means": m["means"][None]}),
+         r"member 'means' .* shape \(1, 2\)"),
+        (lambda m, blob: archive({**m, "counts": np.array([0, 0, 3])}), "counts must hold"),
+        (lambda m, blob: archive({**m, "counts": np.array([0, 0, 1])}),
+         "children holds 2 values, but the other members imply 1"),
+        (lambda m, blob: archive({**m, "kinds": np.array([2, 2, 7], dtype=np.uint8)}),
+         "unknown node kind code 7"),
+        (lambda m, blob: archive({**m, "header": header(version=3)}),
+         "unknown circuit file version 3"),
+        (lambda m, blob: archive({**m, "header": np.frombuffer(b"[2]", np.uint8)}),
+         "header is not an object"),
+        (lambda m, blob: archive({**m, "children": huge_member()}),
+         "member 'children' declares 1000000000000 values in 16 bytes"),
+    ], ids=["truncated", "no-zip", "missing-member", "float-child-ids", "object-array",
+            "two-axes", "counts-past-children", "counts-do-not-sum", "unknown-kind",
+            "wrong-version", "header-no-object", "huge-shape"])
+    def test_a_malformed_file_is_a_serialization_error(self, change, message):
+        blob = serialize(build_manual(TWO_LEAF_MIXTURE))
+        with pytest.raises(SerializationError, match=message):
+            deserialize(change(members(blob), blob))
+
+    def test_an_invalid_circuit_in_a_file_gets_the_node_report(self):
+        arrays = members(serialize(build_manual(TWO_LEAF_MIXTURE)))
+        arrays["log_weights"] = np.log([0.5, 0.4])
+        with pytest.raises(SerializationError) as raised:
+            deserialize(archive(arrays))
+        assert str(raised.value) == (
+            "circuit file fails validation:\n[weight-normalization] node=2: "
+            "weights sum to 0.9, expected 1")
+
+    def test_damaged_bytes_raise_only_serialization_errors(self):
+        blob = serialize(build_manual("a gaussian 0 0 1\nb categorical 1 0.3 0.7\n"
+                                      "p product a b\nq product a b\ns sum 0.5 p 0.5 q\nroot s"))
+        rng = np.random.default_rng(0)
+        damaged = [blob[:cut] for cut in range(0, len(blob), 7)]
+        for _ in range(300):
+            flipped = bytearray(blob)
+            flipped[rng.integers(len(blob))] = rng.integers(256)
+            damaged.append(bytes(flipped))
+        for data in damaged:
+            try:
+                deserialize(data)
+            except SerializationError:
+                pass
+
+
+# ---------------------------------------------------------------------------
+# validate() on columns agrees with the node report
+
+
+def _corrupt_id(value, n, i, draw):
+    return draw(st.sampled_from([str(value), float(value), bool(value % 2), np.int64(value),
+                                 np.uint8(value % 256), n, -1, i, min(i + 1, n)]))
+
+
+def _corrupted(circuit: Circuit, data) -> Circuit:
+    """The circuit with one corruption drawn from those validate must report."""
+    draw = data.draw
+    nodes, roots = list(circuit.nodes), list(circuit.roots)
+    priors = np.array(circuit.log_class_priors)
+    n, eps = len(nodes), np.finfo(np.float64).eps
+    inner = [i for i, node in enumerate(nodes) if node.kind in ("sum", "product")]
+    leaves = [i for i, node in enumerate(nodes) if node.kind in ("gaussian", "categorical")]
+    sums = [i for i in inner if nodes[i].kind == "sum"]
+    kind = draw(st.sampled_from(["none", "child", "root", "variable", "smoothness",
+                                 "decomposability", "weights", "parameter", "priors"]))
+    if kind == "child" and inner:
+        i = draw(st.sampled_from(inner))
+        k = draw(st.integers(0, len(nodes[i].children) - 1))
+        children = list(nodes[i].children)
+        children[k] = _corrupt_id(children[k], n, i, draw)
+        nodes[i] = dataclasses.replace(nodes[i], children=children)
+    elif kind == "root":
+        k = draw(st.integers(0, len(roots) - 1))
+        roots[k] = _corrupt_id(roots[k], n, n, draw)
+    elif kind == "variable":
+        i = draw(st.sampled_from(leaves))
+        v = nodes[i].variable
+        nodes[i] = dataclasses.replace(nodes[i], variable=draw(st.sampled_from(
+            [circuit.num_variables, -1, float(v), str(v), True, np.int32(v)])))
+    elif kind in ("smoothness", "decomposability") and inner:
+        i = draw(st.sampled_from(inner))
+        children = list(nodes[i].children)
+        children[draw(st.integers(0, len(children) - 1))] = draw(st.integers(0, i - 1))
+        nodes[i] = dataclasses.replace(nodes[i], children=children)
+    elif kind == "weights" and sums:
+        i = draw(st.sampled_from(sums))
+        off = draw(st.sampled_from([1e-9, -1e-9, 0.0])) + draw(st.integers(-6, 6)) * eps
+        nodes[i] = SumNode(nodes[i].children, nodes[i].log_weights + math.log1p(off))
+    elif kind == "parameter":
+        bad = draw(st.sampled_from([np.nan, np.inf, 1j, 0.5 + 0j]))
+        i = draw(st.sampled_from(leaves + sums))
+        node = nodes[i]
+        if node.kind == "gaussian":
+            nodes[i] = dataclasses.replace(node, **{draw(st.sampled_from(["mean", "log_std"])): bad})
+        else:
+            field = "log_weights" if node.kind == "sum" else "log_probs"
+            table = np.array(getattr(node, field), dtype=np.result_type(np.float64, bad))
+            table[draw(st.integers(0, len(table) - 1))] = bad
+            nodes[i] = dataclasses.replace(node, **{field: table})
+    elif kind == "priors":
+        priors = draw(st.sampled_from([np.append(priors, -np.inf), priors[:-1],
+                                       priors + np.nan, priors + 0j]))
+    return Circuit(nodes, roots, circuit.num_variables, priors)
+
+
+validated_circuits = st.one_of(
+    st.integers(0, 2**32 - 1).map(
+        lambda s: random_tree_circuit(np.random.default_rng(s), num_classes=2)),
+    st.integers(0, 2**32 - 1).map(lambda s: random_dag_circuit(np.random.default_rng(s))),
+    st.builds(lambda v, seed: build_rat(RatConfig(1, 2, 2, 1, 2, v, rng_seed=seed)),
+              st.integers(4, 140), st.integers(0, 1000)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(validated_circuits, st.data())
+def test_validate_on_columns_agrees_with_the_node_report(circuit, data):
+    """On random corruptions of random trees, DAGs and RATs (up to 140
+    variables, three scope words), validate's report is the node report's,
+    violation for violation, and a version-2 file of the corrupted columns
+    fails to load with the report of the circuit it decodes to.  The array
+    check itself decides every uncorrupted circuit valid."""
+    from circuq.circuit import _circuit, _columns, _holds, _node_report, _MEMBERS
+
+    columns = _columns(circuit)
+    assert columns is not None and _holds(columns)
+    c = _corrupted(circuit, data)
+    report = _node_report(c)
+    assert validate(c).violations == report.violations
+    columns = _columns(c)
+    if columns is None:
+        return
+    blob = archive({"header": header(num_variables=columns.num_variables),
+                    **{name: getattr(columns, name) for name in _MEMBERS}})
+    want = _node_report(_circuit(columns))
+    if want.ok:
+        assert deserialize(blob).roots == columns.roots.tolist()
+    else:
+        with pytest.raises(SerializationError) as raised:
+            deserialize(blob)
+        assert str(raised.value) == f"circuit file fails validation:\n{want}"

@@ -13,6 +13,8 @@ from circuq import (CovarianceStrategy, Dataset, DropoutConfig, McdConfig, load,
 from circuq.cli import build_parser, main
 from circuq.evaluation import EvalConfig, posterior_means
 
+from conftest import v1_doc
+
 SUBCOMMANDS = ("build", "train", "eval", "tdi", "mcd", "compare", "ood",
                "perturb", "corrupt", "oracle")
 
@@ -92,8 +94,9 @@ class TestExitCodes:
 
     def test_invalid_circuit_is_4(self, workspace):
         bad = workspace / "bad.circuit"
-        model = (workspace / "build" / "model.circuit").read_bytes()
-        bad.write_bytes(model.replace(b'"version": 1', b'"version": 9'))
+        doc = v1_doc(load(workspace / "build" / "model.circuit"))
+        doc["version"] = 9
+        bad.write_text(json.dumps(doc))
         rc = main(["eval", "--model", str(bad), "--data", str(workspace / "data.csv"),
                    "--out", str(workspace / "out_bad")])
         assert rc == 4
@@ -109,7 +112,7 @@ class TestExitCodes:
         ["corrupt", "--data", "{data}"],
     ])
     def test_a_string_node_id_is_4(self, workspace, argv, capsys):
-        doc = json.loads((workspace / "build" / "model.circuit").read_bytes())
+        doc = v1_doc(load(workspace / "build" / "model.circuit"))
         node = next(n for n in doc["nodes"] if n["kind"] != "gaussian")
         node["children"][0] = str(node["children"][0])
         bad = workspace / "string_child.circuit"

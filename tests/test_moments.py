@@ -1,5 +1,6 @@
 """Closed-form dropout moments: exactness, covariance strategies, posteriors."""
 
+import io
 import json
 import math
 import pathlib
@@ -41,7 +42,7 @@ from circuq.structures import (
     random_tree_circuit,
 )
 
-from conftest import permuted, rel_err, repetitions
+from conftest import permuted, rel_err, repetitions, v1_doc
 
 
 def root_moments(frame, circuit):
@@ -403,7 +404,7 @@ class TestRatExact:
     ], ids=["factors-swapped"])
     def test_a_tampered_rat_block_is_a_structure_error(self, tamper, message):
         c = build_rat(RatConfig(2, 1, 2, 1, 2, 4, rng_seed=3))
-        doc = json.loads(serialize(c))
+        doc = v1_doc(c)
         assert doc["nodes"][10]["children"] == [3, 8]
         tamper(doc)
         tampered = deserialize(json.dumps(doc).encode())
@@ -475,7 +476,7 @@ class TestRatExactFromStructure:
         assert "rat" in json.loads(data)
         old = deserialize(data)
         untagged = deserialize(serialize(build_rat(TAGGED_RAT)))
-        assert "rat" not in json.loads(serialize(untagged))
+        assert "rat" not in np.load(io.BytesIO(serialize(untagged))).files
         assert serialize(old) == serialize(untagged)
         assert rat_exact_bits(old, ROWS) == rat_exact_bits(untagged, ROWS)
 
