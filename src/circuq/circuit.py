@@ -1,10 +1,12 @@
 """Circuit data model, structural validation, the circuit file, the layer
 plan, and log-space likelihood inference.
 
-A circuit is a dense arena of nodes in topological order (children strictly
-before parents).  Sum nodes mix same-scope children with normalized weights,
-product nodes factorize disjoint-scope children, and leaves are univariate
-distributions.  On first use a circuit compiles into a layer plan, stacks of
+A circuit is nodes in topological order (children strictly before parents),
+held as columns, one array per field of every node of a kind, the arrays of
+the circuit file; node objects are built from them only when read.  Sum
+nodes mix same-scope children with normalized weights, product nodes
+factorize disjoint-scope children, and leaves are univariate distributions.
+On first use a circuit compiles from its columns into a layer plan, stacks of
 node groups that each run as one dense step: sums that share a child list mix
 it as one matrix product, and products that are every combination of their
 factors' nodes add them as one outer sum.  Every pass runs on these groups:
@@ -13,7 +15,7 @@ columns into Monte Carlo dropout passes), the moment pass, and training's
 reverse pass, which walks the groups backwards.
 
 Circuits are treated as immutable after construction: evaluation never writes
-to the node arena, and the cached plan is derived from it, so a circuit can be
+to the columns, and the cached plan is derived from them, so a circuit can be
 shared freely across threads.  The one thing passes share is the layout's
 store of spare pass arrays, and each array is taken from it whole.
 Validation is a separate pass rather than a constructor check, which keeps it
@@ -29,14 +31,14 @@ import json
 import math
 import numbers
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .errors import ParameterError, SerializationError, ShapeError
+from .errors import ParameterError, SerializationError, ShapeError, StructureError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -86,18 +88,39 @@ class CategoricalLeaf:
 Node = Union[SumNode, ProductNode, GaussianLeaf, CategoricalLeaf]
 
 
-@dataclass
 class Circuit:
-    """Arena of nodes in topological order plus one root per class."""
+    """Nodes in topological order plus one root per class.
 
-    nodes: list[Node]
-    roots: list[int]
-    num_variables: int
-    log_class_priors: np.ndarray
+    A circuit holds its nodes as columns (:class:`_Columns`), the arrays of
+    the circuit file: :func:`circuq.structures.build_rat`,
+    :func:`deserialize` and training make such circuits, and validation,
+    the file and the layer plan read the columns.  ``nodes`` is a list of
+    node objects built from them on first read; from then on that list is
+    the circuit's nodes, so an edit to it shows in :func:`validate` and
+    :func:`serialize`.  ``Circuit(nodes, roots, num_variables,
+    log_class_priors)`` makes a circuit of node objects, as hand-built
+    circuits are made; their columns are converted from the nodes where
+    they are read.
+    """
 
-    _scopes: Optional[list[int]] = field(default=None, repr=False, compare=False)
-    _layout: Optional["Layout"] = field(default=None, repr=False, compare=False)
-    _plan: Optional["Plan"] = field(default=None, repr=False, compare=False)
+    def __init__(self, nodes: Optional[list], roots: list, num_variables: int,
+                 log_class_priors: np.ndarray):
+        if nodes is not None:
+            self.nodes = nodes
+        self._source = None  # the columns, or a function that makes them
+        self.roots = roots
+        self.num_variables = num_variables
+        self.log_class_priors = log_class_priors
+        self._scopes: Optional[list[int]] = None
+        self._layout: Optional[Layout] = None
+        self._plan: Optional[Plan] = None
+
+    @functools.cached_property
+    def nodes(self) -> list:
+        """The node objects, built from the columns on first read and then
+        kept as a plain attribute, which the exact covariance recursion reads
+        once per node pair."""
+        return _node_view(_columns(self))
 
     @property
     def num_classes(self) -> int:
@@ -145,6 +168,31 @@ class Circuit:
     def is_tree(self) -> bool:
         """True when no node is shared between parents (roots included)."""
         return self.layout().is_tree
+
+    def with_plan(self, plan: "Plan") -> "Circuit":
+        """This circuit with the parameters of ``plan``, a plan of its layout.
+
+        The new circuit carries that plan, so its passes compile nothing, and
+        its columns are derived from this circuit's and the plan when first
+        read.
+        """
+        circuit = _backed(functools.partial(_planned_columns, self, plan), self.roots,
+                          self.num_variables, self.log_class_priors)
+        circuit._layout, circuit._plan = plan.layout, plan
+        return circuit
+
+
+def _backed(source, roots: list, num_variables: int, log_class_priors: np.ndarray) -> Circuit:
+    """A circuit whose nodes are the columns ``source``, or the columns that
+    the function ``source`` makes when first called."""
+    circuit = Circuit(None, roots, num_variables, log_class_priors)
+    circuit._source = source
+    return circuit
+
+
+def _of_columns(c: "_Columns") -> Circuit:
+    """The circuit whose columns ``c`` are."""
+    return _backed(c, c.roots.tolist(), c.num_variables, c.log_class_priors)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +287,9 @@ def validate(circuit: Circuit) -> ValidationReport:
 
 # A circuit as columns: one array per field, over every node of a kind in
 # node order, with each node's children, weights or probabilities in turn
-# (compressed sparse rows).  The circuit file holds these arrays, and
-# validate() checks them.
+# (compressed sparse rows).  A circuit holds its nodes in these arrays, the
+# circuit file holds them, validate() checks them and the layer plan is
+# compiled from them.
 
 _SUM, _PRODUCT, _GAUSSIAN, _CATEGORICAL = range(4)  # kind codes, the leaves' last
 _TYPE_CODE = {SumNode: _SUM, ProductNode: _PRODUCT, GaussianLeaf: _GAUSSIAN,
@@ -307,11 +356,22 @@ def _tables(tables: list) -> Optional[tuple[np.ndarray, np.ndarray]]:
 
 
 def _columns(circuit: Circuit) -> Optional[_Columns]:
-    """The circuit's columns, or None when a value is of a type that
-    :func:`_node_report` reports or that the columns cannot hold exactly: an
-    id or variable that is no integer, a parameter that is no real number, a
-    weight table whose length is not its sum's child count, a leaf with
-    children, or a ``num_variables`` that is no int."""
+    """The circuit's columns: its own, made on first call where they are
+    derived, until its nodes are read; from then on the nodes' columns,
+    converted afresh on each call (:func:`_node_columns`)."""
+    if "nodes" in vars(circuit):
+        return _node_columns(circuit)
+    if not isinstance(circuit._source, _Columns):
+        circuit._source = circuit._source()
+    return circuit._source
+
+
+def _node_columns(circuit: Circuit) -> Optional[_Columns]:
+    """The columns of the circuit's nodes, or None when a value is of a type
+    that :func:`_node_report` reports or that the columns cannot hold
+    exactly: an id or variable that is no integer, a parameter that is no
+    real number, a weight table whose length is not its sum's child count, a
+    leaf with children, or a ``num_variables`` that is no int."""
     num_variables = circuit.num_variables
     if type(num_variables) is not int or num_variables < 0:
         return None
@@ -346,6 +406,19 @@ def _columns(circuit: Circuit) -> Optional[_Columns]:
                     log_stds, probs[1], probs[0], roots, priors.astype(_REAL, copy=False))
 
 
+def _planned_columns(circuit: Circuit, plan: "Plan") -> _Columns:
+    """The columns of ``circuit`` with the sum log weights and Gaussian
+    parameters of ``plan``, a plan of its layout: the plan's edges go back to
+    node order through :attr:`Layout.sum_edge_order`, and its Gaussian
+    leaves are in node order already."""
+    layout = plan.layout
+    log_weights = np.empty(layout.num_sum_edges)
+    log_weights[layout.sum_edge_order] = np.concatenate(
+        [np.zeros(0)] + [lw.ravel() for lw in plan.log_weights if lw is not None])
+    return replace(_columns(circuit), log_weights=log_weights, means=plan.mean,
+                   log_stds=plan.log_std)
+
+
 # validate() decides a circuit valid from its columns only where a
 # normalization sum clears NORMALIZATION_TOL by this many ulps per term: the
 # columns sum each table's exponentials in another order than the node
@@ -372,16 +445,26 @@ def _normalized(log_values: np.ndarray, lengths: np.ndarray) -> bool:
 
 def _holds(c: _Columns) -> bool:
     """True when the columns meet every rule of :func:`_node_report`; False
-    when one fails, or when the arithmetic is too close to tell."""
+    when one fails, or when the arithmetic is too close to tell.
+
+    The rules on a node's children hold for a node of a run (:func:`_run_heads`)
+    when they hold for its run's first node, which has the same kind and
+    children and a lower id; so they are checked on the first nodes alone.
+    """
     n, kinds, counts, children = len(c.kinds), c.kinds, c.counts, c.children
     is_sum, is_product = kinds == _SUM, kinds == _PRODUCT
     inner = np.flatnonzero(is_sum | is_product)
-    parent = np.repeat(np.arange(n), counts)
+    starts = np.cumsum(counts) - counts
+    head = _run_heads(kinds, counts, starts, children)
+    runs = inner[head[inner] == inner]  # each run's first node
+    fan = counts[runs]
+    edge = np.cumsum(fan) - fan  # each run's first child in kids
+    kids = children[np.repeat(starts[runs] - edge, fan) + np.arange(fan.sum())]
     if (np.any(counts[inner] == 0) or not len(c.roots)
             # a root covers every variable only if each is some leaf's
             or c.num_variables > len(c.variables)
             or not np.all((c.roots >= 0) & (c.roots < n))
-            or not np.all((children >= 0) & (children < parent))
+            or not np.all((kids >= 0) & (kids < np.repeat(runs, fan)))
             or not np.all((c.variables >= 0) & (c.variables < c.num_variables))
             or not (np.all(np.isfinite(c.means)) and np.all(np.isfinite(c.log_stds)))
             or not _normalized(c.log_weights, counts[is_sum])
@@ -390,49 +473,50 @@ def _holds(c: _Columns) -> bool:
             or _unnormalized(c.log_class_priors) is not None):
         return False
 
-    # Scopes as bit-words, 64 variables to a uint64, each word on its own.
+    # Scopes as bit-words, 64 variables to a uint64, a row of words per node.
     # A sum takes its first child's scope and a product the union of its
-    # children's, level by level until none changes.  Then, when each sum's
-    # children all share its scope, every scope is the union of the node's
-    # children's, as the node report computes it.
+    # children's, level by level until none changes, on the runs' first
+    # nodes, which read their children's runs' first nodes; then each node
+    # takes its run's scope.  Then, when each sum's children all share its
+    # scope, every scope is the union of the node's children's, as the node
+    # report computes it.
     words = max(1, -(-c.num_variables // 64))
-    scope = np.zeros((words, n), dtype=np.uint64)
-    scope[c.variables // 64, np.flatnonzero(~(is_sum | is_product))] = (
+    scope = np.zeros((n, words), dtype=np.uint64)
+    scope[np.flatnonzero(~(is_sum | is_product)), c.variables // 64] = (
         np.uint64(1) << (c.variables % 64).astype(np.uint64))
-    sum_edge, product_edge = np.repeat(is_sum, counts), np.repeat(is_product, counts)
-    setting = product_edge.copy()
-    setting[(np.cumsum(counts) - counts)[is_sum]] = True
+    summing = kinds[runs] == _SUM
     # A round ORs each node's k-th scope-setting child into it, for every k;
     # with the nodes ranked by how many they have, those that have a k-th
     # are a prefix.
-    fan_in = np.where(is_sum[inner], 1, counts[inner])
+    fan_in = np.where(summing, 1, fan)
     rank = np.argsort(-fan_in, kind="stable")
-    ranked, first = inner[rank], (np.cumsum(fan_in) - fan_in)[rank]
+    ranked, first = runs[rank], edge[rank]
     have = np.searchsorted(-fan_in[rank], -np.arange(fan_in.max(initial=0)))
-    settings = children[setting]
+    settings = head[kids]
     columns = [settings[first[:m] + k] for k, m in enumerate(have.tolist())]
-    summed, factors = children[sum_edge], children[product_edge]
-    product_starts = np.cumsum(counts[is_product]) - counts[is_product]
-    bits = np.zeros(n, dtype=_INT)
-    for word in scope:
-        for _ in range(_SCOPE_ROUNDS):
-            relaxed = np.zeros(len(ranked), dtype=np.uint64)
-            for column in columns:
-                relaxed[: len(column)] |= word[column]
-            if np.array_equal(relaxed, word[ranked]):
-                break
-            word[ranked] = relaxed
-        else:
-            return False
-        if not np.array_equal(word[summed], np.repeat(word[is_sum], counts[is_sum])):
-            return False
-        bits += np.bitwise_count(word)
-    if not np.array_equal(np.add.reduceat(bits[factors], product_starts), bits[is_product]):
+    for _ in range(_SCOPE_ROUNDS):
+        relaxed = np.zeros((len(ranked), words), dtype=np.uint64)
+        for column in columns:
+            relaxed[: len(column)] |= np.take(scope, column, axis=0)
+        if np.array_equal(relaxed, np.take(scope, ranked, axis=0)):
+            break
+        scope[ranked] = relaxed
+    else:
+        return False
+    scope = np.take(scope, head, axis=0)  # rows taken whole: faster than indexing
+    if not np.array_equal(np.take(scope, kids[np.repeat(summing, fan)], axis=0),
+                          np.repeat(scope[runs[summing]], fan[summing], axis=0)):
+        return False
+    bits = np.bitwise_count(scope).sum(axis=1, dtype=_INT)
+    products = fan[~summing]
+    if not np.array_equal(np.add.reduceat(bits[kids[np.repeat(~summing, fan)]],
+                                          np.cumsum(products) - products),
+                          bits[runs[~summing]]):
         return False
     full = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
     if c.num_variables % 64:
         full[-1] = (np.uint64(1) << np.uint64(c.num_variables % 64)) - np.uint64(1)
-    return bool(np.all(scope[:, c.roots] == full[:, None]))
+    return bool(np.all(scope[c.roots] == full))
 
 
 def _node_report(circuit: Circuit) -> ValidationReport:
@@ -970,37 +1054,39 @@ class Plan:
         out[...] = np.where(observed, self.log_probs[b][np.arange(len(k))[:, None], k], 0.0)
 
 
+def _compiled_columns(circuit: Circuit) -> _Columns:
+    c = _columns(circuit)
+    if c is None:
+        raise StructureError("the circuit has node ids, variables or parameters of a type "
+                             "no pass can run on; validate() names them")
+    return c
+
+
 def _compile_layout(circuit: Circuit) -> Layout:
-    nodes = circuit.nodes
-    n = len(nodes)
-    fan_in = np.array([len(node.children) if node.kind == "sum" else 0 for node in nodes])
-    edge_start = np.cumsum(fan_in) - fan_in
-    depth = [0] * n
-    levels: dict[tuple[int, str], list[int]] = {}
-    for i, node in enumerate(nodes):
-        if node.children:
-            depth[i] = 1 + max(map(depth.__getitem__, node.children))
-        levels.setdefault((depth[i], node.kind), []).append(i)
+    c = _compiled_columns(circuit)
+    kinds, counts, children = c.kinds, c.counts, c.children
+    n = len(kinds)
+    starts = np.cumsum(counts) - counts
+    fan_in = np.where(kinds == _SUM, counts, 0)
+    edge_start = np.cumsum(fan_in) - fan_in  # each sum's first log weight
+    head = _run_heads(kinds, counts, starts, children)
+    depth = _depths(counts, starts, children, head)
 
     stacked, edge_order = [], []  # (kind, nodes, factors, distinct) per layer
-    leaves = {kind: (np.zeros(0, dtype=np.int64),) * 2 for kind in ("gaussian", "categorical")}
-    for (_, kind), ids in sorted(levels.items()):
-        if kind in ("gaussian", "categorical"):
-            ids = np.array(ids, dtype=np.int64)
-            leaves[kind] = (ids, np.array([nodes[i].variable for i in ids], dtype=np.int64))
-            continue
-        grouping = _sum_groups if kind == "sum" else _product_groups
-        stacks: dict[tuple, list] = {}  # group shape -> groups, in order of first node
-        for members, factors in grouping(nodes, ids):
-            stacks.setdefault((len(members), *map(len, factors)), []).append((members, factors))
-        for groups in stacks.values():
-            ids = np.array([members for members, _ in groups], dtype=np.int64)
-            factors = tuple(np.array(f, dtype=np.int64) for f in zip(*(fs for _, fs in groups)))
-            distinct = all(len(np.unique(f)) == f.size for f in factors)
+    level = 2 * depth + (kinds == _SUM)  # by depth, products before sums
+    inner = np.flatnonzero(counts > 0)
+    inner = inner[np.argsort(level[inner], kind="stable")]
+    for ids in np.split(inner, np.flatnonzero(np.diff(level[inner])) + 1) if len(inner) else ():
+        kind = "sum" if kinds[ids[0]] == _SUM else "product"
+        for members, factors in (_sum_stacks(ids, counts, starts, children, head)
+                                 if kind == "sum" else _product_stacks(ids, counts, starts, children)):
             if kind == "sum":
-                edges = edge_start[ids][:, :, None] + np.arange(factors[0].shape[1])
+                edges = edge_start[members][:, :, None] + np.arange(factors[0].shape[1])
                 edge_order.append(edges.ravel())
-            stacked.append((kind, ids, factors, distinct))
+            stacked.append((kind, members, factors, all(map(_distinct, factors))))
+    leaf_kinds = kinds[kinds >= _GAUSSIAN]
+    leaves = {kind: (np.flatnonzero(kinds == code), c.variables[leaf_kinds == code])
+              for kind, code in (("gaussian", _GAUSSIAN), ("categorical", _CATEGORICAL))}
 
     order = np.concatenate([ids for ids, _ in leaves.values()]
                            + [ids.ravel() for _, ids, _, _ in stacked])
@@ -1015,18 +1101,19 @@ def _compile_layout(circuit: Circuit) -> Layout:
             layers.append(ProductLayer(ids, factors, distinct, start, reads))
         start += ids.size
 
-    references = np.concatenate([layer.edge_ends()[1] for layer in layers] + [circuit.roots])
-    parents = np.bincount(references.astype(np.int64), minlength=n)
+    parents = np.bincount(np.concatenate([children, c.roots]), minlength=n)
     first_sum = next((k for k, layer in enumerate(layers) if layer.kind == "sum"), len(layers))
     invariant = layers[first_sum].start if first_sum < len(layers) else n
     narrow = tuple(layer.kind == "sum" and bool(np.all(layer.reads[0].slots < invariant))
                    for layer in layers)
     wide_reads = [read.slots.ravel() for layer, one in zip(layers[first_sum:], narrow[first_sum:])
                   if not one for read in layer.reads]
-    shared = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)] + wide_reads))
+    shared = np.zeros(n, dtype=bool)
+    shared[np.concatenate([np.zeros(0, dtype=np.int64)] + wide_reads)] = True
+    shared = np.flatnonzero(shared)
     # reads per slot: a sum group reads each child once, and the roots are read too
     readers = np.bincount(np.concatenate([read.slots.ravel() for layer in layers
-                                          for read in layer.reads] + [slot[circuit.roots]]),
+                                          for read in layer.reads] + [slot[c.roots]]),
                           minlength=n)
     fused = tuple(
         layer.kind == "product" and sums is not None and sums.kind == "sum"
@@ -1041,16 +1128,98 @@ def _compile_layout(circuit: Circuit) -> Layout:
                   shared[shared < invariant], fused)
 
 
-def _sum_groups(nodes, ids: list[int]) -> list:
-    """(members, [children]) per distinct child list, members in node order."""
-    groups: dict[tuple, list[int]] = {}
-    for i in ids:
-        groups.setdefault(tuple(nodes[i].children), []).append(i)
-    return [(members, [list(children)]) for children, members in groups.items()]
+def _run_heads(kinds, counts, starts, children) -> np.ndarray:
+    """Per node, the first node of its run: a run is consecutive nodes of one
+    kind over one child list, such as the sums of one RAT region."""
+    n = len(kinds)
+    same = np.zeros(n, dtype=bool)
+    same[1:] = (kinds[1:] == kinds[:-1]) & (counts[1:] == counts[:-1]) & (counts[1:] > 0)
+    candidates = np.flatnonzero(same)
+    for end in (0, 1):  # the first and the last child first
+        at = starts[candidates] + end * (counts[candidates] - 1)
+        same[candidates] &= children[at] == children[at - counts[candidates]]
+    candidates = np.flatnonzero(same)
+    # each stretch of candidates shares its child count: their children and
+    # the node's before them form one block of rows, compared with itself
+    # one row on
+    for stretch in np.split(candidates, np.flatnonzero(np.diff(candidates) != 1) + 1):
+        if len(stretch):
+            first, last = int(stretch[0]), int(stretch[-1])
+            k = int(counts[first])
+            block = children[starts[first] - k : starts[last] + k]
+            same[first : last + 1] = (block[k:] == block[:-k]).reshape(-1, k).all(axis=1)
+    return np.maximum.accumulate(np.where(same, 0, np.arange(n)))
 
 
-def _product_groups(nodes, ids: list[int]) -> list:
-    """(members, factor lists) per outer group of products.
+def _depths(counts, starts, children, head) -> np.ndarray:
+    """Per node, 0 for a leaf, else one more than its deepest child: relaxed
+    round by round over the children of each run's first node, whose depth
+    its run shares."""
+    n = len(counts)
+    heads = np.flatnonzero((head == np.arange(n)) & (counts > 0))
+    fan_in = counts[heads]
+    first = np.cumsum(fan_in) - fan_in
+    kids = children[np.repeat(starts[heads] - first, fan_in) + np.arange(fan_in.sum())]
+    depth = np.zeros(n, dtype=np.int64)
+    for _ in range(n):  # a circuit's depth is below its node count
+        deeper = np.maximum.reduceat(depth[kids], first) + 1 if len(heads) else heads
+        if np.array_equal(deeper, depth[heads]):
+            break
+        depth[heads] = deeper
+        depth = depth[head]
+    return depth
+
+
+def _distinct(ids: np.ndarray) -> bool:
+    """True when no id appears twice."""
+    ids = np.sort(ids, axis=None)
+    return not np.any(ids[1:] == ids[:-1])
+
+
+def _distinct_per(keys: np.ndarray, base: int, parts: int) -> np.ndarray:
+    """The number of distinct ``keys`` of each part, the keys of part p
+    lying in [p * base, (p + 1) * base)."""
+    keys = np.sort(keys)
+    return np.bincount(keys[np.r_[True, keys[1:] != keys[:-1]]] // base, minlength=parts)
+
+
+def _stacks(shapes: np.ndarray):
+    """(groups, shape) per distinct row of ``shapes``, the groups' shapes, in
+    order of each shape's first group: groups of one shape stack into one
+    layer."""
+    distinct, first, which = np.unique(shapes, axis=0, return_index=True, return_inverse=True)
+    which = which.reshape(-1)
+    for s in np.argsort(first).tolist():
+        yield np.flatnonzero(which == s), distinct[s].tolist()
+
+
+def _sum_stacks(ids, counts, starts, children, head) -> list:
+    """(members, (children,)) per stack of sum groups among the sums ``ids``
+    of one level: the sums over one child list are a group, in node order,
+    and the groups go in order of their first member."""
+    runs = head[ids]  # non-decreasing, as ids are
+    runs = runs[np.r_[True, runs[1:] != runs[:-1]]]  # the first sum of each run
+    group = np.empty(len(runs), dtype=np.int64)  # each run's group: its list's first run
+    for k in np.unique(counts[runs]).tolist():
+        these = runs[counts[runs] == k]
+        rows = children[starts[these][:, None] + np.arange(k)]  # as bytes, one item per row
+        _, first, which = np.unique(rows.view(np.dtype((np.void, rows.itemsize * k))).ravel(),
+                                    return_index=True, return_inverse=True)
+        group[counts[runs] == k] = these[first[which.reshape(-1)]]
+    group = group[np.searchsorted(runs, head[ids])]
+    order = np.lexsort((ids, group))
+    ids, group = ids[order], group[order]
+    lead = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])  # each group's first sum
+    size = np.diff(np.r_[lead, len(ids)])
+    return [(ids[lead[g, None] + np.arange(members)],
+             (children[starts[ids[lead[g]]][:, None] + np.arange(k)],))
+            for g, (members, k) in _stacks(np.column_stack([size, counts[ids[lead]]]))]
+
+
+def _product_stacks(ids, counts, starts, children) -> list:
+    """(members, factors) per stack of outer product groups among the
+    products ``ids`` of one level, those of one arity at a time, in order of
+    each arity's first product.
 
     Each product points at its earliest same-arity sibling that shares a
     child at some position, and follows those pointers to their end; in an
@@ -1059,49 +1228,62 @@ def _product_groups(nodes, ids: list[int]) -> list:
     combination of each position's distinct children in first-seen order;
     otherwise each of its products is a group of one.
     """
-    by_arity: dict[int, list[int]] = {}
-    for i in ids:
-        by_arity.setdefault(len(nodes[i].children), []).append(i)
-    groups = []
-    for members in by_arity.values():
-        kids = np.array([nodes[i].children for i in members], dtype=np.int64)
+    arity = counts[ids]
+    stacks = []
+    for a in arity[np.sort(np.unique(arity, return_index=True)[1])].tolist():
+        members = ids[arity == a]
+        kids = children[starts[members][:, None] + np.arange(a)]
         end = np.arange(len(members))
         for column in kids.T:
             _, first, inverse = np.unique(column, return_index=True, return_inverse=True)
             end = np.minimum(end, first[inverse])
         while np.any(end[end] != end):
             end = end[end]
-        parts: dict[int, list[int]] = {}
-        for k, e in enumerate(end.tolist()):
-            parts.setdefault(e, []).append(k)
-        for part in parts.values():
-            rows = [nodes[members[k]].children for k in part]
-            factors = [list(dict.fromkeys(column)) for column in zip(*rows)]
-            if len(rows) == 1 or list(map(list, itertools.product(*factors))) == rows:
-                groups.append(([members[k] for k in part], factors))
-            else:
-                groups.extend(([members[k]], [[c] for c in row]) for k, row in zip(part, rows))
-    return groups
+        order = np.argsort(end, kind="stable")
+        members, kids, end = members[order], kids[order], end[order]
+        lead = np.flatnonzero(np.r_[True, end[1:] != end[:-1]])  # each set's first product
+        size = np.diff(np.r_[lead, len(members)])
+        part = np.repeat(np.arange(len(lead)), size)
+        base = int(kids.max()) + 1
+        width = np.stack([_distinct_per(part * base + column, base, len(lead))
+                          for column in kids.T], axis=1)
+        combinations = np.ones(len(lead), dtype=np.int64)
+        for w in width.T:  # capped, since no width exceeds its set's size
+            combinations = np.minimum(combinations * w, size + 1)
+        outer = combinations == size
+        width[~outer] = 1
+        stride = np.cumprod(width[:, ::-1], axis=1)[:, ::-1] // width  # later widths' product
+        row = np.arange(len(members)) - lead[part]
+        at = lead[part, None] + row[:, None] // stride[part] % width[part] * stride[part]
+        outer &= np.logical_and.reduceat(np.all(kids[at, np.arange(a)] == kids, axis=1), lead)
+        width[~outer] = 1
+        groups = np.flatnonzero((row == 0) | ~outer[part])  # each group's first product
+        shapes = np.column_stack([np.where(outer[part[groups]], size[part[groups]], 1),
+                                  width[part[groups]]])
+        for g, (count, *widths) in _stacks(shapes):
+            first = groups[g, None]
+            strides = np.cumprod([1] + widths[:0:-1])[::-1].tolist()
+            stacks.append((members[first + np.arange(count)],
+                           tuple(kids[first + np.arange(w) * s, f]
+                                 for f, (w, s) in enumerate(zip(widths, strides)))))
+    return stacks
 
 
 def _compile_plan(circuit: Circuit, layout: Layout) -> Plan:
-    nodes = circuit.nodes
-    gaussian = [nodes[i] for i in layout.leaves["gaussian"][0]]
-    mean = np.array([g.mean for g in gaussian], dtype=np.float64)
-    log_std = np.array([g.log_std for g in gaussian], dtype=np.float64)
-    tables = [np.asarray(nodes[i].log_probs, dtype=np.float64)
-              for i in layout.leaves["categorical"][0]]
-    states = np.array([len(t) for t in tables], dtype=np.int64)
-    log_probs = np.full((len(tables), states.max(initial=0)), -np.inf)
-    for k, t in enumerate(tables):
-        log_probs[k, : len(t)] = t
-    log_weights = [
-        None if layer.kind != "sum" else np.array(
-            [nodes[i].log_weights for i in layer.nodes.ravel()], dtype=np.float64
-        ).reshape(layer.shape)
-        for layer in layout.layers
-    ]
-    return Plan(layout, log_weights, mean, log_std, log_probs, states)
+    c = _compiled_columns(circuit)
+    tables = len(c.states)
+    row = np.repeat(np.arange(tables), c.states)
+    log_probs = np.full((tables, c.states.max(initial=0)), -np.inf)
+    log_probs[row, np.arange(len(row)) - (np.cumsum(c.states) - c.states)[row]] = c.log_probs
+    log_weights, start = [], 0
+    for layer in layout.layers:
+        if layer.kind == "sum":
+            edges = layout.sum_edge_order[start : start + math.prod(layer.shape)]
+            log_weights.append(c.log_weights[edges].reshape(layer.shape))
+            start += len(edges)
+        else:
+            log_weights.append(None)
+    return Plan(layout, log_weights, c.means, c.log_stds, log_probs, c.states)
 
 
 # ---------------------------------------------------------------------------
@@ -1304,8 +1486,11 @@ def logsumexp_axis0(terms: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Normalized log weights from unconstrained logits."""
-    return logits - logsumexp(logits)
+    """Normalized log weights from the unconstrained logits of each row of a
+    2-D array; a row's log normalizer has the bits of its :func:`logsumexp`."""
+    m = logits.max(axis=1)
+    total = np.exp(logits - m[:, None]).sum(axis=1)
+    return logits - (m + np.array([math.log(t) for t in total.tolist()]))[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -1349,7 +1534,7 @@ def deserialize(data: bytes) -> Circuit:
     if data[:4] != _ZIP_MAGIC:
         return _deserialize_json(data)
     columns = _read_columns(data)
-    circuit = _circuit(columns)
+    circuit = _of_columns(columns)
     if not _holds(columns):
         report = _node_report(circuit)
         if not report.ok:
@@ -1444,9 +1629,10 @@ def _read_member(archive: zipfile.ZipFile, name: str, dtype: np.dtype) -> np.nda
     return np.load(raw, allow_pickle=False)
 
 
-def _circuit(c: _Columns) -> Circuit:
-    """The circuit whose columns ``c`` are, with the types the version-1
-    reader gives: Python ints and floats, and a float64 array per table."""
+def _node_view(c: _Columns) -> list:
+    """The node objects whose columns ``c`` are, with the types the
+    version-1 reader gives: Python ints and floats, and a float64 array per
+    table."""
     kids = c.children.tolist()
     ends = np.cumsum(c.counts).tolist()
     weights = iter(_split(c.log_weights, c.counts[c.kinds == _SUM]))
@@ -1456,8 +1642,7 @@ def _circuit(c: _Columns) -> Circuit:
             lambda a, b: ProductNode(kids[a:b]),
             lambda a, b: GaussianLeaf(next(variables), next(means), next(log_stds)),
             lambda a, b: CategoricalLeaf(next(variables), next(tables)))
-    nodes = [make[k](a, b) for k, a, b in zip(c.kinds.tolist(), [0] + ends, ends)]
-    return Circuit(nodes, c.roots.tolist(), c.num_variables, c.log_class_priors)
+    return [make[k](a, b) for k, a, b in zip(c.kinds.tolist(), [0] + ends, ends)]
 
 
 def _split(values: np.ndarray, lengths: np.ndarray) -> list:

@@ -111,7 +111,8 @@ def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
     """
     config.check()
     values = as_evidence(evidence, circuit.num_variables)
-    num_edges = circuit.layout().num_sum_edges
+    layout = circuit.layout()
+    num_edges = layout.num_sum_edges
     L = config.num_passes
     C = circuit.num_classes
 
@@ -119,7 +120,7 @@ def mcd_infer(circuit: Circuit, evidence, config: McdConfig) -> McdResult:
         log_roots = np.repeat(forward_log_values(circuit, values[None, :], nodes=circuit.roots),
                               L, 1)
     else:
-        pass_bytes = 8 * len(circuit.nodes) + num_edges  # node values and keep bits
+        pass_bytes = 8 * len(layout.order) + num_edges  # node values and keep bits
         chunk = max(1, _CHUNK_BYTES // pass_bytes // 8) * 8
         log_roots = np.empty((C, L))
         masks = keep_masks(config.p, config.rng_seed, num_edges, L, chunk)

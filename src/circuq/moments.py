@@ -498,7 +498,7 @@ def posterior_moments_batch(
         root_cov = np.zeros((C, C, n))
         log_v = None  # every node's log variance, where EXTENDED needs it
         if config.covariance_strategy is CovarianceStrategy.RAT_EXACT:
-            log_e = np.empty((len(circuit.nodes), n))
+            log_e = np.empty((len(circuit.layout().order), n))
             log_v = np.empty_like(log_e)
             for r in range(n):
                 frame = tdi_pass(circuit, chunk[r], config)

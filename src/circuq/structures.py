@@ -4,10 +4,12 @@
 recursively splits the variable set into two balanced random parts, leaf
 regions hold factorized Gaussian input distributions, internal regions hold
 sum nodes over all cross products of their child regions, and the class heads
-mix the root-partition products of every repetition.  The result is plain
-nodes: the exact covariance strategy reads each region (the sums over one
-set of children) and repetition (a connected component below the heads)
-off the structure itself.
+mix the root-partition products of every repetition.  It appends each
+region's columns, the arrays a circuit holds its nodes in, in one step; no
+node object is made.  Nothing tags the regions: the exact covariance
+strategy reads each region (the sums over one set of children) and
+repetition (a connected component below the heads) off the structure
+itself.
 
 ``build_manual`` parses a small line-oriented text description into a
 circuit, which is how the hand-crafted fixtures for the enumeration oracle
@@ -22,11 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import (
+    _GAUSSIAN,
+    _PRODUCT,
+    _SUM,
     CategoricalLeaf,
     Circuit,
     GaussianLeaf,
     ProductNode,
     SumNode,
+    _Columns,
+    _of_columns,
     log_softmax,
     validate,
 )
@@ -57,52 +64,67 @@ class RatConfig:
 
 
 def build_rat(config: RatConfig) -> Circuit:
-    """Deterministically construct the tensorized structure for ``config``."""
+    """Deterministically construct the tensorized structure for ``config``.
+
+    Each region appends its nodes' columns in one step, in the node order
+    and with the random draws of a node-by-node build: a leaf region draws
+    its (I, variables) leaf means as one array, and an internal region its
+    (S, products) weight logits.
+    """
     config.check()
     rng = np.random.default_rng(config.rng_seed)
-    nodes: list = []
+    I, S = config.num_input_dists, config.num_sums
+    kinds, counts, children, log_weights, variables, means = ([] for _ in range(6))
+    size = 0
 
-    def add(node) -> int:
-        nodes.append(node)
-        return len(nodes) - 1
+    def add(codes: np.ndarray, fan_in: np.ndarray) -> np.ndarray:
+        """Append nodes of these kind codes and child counts; returns their ids."""
+        nonlocal size
+        kinds.append(codes.astype(np.uint8))
+        counts.append(fan_in.astype(np.int64))
+        size += len(codes)
+        return np.arange(size - len(codes), size)
 
-    def build_region(variables: np.ndarray, level: int) -> list[int]:
+    def add_sums(kids: np.ndarray, logits: np.ndarray) -> np.ndarray:
+        """Append one sum over ``kids`` per row of weight logits."""
+        children.append(np.tile(kids, len(logits)))
+        log_weights.append(log_softmax(logits).ravel())
+        return add(np.full(len(logits), _SUM), np.full(len(logits), len(kids)))
+
+    def build_region(scope: np.ndarray, level: int) -> np.ndarray:
         """Returns the ids of this region's nodes (dists or sums)."""
         if level == config.depth:
-            dists = []
-            for _ in range(config.num_input_dists):
-                leaves = [
-                    add(GaussianLeaf(int(v), float(rng.normal(0.0, 1.0)), 0.0))
-                    for v in variables
-                ]
-                dists.append(leaves[0] if len(leaves) == 1 else add(ProductNode(leaves)))
-            return dists
-        perm = rng.permutation(variables)
+            v = len(scope)
+            variables.append(np.tile(scope, I))
+            means.append(rng.normal(0.0, 1.0, size=(I, v)).ravel())
+            if v == 1:
+                return add(np.full(I, _GAUSSIAN), np.zeros(I))
+            # each dist is its leaves, one per variable, then their product
+            ids = add(np.tile(np.r_[np.full(v, _GAUSSIAN), _PRODUCT], I),
+                      np.tile(np.r_[np.zeros(v), v], I)).reshape(I, v + 1)
+            children.append(ids[:, :-1].ravel())
+            return ids[:, -1]
+        perm = rng.permutation(scope)
         half = len(perm) // 2
         left = build_region(np.sort(perm[:half]), level + 1)
         right = build_region(np.sort(perm[half:]), level + 1)
-        products = [add(ProductNode([l, r])) for l in left for r in right]
+        children.append(np.stack(np.meshgrid(left, right, indexing="ij"), axis=-1).ravel())
+        products = add(np.full(len(left) * len(right), _PRODUCT),
+                       np.full(len(left) * len(right), 2))
         if level == 0:
             return products  # root-partition products feed the class heads
-        return [add(SumNode(list(products), log_softmax(rng.normal(0.0, 0.1, size=len(products)))))
-                for _ in range(config.num_sums)]
+        return add_sums(products, rng.normal(0.0, 0.1, size=(S, len(products))))
 
-    variables = np.arange(config.num_variables)
-    top: list[int] = []
-    for _ in range(config.num_repetitions):
-        top.extend(build_region(variables, 0))
-
-    roots = []
-    for _ in range(config.num_classes):
-        logits = rng.normal(0.0, 0.1, size=len(top))
-        roots.append(add(SumNode(list(top), log_softmax(logits))))
-
-    circuit = Circuit(
-        nodes=nodes,
-        roots=roots,
-        num_variables=config.num_variables,
-        log_class_priors=np.full(config.num_classes, -math.log(config.num_classes)),
-    )
+    top = np.concatenate([build_region(np.arange(config.num_variables), 0)
+                          for _ in range(config.num_repetitions)])
+    C = config.num_classes
+    roots = add_sums(top, rng.normal(0.0, 0.1, size=(C, len(top))))
+    means = np.concatenate(means)
+    circuit = _of_columns(_Columns(
+        config.num_variables, np.concatenate(kinds), np.concatenate(counts),
+        np.concatenate(children), np.concatenate(log_weights), np.concatenate(variables), means,
+        np.zeros(len(means)), np.zeros(0, dtype=np.int64), np.zeros(0), roots,
+        np.full(C, -math.log(C))))
     report = validate(circuit)
     if not report.ok:  # pragma: no cover - construction bug guard
         raise StructureError(f"generated structure fails validation:\n{report}")
@@ -114,7 +136,7 @@ def structure_stats(circuit: Circuit) -> dict:
     layout = circuit.layout()
     gauss = 2 * len(layout.leaves["gaussian"][0])
     return {
-        "nodes": len(circuit.nodes),
+        "nodes": len(layout.order),
         "edges": sum(len(layer.edge_ends()[1]) for layer in layout.layers),
         "sum_edges": layout.num_sum_edges,
         "parameters": layout.num_sum_edges + gauss,

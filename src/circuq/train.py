@@ -30,20 +30,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .circuit import (
     SHIFT_FLOOR,
     Circuit,
-    GaussianLeaf,
     as_batch,
     Layout,
-    Plan,
-    SumNode,
     forward_log_values,
     log_likelihood_batch,
     logsumexp_axis0,
@@ -141,9 +136,9 @@ class ParameterSpace:
 
         Builds only the plan's parameter arrays: one log-softmax per sum layer
         and one clip of the log stds, none of them a view of θ.  The circuit
-        carries that plan, so its passes compile nothing, and its nodes are
-        built on first read.  Raises ParameterError for a non-finite leaf
-        parameter.
+        carries that plan, so its passes compile nothing, and its columns are
+        derived from the plan on first read (:meth:`Circuit.with_plan`).
+        Raises ParameterError for a non-finite leaf parameter.
         """
         plan = self.circuit.plan()
         logits, mean, log_std = _blocks(theta, plan.layout)
@@ -152,43 +147,7 @@ class ParameterSpace:
                        for lg in logits]
         plan = dataclasses.replace(plan, log_weights=log_weights, mean=mean.copy(),
                                    log_std=np.clip(log_std, -LOG_STD_CLAMP, LOG_STD_CLAMP))
-        return dataclasses.replace(self.circuit, nodes=_PlanNodes(self.circuit.nodes, plan),
-                                   _layout=plan.layout, _plan=plan)
-
-
-class _PlanNodes(Sequence):
-    """The node list of a circuit made by :meth:`ParameterSpace.apply`: the
-    structure's nodes with the plan's parameters, built on first read, since
-    training itself reads only the plan."""
-
-    def __init__(self, structure: Sequence, plan: Plan):
-        self._structure = structure
-        self._plan = plan
-        self._nodes: Optional[list] = None
-
-    def __len__(self) -> int:
-        return len(self._structure)
-
-    def __getitem__(self, i):
-        return self._built()[i]
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def _built(self) -> list:
-        if self._nodes is None:
-            nodes = list(self._structure)
-            layout = self._plan.layout
-            for layer, lw in zip(layout.layers, self._plan.log_weights):
-                if lw is not None:
-                    rows = lw.reshape(-1, lw.shape[-1])
-                    for i, row in zip(layer.nodes.ravel().tolist(), rows):
-                        nodes[i] = SumNode(list(nodes[i].children), row.copy())
-            for i, mean, log_std in zip(layout.leaves["gaussian"][0].tolist(),
-                                        self._plan.mean.tolist(), self._plan.log_std.tolist()):
-                nodes[i] = GaussianLeaf(nodes[i].variable, mean, log_std)
-            self._nodes = nodes
-        return self._nodes
+        return self.circuit.with_plan(plan)
 
 
 # ---------------------------------------------------------------------------

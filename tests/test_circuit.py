@@ -27,11 +27,17 @@ from circuq import (
     DropoutConfig,
     log_likelihood,
     log_likelihood_batch,
+    McdConfig,
+    mcd_infer,
     posterior_moments_batch,
     RatConfig,
     serialize,
+    structure_stats,
+    TrainConfig,
+    fit,
     validate,
 )
+import circuq.circuit as circuit_module
 from circuq.enumeration import linear_forward
 from circuq.structures import random_tree_circuit, random_dag_circuit, random_evidence
 from circuq.circuit import logsumexp
@@ -54,6 +60,12 @@ class TestValidate:
         report = validate(c)
         assert not report.ok
         assert any(v.constraint == "decomposability" and v.node == 2 for v in report.violations)
+
+    def test_a_product_after_a_sum_over_its_children_is_checked_as_a_product(self):
+        nodes = [gaussian(0), gaussian(0), SumNode([0, 1], np.log([0.5, 0.5])),
+                 ProductNode([0, 1])]
+        report = validate(Circuit(nodes, [3], 1, np.zeros(1)))
+        assert [(v.constraint, v.node) for v in report.violations] == [("decomposability", 3)]
 
     def test_smoothness_violation(self):
         nodes = [gaussian(0), gaussian(1), SumNode([0, 1], np.log([0.5, 0.5])),
@@ -398,6 +410,30 @@ def huge_member() -> bytes:
     return npy.getvalue() + np.zeros(2, dtype=np.int64).tobytes()
 
 
+class TestColumnStorage:
+    def test_the_hot_paths_build_no_node_objects(self, monkeypatch):
+        """A loaded mid RAT runs the forward, moment and masked passes, a
+        training epoch, a save and a validation on its columns alone, and so
+        does the circuit that training returns."""
+        c = deserialize(serialize(build_rat(RatConfig(10, 10, 4, 5, 10, 64, rng_seed=1))))
+
+        def refuse(columns):
+            raise AssertionError("node objects were built")
+
+        monkeypatch.setattr(circuit_module, "_node_view", refuse)
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(6, 64))
+        log_likelihood_batch(c, X)
+        posterior_moments_batch(c, X, DropoutConfig.with_p(0.1))
+        trained, history = fit(c, X, rng.integers(10, size=6),
+                               TrainConfig(epochs=1, batch_size=3, learning_rate=0.02))
+        assert len(history.epochs) == 1
+        mcd_infer(c, X[0], McdConfig(0.1, 20, 0))
+        for circuit in (c, trained):
+            assert validate(circuit).ok and deserialize(serialize(circuit)).num_classes == 10
+            assert structure_stats(circuit)["nodes"] == 12_210
+
+
 class TestCircuitFile:
     def test_the_file_is_an_npz_of_columns(self):
         c = build_manual(TWO_LEAF_MIXTURE)
@@ -560,6 +596,9 @@ validated_circuits = st.one_of(
     st.integers(0, 2**32 - 1).map(lambda s: random_dag_circuit(np.random.default_rng(s))),
     st.builds(lambda v, seed: build_rat(RatConfig(1, 2, 2, 1, 2, v, rng_seed=seed)),
               st.integers(4, 140), st.integers(0, 1000)),
+    # regions of two sums over four products, whose second sum repeats the first's children
+    st.builds(lambda v, seed: build_rat(RatConfig(2, 2, 2, 1, 2, v, rng_seed=seed)),
+              st.integers(4, 70), st.integers(0, 1000)),
 )
 
 
@@ -571,7 +610,7 @@ def test_validate_on_columns_agrees_with_the_node_report(circuit, data):
     violation for violation, and a version-2 file of the corrupted columns
     fails to load with the report of the circuit it decodes to.  The array
     check itself decides every uncorrupted circuit valid."""
-    from circuq.circuit import _circuit, _columns, _holds, _node_report, _MEMBERS
+    from circuq.circuit import _columns, _holds, _node_report, _MEMBERS, _of_columns
 
     columns = _columns(circuit)
     assert columns is not None and _holds(columns)
@@ -583,7 +622,7 @@ def test_validate_on_columns_agrees_with_the_node_report(circuit, data):
         return
     blob = archive({"header": header(num_variables=columns.num_variables),
                     **{name: getattr(columns, name) for name in _MEMBERS}})
-    want = _node_report(_circuit(columns))
+    want = _node_report(_of_columns(columns))
     if want.ok:
         assert deserialize(blob).roots == columns.roots.tolist()
     else:

@@ -1,6 +1,7 @@
 """The layer plan: how sums and products group, and that grouped and
 ungrouped evaluation of one circuit agree."""
 
+import itertools
 import math
 import pickle
 import sys
@@ -18,8 +19,10 @@ from circuq import (
     ShapeError,
     build_manual,
     build_rat,
+    deserialize,
     log_likelihood,
     log_likelihood_batch,
+    serialize,
     tdi_pass,
     tdi_pass_batch,
 )
@@ -534,3 +537,146 @@ def test_grouped_and_single_groups_agree(circuit, seed, p):
     index = theta_map(circuit, other, perms)
     np.testing.assert_allclose(grad_a, grad_b[index], rtol=0,
                                atol=1e-12 * max(1.0, np.max(np.abs(grad_b))))
+
+
+# ---------------------------------------------------------------------------
+# The compile over columns against a grouping that walks the nodes
+
+
+def node_layers(circuit: Circuit) -> tuple[list, list]:
+    """Each layer's (kind, nodes, factors) and the plan's sum edge order,
+    grouped node by node: the reference for the compile over columns.
+
+    Nodes fall into levels by depth (one more than the deepest child) and
+    kind, the products of a depth before its sums.  Within a level, the
+    sums over one child list are a group, in order of their first member.
+    Each product points at its earliest same-arity sibling that shares a
+    child at some position and follows those pointers to their end; a set of
+    products with one end is a group when it is, in node order, every
+    combination of each position's distinct children in first-seen order,
+    and otherwise each of its products is a group of one.  Groups of one
+    shape stack into a layer, in order of their first group.
+    """
+    nodes = circuit.nodes
+    depth, levels, edge_start, edges = [0] * len(nodes), {}, {}, 0
+    for i, node in enumerate(nodes):
+        if node.children:
+            depth[i] = 1 + max(depth[c] for c in node.children)
+            levels.setdefault((depth[i], node.kind), []).append(i)
+        if node.kind == "sum":
+            edge_start[i], edges = edges, edges + len(node.children)
+    layers, edge_order = [], []
+    for (_, kind), ids in sorted(levels.items()):
+        groups = []
+        if kind == "sum":
+            by_children = {}
+            for i in ids:
+                by_children.setdefault(tuple(nodes[i].children), []).append(i)
+            groups = [(members, [list(kids)]) for kids, members in by_children.items()]
+        by_arity = {}
+        for i in ids if kind == "product" else ():
+            by_arity.setdefault(len(nodes[i].children), []).append(i)
+        for members in by_arity.values():
+            end = list(range(len(members)))
+            for f in range(len(nodes[members[0]].children)):
+                first = {}
+                for k, i in enumerate(members):
+                    end[k] = min(end[k], first.setdefault(nodes[i].children[f], k))
+            parts = {}
+            for k in range(len(end)):
+                while end[end[k]] != end[k]:
+                    end[k] = end[end[k]]
+                parts.setdefault(end[k], []).append(k)
+            for part in parts.values():
+                rows = [list(nodes[members[k]].children) for k in part]
+                factors = [list(dict.fromkeys(column)) for column in zip(*rows)]
+                if [list(combination) for combination in itertools.product(*factors)] == rows:
+                    groups.append(([members[k] for k in part], factors))
+                else:
+                    groups += [([members[k]], [[c] for c in row]) for k, row in zip(part, rows)]
+        stacks = {}
+        for members, factors in groups:
+            stacks.setdefault((len(members), *map(len, factors)), []).append((members, factors))
+        for stack in stacks.values():
+            ids = [members for members, _ in stack]
+            layers.append((kind, ids, [[fs[f] for _, fs in stack] for f in range(len(stack[0][1]))]))
+            if kind == "sum":
+                edge_order += [edge_start[i] + k for row, (_, (kids,)) in zip(ids, stack)
+                               for i in row for k in range(len(kids))]
+    return layers, edge_order
+
+
+def bits(arrays) -> list:
+    return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    rat_configs.map(build_rat),
+    st.integers(0, 2**32 - 1).map(lambda s: deserialize(serialize(
+        random_tree_circuit(np.random.default_rng(s), num_classes=2)))),
+    st.integers(0, 2**32 - 1).map(lambda s: deserialize(serialize(
+        random_dag_circuit(np.random.default_rng(s)))))),
+    st.integers(0, 2**32 - 1))
+def test_columns_and_nodes_compile_alike(circuit, seed):
+    """A circuit held as columns and one made of its node objects compile to
+    the node-by-node grouping's layers and edge order and to one layout and
+    plan, and every pass gives the same bits on both."""
+    layout, plan = circuit.layout(), circuit.plan()  # compiled before the nodes are read
+    nodes = Circuit(list(circuit.nodes), list(circuit.roots), circuit.num_variables,
+                    circuit.log_class_priors)
+    expected, edge_order = node_layers(nodes)
+    for one in (layout, nodes.layout()):
+        assert [(layer.kind, layer.nodes.tolist(),
+                 [f.tolist() for f in (layer.factors if layer.kind == "product"
+                                       else (layer.children,))])
+                for layer in one.layers] == expected
+        assert one.sum_edge_order.tolist() == edge_order
+    other = nodes.layout()
+    assert other is not layout
+    for name in ("slot", "order", "shared"):
+        assert bits([getattr(layout, name)]) == bits([getattr(other, name)])
+    for name in ("prefix", "invariant", "narrow", "fused", "is_tree", "regions"):
+        assert getattr(layout, name) == getattr(other, name)
+    assert {k: bits(v) for k, v in layout.leaves.items()} == {
+        k: bits(v) for k, v in other.leaves.items()}
+    for a, b in zip(layout.layers, other.layers, strict=True):
+        assert (a.distinct, a.start) == (b.distinct, b.start)
+        assert [(r.strides, r.first) for r in a.reads] == [(r.strides, r.first) for r in b.reads]
+        assert bits(r.slots for r in a.reads) == bits(r.slots for r in b.reads)
+    for name in ("log_weights", "weights"):
+        assert bits(getattr(plan, name)) == bits(getattr(nodes.plan(), name))
+    assert bits([plan.mean, plan.log_std, plan.log_probs, plan.states, plan.inv_std]) == bits(
+        [nodes.plan().mean, nodes.plan().log_std, nodes.plan().log_probs, nodes.plan().states,
+         nodes.plan().inv_std])
+
+    rng = np.random.default_rng(seed)
+    X = np.array([random_evidence(rng, nodes, 0.2) for _ in range(5)])
+    keep = rng.random((7, layout.num_sum_edges)) >= 0.3
+    config = DropoutConfig.with_p(0.2)
+    for a, b in ((circuit, nodes), (nodes, circuit)):
+        assert bits([forward_log_values(a, X), log_likelihood_batch(a, X),
+                     *tdi_pass_batch(a, X, config), forward_log_values(a, X[:1], keep)]) == bits(
+            [forward_log_values(b, X), log_likelihood_batch(b, X),
+             *tdi_pass_batch(b, X, config), forward_log_values(b, X[:1], keep)])
+
+
+def test_a_run_of_sums_is_a_whole_child_list():
+    """Sums that share their first and last child but not the middle one are
+    two groups, and a repeated child list one."""
+    c = build_manual("""
+    g0 gaussian 0 0.0 1.0
+    g1 gaussian 0 0.5 1.0
+    g2 gaussian 0 -0.5 1.0
+    g3 gaussian 0 1.0 1.0
+    a sum 0.2 g0 0.3 g1 0.5 g3
+    b sum 0.2 g0 0.3 g2 0.5 g3
+    c sum 0.4 g0 0.3 g2 0.3 g3
+    r sum 0.5 a 0.25 b 0.25 c
+    root r
+    """)
+    c = deserialize(serialize(c))
+    layers = c.layout().layers
+    assert [layer.nodes.tolist() for layer in layers] == [[[4]], [[5, 6]], [[7]]]
+    assert node_layers(c)[0] == [(layer.kind, layer.nodes.tolist(), [layer.children.tolist()])
+                                 for layer in layers]
