@@ -30,6 +30,7 @@ import itertools
 import json
 import math
 import numbers
+import threading
 import zipfile
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -817,12 +818,29 @@ class ProductLayer(_Output):
 
 _SPARE_BYTES = 1 << 26  # pass arrays a layout keeps for its next passes
 _SPARE_MIN = 1 << 22  # smaller pass arrays are left to the allocator
+_PREPARED_BYTES = 1 << 20  # prepared passes a layout keeps for its next passes
+
+
+@dataclass
+class PreparedPass:
+    """A pass's (nodes, columns) ``arrays`` and its ``steps``: per layer
+    step, the views of those arrays, and of any scratch arrays, that its
+    kernels read and write, made once.  ``nbytes`` counts the arrays and
+    the scratch."""
+
+    arrays: tuple
+    steps: list
+    nbytes: int
 
 
 class _SpareArrays:
     """Value arrays of finished passes, kept by width for later passes of the
     same layout: those of at least ``_SPARE_MIN`` bytes, while they total at
-    most ``_SPARE_BYTES``.
+    most ``_SPARE_BYTES``.  And prepared passes (:class:`PreparedPass`),
+    kept by request while their bytes total at most ``_PREPARED_BYTES``; a
+    pass that does not fit evicts those given longest ago.  A pass whose
+    first array its caller holds, as training does, counts as kept, and is
+    taken back when the caller gives that array back.
 
     A pass's (nodes, columns) arrays can be large (25 MB each at mid and 256
     rows).  Allocated fresh for every pass, they cost page faults whenever
@@ -830,13 +848,18 @@ class _SpareArrays:
     once freed memory at the top of its heap passes its trim threshold.  A
     kept array is reused in place.  Small arrays cost little to fault in, and
     kept for every width a pipeline uses, they would only add to its memory.
-    Taking and giving are single list operations, atomic under the
-    interpreter lock, so two passes never get one array.  A pickled layout
-    keeps none.
+    A small pass costs instead the numpy views that each of its layers
+    makes, which a kept prepared pass has made already.  Taking and giving
+    arrays are single list operations, atomic under the interpreter lock,
+    and prepared passes are taken and given under a lock, so two passes
+    never get one array.  A pickled layout keeps none.
     """
 
     def __init__(self):
         self._by_width: dict[int, list] = {}
+        self._prepared: list[tuple] = []  # (key, pass), the last given last
+        self._lent: dict[int, tuple] = {}  # id of a held first array -> (key, its pass)
+        self._lock = threading.Lock()
 
     def __reduce__(self):
         return (_SpareArrays, ())
@@ -852,13 +875,45 @@ class _SpareArrays:
         return np.empty((rows, columns))
 
     def give(self, *arrays: np.ndarray) -> None:
-        """Keep arrays that nothing else refers to any more, while they fit."""
+        """Keep arrays that nothing else refers to any more, while they fit,
+        and the prepared passes whose first arrays were lent."""
         for a in arrays:
+            with self._lock:
+                lent = self._lent.pop(id(a), None)
+                if lent is not None:  # the entry keeps the array alive, so the id is its own
+                    self._prepared.append(lent)
+                    continue
             if a.nbytes < _SPARE_MIN:
                 continue
             held = sum(x.nbytes for kept in list(self._by_width.values()) for x in list(kept))
             if held + a.nbytes <= _SPARE_BYTES:
                 self._by_width.setdefault(a.shape[1], []).append(a)
+
+    def take_prepared(self, key: tuple) -> Optional[PreparedPass]:
+        """The prepared pass for ``key`` given last, or None."""
+        with self._lock:
+            for i in range(len(self._prepared) - 1, -1, -1):
+                if self._prepared[i][0] == key:
+                    return self._prepared.pop(i)[1]
+        return None
+
+    def give_prepared(self, key: tuple, prepared: PreparedPass, lent: bool = False) -> bool:
+        """Keep a prepared pass that nothing else refers to any more, or,
+        if ``lent``, whose first array the caller holds until it gives it
+        back, if it fits once the passes given longest ago are dropped;
+        returns whether it was kept."""
+        with self._lock:
+            held = sum(x.nbytes for _, x in self._lent.values())
+            if held + prepared.nbytes > _PREPARED_BYTES:
+                return False
+            held += sum(x.nbytes for _, x in self._prepared)
+            while held + prepared.nbytes > _PREPARED_BYTES:
+                held -= self._prepared.pop(0)[1].nbytes
+            if lent:
+                self._lent[id(prepared.arrays[0])] = key, prepared
+            else:
+                self._prepared.append((key, prepared))
+            return True
 
 
 @dataclass(frozen=True)
@@ -900,6 +955,7 @@ class Layout:
     narrow: tuple
     shared: np.ndarray
     fused: tuple
+    roots: np.ndarray  # the slots of the circuit's roots, in its order
     spare: _SpareArrays = field(default_factory=_SpareArrays, repr=False, compare=False)
 
     @property
@@ -964,21 +1020,121 @@ class Layout:
         """An uninitialized (nodes, columns) array for one pass, in slot order."""
         return self.spare.take(len(self.order), columns)
 
-    def finish(self, values: np.ndarray, nodes=None) -> np.ndarray:
+    def _rows(self, values: np.ndarray, nodes, roots_only: bool) -> np.ndarray:
         """The rows of ``nodes`` of a finished pass's slot-order array, in the
-        order given; by default every node, in node order.  Asking for
-        :attr:`order` returns ``values`` itself; otherwise the rows are
-        copied and ``values`` is kept for a later pass, so the caller must
-        hold no other reference to it."""
+        order given; by default every node, in node order.  ``roots_only``
+        says that ``nodes`` is the circuit's roots list, whose slots the
+        layout holds.  Asking for :attr:`order` returns ``values`` itself;
+        otherwise the rows are copied."""
         if nodes is None:
-            rows = values[self.slot]
-        else:
-            slots = self.slot[nodes]
-            if len(slots) == len(values) and np.array_equal(slots, np.arange(len(values))):
-                return values
-            rows = values[slots]
-        self.spare.give(values)
+            return values[self.slot]
+        slots = self.roots if roots_only else self.slot[nodes]
+        if len(slots) == len(values) and np.array_equal(slots, np.arange(len(values))):
+            return values
+        return values[slots]
+
+    def prepared(self, key: tuple, columns: int, count: int, make_steps) -> PreparedPass:
+        """A pass of ``count`` (nodes, columns) arrays and its steps: one
+        kept for ``key``, which names the pass and its request, or a new one
+        whose steps ``make_steps(*arrays)`` makes, returning them and the
+        bytes of any scratch arrays they hold."""
+        kept = self.spare.take_prepared(key)
+        if kept is not None:
+            return kept
+        arrays = tuple(self.values(columns) for _ in range(count))
+        steps, scratch = make_steps(*arrays)
+        return PreparedPass(arrays, steps, sum(a.nbytes for a in arrays) + scratch)
+
+    def finish(self, key: tuple, prepared: PreparedPass, nodes=None,
+               roots_only: bool = False) -> list:
+        """Per array of a finished prepared pass, the rows of ``nodes``
+        (:meth:`_rows`).  The pass is kept for the next pass of ``key`` while
+        it fits (:class:`_SpareArrays`), and otherwise its arrays are, so the
+        caller must hold no other reference to them.  Where the arrays
+        themselves were asked for, the pass is kept once the caller gives
+        the first back (:meth:`_SpareArrays.give`)."""
+        rows = [self._rows(a, nodes, roots_only) for a in prepared.arrays]
+        lent = rows[0] is prepared.arrays[0]
+        if not self.spare.give_prepared(key, prepared, lent) and not lent:
+            self.spare.give(*prepared.arrays)
         return rows
+
+    def pass_steps(self, arrays: tuple, roots_only: bool, head: Optional[tuple] = None):
+        """The steps of a pass on its slot-order ``arrays``, one per moment
+        the pass carries, and the bytes of the scratch arrays they hold.
+
+        Each step of :meth:`steps` is (k, layer, blocks), with per block of
+        the layer's groups b a tuple (b, products, factors, made, children,
+        out).  ``products`` is the product layer the block runs, if any: the
+        step's own or the one fused into it.  ``factors`` holds per array its
+        factors' views, and ``made`` per array where its products go.
+        ``children`` holds per array a sum layer's (g, K, columns) children,
+        and ``out`` per array the layer's output.  A layer that gathers its
+        inputs, where its slots are not affine, reads copies that each pass
+        makes anew: its ``factors`` or ``children`` are then a function that
+        makes them (:func:`step_inputs`).  A request for the circuit's roots list
+        itself makes each fused block's products in a scratch array of the
+        largest block's size and leaves their slots unwritten; any other
+        request writes them into their slots.  Given ``head``, the masked
+        pass's (invariant, 1) arrays, the layers before :attr:`prefix` run on
+        those, and the sum layers that :attr:`narrow` flags read them, as
+        does a product layer fused into one.
+        """
+        schedule = []
+        for k, products, layer in self.steps(range(len(self.layers))):
+            before = head is not None and k < self.prefix
+            target = head if before else arrays
+            source = head if before or (head is not None and self.narrow[k]) else arrays
+            schedule.append((k, products, layer, source, target,
+                             layer.blocks(target[0].shape[1])))
+        scratch = ()
+        if roots_only:
+            size = max([(b.stop - b.start) * layer.children.shape[1] * source[0].shape[1]
+                        for _, products, layer, source, _, blocks in schedule
+                        if products is not None for b in blocks], default=0)
+            scratch = [np.empty(size) for _ in arrays]
+        steps = []
+        for k, products, layer, source, target, blocks in schedule:
+            made_here = []
+            for b in blocks:
+                out = [layer.output(a, b) for a in target]
+                if layer.kind == "product":
+                    made_here.append((b, layer, _reads(layer.reads, b, source), out, None, out))
+                elif products is None:
+                    made_here.append((b, None, None, None,
+                                      _reads(layer.reads, b, source, one=True), out))
+                else:
+                    g = products.feeding(layer, b)
+                    shape = (g.stop - g.start, products.nodes.shape[1], source[0].shape[1])
+                    made = ([x[: math.prod(shape)].reshape(shape) for x in scratch] if roots_only
+                            else [products.output(a, g) for a in source])
+                    made_here.append((b, products, _reads(products.reads, g, source), made,
+                                      [m.reshape(b.stop - b.start, -1, shape[2]) for m in made],
+                                      out))
+            steps.append((k, layer, made_here))
+        return steps, sum(x.nbytes for x in scratch)
+
+
+def _reads(reads: tuple, b: slice, arrays: tuple, one: bool = False):
+    """Per array, the views of ``reads`` for groups ``b`` (the first read
+    alone if ``one``), or, where a read gathers, a function that makes the
+    copies."""
+    for read in reads:
+        if read.strides is None:
+            return functools.partial(_read, reads, b, arrays, one)
+    return _read(reads, b, arrays, one)
+
+
+def _read(reads: tuple, b: slice, arrays: tuple, one: bool) -> list:
+    if one:
+        return [reads[0].read(a, b) for a in arrays]
+    return [[read.read(a, b) for read in reads] for a in arrays]
+
+
+def step_inputs(inputs):
+    """The inputs of a step of :meth:`Layout.pass_steps`, made now where
+    they are gathered."""
+    return inputs() if callable(inputs) else inputs
 
 
 @dataclass(frozen=True)
@@ -987,7 +1143,11 @@ class Plan:
     non-finite leaf parameter raises ParameterError on construction.
 
     ``log_weights`` holds each sum layer's (G, S, K) log weights, None for a
-    product layer; ``weights`` are their exponentials.
+    product layer; ``weights`` are their exponentials and ``squared_weights``
+    the squares of those, made on first use.  Both are (G, S, K) views of one
+    (G, S, 2K) array per layer that interleaves them, so a weight's K values
+    lie apart in memory and :func:`mix` sums one k at a time at any width.
+    A pickled plan is rebuilt from its parameters, so it keeps that layout.
     ``log_probs`` is -inf past each categorical leaf's states.
     """
 
@@ -1011,8 +1171,25 @@ class Plan:
             kind = "gaussian" if i in gaussian else "categorical"
             raise ParameterError(f"non-finite {kind} parameter at node {i}")
         object.__setattr__(self, "inv_std", np.exp(-self.log_std))
-        object.__setattr__(self, "weights",
-                           [None if lw is None else np.exp(lw) for lw in self.log_weights])
+        weights = []
+        for lw in self.log_weights:
+            w = None
+            if lw is not None:
+                w = np.empty((*lw.shape[:2], 2 * lw.shape[2]))[..., ::2]
+                w[...] = np.exp(lw)
+            weights.append(w)
+        object.__setattr__(self, "weights", weights)
+
+    def __reduce__(self):
+        return (Plan, (self.layout, self.log_weights, self.mean, self.log_std, self.log_probs,
+                       self.states))
+
+    @functools.cached_property
+    def squared_weights(self) -> list:
+        """Each sum layer's squared weights, beside its weights: only the
+        moment pass reads them."""
+        return [None if w is None else np.multiply(w, w, out=w.base[..., 1::2])
+                for w in self.weights]
 
     def leaf_log_values(self, X: np.ndarray, out: np.ndarray) -> None:
         """Write each leaf's log value for the rows of X into its slots of
@@ -1125,7 +1302,7 @@ def _compile_layout(circuit: Circuit) -> Layout:
     prefix = first_sum - 1 if first_sum and fused[first_sum - 1] else first_sum
     return Layout(layers, leaves, np.concatenate([np.zeros(0, dtype=np.int64)] + edge_order),
                   bool(np.all(parents <= 1)), slot, order, prefix, invariant, narrow,
-                  shared[shared < invariant], fused)
+                  shared[shared < invariant], fused, slot[c.roots])
 
 
 def _run_heads(kinds, counts, starts, children) -> np.ndarray:
@@ -1354,55 +1531,52 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
                              f"{X.shape}; expected one row and (passes, "
                              f"{layout.num_sum_edges}) keep bits")
     roots_only = nodes is circuit.roots
-    head = layout.values(X.shape[0]) if keep is None else np.empty((layout.invariant, 1))
+    masked = keep is not None
+    columns = len(keep) if masked else X.shape[0]
+    key = ("forward", columns, roots_only, masked)
+    prepared = layout.prepared(key, columns, 1, lambda logv: _forward_steps(
+        layout, logv, roots_only, masked))
+    (logv,), (head, prefix, rest) = prepared.arrays, prepared.steps
     plan.leaf_log_values(X, head)
     with np.errstate(divide="ignore"):
-        _forward_layers(plan, range(layout.prefix), head, head, roots_only)
-        if keep is None:
-            logv = head
-        else:
-            logv = layout.values(len(keep))
+        _forward_layers(plan, prefix)
+        if masked:
             logv[layout.shared] = head[layout.shared]
-        _forward_layers(plan, range(layout.prefix, len(layout.layers)), logv, head, roots_only,
-                        keep)
-    if keep is not None:  # after the layers, which make the fused prefix products in head
+        _forward_layers(plan, rest, keep)
+    if masked:  # after the layers, which make the fused prefix products in head
         wanted = np.arange(layout.invariant) if nodes is None else layout.slot[nodes]
         wanted = wanted[wanted < layout.invariant]
         logv[wanted] = head[wanted]
-    return layout.finish(logv, nodes)
+    return layout.finish(key, prepared, nodes, roots_only)[0]
 
 
-def _forward_layers(plan: Plan, layers: range, values: np.ndarray, head: np.ndarray,
-                    roots_only: bool, keep: Optional[np.ndarray] = None) -> None:
-    """Run the plan's ``layers`` on the slot-order ``values``, step by step
-    (:meth:`Layout.steps`), with the first sum edge of ``keep`` in the first
-    of them.  Sum layers that :attr:`Layout.narrow` flags, and the product
-    layer fused into one, read from ``head``, which holds the invariant
-    prefix's slots.  A fused product layer writes its slots, in the array
-    it reads from, unless the pass is ``roots_only``."""
-    layout = plan.layout
-    columns = values.shape[1]
+def _forward_steps(layout: Layout, logv: np.ndarray, roots_only: bool, masked: bool):
+    """The forward pass's steps on ``logv`` (:meth:`Layout.pass_steps`), as
+    (head, prefix steps, other steps), and the bytes of their scratch; a
+    masked pass's head is its own (invariant, 1) array."""
+    head = np.empty((layout.invariant, 1)) if masked else logv
+    steps, scratch = layout.pass_steps((logv,), roots_only, (head,) if masked else None)
+    split = sum(k < layout.prefix for k, _, _ in steps)
+    return (head, steps[:split], steps[split:]), scratch + (head.nbytes if masked else 0)
+
+
+def _forward_layers(plan: Plan, steps: list, keep: Optional[np.ndarray] = None) -> None:
+    """Run the forward pass's ``steps`` (:meth:`Layout.pass_steps`), with the
+    first sum edge of ``keep`` in the first of them."""
     start = 0  # the layer's first edge in plan order
-    for k, products, layer in layout.steps(layers):
+    for k, layer, blocks in steps:
         if layer.kind == "product":
-            for b in layer.blocks(columns):
-                layer.outer([read.read(values, b) for read in layer.reads],
-                            out=layer.output(values, b))
+            for _, products, factors, (out,), _, _ in blocks:
+                products.outer(step_inputs(factors)[0], out=out)
             continue
         w, lw = plan.weights[k], plan.log_weights[k]
         kept = None if keep is None else keep[:, start : start + w.size].reshape(-1, *w.shape)
         start += w.size
-        source = head if layout.narrow[k] else values
-        for b in layer.blocks(columns):
-            if products is None:
-                x = layer.reads[0].read(source, b)
-            else:
-                g = products.feeding(layer, b)
-                x = products.outer([read.read(source, g) for read in products.reads],
-                                   out=None if roots_only else products.output(source, g))
-                x = x.reshape(b.stop - b.start, -1, x.shape[-1])
-            layer.output(values, b)[...] = log_mix(w[b], lw[b], x,
-                                                   None if kept is None else kept[:, b])
+        for b, products, factors, made, children, (out,) in blocks:
+            if products is not None:
+                products.outer(step_inputs(factors)[0], out=made[0])
+            out[...] = log_mix(w[b], lw[b], step_inputs(children)[0],
+                               None if kept is None else kept[:, b])
 
 
 def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray,
@@ -1432,23 +1606,19 @@ def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray,
         log_w[g, s] if kept is None else np.where(kept[c, g, s], log_w[g, s], -np.inf)))
 
 
-def mix(w: np.ndarray, lin: np.ndarray) -> np.ndarray:
-    """(g, S, K) weights times (g, K, columns) linear values, one matrix
-    product per group, in einsum's own loops, so that each column's bits do
-    not depend on how many columns a pass holds: a single row is a batch of
-    one to the bit, and a batch split into passes equals one pass.  BLAS
-    (np.matmul) picks its kernel by the product's width, gemv for one column
-    and other kernels for other widths, so there a column's bits change
-    with the batch width.  einsum has such a case too: where both operands
-    hold their K values contiguously, as the weights and a single column
-    do, it sums them in SIMD lanes, while it adds them one k at a time
-    otherwise.  So a single column is mixed from a copy with a gap after
-    each value."""
-    if lin.shape[-1] == 1:
-        spaced = np.empty((*lin.shape[:-1], 2))
-        spaced[..., :1] = lin
-        lin = spaced[..., :1]
-    return np.einsum("gsk,gkc->gsc", w, lin)
+def mix(w: np.ndarray, lin: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(g, S, K) weights of a :class:`Plan` times (g, K, columns) linear
+    values, one matrix product per group, in einsum's own loops, so that
+    each column's bits do not depend on how many columns a pass holds: a
+    single row is a batch of one to the bit, and a batch split into passes
+    equals one pass.  BLAS (np.matmul) picks its kernel by the product's
+    width, gemv for one column and other kernels for other widths, so there
+    a column's bits change with the batch width.  einsum has such a case
+    too: where both operands hold their K values contiguously, as a single
+    column does, it sums them in SIMD lanes, while it adds them one k at a
+    time otherwise.  The plan's weights hold their K values apart, so every
+    width takes the k-at-a-time loop."""
+    return np.einsum("gsk,gkc->gsc", w, lin, out=out)
 
 
 def log_shifted(mixed: np.ndarray, shift: np.ndarray, nonzero, log_terms) -> np.ndarray:
@@ -1456,7 +1626,8 @@ def log_shifted(mixed: np.ndarray, shift: np.ndarray, nonzero, log_terms) -> np.
     shift.  Where ``nonzero()`` holds but the mixture flushed to zero or a
     subnormal, the entry is recomputed as the exact log-sum-exp of
     ``log_terms(g, s, c)``, an (entries, terms) array."""
-    out = np.log(mixed) + shift
+    out = np.log(mixed)
+    out += shift
     if mixed.min() < _TINY:
         g, s, c = np.nonzero((mixed < _TINY) & nonzero())
         if len(g):

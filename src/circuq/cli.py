@@ -162,7 +162,7 @@ def cmd_tdi(args) -> int:
     if args.dump_moments and data.num_rows == 0:
         return _fail(EXIT_VALIDATION, "validation", "--dump-moments needs at least one input row")
     config = DropoutConfig.with_p(args.p, _STRATEGIES[args.strategy])
-    pm = posterior_summary_batch(circuit, data.features, config)
+    pm = posterior_summary_batch(circuit, data.features, config, first_frame=args.dump_moments)
     out_path = os.path.join(args.out, "posterior.csv")
     with open(out_path, "w") as fh:
         fh.write("sample_id,class,mean,variance,std,entropy,normalized_entropy\n")
@@ -173,9 +173,8 @@ def cmd_tdi(args) -> int:
                     f"{pm.entropy[i]:.17g},{pm.normalized_entropy[i]:.17g}\n"
                 )
     if args.dump_moments:
-        frame = tdi_pass(circuit, data.features[0], config)
         write_moment_csv(
-            frame,
+            pm.metadata["first_frame"],
             os.path.join(args.out, "moments_nodes.csv"),
             os.path.join(args.out, "moments_cov.csv"),
         )

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (BATCH_ROWS, SHIFT_FLOOR, Circuit, as_batch, as_evidence, log_shifted,
-                      logsumexp, logsumexp_axis0, mix)
-from .errors import StructureError, UnderflowError
+                      logsumexp, logsumexp_axis0, mix, step_inputs)
+from .errors import ShapeError, StructureError, UnderflowError
 
 _NEG_INF = float("-inf")
 
@@ -178,12 +178,11 @@ def _moment_pass(circuit, X, config, exact_frame=None, nodes=None):
     node, in node order, by default), from one loop over the circuit's layers.
 
     The pass holds node moments in the layout's slot order, reads each
-    layer's inputs through its views and writes each layer as one slice.
-    Each block of a fused product layer's products is made inside the step
-    of the sum layer that reads it and mixed at once (:meth:`Layout.steps`).
-    A request for the circuit's roots list itself makes the block in
-    block-sized arrays and leaves the products' slots unwritten; any other
-    request writes it into their slots.  Given the one-row RAT_EXACT
+    layer's inputs through its views and writes each layer as one slice;
+    the arrays and views come from :meth:`Layout.prepared` and
+    :meth:`Layout.pass_steps`.  Each block of a fused product layer's
+    products is made inside the step of the sum layer that reads it and
+    mixed at once (:meth:`Layout.steps`).  Given the one-row RAT_EXACT
     ``exact_frame``, the sibling covariances are added to each sum layer's
     variances in place, before the next layer reads them
     (:func:`_add_sum_covariances`).
@@ -191,37 +190,31 @@ def _moment_pass(circuit, X, config, exact_frame=None, nodes=None):
     plan = circuit.plan()
     layout = plan.layout
     rows = X.shape[0]
-    log_e, log_v = layout.values(rows), layout.values(rows)
+    roots_only = nodes is circuit.roots
+    key = ("moments", rows, roots_only)
+    prepared = layout.prepared(key, rows, 2, lambda log_e, log_v: layout.pass_steps(
+        (log_e, log_v), roots_only))
+    log_e, log_v = prepared.arrays
     log_v[: layout.num_leaves] = _NEG_INF  # every layer writes its own slots
     plan.leaf_log_values(X, log_e)
     log_q, p = np.log(config.q), config.p
-    roots_only = nodes is circuit.roots
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k, products, layer in layout.steps(range(len(layout.layers))):
-            lw, w = plan.log_weights[k], plan.weights[k]
-            for b in layer.blocks(rows):
-                out = layer.output(log_e, b), layer.output(log_v, b)
-                if lw is None:
-                    _product_moments(layer, [read.read(log_e, b) for read in layer.reads],
-                                     [read.read(log_v, b) for read in layer.reads], out)
-                    continue
-                if products is None:
-                    children = layer.reads[0]
-                    ce, cv = children.read(log_e, b), children.read(log_v, b)
-                else:  # the block's products, made here and read once
-                    g = products.feeding(layer, b)
-                    ce, cv = (np.empty((g.stop - g.start, products.nodes.shape[1], rows))
-                              if roots_only else products.output(a, g) for a in (log_e, log_v))
-                    _product_moments(products, [read.read(log_e, g) for read in products.reads],
-                                     [read.read(log_v, g) for read in products.reads], (ce, cv))
-                    ce, cv = (a.reshape(b.stop - b.start, -1, rows) for a in (ce, cv))
-                _sum_moments(w[b], lw[b], ce, cv, log_q, p, out)
+        for k, layer, blocks in prepared.steps:
+            # a layer whose inputs are invariant slots reads no variance
+            constant = layout.narrow[k] if layer.kind == "sum" else layer.start < layout.invariant
+            lw, w, w2 = plan.log_weights[k], plan.weights[k], plan.squared_weights[k]
+            for b, products, factors, made, children, out in blocks:
+                if products is not None:
+                    _product_moments(products, *step_inputs(factors), made, constant)
+                if children is not None:
+                    _sum_moments(w[b], w2[b], lw[b], *step_inputs(children), log_q, p, out,
+                                 constant)
             if exact_frame is not None and lw is not None:
                 _add_sum_covariances(exact_frame, layer, log_q, log_e, log_v)
-    return layout.finish(log_e, nodes), layout.finish(log_v, nodes)
+    return layout.finish(key, prepared, nodes, roots_only)
 
 
-def _product_moments(layer, ce: list, cv: list, out) -> None:
+def _product_moments(layer, ce: list, cv: list, out, constant: bool) -> None:
     """log E and log Var of a block of product groups of independent factors,
     written into the pair of (groups, products, rows) arrays ``out``.
 
@@ -230,10 +223,13 @@ def _product_moments(layer, ce: list, cv: list, out) -> None:
     over the outer product as acc + r_f (1 + acc), which cannot cancel.
     Node values are nonnegative, so a factor whose mean is zero is zero under
     every mask: there the product is zero, with zero variance, and r_f is NaN.
+    ``constant`` factors, the layout's invariant slots, have no variance,
+    and neither has their product; factors whose variances are all zero for
+    another reason get the same -inf from the general path.
     """
     log_e, log_v = out
     layer.outer(ce, out=log_e)
-    if max(v.max() for v in cv) == _NEG_INF:  # constant factors: a constant product
+    if constant:
         log_v[...] = _NEG_INF
         return
     r = [np.exp(v - 2.0 * e) for e, v in zip(ce, cv)]
@@ -242,29 +238,36 @@ def _product_moments(layer, ce: list, cv: list, out) -> None:
     log_v[log_e == _NEG_INF] = _NEG_INF
 
 
-def _sum_moments(w, lw, ce, cv, log_q, p, out) -> None:
+def _sum_moments(w, w2, lw, ce, cv, log_q, p, out, constant: bool) -> None:
     """log E and zero-covariance log Var of a block of sum groups, written
     into the pair of (g, S, rows) arrays ``out``.
 
-    E = q W E_k and Var = q (W o W) (Var_k + p E_k^2), from the groups'
-    (g, K, rows) child moments.  E is mixed in linear space under each
-    group's per-row largest child mean, Var under its largest Var_k or
-    E_k^2, and entries that flush to zero or a subnormal are recomputed
-    exactly (:func:`log_shifted`).  At p = 0 with zero child variances Var
-    is exactly 0.
+    E = q W E_k and Var = q (W o W) (Var_k + p E_k^2), from the plan's
+    weights ``w`` and squared weights ``w2`` and the groups' (g, K, rows)
+    child moments.  E is mixed in linear space under each group's per-row
+    largest child mean, Var under its largest Var_k or E_k^2, and entries
+    that flush to zero or a subnormal are recomputed exactly
+    (:func:`log_shifted`).  ``constant`` children have no variance, so their
+    Var_k term is left out.  At p = 0 with zero child variances Var is
+    exactly 0.
     """
-    me, mv = ce.max(axis=1, keepdims=True), cv.max(axis=1, keepdims=True)
+    me = ce.max(axis=1, keepdims=True)
     se = np.maximum(me, SHIFT_FLOOR)
-    sv = np.maximum(np.maximum(mv, 2.0 * me), SHIFT_FLOOR)
+    if constant:
+        has_var = False
+        sv = np.maximum(2.0 * me, SHIFT_FLOOR)
+    else:
+        mv = cv.max(axis=1, keepdims=True)
+        has_var = mv > _NEG_INF
+        sv = np.maximum(np.maximum(mv, 2.0 * me), SHIFT_FLOOR)
     a = np.exp(ce - se)
-    w2 = w * w
     var = p * mix(w2, a * a) * np.exp(2.0 * se - sv)
-    if mv.max() > _NEG_INF:
+    if not constant:
         var += mix(w2, np.exp(cv - sv))
     log_e = log_shifted(mix(w, a), se, lambda: me > _NEG_INF,
                         lambda g, s, c: lw[g, s] + ce[g, :, c])
     log_var = log_shifted(
-        var, sv, lambda: (mv > _NEG_INF) | ((p > 0.0) & (me > _NEG_INF)),
+        var, sv, lambda: has_var | ((p > 0.0) & (me > _NEG_INF)),
         lambda g, s, c: np.concatenate(
             [2.0 * lw[g, s] + cv[g, :, c], np.log(p) + 2.0 * (lw[g, s] + ce[g, :, c])],
             axis=1))
@@ -421,14 +424,16 @@ def posterior_moments(
     row: :func:`posterior_summary_batch` on a batch of one.
     """
     x = as_evidence(evidence, circuit.num_variables)
-    pm = posterior_summary_batch(circuit, x[None, :], config, method)
+    _need_classes(circuit)
+    raw, var, _ = _posterior_moments(circuit, x[None, :], config, method)
+    mean, std, entropy, normalized = _summary(circuit, raw, var)
     return PosteriorMoments(
-        mean=pm.mean[0],
-        variance=pm.variance[0],
-        std=pm.std[0],
-        entropy=float(pm.entropy[0]),
-        normalized_entropy=float(pm.normalized_entropy[0]),
-        metadata={"method": method.value, "raw_mean": pm.metadata["raw_mean"][0]},
+        mean=mean[0],
+        variance=var[0],
+        std=std[0],
+        entropy=float(entropy[0]),
+        normalized_entropy=float(normalized[0]),
+        metadata={"method": method.value, "raw_mean": raw[0]},
     )
 
 
@@ -437,26 +442,40 @@ def posterior_summary_batch(
     X: np.ndarray,
     config: DropoutConfig,
     method: TaylorMethod = TaylorMethod.SIMPLE,
+    *,
+    first_frame: bool = False,
 ) -> PosteriorMoments:
     """:func:`posterior_moments_batch` summarized per row: the means clamped
     to [0, 1], their stds, and the predictive entropy of the clamped means,
     raw and over ln C.  ``metadata`` holds the ``method`` and the unclamped
-    ``raw_mean``.
+    ``raw_mean``, and with ``first_frame`` also the first row's
+    :class:`MomentFrame` (``"first_frame"``), the one :func:`tdi_pass` gives,
+    taken from the posterior's own pass.
 
     The entropy is :func:`predictive_entropy_batch`'s, so a row whose clamped
     means are all zero gets the uniform entropy ln C.
     """
-    raw, var = posterior_moments_batch(circuit, X, config, method)
-    mean = np.clip(raw, 0.0, 1.0)
+    metadata = {"method": method.value}
+    if first_frame:
+        _need_classes(circuit)
+        X = as_batch(X, circuit.num_variables)
+        if not len(X):
+            raise ShapeError("the first row's moment frame needs a row")
+        raw, var, metadata["first_frame"] = _posterior_moments(circuit, X, config, method, True)
+    else:
+        raw, var = posterior_moments_batch(circuit, X, config, method)
+    metadata["raw_mean"] = raw
+    mean, std, entropy, normalized = _summary(circuit, raw, var)
+    return PosteriorMoments(mean=mean, variance=var, std=std, entropy=entropy,
+                            normalized_entropy=normalized, metadata=metadata)
+
+
+def _summary(circuit: Circuit, raw: np.ndarray, var: np.ndarray):
+    """The clamped means, stds, entropies and entropies over ln C of the
+    (rows, classes) raw means and variances."""
+    mean = raw.clip(0.0, 1.0)
     entropy = predictive_entropy_batch(mean)
-    return PosteriorMoments(
-        mean=mean,
-        variance=var,
-        std=np.sqrt(var),
-        entropy=entropy,
-        normalized_entropy=entropy / math.log(circuit.num_classes),
-        metadata={"method": method.value, "raw_mean": raw},
-    )
+    return mean, np.sqrt(var), entropy, entropy / math.log(circuit.num_classes)
 
 
 def posterior_moments_batch(
@@ -486,45 +505,62 @@ def posterior_moments_batch(
     per-row pass, which also yields the covariances between class roots.
     Means are returned unclamped.
     """
+    _need_classes(circuit)
+    return _posterior_moments(circuit, as_batch(X, circuit.num_variables), config, method)[:2]
+
+
+def _need_classes(circuit: Circuit) -> None:
     if circuit.num_classes < 2:
         raise StructureError("posterior moments need at least two class roots")
-    X = as_batch(X, circuit.num_variables)
+
+
+def _posterior_moments(circuit: Circuit, X: np.ndarray, config: DropoutConfig,
+                       method: TaylorMethod, first_frame: bool = False):
+    """:func:`posterior_moments_batch` on a checked (rows, variables) batch,
+    and with ``first_frame`` the first row's :class:`MomentFrame` (else
+    None): RAT_EXACT's own, or else the first chunk's pass asks for every
+    node, whose root rows are the roots-only pass's bits, and its first
+    column is that row's pass, a row being a batch of one."""
     C, rows = circuit.num_classes, X.shape[0]
     roots = circuit.roots
     mean, var = np.empty((rows, C)), np.empty((rows, C))
+    first = None
     for s in range(0, rows, BATCH_ROWS):
         chunk = X[s : s + BATCH_ROWS]
         n = chunk.shape[0]
-        root_cov = np.zeros((C, C, n))
+        root_cov = None  # zero, unless RAT_EXACT resolves it
         log_v = None  # every node's log variance, where EXTENDED needs it
         if config.covariance_strategy is CovarianceStrategy.RAT_EXACT:
             log_e = np.empty((len(circuit.layout().order), n))
             log_v = np.empty_like(log_e)
+            root_cov = np.empty((C, C, n))
             for r in range(n):
                 frame = tdi_pass(circuit, chunk[r], config)
                 log_e[:, r] = frame.log_expectation
                 log_v[:, r] = frame.log_variance
                 root_cov[:, :, r] = _root_cov(frame)
+                first = frame if first_frame and first is None else first
             root_e, root_v = log_e[roots], log_v[roots]
-        elif method is TaylorMethod.EXTENDED:
+        elif method is TaylorMethod.EXTENDED or (first_frame and s == 0):
             log_e, log_v = tdi_pass_batch(circuit, chunk, config)
             root_e, root_v = log_e[roots], log_v[roots]
+            if first_frame and s == 0:
+                first = MomentFrame(circuit, config, log_e[:, 0].copy(), log_v[:, 0].copy())
         else:
             root_e, root_v = tdi_pass_batch(circuit, chunk, config, nodes=roots)
         m, v = _taylor(circuit, root_e, root_v, root_cov, method, first_row=s, log_v=log_v)
         log_e = log_v = None  # free this chunk's node moments before the next chunk's pass
         mean[s : s + n] = m.T
         var[s : s + n] = np.maximum(v.T, 0.0)
-    return mean, var
+    return mean, var, first
 
 
-def _root_shift(circuit: Circuit, root_e: np.ndarray, first_row: int = 0) -> np.ndarray:
+def _root_shift(root_e: np.ndarray, log_c: np.ndarray, first_row: int = 0) -> np.ndarray:
     """Per-row max_i log E[A_i], the scale every Taylor term is shifted by,
-    from the roots' (C, rows) log expectations."""
-    log_c = np.asarray(circuit.log_class_priors, dtype=np.float64)[:, None]
-    shift = np.max(root_e + log_c, axis=0)
+    from the roots' (C, rows) log expectations and the (C, 1) log priors."""
+    shift = (root_e + log_c).max(axis=0)
     dead = np.isneginf(shift)
-    if np.any(dead):
+    if dead.any():
         idx = first_row + int(np.flatnonzero(dead)[0])
         raise UnderflowError(
             f"all class likelihoods vanished for row {idx}; the posterior "
@@ -560,9 +596,10 @@ def _taylor(circuit, root_e, root_v, root_cov, method, first_row=0, log_v=None):
     ``log_v`` is every node's (nodes, rows) log variance in node order, which
     only EXTENDED reads, at the root heads' children.  ``root_cov`` is the
     (C, C, rows) linear covariance between distinct roots, zero on its
-    diagonal, scaled like the variances.  Each Taylor term is a degree-zero
-    ratio of moments, so shifting every moment by its degree in the per-row
-    scale max_i log E[A_i] keeps the arithmetic linear and in float range.
+    diagonal, scaled like the variances, or None where it is zero.  Each
+    Taylor term is a degree-zero ratio of moments, so shifting every moment
+    by its degree in the per-row scale max_i log E[A_i] keeps the arithmetic
+    linear and in float range.
 
     SIMPLE writes its variance as (Var[A_i] - 2 t_i Cov[A_i,B] + t_i^2 Var[B])
     / E[B]^2 with t_i = E[A_i]/E[B], the docstring formula of
@@ -573,48 +610,52 @@ def _taylor(circuit, root_e, root_v, root_cov, method, first_row=0, log_v=None):
     """
     roots = circuit.roots
     log_c = np.asarray(circuit.log_class_priors, dtype=np.float64)[:, None]
-    shift = _root_shift(circuit, root_e, first_row)
-    with np.errstate(divide="ignore"):
-        les = root_e - shift  # E[S_i], shifted
-        lvs = root_v - 2.0 * shift  # Var[S_i], shifted
+    shift = _root_shift(root_e, log_c, first_row)
+    les = root_e - shift  # E[S_i], shifted
+    lvs = root_v - 2.0 * shift  # Var[S_i], shifted
+    ea = np.exp(les + log_c)  # E[A_i]
+    va = np.exp(lvs + 2.0 * log_c)  # Var[A_i]
+    eb = ea.sum(axis=0)  # at least 1: the shift makes the largest E[A_i] 1
+    eb2 = eb**2
+    cov_ab = va  # Cov[A_i, B]
+    if root_cov is not None:
         c = np.exp(log_c)
-        ea = np.exp(les + log_c)  # E[A_i]
-        va = np.exp(lvs + 2.0 * log_c)  # Var[A_i]
-        eb = ea.sum(axis=0)
         ck = np.einsum("j,ijr->ir", c[:, 0], root_cov)  # sum_j c_j Cov[S_i, S_j]
-        cov_ab = va + c * ck  # Cov[A_i, B]
-        # Var[B] needs no clamp: va is an exp, and root_cov is zero or an exp
-        var_b = cov_ab.sum(axis=0)
-        t = ea / eb
-        mean = t - cov_ab / eb**2 + t * var_b / eb**2
-        if method is TaylorMethod.SIMPLE:
-            var = (va - 2.0 * t * cov_ab + t * t * var_b) / eb**2
-        else:
-            # Var[S_i S_j] is expanded over the root sum nodes' children as
-            # sum_{k,l} (w_k w_l)^2 Var[N_k] Var[N_l], which factors into
-            # T_i T_j with T_i = sum_k w_k^2 Var[N_k]; non-sum roots fall back
-            # to T_i = Var[S_i].
-            log_t = lvs.copy()
+        cov_ab = va + c * ck
+    # Var[B] needs no clamp: va is an exp, and root_cov is zero or an exp
+    var_b = cov_ab.sum(axis=0)
+    t = ea / eb
+    mean = t - cov_ab / eb2 + t * var_b / eb2
+    if method is TaylorMethod.SIMPLE:
+        var = (va - 2.0 * t * cov_ab + t * t * var_b) / eb2
+    else:
+        # Var[S_i S_j] is expanded over the root sum nodes' children as
+        # sum_{k,l} (w_k w_l)^2 Var[N_k] Var[N_l], which factors into
+        # T_i T_j with T_i = sum_k w_k^2 Var[N_k]; non-sum roots fall back
+        # to T_i = Var[S_i].
+        c = np.exp(log_c)
+        log_t = lvs.copy()
+        with np.errstate(divide="ignore"):
             for i, r in enumerate(roots):
                 node = circuit.nodes[r]
                 if node.kind == "sum":
                     lw = node.log_weights[:, None]
                     log_t[i] = logsumexp_axis0(2.0 * lw + log_v[node.children]) - 2.0 * shift
-            tt = np.exp(log_t)
-            es = np.exp(les)
-            vs = np.exp(lvs)
-            zni = eb - ea  # E[B] without class i
-            # Each expansion term contributes its squared coefficient times the
-            # variance of its moment combination; combo[i, j] pairs classes i, j.
-            combo = (
-                tt[:, None] * tt[None, :] - es[None] ** 2 * vs[:, None] - es[:, None] ** 2 * vs[None]
-            )
-            combo[np.arange(len(roots)), np.arange(len(roots))] = 0.0
-            var = (
-                (c * zni / eb**2) ** 2 * vs
-                + ((2.0 * ea + eb) / eb**3) ** 2 * np.einsum("j,ijr->ir", c[:, 0] ** 2, combo)
-                + (2.0 * c * zni / eb**3) ** 2 * (tt**2 - 4.0 * es**2 * vs)
-            )
+        tt = np.exp(log_t)
+        es = np.exp(les)
+        vs = np.exp(lvs)
+        zni = eb - ea  # E[B] without class i
+        # Each expansion term contributes its squared coefficient times the
+        # variance of its moment combination; combo[i, j] pairs classes i, j.
+        combo = (
+            tt[:, None] * tt[None, :] - es[None] ** 2 * vs[:, None] - es[:, None] ** 2 * vs[None]
+        )
+        combo[np.arange(len(roots)), np.arange(len(roots))] = 0.0
+        var = (
+            (c * zni / eb2) ** 2 * vs
+            + ((2.0 * ea + eb) / eb**3) ** 2 * np.einsum("j,ijr->ir", c[:, 0] ** 2, combo)
+            + (2.0 * c * zni / eb**3) ** 2 * (tt**2 - 4.0 * es**2 * vs)
+        )
     dead = ea <= 0.0
     mean[dead] = 0.0
     var[dead] = 0.0
@@ -624,7 +665,7 @@ def _taylor(circuit, root_e, root_v, root_cov, method, first_row=0, log_v=None):
 def predictive_entropy_batch(means: np.ndarray) -> np.ndarray:
     """Row-wise predictive entropy for an array of posterior means."""
     m = np.asarray(means, dtype=np.float64)
-    m = np.clip(m, ENTROPY_CLAMP, 1.0)
+    m = m.clip(ENTROPY_CLAMP, 1.0)
     m = m / m.sum(axis=1, keepdims=True)
     return -(m * np.log(m)).sum(axis=1)
 

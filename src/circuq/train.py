@@ -253,6 +253,7 @@ def _sum_reverse(w, lw, x, v, adj):
     exp(lw + x - v) are taken exactly, as :func:`circuq.circuit.log_shifted`
     takes the values.  A sum whose value is 0 passes nothing back.
     """
+    w = np.ascontiguousarray(w)  # the plan's weights lie apart, which BLAS would not take
     shift = np.maximum(x.max(axis=1, keepdims=True), SHIFT_FLOOR)
     a = np.exp(x - shift)
     flushed = v - shift < _LOG_TINY

@@ -7,10 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+import circuq.moments
 from circuq import (CovarianceStrategy, Dataset, DropoutConfig, McdConfig, load, load_csv,
                     mcd_infer, mcd_vs_tdi_report, posterior_moments, save_csv, synth_blobs,
                     tdi_pass)
 from circuq.cli import build_parser, main
+from circuq.moments import write_moment_csv
 from circuq.evaluation import EvalConfig, posterior_means
 
 from conftest import v1_doc
@@ -206,6 +208,35 @@ class TestRuns:
         want = [frame.pair_cov(a, b).to_float() for a, b in pairs]
         assert any(want)  # the class roots share their products
         np.testing.assert_allclose([dumped[pair] for pair in pairs], want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("strategy", ["tree_zero", "rat_exact"])
+    def test_tdi_dump_runs_no_moment_pass_of_its_own(self, workspace, monkeypatch, strategy):
+        """--dump-moments writes the first row's frame from the posterior's
+        own passes, so the run makes as many moment passes as without the
+        dump: one per row under RAT_EXACT, one per 256-row chunk otherwise.
+        The dump is byte for byte the one of that row's tdi_pass."""
+        columns = []
+        inner = circuq.moments._moment_pass
+
+        def counted(circuit, X, *args, **kwargs):
+            columns.append(X.shape[0])
+            return inner(circuit, X, *args, **kwargs)
+
+        monkeypatch.setattr(circuq.moments, "_moment_pass", counted)
+        model, rows = workspace / "build" / "model.circuit", workspace / "x.csv"
+        X = load_csv(rows).features
+        for dump in ([], ["--dump-moments"]):
+            columns.clear()
+            out = workspace / f"tdi_passes_{strategy}{len(dump)}"
+            assert main(["tdi", "--model", str(model), "--input", str(rows), "--p", "0.2",
+                         "--strategy", strategy, "--out", str(out)] + dump) == 0
+            assert columns == ([1] * len(X) if strategy == "rat_exact" else [len(X)])
+        monkeypatch.undo()
+        frame = tdi_pass(load(model), X[0], DropoutConfig.with_p(0.2, CovarianceStrategy(strategy)))
+        write_moment_csv(frame, out / "want_nodes.csv", out / "want_cov.csv")
+        for name in ("nodes", "cov"):
+            assert (out / f"moments_{name}.csv").read_bytes() == \
+                (out / f"want_{name}.csv").read_bytes()
 
     def test_zero_row_input(self, workspace, capsys):
         model = str(workspace / "train" / "model.circuit")

@@ -27,11 +27,12 @@ from circuq import (
     tdi_pass_batch,
 )
 import circuq.circuit as circuit_module
-from circuq.circuit import forward_log_values, log_mix
+from circuq.circuit import forward_log_values, log_mix, mix
 from circuq.enumeration import enumerate_dropout_moments, linear_forward
 from circuq.structures import random_dag_circuit, random_evidence, random_tree_circuit
 from circuq.train import ParameterSpace, loss_and_grad
-from circuq.moments import _product_moments, _sum_moments, posterior_moments_batch
+from circuq.moments import (_product_moments, _sum_moments, posterior_moments,
+                            posterior_moments_batch, posterior_summary_batch)
 
 from conftest import partition_products, permuted, repetitions
 
@@ -166,7 +167,6 @@ class TestSlots:
         every = forward_log_values(c, X)
         slots = forward_log_values(c, X, nodes=layout.order)
         np.testing.assert_array_equal(slots[layout.slot], every)
-        assert layout.finish(slots, layout.order) is slots
         np.testing.assert_array_equal(forward_log_values(c, X, nodes=c.roots), every[c.roots])
 
 
@@ -198,8 +198,10 @@ s2 sum 0.4 p1 0.3 p2 0.2 p3 0.1 p4
 def unfused_passes(circuit, X, config):
     """The forward and the moment pass layer by layer, each product layer
     whole and written into its slots before the sum layer that reads it
-    runs: the schedule without fused steps.  Returns the slot-order log
-    values, and the log expectations and variances in node order."""
+    runs: the schedule without fused steps, and with no layer taken as
+    constant, so the moment kernels' general path also runs on the layers
+    that read only leaves.  Returns the slot-order log values, and the log
+    expectations and variances in node order."""
     plan = circuit.plan()
     layout = plan.layout
     logv, log_e, log_v = (np.empty((len(layout.order), len(X))) for _ in range(3))
@@ -208,19 +210,20 @@ def unfused_passes(circuit, X, config):
     log_v[: layout.num_leaves] = -np.inf
     log_q = np.log(config.q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for layer, lw, w in zip(layout.layers, plan.log_weights, plan.weights):
+        for layer, lw, w, w2 in zip(layout.layers, plan.log_weights, plan.weights,
+                                    plan.squared_weights):
             for b in layer.blocks(len(X)):
                 out = layer.output(log_e, b), layer.output(log_v, b)
                 if layer.kind == "product":
                     layer.outer([read.read(logv, b) for read in layer.reads],
                                 out=layer.output(logv, b))
                     _product_moments(layer, [read.read(log_e, b) for read in layer.reads],
-                                     [read.read(log_v, b) for read in layer.reads], out)
+                                     [read.read(log_v, b) for read in layer.reads], out, False)
                 else:
                     children = layer.reads[0]
                     layer.output(logv, b)[...] = log_mix(w[b], lw[b], children.read(logv, b))
-                    _sum_moments(w[b], lw[b], children.read(log_e, b), children.read(log_v, b),
-                                 log_q, config.p, out)
+                    _sum_moments(w[b], w2[b], lw[b], children.read(log_e, b),
+                                 children.read(log_v, b), log_q, config.p, out, False)
     return logv, log_e[layout.slot], log_v[layout.slot]
 
 
@@ -258,6 +261,7 @@ class TestFusedLayers:
 
     def test_root_only_passes_never_write_a_fused_layer(self, monkeypatch):
         monkeypatch.setattr(circuit_module, "_SPARE_MIN", 0)  # keep every pass array
+        monkeypatch.setattr(circuit_module, "_PREPARED_BYTES", 0)  # and no prepared pass
         c = build_rat(SMALL_RAT)
         layout = c.layout()
         hidden = fused_slots(layout)
@@ -331,12 +335,13 @@ class TestSpareArrays:
         layout = c.layout()
         X = np.random.default_rng(1).normal(size=(5, c.num_variables))
         slots = forward_log_values(c, X, nodes=layout.order)  # the caller's own array
-        layout.finish(slots, c.roots)
+        roots = slots[layout.slot[c.roots]]
+        layout.spare.give(slots)
         assert layout.values(len(X)) is not slots  # too small to keep
         monkeypatch.setattr(circuit_module, "_SPARE_MIN", 0)
-        roots = layout.finish(slots, c.roots)  # copies the roots and keeps the array
+        layout.spare.give(slots)  # keeps the array
         assert layout.values(len(X)) is slots
-        layout.finish(slots, c.roots)
+        layout.spare.give(slots)
         again = pickle.loads(pickle.dumps(c))
         assert again.layout().values(len(X)) is not slots
         np.testing.assert_array_equal(forward_log_values(again, X, nodes=c.roots), roots)
@@ -394,6 +399,82 @@ def test_a_row_is_a_batch_of_one_to_the_bit():
             one_e, one_v = tdi_pass_batch(c, X[r : r + 1], config)
             np.testing.assert_array_equal(bits(one_e[:, 0]), bits(log_e[:, r]))
             np.testing.assert_array_equal(bits(one_v[:, 0]), bits(log_v[:, r]))
+
+
+def test_a_roots_only_row_is_a_batch_of_one_to_the_bit():
+    """A request for the roots alone, which the likelihood and posterior
+    calls make, gives one row the bits of its column of a wider pass: the
+    forward and the moment pass on the small RAT, a random tree and a random
+    DAG, with marginalized evidence and a row of it.  And one row's
+    posterior_moments equals its row of posterior_summary_batch on the small
+    RAT under SIMPLE and TREE_ZERO."""
+    rng = np.random.default_rng(11)
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64)  # noqa: E731
+    config = DropoutConfig.with_p(0.1)
+    for c in (build_rat(SMALL_RAT), random_tree_circuit(rng, num_classes=2),
+              random_dag_circuit(rng)):
+        X = np.array([random_evidence(rng, c, 0.3) for _ in range(7)])
+        X[2] = np.nan
+        values = forward_log_values(c, X, nodes=c.roots)
+        log_e, log_v = tdi_pass_batch(c, X, config, nodes=c.roots)
+        for r in range(len(X)):
+            np.testing.assert_array_equal(
+                bits(forward_log_values(c, X[r : r + 1], nodes=c.roots)[:, 0]), bits(values[:, r]))
+            one_e, one_v = tdi_pass_batch(c, X[r : r + 1], config, nodes=c.roots)
+            np.testing.assert_array_equal(bits(one_e[:, 0]), bits(log_e[:, r]))
+            np.testing.assert_array_equal(bits(one_v[:, 0]), bits(log_v[:, r]))
+    rat = build_rat(SMALL_RAT)
+    X = rng.normal(size=(7, rat.num_variables))
+    X[3, ::4] = np.nan
+    batch = posterior_summary_batch(rat, X, config)
+    for r in range(len(X)):
+        pm = posterior_moments(rat, X[r], config)
+        for name in ("mean", "variance", "std", "entropy", "normalized_entropy"):
+            np.testing.assert_array_equal(bits(np.asarray(getattr(pm, name))),
+                                          bits(getattr(batch, name)[r]))
+        np.testing.assert_array_equal(bits(pm.metadata["raw_mean"]),
+                                      bits(batch.metadata["raw_mean"][r]))
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 25, 100, 500])
+def test_one_column_mixes_as_in_a_wider_mix(K):
+    """The plan's weights and squared weights, mixed with one column by
+    circuit.mix, give that column's bits in a mix of 2, 7 or 256 columns:
+    einsum sums one k at a time at every width, since the plan holds a
+    weight's K values apart."""
+    rng = np.random.default_rng(K)
+    leaves = "\n".join(f"g{i} gaussian 0 {rng.normal():.17g} 1.0" for i in range(K))
+    sums = "\n".join("s{} sum {}".format(j, " ".join(
+        f"{w:.17g} g{i}" for i, w in enumerate(rng.dirichlet(np.ones(K))))) for j in range(3))
+    plan = build_manual(f"{leaves}\n{sums}\nroot s0 s1 s2").plan()
+    (k,) = [k for k, layer in enumerate(plan.layout.layers) if layer.kind == "sum"]
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64)  # noqa: E731
+    for w in (plan.weights[k], plan.squared_weights[k]):
+        assert w.shape == (1, 3, K)
+        for width in (2, 7, 256):
+            lin = rng.random((1, K, width))
+            wide = mix(w, lin)
+            for c in {0, width // 2, width - 1}:
+                one = mix(w, np.ascontiguousarray(lin[..., c : c + 1]))
+                np.testing.assert_array_equal(bits(one[..., 0]), bits(wide[..., c]))
+
+
+def test_a_pickled_plan_keeps_its_weights_apart():
+    """A pickled circuit rebuilds its plan's weights beside their squares,
+    so one row through it keeps the bits of the original's passes."""
+    c = build_rat(SMALL_RAT)
+    x = np.random.default_rng(12).normal(size=c.num_variables)
+    config = DropoutConfig.with_p(0.1)
+    want = log_likelihood(c, x), posterior_moments(c, x, config).variance
+    again = pickle.loads(pickle.dumps(c))
+    for w, w2 in zip(again.plan().weights, again.plan().squared_weights):
+        if w is not None:
+            assert w.strides[-1] == w2.strides[-1] == 2 * w.itemsize
+            assert w.base is w2.base
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64)  # noqa: E731
+    for got, expected in zip((log_likelihood(again, x),
+                              posterior_moments(again, x, config).variance), want):
+        np.testing.assert_array_equal(bits(got), bits(expected))
 
 
 def test_keep_mask_needs_one_row_and_every_sum_edge():
