@@ -281,7 +281,7 @@ def validate(circuit: Circuit) -> ValidationReport:
     that it does not find valid is walked node by node to name what fails.
     """
     columns = _columns(circuit)
-    if columns is not None and _holds(columns):
+    if columns is not None and columns.valid:
         return ValidationReport([])
     return _node_report(circuit)
 
@@ -290,7 +290,9 @@ def validate(circuit: Circuit) -> ValidationReport:
 # node order, with each node's children, weights or probabilities in turn
 # (compressed sparse rows).  A circuit holds its nodes in these arrays, the
 # circuit file holds them, validate() checks them and the layer plan is
-# compiled from them.
+# compiled from them.  Columns are not written once made, so each object
+# checks itself (valid, from _holds) and analyses its runs once; a circuit
+# with other parameters has new columns (dataclasses.replace).
 
 _SUM, _PRODUCT, _GAUSSIAN, _CATEGORICAL = range(4)  # kind codes, the leaves' last
 _TYPE_CODE = {SumNode: _SUM, ProductNode: _PRODUCT, GaussianLeaf: _GAUSSIAN,
@@ -312,6 +314,22 @@ class _Columns:
     log_probs: np.ndarray  # each categorical leaf's log probabilities in turn
     roots: np.ndarray
     log_class_priors: np.ndarray
+
+    valid = functools.cached_property(lambda self: _holds(self))
+
+    @functools.cached_property
+    def runs(self) -> tuple:
+        """(starts, head, runs, fan, first, kids): each node's first child,
+        its run's first node (:func:`_run_heads`), the runs' first nodes
+        that have children, their child counts, each one's first child in
+        ``kids``, and their children in turn."""
+        starts = np.cumsum(self.counts) - self.counts
+        head = _run_heads(self.kinds, self.counts, starts, self.children)
+        runs = np.flatnonzero((head == np.arange(len(head))) & (self.counts > 0))
+        fan = self.counts[runs]
+        first = np.cumsum(fan) - fan
+        kids = self.children[np.repeat(starts[runs] - first, fan) + np.arange(fan.sum())]
+        return starts, head, runs, fan, first, kids
 
 
 _MEMBERS = {"kinds": np.dtype(np.uint8), "counts": _INT, "children": _INT,
@@ -450,25 +468,19 @@ def _holds(c: _Columns) -> bool:
 
     The rules on a node's children hold for a node of a run (:func:`_run_heads`)
     when they hold for its run's first node, which has the same kind and
-    children and a lower id; so they are checked on the first nodes alone.
+    children and a lower id; so they are checked on the first nodes alone
+    (:attr:`_Columns.runs`).
     """
-    n, kinds, counts, children = len(c.kinds), c.kinds, c.counts, c.children
-    is_sum, is_product = kinds == _SUM, kinds == _PRODUCT
-    inner = np.flatnonzero(is_sum | is_product)
-    starts = np.cumsum(counts) - counts
-    head = _run_heads(kinds, counts, starts, children)
-    runs = inner[head[inner] == inner]  # each run's first node
-    fan = counts[runs]
-    edge = np.cumsum(fan) - fan  # each run's first child in kids
-    kids = children[np.repeat(starts[runs] - edge, fan) + np.arange(fan.sum())]
-    if (np.any(counts[inner] == 0) or not len(c.roots)
+    n, kinds, counts = len(c.kinds), c.kinds, c.counts
+    _, head, runs, fan, edge, kids = c.runs
+    if (np.any(counts[kinds < _GAUSSIAN] == 0) or not len(c.roots)
             # a root covers every variable only if each is some leaf's
             or c.num_variables > len(c.variables)
             or not np.all((c.roots >= 0) & (c.roots < n))
             or not np.all((kids >= 0) & (kids < np.repeat(runs, fan)))
             or not np.all((c.variables >= 0) & (c.variables < c.num_variables))
             or not (np.all(np.isfinite(c.means)) and np.all(np.isfinite(c.log_stds)))
-            or not _normalized(c.log_weights, counts[is_sum])
+            or not _normalized(c.log_weights, counts[kinds == _SUM])
             or not _normalized(c.log_probs, c.states)
             or len(c.log_class_priors) != len(c.roots)
             or _unnormalized(c.log_class_priors) is not None):
@@ -483,7 +495,7 @@ def _holds(c: _Columns) -> bool:
     # report computes it.
     words = max(1, -(-c.num_variables // 64))
     scope = np.zeros((n, words), dtype=np.uint64)
-    scope[np.flatnonzero(~(is_sum | is_product)), c.variables // 64] = (
+    scope[np.flatnonzero(kinds >= _GAUSSIAN), c.variables // 64] = (
         np.uint64(1) << (c.variables % 64).astype(np.uint64))
     summing = kinds[runs] == _SUM
     # A round ORs each node's k-th scope-setting child into it, for every k;
@@ -838,9 +850,9 @@ class _SpareArrays:
     same layout: those of at least ``_SPARE_MIN`` bytes, while they total at
     most ``_SPARE_BYTES``.  And prepared passes (:class:`PreparedPass`),
     kept by request while their bytes total at most ``_PREPARED_BYTES``; a
-    pass that does not fit evicts those given longest ago.  A pass whose
-    first array its caller holds, as training does, counts as kept, and is
-    taken back when the caller gives that array back.
+    pass that does not fit evicts those kept longest ago, lent or not.  A
+    pass whose first array its caller holds, as training's does, is kept
+    lent: no pass takes it until the caller gives that array back.
 
     A pass's (nodes, columns) arrays can be large (25 MB each at mid and 256
     rows).  Allocated fresh for every pass, they cost page faults whenever
@@ -857,8 +869,7 @@ class _SpareArrays:
 
     def __init__(self):
         self._by_width: dict[int, list] = {}
-        self._prepared: list[tuple] = []  # (key, pass), the last given last
-        self._lent: dict[int, tuple] = {}  # id of a held first array -> (key, its pass)
+        self._prepared: list[list] = []  # [key, pass, lent], the first kept first
         self._lock = threading.Lock()
 
     def __reduce__(self):
@@ -875,13 +886,13 @@ class _SpareArrays:
         return np.empty((rows, columns))
 
     def give(self, *arrays: np.ndarray) -> None:
-        """Keep arrays that nothing else refers to any more, while they fit,
-        and the prepared passes whose first arrays were lent."""
+        """Keep arrays that nothing else refers to any more, while they fit;
+        the first array of a lent prepared pass returns that pass."""
         for a in arrays:
             with self._lock:
-                lent = self._lent.pop(id(a), None)
-                if lent is not None:  # the entry keeps the array alive, so the id is its own
-                    self._prepared.append(lent)
+                lent = next((e for e in self._prepared if e[2] and e[1].arrays[0] is a), None)
+                if lent is not None:
+                    lent[2] = False
                     continue
             if a.nbytes < _SPARE_MIN:
                 continue
@@ -890,29 +901,25 @@ class _SpareArrays:
                 self._by_width.setdefault(a.shape[1], []).append(a)
 
     def take_prepared(self, key: tuple) -> Optional[PreparedPass]:
-        """The prepared pass for ``key`` given last, or None."""
+        """The prepared pass for ``key`` kept last and not lent, or None."""
         with self._lock:
             for i in range(len(self._prepared) - 1, -1, -1):
-                if self._prepared[i][0] == key:
+                if self._prepared[i][0] == key and not self._prepared[i][2]:
                     return self._prepared.pop(i)[1]
         return None
 
     def give_prepared(self, key: tuple, prepared: PreparedPass, lent: bool = False) -> bool:
         """Keep a prepared pass that nothing else refers to any more, or,
         if ``lent``, whose first array the caller holds until it gives it
-        back, if it fits once the passes given longest ago are dropped;
+        back, if it fits once the passes kept longest ago are dropped;
         returns whether it was kept."""
         with self._lock:
-            held = sum(x.nbytes for _, x in self._lent.values())
-            if held + prepared.nbytes > _PREPARED_BYTES:
+            if prepared.nbytes > _PREPARED_BYTES:
                 return False
-            held += sum(x.nbytes for _, x in self._prepared)
+            held = sum(x.nbytes for _, x, _ in self._prepared)
             while held + prepared.nbytes > _PREPARED_BYTES:
                 held -= self._prepared.pop(0)[1].nbytes
-            if lent:
-                self._lent[id(prepared.arrays[0])] = key, prepared
-            else:
-                self._prepared.append((key, prepared))
+            self._prepared.append([key, prepared, lent])
             return True
 
 
@@ -1051,8 +1058,8 @@ class Layout:
         (:meth:`_rows`).  The pass is kept for the next pass of ``key`` while
         it fits (:class:`_SpareArrays`), and otherwise its arrays are, so the
         caller must hold no other reference to them.  Where the arrays
-        themselves were asked for, the pass is kept once the caller gives
-        the first back (:meth:`_SpareArrays.give`)."""
+        themselves were asked for, the pass is kept lent until the caller
+        gives the first back (:meth:`_SpareArrays.give`), or evicted."""
         rows = [self._rows(a, nodes, roots_only) for a in prepared.arrays]
         lent = rows[0] is prepared.arrays[0]
         if not self.spare.give_prepared(key, prepared, lent) and not lent:
@@ -1209,11 +1216,13 @@ class Plan:
     def _gaussian(self, x: np.ndarray, missing: Optional[np.ndarray], b: slice,
                   out: np.ndarray) -> None:
         # -0.5 z^2 - log_std - log(2 pi) / 2, in place on cache-sized blocks;
-        # x is a gathered copy, so z may take its place
-        z = np.subtract(x, self.mean[b, None], out=x)
-        z *= self.inv_std[b, None]
-        np.multiply(z, -0.5, out=out)
-        out *= z
+        # x is a gathered copy, so z may take its place.  A value far out
+        # overflows z or z^2 to inf, and its exact log density is -inf.
+        with np.errstate(over="ignore"):
+            z = np.subtract(x, self.mean[b, None], out=x)
+            z *= self.inv_std[b, None]
+            np.multiply(z, -0.5, out=out)
+            out *= z
         out -= self.log_std[b, None]
         out -= 0.5 * LOG_2PI
         if missing is not None:
@@ -1243,11 +1252,10 @@ def _compile_layout(circuit: Circuit) -> Layout:
     c = _compiled_columns(circuit)
     kinds, counts, children = c.kinds, c.counts, c.children
     n = len(kinds)
-    starts = np.cumsum(counts) - counts
+    starts, head = c.runs[:2]
     fan_in = np.where(kinds == _SUM, counts, 0)
     edge_start = np.cumsum(fan_in) - fan_in  # each sum's first log weight
-    head = _run_heads(kinds, counts, starts, children)
-    depth = _depths(counts, starts, children, head)
+    depth = _depths(c)
 
     stacked, edge_order = [], []  # (kind, nodes, factors, distinct) per layer
     level = 2 * depth + (kinds == _SUM)  # by depth, products before sums
@@ -1328,21 +1336,18 @@ def _run_heads(kinds, counts, starts, children) -> np.ndarray:
     return np.maximum.accumulate(np.where(same, 0, np.arange(n)))
 
 
-def _depths(counts, starts, children, head) -> np.ndarray:
+def _depths(c: _Columns) -> np.ndarray:
     """Per node, 0 for a leaf, else one more than its deepest child: relaxed
     round by round over the children of each run's first node, whose depth
     its run shares."""
-    n = len(counts)
-    heads = np.flatnonzero((head == np.arange(n)) & (counts > 0))
-    fan_in = counts[heads]
-    first = np.cumsum(fan_in) - fan_in
-    kids = children[np.repeat(starts[heads] - first, fan_in) + np.arange(fan_in.sum())]
+    _, head, runs, _, first, kids = c.runs
+    n = len(head)
     depth = np.zeros(n, dtype=np.int64)
     for _ in range(n):  # a circuit's depth is below its node count
-        deeper = np.maximum.reduceat(depth[kids], first) + 1 if len(heads) else heads
-        if np.array_equal(deeper, depth[heads]):
+        deeper = np.maximum.reduceat(depth[kids], first) + 1 if len(runs) else runs
+        if np.array_equal(deeper, depth[runs]):
             break
-        depth[heads] = deeper
+        depth[runs] = deeper
         depth = depth[head]
     return depth
 
@@ -1510,7 +1515,8 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
     only the prefix values they read, or that ``nodes`` asks for, are copied
     into every column.  The pass holds node values in slot order
     (:meth:`Layout.finish`): asking for :attr:`Layout.order` returns that
-    array itself, and asking for the roots copies only their rows.  Each
+    array itself, lent until the caller hands it to ``layout.spare.give``
+    or keeps it, and asking for the roots copies only their rows.  Each
     product layer that :attr:`Layout.fused` flags runs inside the step of
     the sum layer that reads it (:meth:`Layout.steps`), the first one
     included in a masked pass, where it stays in one column.  A request for
@@ -1593,10 +1599,21 @@ def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray,
     below a zero-weight or dropped sibling flushes to zero or a subnormal;
     those entries are recomputed as exact log-sum-exps.
     """
+    return _log_mixed(w, log_w, x, *_shifted_exp(x), kept)
+
+
+def _shifted_exp(x: np.ndarray):
+    """(m, shift, lin) of (g, K, columns) child log values: each group's
+    and column's largest value m, the shift max(m, SHIFT_FLOOR), and
+    exp(x - shift), made in one new array."""
     m = x.max(axis=1, keepdims=True)
     shift = np.maximum(m, SHIFT_FLOOR)
     lin = np.subtract(x, shift)
-    np.exp(lin, out=lin)
+    return m, shift, np.exp(lin, out=lin)
+
+
+def _log_mixed(w, log_w, x, m, shift, lin, kept=None) -> np.ndarray:
+    """:func:`log_mix` from the (m, shift, lin) of ``x`` (:func:`_shifted_exp`)."""
     if kept is None:
         mixed = mix(w, lin)
     else:  # a shared column is read at stride 0 along the passes
@@ -1606,7 +1623,7 @@ def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray,
         log_w[g, s] if kept is None else np.where(kept[c, g, s], log_w[g, s], -np.inf)))
 
 
-def mix(w: np.ndarray, lin: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def mix(w: np.ndarray, lin: np.ndarray) -> np.ndarray:
     """(g, S, K) weights of a :class:`Plan` times (g, K, columns) linear
     values, one matrix product per group, in einsum's own loops, so that
     each column's bits do not depend on how many columns a pass holds: a
@@ -1618,7 +1635,7 @@ def mix(w: np.ndarray, lin: np.ndarray, out: Optional[np.ndarray] = None) -> np.
     column does, it sums them in SIMD lanes, while it adds them one k at a
     time otherwise.  The plan's weights hold their K values apart, so every
     width takes the k-at-a-time loop."""
-    return np.einsum("gsk,gkc->gsc", w, lin, out=out)
+    return np.einsum("gsk,gkc->gsc", w, lin)
 
 
 def log_shifted(mixed: np.ndarray, shift: np.ndarray, nonzero, log_terms) -> np.ndarray:
@@ -1678,14 +1695,13 @@ _ZIP_MAGIC = b"PK\x03\x04"
 
 def serialize(circuit: Circuit) -> bytes:
     """Encode a valid circuit as a circuit file of format version 2."""
+    report = validate(circuit)
+    if not report.ok:
+        raise SerializationError(f"refusing to serialize an invalid circuit:\n{report}")
     columns = _columns(circuit)
-    if columns is None or not _holds(columns):
-        report = _node_report(circuit)
-        if not report.ok:
-            raise SerializationError(f"refusing to serialize an invalid circuit:\n{report}")
-        if columns is None:
-            raise SerializationError("refusing to serialize a circuit whose num_variables is no "
-                                     "int, or whose leaves have children or tables of two axes")
+    if columns is None:
+        raise SerializationError("refusing to serialize a circuit whose num_variables is no "
+                                 "int, or whose leaves have children or tables of two axes")
     header = json.dumps({"version": CIRCUIT_FORMAT_VERSION, "num_variables": columns.num_variables})
     members = {"header": np.frombuffer(header.encode(), dtype=np.uint8),
                **{name: getattr(columns, name) for name in _MEMBERS}}
@@ -1702,14 +1718,11 @@ def serialize(circuit: Circuit) -> bytes:
 def deserialize(data: bytes) -> Circuit:
     """Decode a circuit file of format version 2, or 1; raises
     SerializationError for a malformed file or an invalid circuit."""
-    if data[:4] != _ZIP_MAGIC:
-        return _deserialize_json(data)
-    columns = _read_columns(data)
-    circuit = _of_columns(columns)
-    if not _holds(columns):
-        report = _node_report(circuit)
-        if not report.ok:
-            raise SerializationError(f"circuit file fails validation:\n{report}")
+    circuit = (_of_columns(_read_columns(data)) if data[:4] == _ZIP_MAGIC
+               else _deserialize_json(data))
+    report = validate(circuit)
+    if not report.ok:
+        raise SerializationError(f"circuit file fails validation:\n{report}")
     return circuit
 
 
@@ -1852,7 +1865,7 @@ def _deserialize_json(data: bytes) -> Circuit:
         raise SerializationError(f"unknown circuit file version {version!r}")
     num_variables = _num_variables(doc, data)
     try:
-        circuit = Circuit(
+        return Circuit(
             nodes=[_node_from_json(n) for n in doc["nodes"]],
             roots=list(doc["roots"]),
             num_variables=num_variables,
@@ -1860,10 +1873,6 @@ def _deserialize_json(data: bytes) -> Circuit:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed circuit file: {exc}") from exc
-    report = validate(circuit)
-    if not report.ok:
-        raise SerializationError(f"circuit file fails validation:\n{report}")
-    return circuit
 
 
 def save(circuit: Circuit, path) -> None:

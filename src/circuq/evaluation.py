@@ -17,10 +17,11 @@ import numpy as np
 
 from .circuit import Circuit, log_likelihood_batch
 from .datasets import Dataset, corrupt, rotate
-from .errors import ShapeError, UnderflowError
+from .errors import ShapeError
 from .mcd import mcd_infer_rows
 from .moments import (
     DropoutConfig,
+    _root_shift,
     posterior_summary_batch,
     predictive_entropy_batch,
 )
@@ -51,13 +52,9 @@ def posterior_means(circuit: Circuit, X: np.ndarray, config: EvalConfig):
     means = np.empty((rows, C))
     stds = np.zeros((rows, C))
     if config.method == "plain":
-        joint = log_likelihood_batch(circuit, X) + circuit.log_class_priors[None, :]
-        shift = joint.max(axis=1, keepdims=True)
-        dead = np.flatnonzero(np.isneginf(shift))
-        if len(dead):
-            raise UnderflowError(f"all class likelihoods vanished for row {int(dead[0])}; "
-                                 "the posterior denominator is zero")
-        post = np.exp(joint - shift)
+        ll = log_likelihood_batch(circuit, X)
+        log_c = circuit.log_class_priors
+        post = np.exp(ll + log_c - _root_shift(ll.T, log_c[:, None])[:, None])
         means[:] = post / post.sum(axis=1, keepdims=True)
     elif config.method == "tdi":
         pm = posterior_summary_batch(circuit, X, DropoutConfig.with_p(config.p))

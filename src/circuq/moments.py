@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (BATCH_ROWS, SHIFT_FLOOR, Circuit, as_batch, as_evidence, log_shifted,
-                      logsumexp, logsumexp_axis0, mix, step_inputs)
+from .circuit import (BATCH_ROWS, SHIFT_FLOOR, Circuit, _log_mixed, _shifted_exp, as_batch,
+                      as_evidence, log_shifted, logsumexp, logsumexp_axis0, mix, step_inputs)
 from .errors import ShapeError, StructureError, UnderflowError
 
 _NEG_INF = float("-inf")
@@ -244,28 +244,21 @@ def _sum_moments(w, w2, lw, ce, cv, log_q, p, out, constant: bool) -> None:
 
     E = q W E_k and Var = q (W o W) (Var_k + p E_k^2), from the plan's
     weights ``w`` and squared weights ``w2`` and the groups' (g, K, rows)
-    child moments.  E is mixed in linear space under each group's per-row
-    largest child mean, Var under its largest Var_k or E_k^2, and entries
-    that flush to zero or a subnormal are recomputed exactly
-    (:func:`log_shifted`).  ``constant`` children have no variance, so their
-    Var_k term is left out.  At p = 0 with zero child variances Var is
-    exactly 0.
+    child moments.  E / q is the forward pass's mix of the child means
+    (:func:`circuq.circuit._log_mixed`).  Var is mixed in linear space under
+    its largest Var_k or E_k^2, and entries that flush to zero or a
+    subnormal are recomputed exactly (:func:`log_shifted`).  ``constant``
+    children have no variance, so their Var_k term is left out.  At p = 0
+    with zero child variances Var is exactly 0.
     """
-    me = ce.max(axis=1, keepdims=True)
-    se = np.maximum(me, SHIFT_FLOOR)
-    if constant:
-        has_var = False
-        sv = np.maximum(2.0 * me, SHIFT_FLOOR)
-    else:
-        mv = cv.max(axis=1, keepdims=True)
-        has_var = mv > _NEG_INF
-        sv = np.maximum(np.maximum(mv, 2.0 * me), SHIFT_FLOOR)
-    a = np.exp(ce - se)
+    me, se, a = _shifted_exp(ce)
+    mv = _NEG_INF if constant else cv.max(axis=1, keepdims=True)
+    has_var = mv > _NEG_INF
+    sv = np.maximum(np.maximum(mv, 2.0 * me), SHIFT_FLOOR)
     var = p * mix(w2, a * a) * np.exp(2.0 * se - sv)
     if not constant:
         var += mix(w2, np.exp(cv - sv))
-    log_e = log_shifted(mix(w, a), se, lambda: me > _NEG_INF,
-                        lambda g, s, c: lw[g, s] + ce[g, :, c])
+    log_e = _log_mixed(w, lw, ce, me, se, a)
     log_var = log_shifted(
         var, sv, lambda: has_var | ((p > 0.0) & (me > _NEG_INF)),
         lambda g, s, c: np.concatenate(
@@ -610,6 +603,7 @@ def _taylor(circuit, root_e, root_v, root_cov, method, first_row=0, log_v=None):
     """
     roots = circuit.roots
     log_c = np.asarray(circuit.log_class_priors, dtype=np.float64)[:, None]
+    c = np.exp(log_c)
     shift = _root_shift(root_e, log_c, first_row)
     les = root_e - shift  # E[S_i], shifted
     lvs = root_v - 2.0 * shift  # Var[S_i], shifted
@@ -619,7 +613,6 @@ def _taylor(circuit, root_e, root_v, root_cov, method, first_row=0, log_v=None):
     eb2 = eb**2
     cov_ab = va  # Cov[A_i, B]
     if root_cov is not None:
-        c = np.exp(log_c)
         ck = np.einsum("j,ijr->ir", c[:, 0], root_cov)  # sum_j c_j Cov[S_i, S_j]
         cov_ab = va + c * ck
     # Var[B] needs no clamp: va is an exp, and root_cov is zero or an exp
@@ -633,7 +626,6 @@ def _taylor(circuit, root_e, root_v, root_cov, method, first_row=0, log_v=None):
         # sum_{k,l} (w_k w_l)^2 Var[N_k] Var[N_l], which factors into
         # T_i T_j with T_i = sum_k w_k^2 Var[N_k]; non-sum roots fall back
         # to T_i = Var[S_i].
-        c = np.exp(log_c)
         log_t = lvs.copy()
         with np.errstate(divide="ignore"):
             for i, r in enumerate(roots):

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (
-    SHIFT_FLOOR,
     Circuit,
+    _shifted_exp,
     as_batch,
     Layout,
     forward_log_values,
@@ -178,66 +178,67 @@ def loss_and_grad(
     plan = circuit.plan()
     layout = plan.layout
     logv = forward_log_values(circuit, X, nodes=layout.order)  # (nodes, B), slot order
-    roots = layout.slot[circuit.roots]
-    root_ll = logv[roots]  # (C, B)
-
-    if objective == "head":
-        picked = root_ll[labels, np.arange(B)]
-        loss = float(-picked.mean())
-        seed = np.zeros((C, B))
-        seed[labels, np.arange(B)] = -1.0 / B
-    elif objective == "cross_entropy":
-        joint = root_ll + np.asarray(circuit.log_class_priors)[:, None]
-        lse = logsumexp_axis0(joint)
-        loss = float(-(joint[labels, np.arange(B)] - lse).mean())
-        softmax = np.exp(joint - lse[None, :])
-        seed = softmax / B
-        seed[labels, np.arange(B)] -= 1.0 / B
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-
-    if not math.isfinite(loss):
-        bad = int(np.flatnonzero(~np.isfinite(root_ll[labels, np.arange(B)]))[0])
-        raise ParameterError(f"non-finite loss; first offending sample index {bad}")
-
     adjoint = layout.values(B)  # d loss / d log value per slot
-    adjoint.fill(0.0)
-    np.add.at(adjoint, roots, seed)
-    grad = np.zeros(ParameterSpace(circuit).size)
-    logits_grad, mean_grad, log_std_grad = _blocks(grad, layout)  # views that fill grad
-    layers = zip(layout.layers, plan.log_weights, plan.weights, logits_grad)
-    for layer, lw, w, layer_grad in reversed(list(layers)):
-        for b in layer.blocks(B):
-            adj = layer.output(adjoint, b)
-            if lw is None:
-                for read, part in zip(layer.reads, layer.factor_sums(adj)):
-                    read.add(adjoint, b, part, layer.distinct)
-            else:
-                children = layer.reads[0]
-                layer_grad[b], part = _sum_reverse(w[b], lw[b], children.read(logv, b),
-                                                   layer.output(logv, b), adj)
-                children.add(adjoint, b, part, layer.distinct)
+    try:
+        root_ll = logv[layout.roots]  # (C, B)
 
-    _, variables = layout.leaves["gaussian"]
-    leaf_adjoint = adjoint[layout.leaf_slots("gaussian")]
-    values = np.ascontiguousarray(X.T)  # (variables, rows)
-    for b in node_blocks(len(variables), 1, B):
-        x = values[variables[b]]
-        inv_std = plan.inv_std[b]
-        u = x - plan.mean[b, None]
-        u *= inv_std[:, None]
-        adj = leaf_adjoint[b]
-        # Only rows where the leaf is observed and the loss depends on it
-        # contribute: elsewhere the derivative is 0, even where u * u overflows.
-        # d log_std = sum adj (u^2 - 1) = sum (adj u) u - sum adj over those rows.
-        used = ~np.isnan(x) & (adj != 0.0)
-        adj_u = np.multiply(adj, u, out=np.zeros_like(adj), where=used)
-        mean_grad[b] = adj_u.sum(axis=1) * inv_std
-        np.multiply(adj_u, u, out=adj_u, where=used)
-        log_std_grad[b] = adj_u.sum(axis=1) - adj.sum(axis=1, where=used)
-    # categorical leaves carry no trainable parameters
-    layout.spare.give(logv, adjoint)
-    return loss, grad
+        if objective == "head":
+            picked = root_ll[labels, np.arange(B)]
+            loss = float(-picked.mean())
+            seed = np.zeros((C, B))
+            seed[labels, np.arange(B)] = -1.0 / B
+        elif objective == "cross_entropy":
+            joint = root_ll + np.asarray(circuit.log_class_priors)[:, None]
+            lse = logsumexp_axis0(joint)
+            loss = float(-(joint[labels, np.arange(B)] - lse).mean())
+            softmax = np.exp(joint - lse[None, :])
+            seed = softmax / B
+            seed[labels, np.arange(B)] -= 1.0 / B
+        else:
+            raise ValueError(f"unknown objective {objective!r}")
+
+        if not math.isfinite(loss):
+            bad = int(np.flatnonzero(~np.isfinite(root_ll[labels, np.arange(B)]))[0])
+            raise ParameterError(f"non-finite loss; first offending sample index {bad}")
+
+        adjoint.fill(0.0)
+        np.add.at(adjoint, layout.roots, seed)
+        grad = np.zeros(ParameterSpace(circuit).size)
+        logits_grad, mean_grad, log_std_grad = _blocks(grad, layout)  # views that fill grad
+        layers = zip(layout.layers, plan.log_weights, plan.weights, logits_grad)
+        for layer, lw, w, layer_grad in reversed(list(layers)):
+            for b in layer.blocks(B):
+                adj = layer.output(adjoint, b)
+                if lw is None:
+                    for read, part in zip(layer.reads, layer.factor_sums(adj)):
+                        read.add(adjoint, b, part, layer.distinct)
+                else:
+                    children = layer.reads[0]
+                    layer_grad[b], part = _sum_reverse(w[b], lw[b], children.read(logv, b),
+                                                       layer.output(logv, b), adj)
+                    children.add(adjoint, b, part, layer.distinct)
+
+        _, variables = layout.leaves["gaussian"]
+        leaf_adjoint = adjoint[layout.leaf_slots("gaussian")]
+        values = np.ascontiguousarray(X.T)  # (variables, rows)
+        for b in node_blocks(len(variables), 1, B):
+            x = values[variables[b]]
+            inv_std = plan.inv_std[b]
+            u = x - plan.mean[b, None]
+            u *= inv_std[:, None]
+            adj = leaf_adjoint[b]
+            # Only rows where the leaf is observed and the loss depends on it
+            # contribute: elsewhere the derivative is 0, even where u * u overflows.
+            # d log_std = sum adj (u^2 - 1) = sum (adj u) u - sum adj over those rows.
+            used = ~np.isnan(x) & (adj != 0.0)
+            adj_u = np.multiply(adj, u, out=np.zeros_like(adj), where=used)
+            mean_grad[b] = adj_u.sum(axis=1) * inv_std
+            np.multiply(adj_u, u, out=adj_u, where=used)
+            log_std_grad[b] = adj_u.sum(axis=1) - adj.sum(axis=1, where=used)
+        # categorical leaves carry no trainable parameters
+        return loss, grad
+    finally:
+        layout.spare.give(logv, adjoint)
 
 
 def _sum_reverse(w, lw, x, v, adj):
@@ -254,8 +255,7 @@ def _sum_reverse(w, lw, x, v, adj):
     takes the values.  A sum whose value is 0 passes nothing back.
     """
     w = np.ascontiguousarray(w)  # the plan's weights lie apart, which BLAS would not take
-    shift = np.maximum(x.max(axis=1, keepdims=True), SHIFT_FLOOR)
-    a = np.exp(x - shift)
+    _, shift, a = _shifted_exp(x)
     flushed = v - shift < _LOG_TINY
     A = np.where(flushed, 0.0, adj * np.exp(np.minimum(shift - v, -_LOG_TINY)))
     _, S, K = w.shape

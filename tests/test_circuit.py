@@ -29,15 +29,18 @@ from circuq import (
     log_likelihood_batch,
     McdConfig,
     mcd_infer,
+    posterior_moments,
     posterior_moments_batch,
     RatConfig,
     serialize,
     structure_stats,
     TrainConfig,
+    UnderflowError,
     fit,
     validate,
 )
 import circuq.circuit as circuit_module
+from circuq.evaluation import EvalConfig, posterior_means
 from circuq.enumeration import linear_forward
 from circuq.structures import random_tree_circuit, random_dag_circuit, random_evidence
 from circuq.circuit import logsumexp
@@ -358,8 +361,7 @@ def test_round_trip_is_bitwise_exact(circuit, data):
                 assert _bits([b.mean, b.log_std]) == _bits([a.mean, a.log_std])
             if a.kind == "categorical":
                 assert _bits(b.log_probs) == _bits(a.log_probs)
-        with np.errstate(all="ignore"):  # a leaf at mean 1e308 overflows its squared distance
-            assert _bits(log_likelihood_batch(c2, X)) == _bits(log_likelihood_batch(c, X))
+        assert _bits(log_likelihood_batch(c2, X)) == _bits(log_likelihood_batch(c, X))
 
 
 def test_is_tree_detects_sharing():
@@ -432,6 +434,48 @@ class TestColumnStorage:
         for circuit in (c, trained):
             assert validate(circuit).ok and deserialize(serialize(circuit)).num_classes == 10
             assert structure_stats(circuit)["nodes"] == 12_210
+
+
+    def test_a_built_circuit_is_checked_once_on_its_way_to_a_file(self, monkeypatch):
+        """Columns check themselves once: saving a built RAT runs no second
+        array check, compiling a loaded one no second run analysis, and a
+        circuit with trained parameters has new columns, checked before they
+        are saved."""
+        calls = {"_holds": 0, "_run_heads": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(circuit_module, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(circuit_module, name, counted)
+        c = build_rat(RatConfig(2, 2, 2, 1, 3, 8, rng_seed=3))
+        blob = serialize(c)
+        assert calls == {"_holds": 1, "_run_heads": 1}
+        loaded = deserialize(blob)
+        loaded.plan()
+        assert calls == {"_holds": 2, "_run_heads": 2}
+        rng = np.random.default_rng(0)
+        trained, _ = fit(loaded, rng.normal(size=(6, 8)), rng.integers(3, size=6),
+                         TrainConfig(epochs=1, batch_size=3, learning_rate=0.02))
+        assert serialize(trained) != blob
+        assert calls["_holds"] == 3
+
+
+class TestFarOutEvidence:
+    """A value so far out that its squared distance overflows has the exact
+    log density -inf, without a RuntimeWarning (which the tests raise)."""
+
+    def test_the_likelihood_is_minus_inf_and_the_posteriors_underflow(self):
+        c = build_rat(RatConfig(2, 2, 2, 1, 3, 8, rng_seed=3))
+        x = np.zeros(8)
+        for far in (1e200, -1e200, 1e308):
+            x[0] = far
+            assert np.all(log_likelihood(c, x) == -np.inf)
+            with pytest.raises(UnderflowError, match="row 0"):
+                posterior_moments(c, x, DropoutConfig.with_p(0.1))
+            with pytest.raises(UnderflowError, match="row 0"):
+                posterior_means(c, x[None, :], EvalConfig())
+        x[0] = np.nan
+        assert np.all(np.isfinite(log_likelihood(c, x)))
 
 
 class TestCircuitFile:

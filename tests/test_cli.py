@@ -126,6 +126,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: code=4 kind=validation") and "[index]" in err
 
+    def test_far_out_evidence_is_4(self, workspace, capsys):
+        """A first value of 1e200 makes every class likelihood of its row
+        vanish: an error line, no RuntimeWarning."""
+        data = load_csv(workspace / "x.csv")
+        data.features[0, 0] = 1e200
+        path = workspace / "x_far.csv"
+        save_csv(data, path)
+        rc = main(["tdi", "--model", str(workspace / "train" / "model.circuit"),
+                   "--input", str(path), "--out", str(workspace / "tdi_far")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: code=4 kind=circuit") and "vanished for row 0" in err
+
     @pytest.mark.parametrize("width", [5, 7])
     @pytest.mark.parametrize("argv", [["tdi", "--input"], ["train", "--epochs", "1", "--data"]])
     def test_input_of_wrong_width_is_4(self, workspace, argv, width, capsys):

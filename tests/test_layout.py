@@ -30,7 +30,7 @@ import circuq.circuit as circuit_module
 from circuq.circuit import forward_log_values, log_mix, mix
 from circuq.enumeration import enumerate_dropout_moments, linear_forward
 from circuq.structures import random_dag_circuit, random_evidence, random_tree_circuit
-from circuq.train import ParameterSpace, loss_and_grad
+from circuq.train import ParameterSpace, TrainConfig, fit, loss_and_grad
 from circuq.moments import (_product_moments, _sum_moments, posterior_moments,
                             posterior_moments_batch, posterior_summary_batch)
 
@@ -345,6 +345,46 @@ class TestSpareArrays:
         again = pickle.loads(pickle.dumps(c))
         assert again.layout().values(len(X)) is not slots
         np.testing.assert_array_equal(forward_log_values(again, X, nodes=c.roots), roots)
+
+    @staticmethod
+    def kept_pass_found(c, x, monkeypatch) -> bool:
+        """Whether the second of two one-row posterior_moments calls reuses
+        the prepared pass that the first one kept."""
+        spare = c.layout().spare
+        found, take = [], spare.take_prepared
+        monkeypatch.setattr(spare, "take_prepared", lambda key: found.append(take(key)) or found[-1])
+        for _ in range(2):
+            posterior_moments(c, x, DropoutConfig.with_p(0.1))
+        return found[-1] is not None
+
+    def test_aborted_fits_leave_no_pass_lent(self, monkeypatch):
+        """Training's forward pass is lent to it; two fits on 100 rows whose
+        first step raises, since one row at 1e200 makes the loss non-finite,
+        give it back all the same, and one-row passes are kept after them."""
+        c = build_rat(SMALL_RAT)
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(100, c.num_variables))
+        X[7, 3] = 1e200
+        y = rng.integers(c.num_classes, size=100)
+        for _ in range(2):
+            assert fit(c, X, y, TrainConfig(epochs=1, batch_size=100))[1].aborted
+        assert not any(lent for _, _, lent in c.layout().spare._prepared)
+        assert self.kept_pass_found(c, X[0], monkeypatch)
+
+    def test_a_held_pass_array_holds_up_no_later_pass(self, monkeypatch):
+        """A caller may keep the array of a pass that asked for the layout
+        order: no later pass writes into it, and later passes are kept."""
+        c = build_rat(SMALL_RAT)
+        layout = c.layout()
+        X = np.random.default_rng(6).normal(size=(100, c.num_variables))
+        held = [forward_log_values(c, X + k, nodes=layout.order) for k in range(3)]
+        copies = [a.copy() for a in held]
+        for k in range(3):
+            forward_log_values(c, X - k, nodes=layout.order)
+            log_likelihood_batch(c, X - k)
+        assert self.kept_pass_found(c, X[0], monkeypatch)
+        for a, copy in zip(held, copies):
+            np.testing.assert_array_equal(a, copy)
 
     def test_threads_sharing_a_circuit_never_share_a_pass_array(self, monkeypatch):
         monkeypatch.setattr(circuit_module, "_SPARE_MIN", 0)
