@@ -648,10 +648,13 @@ def _node_report(circuit: Circuit) -> ValidationReport:
 # A product layer that only the next sum layer reads, as its groups'
 # children in slot order, is fused (Layout.fused): in a RAT, every partition
 # layer.  Every pass runs it inside that sum layer's step, one block of sum
-# groups and the products they read at a time.  The request decides only
-# where a block's products go: a roots-only request makes them in a
-# block-sized array and never writes their slots, and any other request,
-# training's included, writes them into their slots.
+# groups and the products they read at a time, and mixes the products in
+# linear space from their factors (factored_exp): each factor is shifted by
+# its own largest value and exponentiated, and the shifted linear factors
+# multiply over the outer product, so no log product is formed or
+# exponentiated.  The request decides only whether the log products, which
+# no sum reads, are also written: a roots-only request never writes their
+# slots, and any other request, training's included, writes them there.
 
 _BLOCK_ELEMENTS = 1 << 16  # gathered or produced (groups, width, columns) elements per step
 
@@ -671,35 +674,36 @@ def node_blocks(count: int, width: int, columns: int) -> list[slice]:
 
 @dataclass(frozen=True)
 class SlotRead:
-    """One layer input: the (G, W) slots it reads, and their (group, width)
-    ``strides`` when the slots are affine, first + g * stride_g + w * stride_w,
+    """One layer input: the (G, W) slots it reads, or the (G, F, W) slots
+    of F inputs of one width read as one, and their strides, one per axis,
+    when the slots are affine, first + g * stride_g + ... + w * stride_w,
     None otherwise."""
 
     slots: np.ndarray
-    strides: Optional[tuple[int, int]]
+    strides: Optional[tuple]
     first: int = 0
 
     @staticmethod
     def of(slots: np.ndarray) -> "SlotRead":
-        G, W = slots.shape
         if slots.size == 0:
             return SlotRead(slots, None)
-        first = int(slots[0, 0])
-        strides = (int(slots[1, 0]) - first if G > 1 else 0,
-                   int(slots[0, 1]) - first if W > 1 else 0)
-        affine = first + strides[0] * np.arange(G)[:, None] + strides[1] * np.arange(W)
+        first = int(slots.flat[0])
+        strides = tuple(int(slots.take(1, axis).flat[0]) - first if n > 1 else 0
+                        for axis, n in enumerate(slots.shape))
+        affine = first + sum(stride * np.arange(n).reshape((-1,) + (1,) * (slots.ndim - 1 - axis))
+                             for axis, (stride, n) in enumerate(zip(strides, slots.shape)))
         return SlotRead(slots, strides if np.array_equal(slots, affine) else None, first)
 
     def read(self, values: np.ndarray, b: slice) -> np.ndarray:
-        """The (groups, W, columns) values of groups ``b``: a view of
-        ``values`` where the slots are affine, else a gathered copy."""
+        """The (groups, W, columns) or (groups, F, W, columns) values of
+        groups ``b``: a view of ``values`` where the slots are affine, else a
+        gathered copy."""
         if self.strides is None:
             return values[self.slots[b]]
-        by_group, by_width = self.strides
         row, column = values.strides
-        return np.ndarray((b.stop - b.start, self.slots.shape[1], values.shape[1]), values.dtype,
-                          values, (self.first + b.start * by_group) * row,
-                          (by_group * row, by_width * row, column))
+        return np.ndarray((b.stop - b.start, *self.slots.shape[1:], values.shape[1]), values.dtype,
+                          values, (self.first + b.start * self.strides[0]) * row,
+                          tuple(stride * row for stride in self.strides) + (column,))
 
     def add(self, values: np.ndarray, b: slice, part: np.ndarray, distinct: bool) -> None:
         """values[slots of groups b] += part, summing repeated slots; in place
@@ -769,7 +773,8 @@ class ProductLayer(_Output):
     (G, S_1 ... S_F): the products in outer (row-major) order of the factors.
     ``distinct`` holds when no node appears twice in one factor's array.  The
     products hold the slots from ``start`` on, and ``reads`` has one
-    :class:`SlotRead` per factor.
+    :class:`SlotRead` per factor.  Where every factor has one width S,
+    ``stacked`` reads them all as one (G, F, S) input, else it is None.
     """
 
     nodes: np.ndarray
@@ -777,6 +782,7 @@ class ProductLayer(_Output):
     distinct: bool
     start: int
     reads: tuple
+    stacked: Optional[SlotRead]
 
     kind = "product"
 
@@ -784,26 +790,24 @@ class ProductLayer(_Output):
         """Group slices whose products stay within the element budget."""
         return node_blocks(len(self.nodes), self.nodes.shape[1], columns)
 
-    def outer(self, parts: list, fold=np.add, out: Optional[np.ndarray] = None) -> np.ndarray:
+    @staticmethod
+    def outer(parts, fold=np.add, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Fold per-factor (groups, S_f, columns) arrays, factor by factor,
-        into the groups' (groups, products, columns) outer combinations.
-        Given a contiguous ``out`` of that shape, the last fold writes there,
-        so ``fold`` must then take ``out=``."""
-        acc = None
-        for f, x in enumerate(parts):
-            shape = [x.shape[0]] + [1] * len(parts) + [x.shape[-1]]
-            shape[1 + f] = x.shape[1]
-            x = x.reshape(shape)
-            if acc is None:
-                acc = x
-            elif out is not None and f == len(parts) - 1:
-                shape[1:-1] = [part.shape[1] for part in parts]
-                acc = fold(acc, x, out=out.reshape(shape))
+        into the groups' (groups, products, columns) outer combinations; a
+        stacked (groups, F, S, columns) input is passed as its
+        ``swapaxes(0, 1)``.  Given a contiguous ``out`` of that size, the
+        last fold writes there, so ``fold`` must then take ``out=``."""
+        acc = parts[0]
+        for f in range(1, len(parts)):
+            x = parts[f]
+            if out is None or f < len(parts) - 1:
+                acc = fold(acc[:, :, None], x[:, None])
             else:
-                acc = fold(acc, x)
-        acc = acc.reshape(acc.shape[0], -1, acc.shape[-1])
+                acc = fold(acc[:, :, None], x[:, None],
+                           out=out.reshape(len(acc), acc.shape[1], x.shape[1], -1))
+            acc = acc.reshape(len(acc), -1, acc.shape[-1])
         if out is not None and len(parts) == 1:
-            out[...] = acc
+            out.reshape(acc.shape)[...] = acc
         return acc
 
     def factor_sums(self, adj: np.ndarray) -> list:
@@ -943,7 +947,8 @@ class Layout:
 
     ``fused`` flags each product layer that only the next layer reads: a
     sum layer whose groups' children are the products' slots in order,
-    whole product groups per sum group, with no root among the products.
+    whole product groups per sum group, with no root among the products,
+    and whose factors have one width (:attr:`ProductLayer.stacked`).
     Every pass makes those products inside the sum layer's step, a block of
     sum groups at a time (:meth:`steps`).
     """
@@ -1074,18 +1079,22 @@ class Layout:
         the layer's groups b a tuple (b, products, factors, made, children,
         out).  ``products`` is the product layer the block runs, if any: the
         step's own or the one fused into it.  ``factors`` holds per array its
-        factors' views, and ``made`` per array where its products go.
-        ``children`` holds per array a sum layer's (g, K, columns) children,
-        and ``out`` per array the layer's output.  A layer that gathers its
-        inputs, where its slots are not affine, reads copies that each pass
-        makes anew: its ``factors`` or ``children`` are then a function that
-        makes them (:func:`step_inputs`).  A request for the circuit's roots list
-        itself makes each fused block's products in a scratch array of the
-        largest block's size and leaves their slots unwritten; any other
-        request writes them into their slots.  Given ``head``, the masked
-        pass's (invariant, 1) arrays, the layers before :attr:`prefix` run on
-        those, and the sum layers that :attr:`narrow` flags read them, as
-        does a product layer fused into one.
+        factors' views, and ``made`` per array where its log products go, or
+        None.  ``children`` holds per array a sum layer's (g, K, columns)
+        children; in a fused step, it is instead where the sums' kernels make
+        their shifted linear children from the factors (:func:`factored_exp`):
+        a scratch array of the largest block's size where ``made`` is None,
+        else ``made`` itself, which the log products overwrite once the
+        linear values are mixed.  ``out`` holds per array the layer's
+        output.  A layer that gathers its inputs, where its slots are not
+        affine, reads copies that each pass makes anew: its ``factors`` or
+        ``children`` are then a function that makes them
+        (:func:`step_inputs`).  A request for the circuit's roots list itself
+        leaves the slots of fused products unwritten (``made`` is None); any
+        other request writes their log values there too.  Given ``head``,
+        the masked pass's (invariant, 1) arrays, the layers before
+        :attr:`prefix` run on those, and the sum layers that :attr:`narrow`
+        flags read them, as does a product layer fused into one.
         """
         schedule = []
         for k, products, layer in self.steps(range(len(self.layers))):
@@ -1094,12 +1103,10 @@ class Layout:
             source = head if before or (head is not None and self.narrow[k]) else arrays
             schedule.append((k, products, layer, source, target,
                              layer.blocks(target[0].shape[1])))
-        scratch = ()
-        if roots_only:
-            size = max([(b.stop - b.start) * layer.children.shape[1] * source[0].shape[1]
-                        for _, products, layer, source, _, blocks in schedule
-                        if products is not None for b in blocks], default=0)
-            scratch = [np.empty(size) for _ in arrays]
+        size = max([(b.stop - b.start) * layer.children.shape[1] * source[0].shape[1]
+                    for _, products, layer, source, _, blocks in schedule
+                    if products is not None for b in blocks], default=0)
+        scratch = [np.empty(size) for _ in arrays] if roots_only and size else []
         steps = []
         for k, products, layer, source, target, blocks in schedule:
             made_here = []
@@ -1112,12 +1119,12 @@ class Layout:
                                       _reads(layer.reads, b, source, one=True), out))
                 else:
                     g = products.feeding(layer, b)
-                    shape = (g.stop - g.start, products.nodes.shape[1], source[0].shape[1])
-                    made = ([x[: math.prod(shape)].reshape(shape) for x in scratch] if roots_only
-                            else [products.output(a, g) for a in source])
-                    made_here.append((b, products, _reads(products.reads, g, source), made,
-                                      [m.reshape(b.stop - b.start, -1, shape[2]) for m in made],
-                                      out))
+                    shape = (b.stop - b.start, layer.children.shape[1], source[0].shape[1])
+                    made = None if roots_only else [products.output(a, g) for a in source]
+                    lin = ([x[: math.prod(shape)].reshape(shape) for x in scratch] if roots_only
+                           else [m.reshape(shape) for m in made])
+                    made_here.append((b, products, _reads((products.stacked,), g, source, True),
+                                      made, lin, out))
             steps.append((k, layer, made_here))
         return steps, sum(x.nbytes for x in scratch)
 
@@ -1283,7 +1290,9 @@ def _compile_layout(circuit: Circuit) -> Layout:
         if kind == "sum":
             layers.append(SumLayer(ids, factors[0], distinct, start, reads))
         else:
-            layers.append(ProductLayer(ids, factors, distinct, start, reads))
+            one_width = len({f.shape[1] for f in factors}) == 1
+            stacked = SlotRead.of(np.stack([slot[f] for f in factors], 1)) if one_width else None
+            layers.append(ProductLayer(ids, factors, distinct, start, reads, stacked))
         start += ids.size
 
     parents = np.bincount(np.concatenate([children, c.roots]), minlength=n)
@@ -1301,7 +1310,8 @@ def _compile_layout(circuit: Circuit) -> Layout:
                                           for read in layer.reads] + [slot[c.roots]]),
                           minlength=n)
     fused = tuple(
-        layer.kind == "product" and sums is not None and sums.kind == "sum"
+        layer.kind == "product" and layer.stacked is not None
+        and sums is not None and sums.kind == "sum"
         and sums.children.shape[1] % layer.nodes.shape[1] == 0
         and np.array_equal(sums.reads[0].slots.ravel(),
                            np.arange(layer.start, layer.start + layer.nodes.size))
@@ -1519,11 +1529,12 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
     or keeps it, and asking for the roots copies only their rows.  Each
     product layer that :attr:`Layout.fused` flags runs inside the step of
     the sum layer that reads it (:meth:`Layout.steps`), the first one
-    included in a masked pass, where it stays in one column.  A request for
-    the circuit's roots list itself makes those products in block-sized
-    arrays and leaves their slots unwritten; any other request writes them
-    into their slots.  Raises ShapeError unless X is (rows, variables) and,
-    with ``keep``, one row with a (passes, sum edges) boolean mask.
+    included in a masked pass, where it stays in one column, and the sums
+    mix its products from their factors (:func:`log_mix_factored`).  A
+    request for the circuit's roots list itself leaves the products' slots
+    unwritten; any other request writes their log values there.  Raises
+    ShapeError unless X is (rows, variables) and, with ``keep``, one row
+    with a (passes, sum edges) boolean mask.
     """
     plan = circuit.plan()
     layout = plan.layout
@@ -1579,10 +1590,14 @@ def _forward_layers(plan: Plan, steps: list, keep: Optional[np.ndarray] = None) 
         kept = None if keep is None else keep[:, start : start + w.size].reshape(-1, *w.shape)
         start += w.size
         for b, products, factors, made, children, (out,) in blocks:
-            if products is not None:
-                products.outer(step_inputs(factors)[0], out=made[0])
-            out[...] = log_mix(w[b], lw[b], step_inputs(children)[0],
-                               None if kept is None else kept[:, b])
+            kept_b = None if kept is None else kept[:, b]
+            if products is None:
+                out[...] = log_mix(w[b], lw[b], step_inputs(children)[0], kept_b)
+                continue
+            stacked = step_inputs(factors)[0]
+            out[...] = log_mix_factored(w[b], lw[b], stacked, children[0], kept_b)
+            if made is not None:  # over the linear values, which are mixed
+                products.outer(stacked.swapaxes(0, 1), out=made[0])
 
 
 def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray,
@@ -1597,9 +1612,91 @@ def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray,
     largest child value and mixed in linear space as one matrix product.  The
     shift ignores the weights, so a sum whose weighted children all sit far
     below a zero-weight or dropped sibling flushes to zero or a subnormal;
-    those entries are recomputed as exact log-sum-exps.
+    those entries are recomputed as exact log-sum-exps.  Sums whose
+    children are whole product groups of a fused layer mix them from their
+    factors instead (:func:`log_mix_factored`); the others, in trees and
+    DAGs, mix here.
     """
-    return _log_mixed(w, log_w, x, *_shifted_exp(x), kept)
+    if kept is not None:
+        x = np.broadcast_to(x, (*x.shape[:2], len(kept)))
+    return _log_mixed(w, log_w, *_shifted_exp(x), lambda g, c: x[g, :, c], kept)
+
+
+def log_mix_factored(w: np.ndarray, log_w: np.ndarray, x: np.ndarray, lin: np.ndarray,
+                     kept: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`log_mix` of a block of sum groups whose children are whole
+    groups of products, from the products' factors, without their log
+    values.
+
+    ``x`` holds the factors' stacked (groups, F, S, columns) log values
+    (:attr:`ProductLayer.stacked`), for the product groups that the sum
+    groups read, in order.  The shifted linear products are made in
+    ``lin``, a contiguous (g, K, columns) array (:func:`factored_exp`).  The
+    mix, ``kept`` and the flush repair are :func:`log_mix`'s; the repair
+    makes the log values of the flagged entries' products from their
+    factors (:func:`gathered_factors`), as their slots are made.  The
+    result differs from :func:`log_mix` of the log products by rounding
+    alone, in the shifted linear values.
+    """
+    m, lin, _ = factored_exp(x, lin)
+    per_sum = len(x) // len(lin)
+    if kept is not None:
+        x = np.broadcast_to(x, (*x.shape[:3], len(kept)))
+    return _log_mixed(w, log_w, m, m, lin, lambda g, c: ProductLayer.outer(
+        gathered_factors(x, per_sum, g, c)).reshape(len(g), -1), kept)
+
+
+def factored_exp(x: np.ndarray, lin: np.ndarray):
+    """(m, lin, s): the shift and shifted linear values of the log products
+    that a block of sum groups reads, as :func:`_shifted_exp` gives them,
+    made from the factors' stacked (groups, F, S, columns) log values ``x``,
+    and the factors' largest values s.
+
+    Each factor f is shifted per group and column by its own largest value
+    s_f, floored as :func:`_shifted_exp` floors it (:func:`factor_shifts`),
+    and a product group's shifted linear values, the outer product of the
+    factors' exp(x_f - s_f), are written into ``lin``.  So a group takes
+    F S exponentials instead of S^F, and no transcendental runs on the
+    products.  A group's shift, the sum of its s_f, is the largest of its
+    log products but for rounding.  Where m is -inf, every value in ``lin``
+    is 0, so m can shift their log as it is.
+    """
+    s = x.max(axis=2, keepdims=True)
+    m, shift = factor_shifts(s, len(lin))
+    a = np.subtract(x, shift)
+    np.exp(a, out=a)
+    ProductLayer.outer(a.swapaxes(0, 1), np.multiply, out=lin)
+    return m, lin, s
+
+
+def factor_shifts(top: np.ndarray, groups: int):
+    """(m, shift) for the factors' stacked (groups * per_sum, F, 1,
+    columns) shifts ``top`` of the product groups that ``groups`` sum
+    groups read, per_sum each.  A product group is shifted by the sum of
+    its factors' shifts, and m is each sum group's (groups, 1, columns)
+    largest such sum.  ``shift`` is ``top`` floored at SHIFT_FLOOR, so that
+    a factor of -inf values exponentiates to 0; where per_sum > 1, each
+    group's first factor is shifted further by m less its group's sum, so
+    that every product group a sum group reads is shifted by m."""
+    total = top[:, 0]
+    for f in range(1, top.shape[1]):
+        total = total + top[:, f]
+    shift = np.maximum(top, SHIFT_FLOOR)
+    if len(total) == groups:
+        return total, shift
+    total = total.reshape(groups, -1, 1, total.shape[-1])
+    m = total.max(axis=1)
+    shift[:, 0] += (np.maximum(m, SHIFT_FLOOR)[:, None] - total).reshape(-1, 1, total.shape[-1])
+    return m, shift
+
+
+def gathered_factors(x: np.ndarray, per_sum: int, g: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The factors, as :meth:`ProductLayer.outer` takes them, of the
+    products that flagged entries of sum groups ``g`` mix in columns ``c``:
+    from the stacked (groups, F, S, columns) ``x``, where each sum group
+    reads per_sum product groups, an (F, entries * per_sum, S, 1) array."""
+    picked = x.reshape(-1, per_sum, *x.shape[1:])[g, :, :, :, c]  # (entries, per_sum, F, S)
+    return picked.reshape(-1, *x.shape[1:3]).swapaxes(0, 1)[..., None]
 
 
 def _shifted_exp(x: np.ndarray):
@@ -1612,29 +1709,33 @@ def _shifted_exp(x: np.ndarray):
     return m, shift, np.exp(lin, out=lin)
 
 
-def _log_mixed(w, log_w, x, m, shift, lin, kept=None) -> np.ndarray:
-    """:func:`log_mix` from the (m, shift, lin) of ``x`` (:func:`_shifted_exp`)."""
+def _log_mixed(w, log_w, m, shift, lin, children, kept=None) -> np.ndarray:
+    """:func:`log_mix` from the (m, shift, lin) of the children
+    (:func:`_shifted_exp`); ``children(g, c)`` gives the (entries, K) child
+    log values of groups g in columns c, which the flush repair reads."""
     if kept is None:
         mixed = mix(w, lin)
     else:  # a shared column is read at stride 0 along the passes
-        x = np.broadcast_to(x, (*x.shape[:2], len(kept)))
-        mixed = np.einsum("gsk,cgsk,gkc->gsc", w, kept, np.broadcast_to(lin, x.shape))
-    return log_shifted(mixed, shift, lambda: m > -np.inf, lambda g, s, c: x[g, :, c] + (
+        lin = np.broadcast_to(lin, (*lin.shape[:2], len(kept)))
+        mixed = np.einsum("gsk,cgsk,gkc->gsc", w, kept, lin)
+    return log_shifted(mixed, shift, lambda: m > -np.inf, lambda g, s, c: children(g, c) + (
         log_w[g, s] if kept is None else np.where(kept[c, g, s], log_w[g, s], -np.inf)))
 
 
 def mix(w: np.ndarray, lin: np.ndarray) -> np.ndarray:
     """(g, S, K) weights of a :class:`Plan` times (g, K, columns) linear
-    values, one matrix product per group, in einsum's own loops, so that
-    each column's bits do not depend on how many columns a pass holds: a
-    single row is a batch of one to the bit, and a batch split into passes
-    equals one pass.  BLAS (np.matmul) picks its kernel by the product's
-    width, gemv for one column and other kernels for other widths, so there
-    a column's bits change with the batch width.  einsum has such a case
-    too: where both operands hold their K values contiguously, as a single
-    column does, it sums them in SIMD lanes, while it adds them one k at a
-    time otherwise.  The plan's weights hold their K values apart, so every
-    width takes the k-at-a-time loop."""
+    values, such as shifted children (:func:`_shifted_exp`) or shifted
+    products made from their factors (:func:`factored_exp`), one matrix
+    product per group, in einsum's own loops, so that each column's bits do
+    not depend on how many columns a pass holds: a single row is a batch of
+    one to the bit, and a batch split into passes equals one pass.  BLAS
+    (np.matmul) picks its kernel by the product's width, gemv for one
+    column and other kernels for other widths, so there a column's bits
+    change with the batch width.  einsum has such a case too: where both
+    operands hold their K values contiguously, as a single column does, it
+    sums them in SIMD lanes, while it adds them one k at a time otherwise.
+    The plan's weights hold their K values apart, so every width takes the
+    k-at-a-time loop."""
     return np.einsum("gsk,gkc->gsc", w, lin)
 
 

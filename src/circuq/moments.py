@@ -14,7 +14,10 @@ Harris's inequality no two node values have a negative covariance.  The
 pass runs on the circuit's layer plan: each group of sums that shares a
 child list mixes its children's moments in linear space as matrix products,
 shifted per group and row by the largest child moment, and each group of
-products combines its factors over their outer product.
+products combines its factors over their outer product.  A sum group that
+reads whole product groups mixes their moments from the factors' moments,
+each factor shifted by its own largest one, without making the products'
+moments (:func:`_factor_terms`).
 
 Two strategies handle the covariance between siblings:
 
@@ -37,8 +40,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (BATCH_ROWS, SHIFT_FLOOR, Circuit, _log_mixed, _shifted_exp, as_batch,
-                      as_evidence, log_shifted, logsumexp, logsumexp_axis0, mix, step_inputs)
+from .circuit import (BATCH_ROWS, SHIFT_FLOOR, Circuit, ProductLayer, _log_mixed,
+                      _shifted_exp, as_batch, as_evidence, factor_shifts, factored_exp,
+                      gathered_factors, log_shifted, logsumexp, logsumexp_axis0, mix,
+                      step_inputs)
 from .errors import ShapeError, StructureError, UnderflowError
 
 _NEG_INF = float("-inf")
@@ -180,9 +185,11 @@ def _moment_pass(circuit, X, config, exact_frame=None, nodes=None):
     The pass holds node moments in the layout's slot order, reads each
     layer's inputs through its views and writes each layer as one slice;
     the arrays and views come from :meth:`Layout.prepared` and
-    :meth:`Layout.pass_steps`.  Each block of a fused product layer's
-    products is made inside the step of the sum layer that reads it and
-    mixed at once (:meth:`Layout.steps`).  Given the one-row RAT_EXACT
+    :meth:`Layout.pass_steps`.  A fused product layer runs inside the step
+    of the sum layer that reads it (:meth:`Layout.steps`), which mixes each
+    block's products from their factors (:func:`_factor_terms`); a request
+    for more than the roots then also writes the products' moments into
+    their slots (:func:`_product_moments`).  Given the one-row RAT_EXACT
     ``exact_frame``, the sibling covariances are added to each sum layer's
     variances in place, before the next layer reads them
     (:func:`_add_sum_covariances`).
@@ -204,11 +211,18 @@ def _moment_pass(circuit, X, config, exact_frame=None, nodes=None):
             constant = layout.narrow[k] if layer.kind == "sum" else layer.start < layout.invariant
             lw, w, w2 = plan.log_weights[k], plan.weights[k], plan.squared_weights[k]
             for b, products, factors, made, children, out in blocks:
-                if products is not None:
+                if children is None:  # a product layer's own step
                     _product_moments(products, *step_inputs(factors), made, constant)
-                if children is not None:
-                    _sum_moments(w[b], w2[b], lw[b], *step_inputs(children), log_q, p, out,
-                                 constant)
+                    continue
+                if products is None:
+                    terms = _child_terms(w2[b], *step_inputs(children), p, constant)
+                else:
+                    ce, cv = step_inputs(factors)
+                    terms = _factor_terms(w2[b], products, ce, cv, children, p, constant)
+                _sum_moments(w[b], lw[b], log_q, p, out, *terms)
+                if made is not None:  # over the linear values, which are mixed
+                    _product_moments(products, ce.swapaxes(0, 1), cv.swapaxes(0, 1), made,
+                                     constant)
             if exact_frame is not None and lw is not None:
                 _add_sum_covariances(exact_frame, layer, log_q, log_e, log_v)
     return layout.finish(key, prepared, nodes, roots_only)
@@ -238,32 +252,114 @@ def _product_moments(layer, ce: list, cv: list, out, constant: bool) -> None:
     log_v[log_e == _NEG_INF] = _NEG_INF
 
 
-def _sum_moments(w, w2, lw, ce, cv, log_q, p, out, constant: bool) -> None:
-    """log E and zero-covariance log Var of a block of sum groups, written
-    into the pair of (g, S, rows) arrays ``out``.
+def _child_terms(w2, ce, cv, p, constant: bool):
+    """:func:`_sum_moments`' terms of a block of sum groups from their
+    children's (g, K, rows) moments.
 
-    E = q W E_k and Var = q (W o W) (Var_k + p E_k^2), from the plan's
-    weights ``w`` and squared weights ``w2`` and the groups' (g, K, rows)
-    child moments.  E / q is the forward pass's mix of the child means
-    (:func:`circuq.circuit._log_mixed`).  Var is mixed in linear space under
-    its largest Var_k or E_k^2, and entries that flush to zero or a
-    subnormal are recomputed exactly (:func:`log_shifted`).  ``constant``
-    children have no variance, so their Var_k term is left out.  At p = 0
-    with zero child variances Var is exactly 0.
+    The mean's terms are :func:`circuq.circuit._shifted_exp`'s.  Var / q =
+    (W o W) (Var_k + p E_k^2) is mixed in linear space under the largest
+    Var_k or E_k^2 of each group and row.  ``constant`` children have no
+    variance, so their Var_k term is left out.
     """
     me, se, a = _shifted_exp(ce)
     mv = _NEG_INF if constant else cv.max(axis=1, keepdims=True)
-    has_var = mv > _NEG_INF
     sv = np.maximum(np.maximum(mv, 2.0 * me), SHIFT_FLOOR)
     var = p * mix(w2, a * a) * np.exp(2.0 * se - sv)
     if not constant:
         var += mix(w2, np.exp(cv - sv))
-    log_e = _log_mixed(w, lw, ce, me, se, a)
-    log_var = log_shifted(
-        var, sv, lambda: has_var | ((p > 0.0) & (me > _NEG_INF)),
-        lambda g, s, c: np.concatenate(
-            [2.0 * lw[g, s] + cv[g, :, c], np.log(p) + 2.0 * (lw[g, s] + ce[g, :, c])],
-            axis=1))
+    return me, se, a, var, sv, lambda: mv > _NEG_INF, lambda g, c: (ce[g, :, c], cv[g, :, c])
+
+
+def _factor_terms(w2, products, ce, cv, lin, p, constant: bool):
+    """:func:`_sum_moments`' terms of a block of sum groups whose children
+    are whole groups of fused ``products``, from the factors' stacked
+    (groups, F, S, rows) moments ``ce`` and ``cv``, without the products'
+    moments.
+
+    The mean's terms are the forward's (:func:`circuq.circuit.factored_exp`),
+    made in ``lin[0]``.  For the variance, each factor f is shifted per
+    group and row by t_f, the larger of its largest log Var_f and twice its
+    largest log E_f, into alpha_f = E_f^2 e^-t_f and beta_f = Var_f e^-t_f.
+    A product's Var + p E^2 is then e^(t_1 + ... + t_F) (B_F + p A_F), where
+    A_1 = alpha_1, B_1 = beta_1, A_f = A_{f-1} o alpha_f and B_f = B_{f-1} o
+    (alpha_f + beta_f) + A_{f-1} o beta_f over the outer product; for two
+    factors, alpha_L o (beta_R + p alpha_R) + beta_L o (alpha_R + beta_R).
+    Every term is nonnegative, so nothing cancels.  It is made in ``lin[1]``
+    under the sum group's common shift (:func:`circuq.circuit.factor_shifts`)
+    and mixed by the squared weights.  ``constant`` factors have no
+    variance: their beta is 0, and the terms that carry it are left out,
+    which gives the general path's bits.
+    """
+    me, a, s = factored_exp(ce, lin[0])
+    out = lin[1]
+    t = 2.0 * s
+    if not constant:
+        mv = cv.max(axis=2, keepdims=True)
+        t = np.maximum(mv, t)
+    sv, top = factor_shifts(t, len(out))
+    alpha = np.subtract(2.0 * ce, top)
+    np.exp(alpha, out=alpha)
+    last = alpha[:, -1] * p
+    if constant:
+        ProductLayer.outer([*alpha[:, :-1].swapaxes(0, 1), last], np.multiply, out=out)
+    else:
+        beta = np.subtract(cv, top)
+        np.exp(beta, out=beta)
+        both = alpha + beta
+        head, tail = alpha[:, 0], beta[:, 0]  # A_f and B_f
+        for f in range(1, ce.shape[1] - 1):
+            head, tail = (ProductLayer.outer([head, alpha[:, f]], np.multiply),
+                          ProductLayer.outer([tail, both[:, f]], np.multiply)
+                          + ProductLayer.outer([head, beta[:, f]], np.multiply))
+        last += beta[:, -1]
+        if ce.shape[1] == 1:
+            out.reshape(last.shape)[...] = last
+        else:
+            ProductLayer.outer([head, last], np.multiply, out=out)
+            out.reshape(len(ce), -1, out.shape[-1])[...] += ProductLayer.outer(
+                [tail, both[:, -1]], np.multiply)
+    per_sum = len(ce) // len(out)
+
+    def has_var():
+        some = (mv > _NEG_INF).any(axis=1) & (t.sum(axis=1) > _NEG_INF)
+        return some if per_sum == 1 else some.reshape(len(out), per_sum, 1, -1).any(axis=1)
+
+    def children(g, c):
+        """The flagged entries' (entries, K) child moments, made from their
+        factors as the products' own slots are."""
+        shape = (len(g) * per_sum, products.nodes.shape[1], 1)
+        made = np.empty(shape), np.empty(shape)
+        _product_moments(products, gathered_factors(ce, per_sum, g, c),
+                         gathered_factors(cv, per_sum, g, c), made, constant)
+        return tuple(m.reshape(len(g), -1) for m in made)
+
+    return (me, me, a, mix(w2, out), sv,
+            (lambda: False) if constant else has_var, children)
+
+
+def _sum_moments(w, lw, log_q, p, out, me, se, a, var, sv, has_var, children) -> None:
+    """log E and zero-covariance log Var of a block of sum groups, written
+    into the pair of (g, S, rows) arrays ``out``.
+
+    E = q W E_k and Var = q (W o W) (Var_k + p E_k^2), from the plan's
+    weights ``w`` and their logs ``lw``, and the terms of the children's
+    moments that :func:`_child_terms` or :func:`_factor_terms` make: the
+    mean's (me, se, a) as :func:`circuq.circuit._shifted_exp` gives them,
+    the variance mixed in linear space under its shift ``sv``, whether any
+    child has a variance, and ``children(g, c)``, the (entries, K) child
+    moments of groups g in columns c.  E / q is the forward pass's mix of
+    the child means (:func:`circuq.circuit._log_mixed`).  Entries of Var
+    that flush to zero or a subnormal are recomputed exactly from the child
+    moments (:func:`log_shifted`).  At p = 0 with zero child variances Var
+    is exactly 0.
+    """
+    log_e = _log_mixed(w, lw, me, se, a, lambda g, c: children(g, c)[0])
+
+    def log_terms(g, s, c):
+        ce, cv = children(g, c)
+        return np.concatenate([2.0 * lw[g, s] + cv, np.log(p) + 2.0 * (lw[g, s] + ce)], axis=1)
+
+    log_var = log_shifted(var, sv, lambda: has_var() | ((p > 0.0) & (me > _NEG_INF)), log_terms)
     np.add(log_q, log_e, out=out[0])
     np.add(log_q, log_var, out=out[1])
 

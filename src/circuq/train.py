@@ -302,7 +302,7 @@ def fit(
     """Mini-batch gradient training; returns the trained circuit and history.
 
     Raises ValueError for an invalid config before any pass.  Aborts on a
-    non-finite loss or leaf parameter, returning the last finite state.
+    non-finite loss, step or leaf parameter, returning the last finite state.
     Weights stay normalized because updates act on logits.
     """
     config.check()
@@ -332,15 +332,18 @@ def fit(
                 idx = order[start : start + batch]
                 loss, grad = loss_and_grad(current, X[idx], labels[idx], config.objective)
                 losses.append(loss)
-                if config.optimizer == "sgd":
-                    theta = theta - config.learning_rate * grad
-                else:
-                    step += 1
-                    m = _BETA1 * m + (1.0 - _BETA1) * grad
-                    v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
-                    m_hat = m / (1.0 - _BETA1**step)
-                    v_hat = v / (1.0 - _BETA2**step)
-                    theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
+                with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                    if config.optimizer == "sgd":
+                        theta = theta - config.learning_rate * grad
+                    else:
+                        step += 1
+                        m = _BETA1 * m + (1.0 - _BETA1) * grad
+                        v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
+                        m_hat = m / (1.0 - _BETA1**step)
+                        v_hat = v / (1.0 - _BETA2**step)
+                        theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
+                if not np.all(np.isfinite(theta)):
+                    raise ParameterError("non-finite parameter after an optimizer step")
                 log_std = _blocks(theta, layout)[2]
                 np.clip(log_std, -LOG_STD_CLAMP, LOG_STD_CLAMP, out=log_std)
                 # raises ParameterError for a non-finite leaf parameter

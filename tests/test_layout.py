@@ -27,12 +27,12 @@ from circuq import (
     tdi_pass_batch,
 )
 import circuq.circuit as circuit_module
-from circuq.circuit import forward_log_values, log_mix, mix
+from circuq.circuit import forward_log_values, log_mix, log_mix_factored, mix
 from circuq.enumeration import enumerate_dropout_moments, linear_forward
 from circuq.structures import random_dag_circuit, random_evidence, random_tree_circuit
 from circuq.train import ParameterSpace, TrainConfig, fit, loss_and_grad
-from circuq.moments import (_product_moments, _sum_moments, posterior_moments,
-                            posterior_moments_batch, posterior_summary_batch)
+from circuq.moments import (_child_terms, _factor_terms, _product_moments, _sum_moments,
+                            posterior_moments, posterior_moments_batch, posterior_summary_batch)
 
 from conftest import partition_products, permuted, repetitions
 
@@ -200,8 +200,10 @@ def unfused_passes(circuit, X, config):
     whole and written into its slots before the sum layer that reads it
     runs: the schedule without fused steps, and with no layer taken as
     constant, so the moment kernels' general path also runs on the layers
-    that read only leaves.  Returns the slot-order log values, and the log
-    expectations and variances in node order."""
+    that read only leaves.  A sum layer over a fused product layer mixes
+    it from the products' factors, as every pass does.  Returns the
+    slot-order log values, and the log expectations and variances in node
+    order."""
     plan = circuit.plan()
     layout = plan.layout
     logv, log_e, log_v = (np.empty((len(layout.order), len(X))) for _ in range(3))
@@ -210,8 +212,9 @@ def unfused_passes(circuit, X, config):
     log_v[: layout.num_leaves] = -np.inf
     log_q = np.log(config.q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for layer, lw, w, w2 in zip(layout.layers, plan.log_weights, plan.weights,
-                                    plan.squared_weights):
+        for k, (layer, lw, w, w2) in enumerate(zip(layout.layers, plan.log_weights, plan.weights,
+                                                   plan.squared_weights)):
+            products = layout.layers[k - 1] if k and layout.fused[k - 1] else None
             for b in layer.blocks(len(X)):
                 out = layer.output(log_e, b), layer.output(log_v, b)
                 if layer.kind == "product":
@@ -219,11 +222,21 @@ def unfused_passes(circuit, X, config):
                                 out=layer.output(logv, b))
                     _product_moments(layer, [read.read(log_e, b) for read in layer.reads],
                                      [read.read(log_v, b) for read in layer.reads], out, False)
-                else:
+                elif products is None:
                     children = layer.reads[0]
                     layer.output(logv, b)[...] = log_mix(w[b], lw[b], children.read(logv, b))
-                    _sum_moments(w[b], w2[b], lw[b], children.read(log_e, b),
-                                 children.read(log_v, b), log_q, config.p, out, False)
+                    terms = _child_terms(w2[b], children.read(log_e, b), children.read(log_v, b),
+                                         config.p, False)
+                    _sum_moments(w[b], lw[b], log_q, config.p, out, *terms)
+                else:
+                    g = products.feeding(layer, b)
+                    shape = (b.stop - b.start, layer.children.shape[1], len(X))
+                    factors = [products.stacked.read(a, g) for a in (logv, log_e, log_v)]
+                    layer.output(logv, b)[...] = log_mix_factored(w[b], lw[b], factors[0],
+                                                                  np.empty(shape))
+                    terms = _factor_terms(w2[b], products, factors[1], factors[2],
+                                          (np.empty(shape), np.empty(shape)), config.p, False)
+                    _sum_moments(w[b], lw[b], log_q, config.p, out, *terms)
     return logv, log_e[layout.slot], log_v[layout.slot]
 
 
@@ -324,6 +337,140 @@ class TestFusedLayers:
                     bits(forward_log_values(c, X, nodes=c.layout().order)), bits(logv))
                 for got, want in zip(tdi_pass_batch(c, X, config), (log_e, log_v)):
                     np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def log_space_passes(circuit, X, config):
+    """The forward and the moment pass with every product layer written
+    whole and every sum layer mixed from its children's log values, shifted
+    by the largest of them: the log-space arithmetic that fused sums
+    replaced.  Returns the log values, expectations and variances in node
+    order."""
+    plan = circuit.plan()
+    layout = plan.layout
+    logv, log_e, log_v = (np.empty((len(layout.order), len(X))) for _ in range(3))
+    plan.leaf_log_values(X, logv)
+    plan.leaf_log_values(X, log_e)
+    log_v[: layout.num_leaves] = -np.inf
+    log_q = np.log(config.q)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for layer, lw, w, w2 in zip(layout.layers, plan.log_weights, plan.weights,
+                                    plan.squared_weights):
+            for b in layer.blocks(len(X)):
+                out = layer.output(log_e, b), layer.output(log_v, b)
+                if layer.kind == "product":
+                    layer.outer([read.read(logv, b) for read in layer.reads],
+                                out=layer.output(logv, b))
+                    _product_moments(layer, [read.read(log_e, b) for read in layer.reads],
+                                     [read.read(log_v, b) for read in layer.reads], out, False)
+                else:
+                    children = layer.reads[0]
+                    layer.output(logv, b)[...] = log_mix(w[b], lw[b], children.read(logv, b))
+                    terms = _child_terms(w2[b], children.read(log_e, b), children.read(log_v, b),
+                                         config.p, False)
+                    _sum_moments(w[b], lw[b], log_q, config.p, out, *terms)
+    return logv[layout.slot], log_e[layout.slot], log_v[layout.slot]
+
+
+# Sums over {a, b} x {c, d}: a sits about 800 above b, so under the shift of
+# the products of a, those of b flush to zero.  s1 gives a's products zero
+# weight, and s2 mixes p1 with p3, so dropping p1 flushes s2 too.
+FLUSHED_FUSED = """
+a gaussian 0 0.0 1e-300
+b gaussian 0 14.78 1.0
+c gaussian 1 0.0 1.0
+d gaussian 1 1.0 1.0
+p1 product a c
+p2 product a d
+p3 product b c
+p4 product b d
+s1 sum 0.0 p1 0.0 p2 0.25 p3 0.75 p4
+s2 sum 0.5 p1 0.0 p2 0.5 p3 0.0 p4
+root s1 s2
+"""
+
+
+class TestFactoredMix:
+    """Fused sums mix their products from the factors, each shifted by its
+    own largest value, instead of from the products' log values."""
+
+    ULPS = 8  # in units of the double epsilon, relative to max(1, |value|)
+
+    def assert_matches_log_space(self, c, X):
+        """Every node's log value, expectation and variance is the log-space
+        pass's within ULPS, and -inf exactly where it is."""
+        bound = self.ULPS * np.finfo(np.float64).eps
+        for p in (0.0, 0.1, 0.3):
+            dropout = DropoutConfig.with_p(p)
+            got = (forward_log_values(c, X), *tdi_pass_batch(c, X, dropout))
+            wanted = log_space_passes(c, X, dropout)
+            assert np.isneginf(wanted[0]).any() and np.isfinite(wanted[2]).any() == (p > 0)
+            for g, want in zip(got, wanted):
+                np.testing.assert_array_equal(np.isneginf(g), np.isneginf(want))
+                finite = np.isfinite(want)
+                err = np.abs(g[finite] - want[finite]) / np.maximum(1.0, np.abs(want[finite]))
+                assert err.max(initial=0.0) <= bound
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_it_matches_the_log_space_arithmetic(self, seed):
+        """Random RATs with several repetitions, so that heads read several
+        product groups, with a marginalized row and far-out values whose
+        factors are -inf."""
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            config = RatConfig(int(rng.integers(2, 6)), int(rng.integers(2, 6)),
+                               int(rng.integers(1, 4)), int(rng.integers(2, 4)), 3, 16,
+                               rng_seed=int(rng.integers(1000)))
+            c = build_rat(config)
+            assert c.layout().layers[-1].children.shape[1] > c.layout().layers[-2].nodes.shape[1]
+            X = np.array([random_evidence(rng, c, 0.3) for _ in range(6)])
+            X[0] = np.nan
+            X[1, rng.integers(c.num_variables)] = 1e200
+            self.assert_matches_log_space(c, X)
+
+    @pytest.mark.parametrize("factors", [1, 3])
+    def test_products_of_one_or_three_factors(self, factors):
+        """Fused product groups of one factor, and of three, which no RAT
+        has: their sums read every combination of {a, b}, {c, d}, {e, f}."""
+        leaves = ["a gaussian 0 0.0 1.0", "b gaussian 0 1.0 2.0", "c gaussian 1 0.0 1.0",
+                  "d gaussian 1 1.0 0.5", "e gaussian 2 0.5 1.0", "f gaussian 2 -1.0 1.0"]
+        combos = list(itertools.product(*["ab", "cd", "ef"][:factors]))
+        rng = np.random.default_rng(factors)
+        spec = leaves[: 2 * factors] + [f"p{i} product {' '.join(kids)}"
+                                        for i, kids in enumerate(combos)]
+        spec += [f"s{k} sum " + " ".join(f"{w} p{i}" for i, w in
+                                         enumerate(rng.dirichlet(np.ones(len(combos)))))
+                 for k in range(2)] + ["root s0 s1"]
+        c = build_manual("\n".join(spec))
+        assert c.layout().fused[0] and len(c.layout().layers[0].factors) == factors
+        X = rng.normal(size=(5, factors))
+        X[0] = np.nan
+        X[1, -1] = 1e200
+        self.assert_matches_log_space(c, X)
+
+    def test_a_flushed_fused_sum_is_recomputed_exactly(self):
+        """A fused sum whose weighted products all sit far below a product
+        with zero weight, or a dropped one, flushes under the common shift;
+        its value, and its moments, are recomputed from the factors."""
+        c = build_manual(FLUSHED_FUSED)
+        assert c.layout().fused[0]
+        x = np.array([0.0, 0.3])
+        a, b, cc, d = forward_log_values(c, x[None], nodes=[0, 1, 2, 3])[:, 0]
+        assert a - b > 750
+        s1 = np.logaddexp(np.log(0.25) + b + cc, np.log(0.75) + b + d)
+        roots = forward_log_values(c, x[None], nodes=c.roots)[:, 0]
+        assert roots[0] == pytest.approx(s1, rel=1e-14)
+        # edges in plan order: s1's four, then s2's; drop s2's edge to p1
+        keep = np.ones((2, 8), dtype=bool)
+        keep[1, 4] = False
+        masked = forward_log_values(c, x[None], keep, nodes=c.roots)
+        assert masked[1, 1] == pytest.approx(np.log(0.5) + b + cc, rel=1e-14)
+        assert masked[0, 0] == masked[0, 1] == roots[0] and masked[1, 0] > 600
+        p = 0.2
+        log_e, log_v = tdi_pass_batch(c, x[None], DropoutConfig.with_p(p), nodes=c.roots)
+        q = 1.0 - p
+        assert log_e[0, 0] == pytest.approx(np.log(q) + s1, rel=1e-14)
+        var = np.logaddexp(2 * np.log(0.25) + 2 * (b + cc), 2 * np.log(0.75) + 2 * (b + d))
+        assert log_v[0, 0] == pytest.approx(np.log(q * p) + var, rel=1e-14)
 
 
 class TestSpareArrays:

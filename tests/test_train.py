@@ -271,7 +271,6 @@ class TestFit:
         )
         assert history.epochs[49][1] < history.epochs[0][1]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_aborts_with_last_finite_state(self):
         data = synth_blobs(2, 2, 20, separation=3.0, seed=5)
         c = build_rat(RatConfig(2, 2, 1, 1, 2, 2, rng_seed=5))
