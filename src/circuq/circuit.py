@@ -654,7 +654,10 @@ def _node_report(circuit: Circuit) -> ValidationReport:
 # multiply over the outer product, so no log product is formed or
 # exponentiated.  The request decides only whether the log products, which
 # no sum reads, are also written: a roots-only request never writes their
-# slots, and any other request, training's included, writes them there.
+# slots, and any other request writes them there.  Training runs the
+# roots-only steps, and its reverse pass remakes each block's shifted linear
+# products from the factors and sends their adjoints straight to the
+# factors' slots (circuq.train), so it neither writes nor reads them.
 
 _BLOCK_ELEMENTS = 1 << 16  # gathered or produced (groups, width, columns) elements per step
 
@@ -813,8 +816,10 @@ class ProductLayer(_Output):
     def factor_sums(self, adj: np.ndarray) -> list:
         """The reverse of :meth:`outer` with np.add: each factor's (groups,
         S_f, columns) sum of the products' (groups, products, columns)
-        ``adj`` over the other factors' axes."""
-        adj = adj.reshape(len(adj), *(f.shape[1] for f in self.factors), adj.shape[-1])
+        ``adj`` over the other factors' axes.  ``adj`` may also be a fused sum
+        block's (g, per_sum * products, columns) children, the product groups
+        that :meth:`feeding` gives."""
+        adj = adj.reshape(-1, *(f.shape[1] for f in self.factors), adj.shape[-1])
         axes = range(1, adj.ndim - 1)
         return [adj.sum(axis=tuple(a for a in axes if a != f)) for f in axes]
 
@@ -1549,10 +1554,7 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
                              f"{layout.num_sum_edges}) keep bits")
     roots_only = nodes is circuit.roots
     masked = keep is not None
-    columns = len(keep) if masked else X.shape[0]
-    key = ("forward", columns, roots_only, masked)
-    prepared = layout.prepared(key, columns, 1, lambda logv: _forward_steps(
-        layout, logv, roots_only, masked))
+    key, prepared = forward_pass(layout, len(keep) if masked else X.shape[0], roots_only, masked)
     (logv,), (head, prefix, rest) = prepared.arrays, prepared.steps
     plan.leaf_log_values(X, head)
     with np.errstate(divide="ignore"):
@@ -1565,6 +1567,14 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
         wanted = wanted[wanted < layout.invariant]
         logv[wanted] = head[wanted]
     return layout.finish(key, prepared, nodes, roots_only)[0]
+
+
+def forward_pass(layout: Layout, columns: int, roots_only: bool, masked: bool):
+    """The key and the prepared pass (:meth:`Layout.prepared`) of a forward
+    pass of ``columns`` columns, whose steps are :func:`_forward_steps`'."""
+    key = ("forward", columns, roots_only, masked)
+    return key, layout.prepared(key, columns, 1, lambda logv: _forward_steps(
+        layout, logv, roots_only, masked))
 
 
 def _forward_steps(layout: Layout, logv: np.ndarray, roots_only: bool, masked: bool):
@@ -1634,16 +1644,14 @@ def log_mix_factored(w: np.ndarray, log_w: np.ndarray, x: np.ndarray, lin: np.nd
     ``lin``, a contiguous (g, K, columns) array (:func:`factored_exp`).  The
     mix, ``kept`` and the flush repair are :func:`log_mix`'s; the repair
     makes the log values of the flagged entries' products from their
-    factors (:func:`gathered_factors`), as their slots are made.  The
+    factors (:func:`factored_children`), as their slots are made.  The
     result differs from :func:`log_mix` of the log products by rounding
     alone, in the shifted linear values.
     """
     m, lin, _ = factored_exp(x, lin)
-    per_sum = len(x) // len(lin)
     if kept is not None:
         x = np.broadcast_to(x, (*x.shape[:3], len(kept)))
-    return _log_mixed(w, log_w, m, m, lin, lambda g, c: ProductLayer.outer(
-        gathered_factors(x, per_sum, g, c)).reshape(len(g), -1), kept)
+    return _log_mixed(w, log_w, m, m, lin, factored_children(x, len(lin)), kept)
 
 
 def factored_exp(x: np.ndarray, lin: np.ndarray):
@@ -1688,6 +1696,15 @@ def factor_shifts(top: np.ndarray, groups: int):
     m = total.max(axis=1)
     shift[:, 0] += (np.maximum(m, SHIFT_FLOOR)[:, None] - total).reshape(-1, 1, total.shape[-1])
     return m, shift
+
+
+def factored_children(x: np.ndarray, groups: int):
+    """``children(g, c)`` for the flush repair of ``groups`` sum groups
+    whose children are fused products: the (entries, K) log products that
+    the flagged entries of sum groups g mix in columns c, made from the
+    factors' stacked (groups * per_sum, F, S, columns) log values ``x``."""
+    per_sum = len(x) // groups
+    return lambda g, c: ProductLayer.outer(gathered_factors(x, per_sum, g, c)).reshape(len(g), -1)
 
 
 def gathered_factors(x: np.ndarray, per_sum: int, g: np.ndarray, c: np.ndarray) -> np.ndarray:

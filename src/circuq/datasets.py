@@ -119,19 +119,26 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def load_csv(path, name: str = "") -> Dataset:
+    """A dataset from a CSV file whose header names the columns, with the
+    labels in a last column named ``label``.  Raises ShapeError, naming its
+    line, for a label that is not a whole number."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         has_labels = header and header[-1] == "label"
         rows = []
         labels = []
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if has_labels:
                 rows.append([float(v) for v in parts[:-1]])
-                labels.append(int(float(parts[-1])))
+                label = float(parts[-1])
+                if not label.is_integer():
+                    raise ShapeError(f"{path}, line {number}: label {parts[-1]!r} is not a "
+                                     "whole number")
+                labels.append(int(label))
             else:
                 rows.append([float(v) for v in parts])
     # a header-only file has no rows to take the width from, but has its header

@@ -4,13 +4,13 @@ The objective is the class-conditional log likelihood of the head attributed
 to each observed label: loss = -(1/B) sum_b log S_{y_b}(x_b).  A conventional
 cross-entropy objective over the Bayes posterior is available behind a flag.
 
-Gradients come from one reverse pass over the groups of the circuit's plan
-(linear in edges), through each sum group's transposed matrix products under
-the forward's shift and each product group's outer-product axes.  The two
-products per sum group run on BLAS, in row chunks small enough that OpenBLAS
-keeps them on its calling thread; so a gradient's bits, unlike the forward's
-values, may change with the batch width.  Sum
-weights are parameterized as unconstrained logits mapped through a per-node
+Gradients come from one reverse pass that walks the forward pass's steps
+backwards (linear in edges), through each sum block's transposed matrix
+products under the forward's shift and each product group's outer-product
+axes.  The two products per sum block run on BLAS, in row chunks small
+enough that OpenBLAS keeps them on its calling thread; so a gradient's bits,
+unlike the forward's values, may change with the batch width.  Sum weights
+are parameterized as unconstrained logits mapped through a per-node
 log-softmax, so every update lands back on the weight simplex by
 construction.  Parameters live in one flat vector θ laid out as the plan's
 arrays: each sum layer's (G, S, K) logits in plan order, then the Gaussian
@@ -19,11 +19,19 @@ parameter arrays, not nodes, and the reverse pass writes each layer's
 gradient into the same slice of the gradient vector.  Training touches
 parameters only.
 
-The forward values and the adjoints are (nodes, rows) arrays in the layout's
-slot order (:class:`circuq.circuit.Layout`): the reverse pass reads each
-layer's values and adjoints as one slice, reads its children through the
-layer's slot views, and adds the children's adjoints in place through them.
-θ's order, the plan edge order, does not depend on slots.
+The forward pass is the roots-only pass that inference runs
+(:func:`circuq.circuit.forward_pass`): a (nodes, rows) array in the layout's
+slot order (:class:`circuq.circuit.Layout`) that holds every node's log
+value except those of the fused product layers, which no step writes.  The
+adjoints are an array of the same order.  A sum block over a fused product
+layer remakes its shifted linear children from the factors
+(:func:`circuq.circuit.factored_exp`), as the forward mixed them, and the
+products' adjoints go through :meth:`circuq.circuit.ProductLayer.factor_sums`
+straight into the factors' slots: no log product is written, exponentiated
+or given an adjoint.  Every other layer reads its values and adjoints as
+slices and its children through the layer's slot views, and adds the
+children's adjoints in place through them.  θ's order, the plan edge order,
+does not depend on slots.
 """
 
 from __future__ import annotations
@@ -35,14 +43,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (
+    SHIFT_FLOOR,
     Circuit,
+    Layout,
+    _forward_layers,
     _shifted_exp,
     as_batch,
-    Layout,
-    forward_log_values,
+    factored_children,
+    factored_exp,
+    forward_pass,
     log_likelihood_batch,
     logsumexp_axis0,
     node_blocks,
+    step_inputs,
 )
 from .errors import ParameterError, ShapeError
 
@@ -164,98 +177,147 @@ def loss_and_grad(
 
     The gradient is taken at the circuit's current parameters, laid out as
     :class:`ParameterSpace`'s θ.  One forward and one reverse pass over the
-    circuit's layers, both linear in the number of edges.
+    circuit's layers, both linear in the number of edges.  Raises ShapeError
+    for labels that are not one class index per row (:func:`_class_labels`).
     """
-    X = np.asarray(X, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or labels.shape[0] != X.shape[0]:
-        raise ShapeError("labels must be one class index per row")
-    C = circuit.num_classes
-    if np.any(labels < 0) or np.any(labels >= C):
-        raise ShapeError(f"labels must lie in [0, {C})")
-
+    X = as_batch(X, circuit.num_variables)
+    labels = _class_labels(labels, X.shape[0], circuit.num_classes)
     B = X.shape[0]
     plan = circuit.plan()
     layout = plan.layout
-    logv = forward_log_values(circuit, X, nodes=layout.order)  # (nodes, B), slot order
+    key, prepared = forward_pass(layout, B, roots_only=True, masked=False)
+    (logv,), (_, prefix, rest) = prepared.arrays, prepared.steps
+    steps = prefix + rest
     adjoint = layout.values(B)  # d loss / d log value per slot
     try:
-        root_ll = logv[layout.roots]  # (C, B)
+        plan.leaf_log_values(X, logv)
+        with np.errstate(divide="ignore"):
+            _forward_layers(plan, steps)
+        layout.finish(key, prepared, layout.order)  # lent until logv is given back
+        loss, seed = _loss_seed(circuit, logv[layout.roots], labels, objective)
 
-        if objective == "head":
-            picked = root_ll[labels, np.arange(B)]
-            loss = float(-picked.mean())
-            seed = np.zeros((C, B))
-            seed[labels, np.arange(B)] = -1.0 / B
-        elif objective == "cross_entropy":
-            joint = root_ll + np.asarray(circuit.log_class_priors)[:, None]
-            lse = logsumexp_axis0(joint)
-            loss = float(-(joint[labels, np.arange(B)] - lse).mean())
-            softmax = np.exp(joint - lse[None, :])
-            seed = softmax / B
-            seed[labels, np.arange(B)] -= 1.0 / B
-        else:
-            raise ValueError(f"unknown objective {objective!r}")
-
-        if not math.isfinite(loss):
-            bad = int(np.flatnonzero(~np.isfinite(root_ll[labels, np.arange(B)]))[0])
-            raise ParameterError(f"non-finite loss; first offending sample index {bad}")
-
-        adjoint.fill(0.0)
+        start = 0  # the reverse reads every slot but those of fused products
+        for layer, fused in zip(layout.layers, layout.fused):
+            if fused:
+                adjoint[start : layer.start] = 0.0
+                start = layer.start + layer.nodes.size
+        adjoint[start:] = 0.0
         np.add.at(adjoint, layout.roots, seed)
         grad = np.zeros(ParameterSpace(circuit).size)
         logits_grad, mean_grad, log_std_grad = _blocks(grad, layout)  # views that fill grad
-        layers = zip(layout.layers, plan.log_weights, plan.weights, logits_grad)
-        for layer, lw, w, layer_grad in reversed(list(layers)):
-            for b in layer.blocks(B):
+        for k, layer, blocks in reversed(steps):
+            for b, products, factors, _, children, (v,) in blocks:
                 adj = layer.output(adjoint, b)
-                if lw is None:
-                    for read, part in zip(layer.reads, layer.factor_sums(adj)):
-                        read.add(adjoint, b, part, layer.distinct)
+                if layer.kind == "product":
+                    _add_factor_sums(layer, adjoint, b, adj)
+                    continue
+                if products is None:
+                    x = step_inputs(children)[0]
+                    _, shift, lin = _shifted_exp(x)
+                    values = lambda g, c: x[g, :, c]  # noqa: E731
                 else:
-                    children = layer.reads[0]
-                    layer_grad[b], part = _sum_reverse(w[b], lw[b], children.read(logv, b),
-                                                       layer.output(logv, b), adj)
-                    children.add(adjoint, b, part, layer.distinct)
-
-        _, variables = layout.leaves["gaussian"]
-        leaf_adjoint = adjoint[layout.leaf_slots("gaussian")]
-        values = np.ascontiguousarray(X.T)  # (variables, rows)
-        for b in node_blocks(len(variables), 1, B):
-            x = values[variables[b]]
-            inv_std = plan.inv_std[b]
-            u = x - plan.mean[b, None]
-            u *= inv_std[:, None]
-            adj = leaf_adjoint[b]
-            # Only rows where the leaf is observed and the loss depends on it
-            # contribute: elsewhere the derivative is 0, even where u * u overflows.
-            # d log_std = sum adj (u^2 - 1) = sum (adj u) u - sum adj over those rows.
-            used = ~np.isnan(x) & (adj != 0.0)
-            adj_u = np.multiply(adj, u, out=np.zeros_like(adj), where=used)
-            mean_grad[b] = adj_u.sum(axis=1) * inv_std
-            np.multiply(adj_u, u, out=adj_u, where=used)
-            log_std_grad[b] = adj_u.sum(axis=1) - adj.sum(axis=1, where=used)
-        # categorical leaves carry no trainable parameters
+                    x = step_inputs(factors)[0]
+                    m, lin, _ = factored_exp(x, children[0])
+                    shift = np.maximum(m, SHIFT_FLOOR)
+                    values = factored_children(x, len(lin))
+                logits_grad[k][b], part = _sum_reverse(plan.weights[k][b], plan.log_weights[k][b],
+                                                       shift, lin, values, v, adj)
+                if products is None:
+                    layer.reads[0].add(adjoint, b, part, layer.distinct)
+                else:
+                    _add_factor_sums(products, adjoint, products.feeding(layer, b), part)
+        _leaf_gradients(plan, X, adjoint[layout.leaf_slots("gaussian")], mean_grad, log_std_grad)
         return loss, grad
     finally:
         layout.spare.give(logv, adjoint)
 
 
-def _sum_reverse(w, lw, x, v, adj):
+def _class_labels(labels, rows: int, classes: int) -> np.ndarray:
+    """``labels`` as one int64 class index per row.  Raises ShapeError for
+    a count other than ``rows``, or naming the first row whose label is not
+    a whole number in [0, classes): a fractional label is never truncated."""
+    y = np.asarray(labels, dtype=np.float64)
+    if y.shape != (rows,):
+        raise ShapeError(f"labels of shape {y.shape} for {rows} rows")
+    bad = np.flatnonzero(~((y == np.floor(y)) & (y >= 0) & (y < classes)))
+    if len(bad):
+        raise ShapeError(f"label {y[bad[0]]:g} of row {bad[0]} is not a class index in "
+                         f"[0, {classes})")
+    return y.astype(np.int64)
+
+
+def _loss_seed(circuit: Circuit, root_ll: np.ndarray, labels: np.ndarray, objective: str):
+    """The loss and its (C, B) derivative by the class roots' log values
+    ``root_ll``; raises ParameterError where the loss is not finite."""
+    B = len(labels)
+    rows = np.arange(B)
+    if objective == "head":
+        loss = float(-root_ll[labels, rows].mean())
+        seed = np.zeros(root_ll.shape)
+        seed[labels, rows] = -1.0 / B
+    elif objective == "cross_entropy":
+        joint = root_ll + np.asarray(circuit.log_class_priors)[:, None]
+        lse = logsumexp_axis0(joint)
+        loss = float(-(joint[labels, rows] - lse).mean())
+        seed = np.exp(joint - lse[None, :]) / B
+        seed[labels, rows] -= 1.0 / B
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    if not math.isfinite(loss):
+        bad = int(np.flatnonzero(~np.isfinite(root_ll[labels, rows]))[0])
+        raise ParameterError(f"non-finite loss; first offending sample index {bad}")
+    return loss, seed
+
+
+def _add_factor_sums(products, adjoint: np.ndarray, g: slice, adj: np.ndarray) -> None:
+    """Add the adjoints ``adj`` of the product groups ``g`` to their
+    factors' slots (:meth:`circuq.circuit.ProductLayer.factor_sums`)."""
+    for read, part in zip(products.reads, products.factor_sums(adj)):
+        read.add(adjoint, g, part, products.distinct)
+
+
+def _leaf_gradients(plan, X: np.ndarray, leaf_adjoint: np.ndarray, mean_grad: np.ndarray,
+                    log_std_grad: np.ndarray) -> None:
+    """Write the Gaussian leaves' mean and log std gradients from their
+    (leaves, rows) adjoints; categorical leaves carry no trainable
+    parameters."""
+    _, variables = plan.layout.leaves["gaussian"]
+    values = np.ascontiguousarray(X.T)  # (variables, rows)
+    for b in node_blocks(len(variables), 1, X.shape[0]):
+        x = values[variables[b]]
+        inv_std = plan.inv_std[b]
+        u = x - plan.mean[b, None]
+        u *= inv_std[:, None]
+        adj = leaf_adjoint[b]
+        # Only rows where the leaf is observed and the loss depends on it
+        # contribute: elsewhere the derivative is 0, even where u * u overflows.
+        # d log_std = sum adj (u^2 - 1) = sum (adj u) u - sum adj over those rows.
+        used = ~np.isnan(x) & (adj != 0.0)
+        adj_u = np.multiply(adj, u, out=np.zeros_like(adj), where=used)
+        mean_grad[b] = adj_u.sum(axis=1) * inv_std
+        np.multiply(adj_u, u, out=adj_u, where=used)
+        log_std_grad[b] = adj_u.sum(axis=1) - adj.sum(axis=1, where=used)
+
+
+def _sum_reverse(w, lw, shift, a, children, v, adj):
     """Logit gradients and child adjoints of a block of sum groups.
 
-    Takes the (g, S, K) weights and their logs, the children's (g, K, rows)
-    and the sums' (g, S, rows) log values, and the sums' adjoints.  Under the
-    forward pass's shift, a = exp(x - shift) and A = adj exp(shift - v) give
-    logit gradients w o (A a^T) - w o sum_rows adj and child adjoints
-    a o (W^T A): per-group matrix products, taken by BLAS in row chunks of
-    at most :data:`_PRODUCT_MACS` multiply-adds each.  Where the forward's
+    Takes the (g, S, K) weights and their logs, the children's shift and
+    shifted linear values a, the (shift, lin, children) of
+    :func:`circuq.circuit._log_mixed` as the forward mixed them: from the
+    children's log values (:func:`circuq.circuit._shifted_exp`) or from a
+    fused product layer's factors (:func:`circuq.circuit.factored_exp`,
+    under a shift floored as the former floors it).  Then the sums' (g, S,
+    rows) log values v and adjoints.  With A = adj exp(shift - v), the logit
+    gradients are w o (A a^T) - w o sum_rows adj and the child adjoints
+    a o (W^T A): per-group matrix products, taken by BLAS in row chunks of at
+    most :data:`_PRODUCT_MACS` multiply-adds each.  Where the forward's
     shifted mixture flushed, A would overflow; there the edge shares
-    exp(lw + x - v) are taken exactly, as :func:`circuq.circuit.log_shifted`
-    takes the values.  A sum whose value is 0 passes nothing back.
+    exp(lw + x - v) are taken exactly from the (entries, K) child log
+    values ``children(g, c)``, as :func:`circuq.circuit.log_shifted` takes
+    the values.  A sum whose value is 0 passes nothing back.
     """
     w = np.ascontiguousarray(w)  # the plan's weights lie apart, which BLAS would not take
-    _, shift, a = _shifted_exp(x)
     flushed = v - shift < _LOG_TINY
     A = np.where(flushed, 0.0, adj * np.exp(np.minimum(shift - v, -_LOG_TINY)))
     _, S, K = w.shape
@@ -270,9 +332,9 @@ def _sum_reverse(w, lw, x, v, adj):
     part *= a
     g, s, c = np.nonzero(flushed & (adj != 0.0) & (v > -np.inf))
     if len(g):
-        share = adj[g, s, c, None] * np.exp(lw[g, s] + x[g, :, c] - v[g, s, c, None])
+        share = adj[g, s, c, None] * np.exp(lw[g, s] + children(g, c) - v[g, s, c, None])
         np.add.at(grad, (g, s), share)
-        np.add.at(part, (g[:, None], np.arange(x.shape[1]), c[:, None]), share)
+        np.add.at(part, (g[:, None], np.arange(a.shape[1]), c[:, None]), share)
     return grad, part
 
 
@@ -301,17 +363,16 @@ def fit(
 ) -> tuple[Circuit, TrainHistory]:
     """Mini-batch gradient training; returns the trained circuit and history.
 
-    Raises ValueError for an invalid config before any pass.  Aborts on a
+    Raises ValueError for an invalid config, and ShapeError for labels that
+    are not one class index per row, before any pass.  Aborts on a
     non-finite loss, step or leaf parameter, returning the last finite state.
     Weights stay normalized because updates act on logits.
     """
     config.check()
     X = as_batch(X, circuit.num_variables)
-    labels = np.asarray(labels, dtype=np.int64)
     if X.shape[0] == 0:
         raise ShapeError("dataset is empty")
-    if labels.shape != (X.shape[0],):
-        raise ShapeError(f"labels of shape {labels.shape} for {X.shape[0]} rows")
+    labels = _class_labels(labels, X.shape[0], circuit.num_classes)
     space = ParameterSpace.of(circuit)
     layout = circuit.layout()
     theta = space.initial_vector()

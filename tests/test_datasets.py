@@ -184,6 +184,16 @@ class TestCsvAndStandardize:
         assert loaded.labels is None
         np.testing.assert_allclose(loaded.features, ds.features)
 
+    @pytest.mark.parametrize("label", ["1.5", "nan", "inf"])
+    def test_a_label_that_is_not_a_whole_number_names_its_line(self, tmp_path, label):
+        """A fractional label is not truncated to a class index."""
+        path = tmp_path / "fractional.csv"
+        path.write_text(f"x0,label\n0.5,1\n0.25,2.0\n\n1.0,{label}\n")
+        with pytest.raises(ShapeError, match=f"line 5: label '{label}' is not a whole number"):
+            load_csv(path)
+        path.write_text("x0,label\n0.5,1\n0.25,2.0\n")
+        np.testing.assert_array_equal(load_csv(path).labels, [1, 2])
+
     @pytest.mark.parametrize("count", [7, 12])
     def test_label_count_must_match_rows(self, count):
         with pytest.raises(ShapeError, match=f"{count} labels for 10 rows"):

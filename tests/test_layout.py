@@ -312,12 +312,43 @@ class TestFusedLayers:
         assert forward_log_values(c, X, nodes=layout.order) is arrays[0]
         assert not np.isnan(arrays[0]).any()
 
+    def test_training_touches_no_fused_product_slot(self, monkeypatch):
+        """Training runs the roots-only forward and remakes the fused
+        products from their factors in its reverse: with the fused product
+        rows of its value and adjoint arrays NaN, every other row of them is
+        written, those rows stay NaN, and the loss and gradient keep their
+        bits, under both objectives."""
+        monkeypatch.setattr(circuit_module, "_SPARE_MIN", 0)  # keep every pass array
+        monkeypatch.setattr(circuit_module, "_PREPARED_BYTES", 0)  # and no prepared pass
+        c = build_rat(SMALL_RAT)
+        layout = c.layout()
+        hidden = fused_slots(layout)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(5, c.num_variables))
+        X[1, ::3] = np.nan
+        y = rng.integers(c.num_classes, size=len(X))
+        bits = lambda a: np.asarray(a).view(np.int64)  # noqa: E731
+        for objective in ("head", "cross_entropy"):
+            loss, grad = loss_and_grad(c, X, y, objective)
+            arrays = [layout.values(len(X)) for _ in range(2)]  # those the call gave back
+            for a in arrays:
+                a.fill(np.nan)
+            layout.spare.give(*arrays)
+            again, again_grad = loss_and_grad(c, X, y, objective)
+            taken = [layout.values(len(X)) for _ in arrays]  # the same arrays, reused
+            assert sorted(map(id, taken)) == sorted(map(id, arrays))
+            for a in arrays:
+                np.testing.assert_array_equal(np.isnan(a), np.broadcast_to(hidden[:, None],
+                                                                           a.shape))
+            layout.spare.give(*arrays)
+            assert bits(again) == bits(loss)
+            np.testing.assert_array_equal(bits(again_grad), bits(grad))
+
     @pytest.mark.parametrize("name", ["small", "mid", "fused-dag", "trees", "dags"])
     def test_the_fused_steps_equal_an_unfused_pass(self, name):
-        """The every-node forward, which training reads, and the every-node
-        moment pass equal, bit for bit, a pass that runs each product layer
-        whole before the sum layer that reads it, with marginalized evidence
-        and a row of it."""
+        """The every-node forward and the every-node moment pass equal, bit
+        for bit, a pass that runs each product layer whole before the sum
+        layer that reads it, with marginalized evidence and a row of it."""
         rng = np.random.default_rng(7)
         circuits = {
             "small": lambda: [build_rat(SMALL_RAT)],
@@ -503,6 +534,20 @@ class TestSpareArrays:
         for _ in range(2):
             posterior_moments(c, x, DropoutConfig.with_p(0.1))
         return found[-1] is not None
+
+    def test_a_one_row_training_step_reuses_its_kept_pass(self, monkeypatch):
+        """A one-row loss_and_grad keeps its forward pass for the next one,
+        which reuses it and gives the same bits."""
+        c = build_rat(SMALL_RAT)
+        spare = c.layout().spare
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(1, c.num_variables)), rng.integers(c.num_classes, size=1)
+        found, take = [], spare.take_prepared
+        monkeypatch.setattr(spare, "take_prepared", lambda key: found.append(take(key)) or found[-1])
+        (loss, grad), (again, again_grad) = (loss_and_grad(c, x, y) for _ in range(2))
+        assert found[0] is None and found[1] is not None
+        assert again == loss
+        np.testing.assert_array_equal(again_grad, grad)
 
     def test_aborted_fits_leave_no_pass_lent(self, monkeypatch):
         """Training's forward pass is lent to it; two fits on 100 rows whose

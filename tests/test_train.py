@@ -1,5 +1,6 @@
 """Training: gradients against finite differences, the fit loop, optimizers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,8 +24,9 @@ from circuq import (
 )
 import circuq.train as train_module
 from circuq.errors import ShapeError
-from circuq.circuit import forward_log_values
+from circuq.circuit import _shifted_exp, forward_log_values
 from circuq.structures import random_dag_circuit, random_evidence, random_tree_circuit
+from circuq.train import _blocks, _leaf_gradients, _loss_seed, _sum_reverse
 
 
 def finite_difference_gradient(space, theta, X, y, objective="head", h=1e-5):
@@ -45,7 +47,142 @@ def grad_close(analytic, numeric, rel=1e-4, floor=1e-8):
         np.maximum(np.abs(analytic), np.abs(numeric)), floor))
 
 
+def log_space_loss_and_grad(circuit, X, labels, objective="head"):
+    """loss_and_grad as it ran before fused sums were trained from their
+    factors: the every-node forward, which writes each fused product's log
+    value into its slot, and a reverse pass over every layer, product layers
+    included, whose sums shift and exponentiate their children's log values
+    (circuit._shifted_exp) and add the products' adjoints into their slots,
+    from which each product layer sends them on to its factors."""
+    plan = circuit.plan()
+    layout = plan.layout
+    logv = forward_log_values(circuit, X)[layout.order]
+    loss, seed = _loss_seed(circuit, logv[layout.roots], labels, objective)
+    adjoint = np.zeros_like(logv)
+    np.add.at(adjoint, layout.roots, seed)
+    grad = np.zeros(ParameterSpace.of(circuit).size)
+    logits_grad, mean_grad, log_std_grad = _blocks(grad, layout)
+    for k in reversed(range(len(layout.layers))):
+        layer = layout.layers[k]
+        for b in layer.blocks(len(X)):
+            adj = layer.output(adjoint, b)
+            if layer.kind == "product":
+                for read, part in zip(layer.reads, layer.factor_sums(adj)):
+                    read.add(adjoint, b, part, layer.distinct)
+                continue
+            children = layer.reads[0]
+            x = children.read(logv, b)
+            _, shift, lin = _shifted_exp(x)
+            logits_grad[k][b], part = _sum_reverse(
+                plan.weights[k][b], plan.log_weights[k][b], shift, lin,
+                lambda g, c: x[g, :, c], layer.output(logv, b), adj)
+            children.add(adjoint, b, part, layer.distinct)
+    _leaf_gradients(plan, X, adjoint[layout.leaf_slots("gaussian")], mean_grad, log_std_grad)
+    return loss, grad
+
+
+def rat_with_hard_rows(rng):
+    """A random RAT with several repetitions, and rows for it: a
+    marginalized row, a far-out row and a row that flushes the head.
+
+    Leaves are moved through the plan, which takes any finite parameter.
+    One leaf's mean goes to 1e200: on the far-out row, whose value of that
+    leaf's variable is 1e200, every other leaf over that variable, and every
+    factor over them, is -inf, while the paths through the moved leaf stay
+    finite.  The leaves of one input distribution get a std of e^-700: on
+    the flushing row, which holds their variables at their means, the
+    distribution's log value is about 700 per leaf, and the head gives zero
+    weight to every product through it.  The head's weighted products then
+    sit more than 745 below a product of zero weight, while every value that
+    the gradient flows through stays moderate.  The other rows leave those
+    variables marginalized.  The leaf moved far is the first one that leaves
+    both rows a finite product of nonzero weight."""
+    config = RatConfig(int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(1, 3)),
+                       int(rng.integers(2, 4)), 3, 8, rng_seed=int(rng.integers(1000)))
+    c = build_rat(config)
+    plan = c.plan()
+    layout = plan.layout
+    variables = layout.leaves["gaussian"][1]
+    inputs = layout.layers[0]  # the input distributions: products of leaves
+    d = rng.integers(len(inputs.nodes))
+    narrow = layout.slot[[f[d, 0] for f in inputs.factors]]  # the leaves of distribution d
+    far = rng.choice(np.setdiff1d(np.arange(c.num_variables), variables[narrow]))
+    X = np.array([random_evidence(rng, c, 0.2) for _ in range(7)])
+    X[0] = np.nan
+    X[:, variables[narrow]] = np.nan
+    X[1, far] = 1e200
+    X[2, far] = 0.0
+    X[2, variables[narrow]] = plan.mean[narrow]
+    head = layout.layers[-1]
+    for moved in np.flatnonzero(variables == far):
+        mean, log_std = plan.mean.copy(), plan.log_std.copy()
+        mean[moved] = 1e200
+        log_std[narrow] = -700.0
+        values = forward_log_values(c.with_plan(dataclasses.replace(
+            plan, mean=mean, log_std=log_std)), X[1:3])[head.children[0]]
+        near = values[:, 1] > values[:, 1].max() - 700.0
+        if np.isfinite(values[~near]).any(axis=0).all():
+            assert np.all(values[~near, 1] < values[:, 1].max() - 800.0)
+            theta = ParameterSpace.of(c).initial_vector()
+            _blocks(theta, layout)[0][-1][0][:, near] = -np.inf
+            weighted = ParameterSpace.of(c).apply(theta).plan()
+            return c.with_plan(dataclasses.replace(weighted, mean=mean, log_std=log_std)), X
+    raise AssertionError("every leaf over the far-out variable shares the flushed products")
+
+
 class TestLossAndGrad:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_factored_reverse_matches_the_log_space_reverse(self, monkeypatch, seed):
+        """Random RATs whose heads read several product groups, with a
+        marginalized row, a far-out row whose factors are -inf and a row
+        that flushes the head, whose repair must run: the loss keeps its
+        bits, and the gradient lies within 1e-13 max|grad| of the log-space
+        reverse's."""
+        rng = np.random.default_rng(seed)
+        repaired = []
+
+        def spy(w, lw, shift, a, children, v, adj):
+            return _sum_reverse(w, lw, shift, a,
+                                lambda g, c: repaired.append(len(g)) or children(g, c), v, adj)
+
+        monkeypatch.setattr(train_module, "_sum_reverse", spy)
+        for _ in range(2):
+            c, X = rat_with_hard_rows(rng)
+            layout = c.layout()
+            assert layout.fused[-2] and layout.layers[-1].children.shape[1] > \
+                layout.layers[-2].nodes.shape[1]
+            assert np.isneginf(forward_log_values(c, X[1:2])).any()  # the far-out row's factors
+            y = rng.integers(c.num_classes, size=len(X))
+            for objective in ("head", "cross_entropy"):
+                repaired.clear()
+                loss, grad = loss_and_grad(c, X, y, objective)
+                assert repaired
+                want_loss, want = log_space_loss_and_grad(c, X, y, objective)
+                assert loss == want_loss and np.isfinite(loss)
+                assert np.abs(grad - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", ["tree", "dag"])
+    def test_unfused_circuits_match_the_log_space_reverse_to_the_bit(self, kind):
+        """Trees and DAGs without fused layers run the same arithmetic as
+        before, under both objectives where they have several classes."""
+        rng = np.random.default_rng(23)
+        bits = lambda a: np.asarray(a).view(np.int64)  # noqa: E731
+        tested = 0
+        while tested < 6:
+            c = (random_tree_circuit(rng, num_classes=2) if kind == "tree"
+                 else random_dag_circuit(rng))
+            if any(c.layout().fused):
+                continue
+            X = np.array([random_evidence(rng, c, 0.3) for _ in range(6)])
+            X[0] = np.nan
+            y = rng.integers(c.num_classes, size=len(X))
+            for objective in ("head", "cross_entropy")[: c.num_classes]:
+                loss, grad = loss_and_grad(c, X, y, objective)
+                want_loss, want = log_space_loss_and_grad(c, X, y, objective)
+                assert bits(loss) == bits(want_loss)
+                np.testing.assert_array_equal(bits(grad), bits(want))
+            tested += 1
+
     def test_gaussian_leaf_at_its_mean_has_zero_mean_gradient(self):
         c = build_manual("g gaussian 0 0.4 1.0\nroot g")
         X = np.array([[0.4]])
@@ -201,6 +338,20 @@ class TestLossAndGrad:
             loss_and_grad(two_leaf_sum, np.zeros((2, 1)), np.array([0, 5]))
         with pytest.raises(ShapeError):
             loss_and_grad(two_leaf_sum, np.zeros((2, 1)), np.array([0]))
+
+    @pytest.mark.parametrize("labels, row", [([0.0, 1.5, 2.0], 1), ([0.5, 1.2, 2.9], 0),
+                                             ([0, 1, np.nan], 2), ([0, -1, 1], 1)])
+    def test_a_label_that_is_no_class_index_is_rejected(self, labels, row):
+        """A fractional label is not truncated: loss_and_grad and fit reject
+        it, naming the first offending row."""
+        c = build_rat(RatConfig(2, 2, 1, 1, 3, 2, rng_seed=0))
+        X = np.zeros((3, 2))
+        with pytest.raises(ShapeError, match=f"of row {row} "):
+            loss_and_grad(c, X, labels)
+        with pytest.raises(ShapeError, match=f"of row {row} "):
+            fit(c, X, labels, TrainConfig(epochs=1))
+        whole = loss_and_grad(c, X, np.array([0.0, 1.0, 2.0]))[0]
+        assert whole == loss_and_grad(c, X, [0, 1, 2])[0]
 
 
 class TestFit:
