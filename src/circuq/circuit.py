@@ -45,6 +45,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 NORMALIZATION_TOL = 1e-9
 
+# The least Gaussian log std whose 1 / std, exp(-log_std), is finite.
+MIN_LOG_STD = -math.log(np.finfo(np.float64).max)
+
 CIRCUIT_FORMAT_VERSION = 2  # the version serialize() writes
 
 
@@ -480,6 +483,7 @@ def _holds(c: _Columns) -> bool:
             or not np.all((kids >= 0) & (kids < np.repeat(runs, fan)))
             or not np.all((c.variables >= 0) & (c.variables < c.num_variables))
             or not (np.all(np.isfinite(c.means)) and np.all(np.isfinite(c.log_stds)))
+            or np.any(c.log_stds < MIN_LOG_STD)
             or not _normalized(c.log_weights, counts[kinds == _SUM])
             or not _normalized(c.log_probs, c.states)
             or len(c.log_class_priors) != len(c.roots)
@@ -598,6 +602,9 @@ def _node_report(circuit: Circuit) -> ValidationReport:
                        for v in (node.mean, node.log_std)):
                 bad(i, "leaf-parameter", f"Gaussian mean {node.mean!r} and log_std "
                     f"{node.log_std!r} must be finite real numbers")
+            elif node.log_std < MIN_LOG_STD:
+                bad(i, "leaf-parameter", f"Gaussian log_std {node.log_std!r} is below "
+                    f"{MIN_LOG_STD:.6g}, where 1 / std overflows")
         elif node.kind == "categorical":
             if problem := _unnormalized(node.log_probs):
                 bad(i, "leaf-normalization", f"probabilities {problem}")
@@ -652,12 +659,15 @@ def _node_report(circuit: Circuit) -> ValidationReport:
 # linear space from their factors (factored_exp): each factor is shifted by
 # its own largest value and exponentiated, and the shifted linear factors
 # multiply over the outer product, so no log product is formed or
-# exponentiated.  The request decides only whether the log products, which
-# no sum reads, are also written: a roots-only request never writes their
-# slots, and any other request writes them there.  Training runs the
-# roots-only steps, and its reverse pass remakes each block's shifted linear
-# products from the factors and sends their adjoints straight to the
-# factors' slots (circuq.train), so it neither writes nor reads them.
+# exponentiated.  Every other sum layer, as in trees and DAGs, runs the same
+# kernel on its children read as products of one factor (Layout.mixes), so
+# each pass has one sum kernel.  The request decides only whether the log
+# products of a fused layer, which no sum reads, are also written: a
+# roots-only request never writes their slots, and any other request writes
+# them there.  Training runs the roots-only steps, and its reverse pass
+# remakes each block's shifted linear products from the factors and sends
+# their adjoints straight to the factors' slots (circuq.train), so it
+# neither writes nor reads them.
 
 _BLOCK_ELEMENTS = 1 << 16  # gathered or produced (groups, width, columns) elements per step
 
@@ -778,12 +788,14 @@ class ProductLayer(_Output):
     products hold the slots from ``start`` on, and ``reads`` has one
     :class:`SlotRead` per factor.  Where every factor has one width S,
     ``stacked`` reads them all as one (G, F, S) input, else it is None.
+    A sum layer over no fused layer mixes its children as products of one
+    factor (:attr:`Layout.mixes`), which hold no slots: ``start`` is None.
     """
 
     nodes: np.ndarray
     factors: tuple
     distinct: bool
-    start: int
+    start: Optional[int]
     reads: tuple
     stacked: Optional[SlotRead]
 
@@ -955,7 +967,10 @@ class Layout:
     whole product groups per sum group, with no root among the products,
     and whose factors have one width (:attr:`ProductLayer.stacked`).
     Every pass makes those products inside the sum layer's step, a block of
-    sum groups at a time (:meth:`steps`).
+    sum groups at a time (:meth:`steps`).  ``mixes`` holds per sum layer
+    the product layer whose products it mixes: the fused one before it, or
+    else its children as the (G, K) products of one factor, F = 1 and S =
+    K, each group one whole product group; None per product layer.
     """
 
     layers: list
@@ -972,6 +987,7 @@ class Layout:
     narrow: tuple
     shared: np.ndarray
     fused: tuple
+    mixes: tuple
     roots: np.ndarray  # the slots of the circuit's roots, in its order
     spare: _SpareArrays = field(default_factory=_SpareArrays, repr=False, compare=False)
 
@@ -994,13 +1010,13 @@ class Layout:
 
     def steps(self, layers: range):
         """(k, products, layer) for each step of a pass over ``layers``, which
-        holds both layers of a fused pair or neither: layer k alone, with
-        ``products`` None, or, where :attr:`fused` flags product layer k - 1,
-        that product layer inside the step of sum layer k, which makes each
-        block's products itself (:meth:`ProductLayer.feeding`)."""
+        holds both layers of a fused pair or neither: a product layer k
+        alone, with ``products`` None, or a sum layer k with the products it
+        mixes (:attr:`mixes`), which it makes a block at a time itself
+        (:meth:`ProductLayer.feeding`), a fused product layer included."""
         for k in layers:
             if not self.fused[k]:
-                yield k, self.layers[k - 1] if k and self.fused[k - 1] else None, self.layers[k]
+                yield k, self.mixes[k], self.layers[k]
 
     @functools.cached_property
     def regions(self) -> tuple[list[int], list[int]]:
@@ -1082,24 +1098,25 @@ class Layout:
 
         Each step of :meth:`steps` is (k, layer, blocks), with per block of
         the layer's groups b a tuple (b, products, factors, made, children,
-        out).  ``products`` is the product layer the block runs, if any: the
-        step's own or the one fused into it.  ``factors`` holds per array its
-        factors' views, and ``made`` per array where its log products go, or
-        None.  ``children`` holds per array a sum layer's (g, K, columns)
-        children; in a fused step, it is instead where the sums' kernels make
-        their shifted linear children from the factors (:func:`factored_exp`):
-        a scratch array of the largest block's size where ``made`` is None,
-        else ``made`` itself, which the log products overwrite once the
-        linear values are mixed.  ``out`` holds per array the layer's
-        output.  A layer that gathers its inputs, where its slots are not
-        affine, reads copies that each pass makes anew: its ``factors`` or
-        ``children`` are then a function that makes them
-        (:func:`step_inputs`).  A request for the circuit's roots list itself
-        leaves the slots of fused products unwritten (``made`` is None); any
-        other request writes their log values there too.  Given ``head``,
-        the masked pass's (invariant, 1) arrays, the layers before
-        :attr:`prefix` run on those, and the sum layers that :attr:`narrow`
-        flags read them, as does a product layer fused into one.
+        out).  ``products`` is the product layer the block runs: the step's
+        own or the one that its sums mix.  ``factors`` holds per array its
+        factors' views, a sum step's as one stacked (g, F, S, columns) view,
+        and ``made`` per array where its log products go, or None.  A
+        product step's ``children`` is None; a sum step's holds per array
+        where the sums' kernel makes their shifted linear (g, K, columns)
+        children from the factors (:func:`factored_exp`): a scratch array of
+        the largest block's size where ``made`` is None, else ``made``
+        itself, which the log products overwrite once the linear values are
+        mixed.  ``out`` holds per array the layer's output.  A layer that
+        gathers its inputs, where its slots are not affine, reads copies
+        that each pass makes anew: its ``factors`` are then a function that
+        makes them (:func:`step_inputs`).  ``made`` is None for products
+        without slots of their own (``start`` None) and, for a request for
+        the circuit's roots list itself, for fused products too; any other
+        request writes their log values there.  Given ``head``, the masked
+        pass's (invariant, 1) arrays, the layers before :attr:`prefix` run on
+        those, and the sum layers that :attr:`narrow` flags read them, as
+        does a product layer fused into one.
         """
         schedule = []
         for k, products, layer in self.steps(range(len(self.layers))):
@@ -1110,8 +1127,9 @@ class Layout:
                              layer.blocks(target[0].shape[1])))
         size = max([(b.stop - b.start) * layer.children.shape[1] * source[0].shape[1]
                     for _, products, layer, source, _, blocks in schedule
-                    if products is not None for b in blocks], default=0)
-        scratch = [np.empty(size) for _ in arrays] if roots_only and size else []
+                    if layer.kind == "sum" and (roots_only or products.start is None)
+                    for b in blocks], default=0)
+        scratch = [np.empty(size) for _ in arrays] if size else []
         steps = []
         for k, products, layer, source, target, blocks in schedule:
             made_here = []
@@ -1119,14 +1137,12 @@ class Layout:
                 out = [layer.output(a, b) for a in target]
                 if layer.kind == "product":
                     made_here.append((b, layer, _reads(layer.reads, b, source), out, None, out))
-                elif products is None:
-                    made_here.append((b, None, None, None,
-                                      _reads(layer.reads, b, source, one=True), out))
                 else:
                     g = products.feeding(layer, b)
                     shape = (b.stop - b.start, layer.children.shape[1], source[0].shape[1])
-                    made = None if roots_only else [products.output(a, g) for a in source]
-                    lin = ([x[: math.prod(shape)].reshape(shape) for x in scratch] if roots_only
+                    made = (None if roots_only or products.start is None
+                            else [products.output(a, g) for a in source])
+                    lin = ([x[: math.prod(shape)].reshape(shape) for x in scratch] if made is None
                            else [m.reshape(shape) for m in made])
                     made_here.append((b, products, _reads((products.stacked,), g, source, True),
                                       made, lin, out))
@@ -1159,7 +1175,8 @@ def step_inputs(inputs):
 @dataclass(frozen=True)
 class Plan:
     """A layout plus one circuit's parameters as arrays, validated once: a
-    non-finite leaf parameter raises ParameterError on construction.
+    non-finite leaf parameter, or a Gaussian log std below MIN_LOG_STD,
+    raises ParameterError on construction.
 
     ``log_weights`` holds each sum layer's (G, S, K) log weights, None for a
     product layer; ``weights`` are their exponentials and ``squared_weights``
@@ -1189,6 +1206,10 @@ class Plan:
             i = int(bad.min())
             kind = "gaussian" if i in gaussian else "categorical"
             raise ParameterError(f"non-finite {kind} parameter at node {i}")
+        narrow = gaussian[self.log_std < MIN_LOG_STD]
+        if len(narrow):
+            raise ParameterError(f"Gaussian log std below {MIN_LOG_STD:.6g}, where 1 / std "
+                                 f"overflows, at node {int(narrow.min())}")
         object.__setattr__(self, "inv_std", np.exp(-self.log_std))
         weights = []
         for lw in self.log_weights:
@@ -1322,10 +1343,14 @@ def _compile_layout(circuit: Circuit) -> Layout:
                            np.arange(layer.start, layer.start + layer.nodes.size))
         and bool(np.all(readers[layer.start : layer.start + layer.nodes.size] == 1))
         for layer, sums in zip(layers, layers[1:] + [None]))
+    mixes = tuple(None if layer.kind == "product" else layers[k - 1] if k and fused[k - 1]
+                  else ProductLayer(layer.children, (layer.children,), layer.distinct, None,
+                                    layer.reads, SlotRead.of(slot[layer.children][:, None]))
+                  for k, layer in enumerate(layers))
     prefix = first_sum - 1 if first_sum and fused[first_sum - 1] else first_sum
     return Layout(layers, leaves, np.concatenate([np.zeros(0, dtype=np.int64)] + edge_order),
                   bool(np.all(parents <= 1)), slot, order, prefix, invariant, narrow,
-                  shared[shared < invariant], fused, slot[c.roots])
+                  shared[shared < invariant], fused, mixes, slot[c.roots])
 
 
 def _run_heads(kinds, counts, starts, children) -> np.ndarray:
@@ -1535,7 +1560,9 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
     product layer that :attr:`Layout.fused` flags runs inside the step of
     the sum layer that reads it (:meth:`Layout.steps`), the first one
     included in a masked pass, where it stays in one column, and the sums
-    mix its products from their factors (:func:`log_mix_factored`).  A
+    mix its products from their factors (:func:`log_mix`), as every sum
+    layer mixes its children, products of one factor where no product
+    layer is fused into it.  A
     request for the circuit's roots list itself leaves the products' slots
     unwritten; any other request writes their log values there.  Raises
     ShapeError unless X is (rows, variables) and, with ``keep``, one row
@@ -1601,52 +1628,29 @@ def _forward_layers(plan: Plan, steps: list, keep: Optional[np.ndarray] = None) 
         start += w.size
         for b, products, factors, made, children, (out,) in blocks:
             kept_b = None if kept is None else kept[:, b]
-            if products is None:
-                out[...] = log_mix(w[b], lw[b], step_inputs(children)[0], kept_b)
-                continue
             stacked = step_inputs(factors)[0]
-            out[...] = log_mix_factored(w[b], lw[b], stacked, children[0], kept_b)
+            out[...] = log_mix(w[b], lw[b], stacked, children[0], kept_b)
             if made is not None:  # over the linear values, which are mixed
                 products.outer(stacked.swapaxes(0, 1), out=made[0])
 
 
-def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray,
+def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray, lin: np.ndarray,
             kept: Optional[np.ndarray] = None) -> np.ndarray:
-    """log sum_k w_k exp(x_k) for every sum of a block of groups.
+    """log sum_k w_k exp(x_k) for every sum of a block of groups, whose
+    children x_k are products (:attr:`Layout.mixes`), from their factors.
 
-    ``w`` and ``log_w`` are the (g, S, K) weights and their logs, ``x`` the
-    groups' (g, K, columns) child log values; a (columns, g, S, K) boolean
-    ``kept`` drops each column's edges where it is False, as masked passes
-    do, and is read in place.  Under ``kept``, ``x`` may instead hold one
-    column that every pass shares.  Each group and column is shifted by its
-    largest child value and mixed in linear space as one matrix product.  The
+    ``w`` and ``log_w`` are the (g, S, K) weights and their logs, and ``x``
+    the factors' stacked (groups, F, S, columns) log values
+    (:attr:`ProductLayer.stacked`) of the product groups that the sum
+    groups read, in order.  The shifted linear products are made in
+    ``lin``, a contiguous (g, K, columns) array (:func:`factored_exp`), and
+    mixed in linear space.  A (columns, g, S, K) boolean ``kept`` drops
+    each column's edges where it is False, as masked passes do, and is read
+    in place; ``x`` may then hold one column that every pass shares.  The
     shift ignores the weights, so a sum whose weighted children all sit far
     below a zero-weight or dropped sibling flushes to zero or a subnormal;
-    those entries are recomputed as exact log-sum-exps.  Sums whose
-    children are whole product groups of a fused layer mix them from their
-    factors instead (:func:`log_mix_factored`); the others, in trees and
-    DAGs, mix here.
-    """
-    if kept is not None:
-        x = np.broadcast_to(x, (*x.shape[:2], len(kept)))
-    return _log_mixed(w, log_w, *_shifted_exp(x), lambda g, c: x[g, :, c], kept)
-
-
-def log_mix_factored(w: np.ndarray, log_w: np.ndarray, x: np.ndarray, lin: np.ndarray,
-                     kept: Optional[np.ndarray] = None) -> np.ndarray:
-    """:func:`log_mix` of a block of sum groups whose children are whole
-    groups of products, from the products' factors, without their log
-    values.
-
-    ``x`` holds the factors' stacked (groups, F, S, columns) log values
-    (:attr:`ProductLayer.stacked`), for the product groups that the sum
-    groups read, in order.  The shifted linear products are made in
-    ``lin``, a contiguous (g, K, columns) array (:func:`factored_exp`).  The
-    mix, ``kept`` and the flush repair are :func:`log_mix`'s; the repair
-    makes the log values of the flagged entries' products from their
-    factors (:func:`factored_children`), as their slots are made.  The
-    result differs from :func:`log_mix` of the log products by rounding
-    alone, in the shifted linear values.
+    those entries are recomputed as exact log-sum-exps of their products'
+    log values, made from the factors (:func:`factored_children`).
     """
     m, lin, _ = factored_exp(x, lin)
     if kept is not None:
@@ -1656,18 +1660,19 @@ def log_mix_factored(w: np.ndarray, log_w: np.ndarray, x: np.ndarray, lin: np.nd
 
 def factored_exp(x: np.ndarray, lin: np.ndarray):
     """(m, lin, s): the shift and shifted linear values of the log products
-    that a block of sum groups reads, as :func:`_shifted_exp` gives them,
-    made from the factors' stacked (groups, F, S, columns) log values ``x``,
-    and the factors' largest values s.
+    that a block of sum groups reads, made from the factors' stacked
+    (groups, F, S, columns) log values ``x``, and the factors' largest
+    values s.
 
     Each factor f is shifted per group and column by its own largest value
-    s_f, floored as :func:`_shifted_exp` floors it (:func:`factor_shifts`),
-    and a product group's shifted linear values, the outer product of the
-    factors' exp(x_f - s_f), are written into ``lin``.  So a group takes
-    F S exponentials instead of S^F, and no transcendental runs on the
+    s_f, floored at SHIFT_FLOOR (:func:`factor_shifts`), and a product
+    group's shifted linear values, the outer product of the factors'
+    exp(x_f - s_f), are written into ``lin``.  So a group takes F S
+    exponentials instead of S^F, and no transcendental runs on the
     products.  A group's shift, the sum of its s_f, is the largest of its
-    log products but for rounding.  Where m is -inf, every value in ``lin``
-    is 0, so m can shift their log as it is.
+    log products but for rounding; with one factor it is their largest,
+    and ``lin`` is exp(x - max(m, SHIFT_FLOOR)).  Where m is -inf, every
+    value in ``lin`` is 0, so m can shift their log as it is.
     """
     s = x.max(axis=2, keepdims=True)
     m, shift = factor_shifts(s, len(lin))
@@ -1716,20 +1721,11 @@ def gathered_factors(x: np.ndarray, per_sum: int, g: np.ndarray, c: np.ndarray) 
     return picked.reshape(-1, *x.shape[1:3]).swapaxes(0, 1)[..., None]
 
 
-def _shifted_exp(x: np.ndarray):
-    """(m, shift, lin) of (g, K, columns) child log values: each group's
-    and column's largest value m, the shift max(m, SHIFT_FLOOR), and
-    exp(x - shift), made in one new array."""
-    m = x.max(axis=1, keepdims=True)
-    shift = np.maximum(m, SHIFT_FLOOR)
-    lin = np.subtract(x, shift)
-    return m, shift, np.exp(lin, out=lin)
-
-
 def _log_mixed(w, log_w, m, shift, lin, children, kept=None) -> np.ndarray:
-    """:func:`log_mix` from the (m, shift, lin) of the children
-    (:func:`_shifted_exp`); ``children(g, c)`` gives the (entries, K) child
-    log values of groups g in columns c, which the flush repair reads."""
+    """:func:`log_mix` from the children's largest log values m, their
+    shift and their shifted linear values (:func:`factored_exp`);
+    ``children(g, c)`` gives the (entries, K) child log values of groups g
+    in columns c, which the flush repair reads."""
     if kept is None:
         mixed = mix(w, lin)
     else:  # a shared column is read at stride 0 along the passes
@@ -1741,11 +1737,11 @@ def _log_mixed(w, log_w, m, shift, lin, children, kept=None) -> np.ndarray:
 
 def mix(w: np.ndarray, lin: np.ndarray) -> np.ndarray:
     """(g, S, K) weights of a :class:`Plan` times (g, K, columns) linear
-    values, such as shifted children (:func:`_shifted_exp`) or shifted
-    products made from their factors (:func:`factored_exp`), one matrix
-    product per group, in einsum's own loops, so that each column's bits do
-    not depend on how many columns a pass holds: a single row is a batch of
-    one to the bit, and a batch split into passes equals one pass.  BLAS
+    values, such as the shifted products that :func:`factored_exp` makes,
+    one matrix product per group, in einsum's own loops, so that each
+    column's bits do not depend on how many columns a pass holds: a single
+    row is a batch of one to the bit, and a batch split into passes equals
+    one pass.  BLAS
     (np.matmul) picks its kernel by the product's width, gemv for one
     column and other kernels for other widths, so there a column's bits
     change with the batch width.  einsum has such a case too: where both

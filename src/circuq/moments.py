@@ -14,10 +14,10 @@ Harris's inequality no two node values have a negative covariance.  The
 pass runs on the circuit's layer plan: each group of sums that shares a
 child list mixes its children's moments in linear space as matrix products,
 shifted per group and row by the largest child moment, and each group of
-products combines its factors over their outer product.  A sum group that
-reads whole product groups mixes their moments from the factors' moments,
-each factor shifted by its own largest one, without making the products'
-moments (:func:`_factor_terms`).
+products combines its factors over their outer product.  Each sum group
+mixes its children's moments from their factors' moments, each factor
+shifted by its own largest one, without making the children's moments
+where they are fused products (:func:`_factor_terms`).
 
 Two strategies handle the covariance between siblings:
 
@@ -40,10 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (BATCH_ROWS, SHIFT_FLOOR, Circuit, ProductLayer, _log_mixed,
-                      _shifted_exp, as_batch, as_evidence, factor_shifts, factored_exp,
-                      gathered_factors, log_shifted, logsumexp, logsumexp_axis0, mix,
-                      step_inputs)
+from .circuit import (BATCH_ROWS, Circuit, ProductLayer, _log_mixed, as_batch, as_evidence,
+                      factor_shifts, factored_exp, gathered_factors, log_shifted, logsumexp,
+                      logsumexp_axis0, mix, step_inputs)
 from .errors import ShapeError, StructureError, UnderflowError
 
 _NEG_INF = float("-inf")
@@ -185,11 +184,12 @@ def _moment_pass(circuit, X, config, exact_frame=None, nodes=None):
     The pass holds node moments in the layout's slot order, reads each
     layer's inputs through its views and writes each layer as one slice;
     the arrays and views come from :meth:`Layout.prepared` and
-    :meth:`Layout.pass_steps`.  A fused product layer runs inside the step
-    of the sum layer that reads it (:meth:`Layout.steps`), which mixes each
-    block's products from their factors (:func:`_factor_terms`); a request
-    for more than the roots then also writes the products' moments into
-    their slots (:func:`_product_moments`).  Given the one-row RAT_EXACT
+    :meth:`Layout.pass_steps`.  Each sum layer's step mixes each block's
+    products from their factors (:func:`_factor_terms`): a fused product
+    layer's, which runs inside it (:meth:`Layout.steps`), or its children
+    as products of one factor.  A request for more than the roots then
+    also writes a fused layer's moments into its slots
+    (:func:`_product_moments`).  Given the one-row RAT_EXACT
     ``exact_frame``, the sibling covariances are added to each sum layer's
     variances in place, before the next layer reads them
     (:func:`_add_sum_covariances`).
@@ -214,12 +214,9 @@ def _moment_pass(circuit, X, config, exact_frame=None, nodes=None):
                 if children is None:  # a product layer's own step
                     _product_moments(products, *step_inputs(factors), made, constant)
                     continue
-                if products is None:
-                    terms = _child_terms(w2[b], *step_inputs(children), p, constant)
-                else:
-                    ce, cv = step_inputs(factors)
-                    terms = _factor_terms(w2[b], products, ce, cv, children, p, constant)
-                _sum_moments(w[b], lw[b], log_q, p, out, *terms)
+                ce, cv = step_inputs(factors)
+                _sum_moments(w[b], lw[b], log_q, p, out,
+                             *_factor_terms(w2[b], products, ce, cv, children, p, constant))
                 if made is not None:  # over the linear values, which are mixed
                     _product_moments(products, ce.swapaxes(0, 1), cv.swapaxes(0, 1), made,
                                      constant)
@@ -252,29 +249,12 @@ def _product_moments(layer, ce: list, cv: list, out, constant: bool) -> None:
     log_v[log_e == _NEG_INF] = _NEG_INF
 
 
-def _child_terms(w2, ce, cv, p, constant: bool):
-    """:func:`_sum_moments`' terms of a block of sum groups from their
-    children's (g, K, rows) moments.
-
-    The mean's terms are :func:`circuq.circuit._shifted_exp`'s.  Var / q =
-    (W o W) (Var_k + p E_k^2) is mixed in linear space under the largest
-    Var_k or E_k^2 of each group and row.  ``constant`` children have no
-    variance, so their Var_k term is left out.
-    """
-    me, se, a = _shifted_exp(ce)
-    mv = _NEG_INF if constant else cv.max(axis=1, keepdims=True)
-    sv = np.maximum(np.maximum(mv, 2.0 * me), SHIFT_FLOOR)
-    var = p * mix(w2, a * a) * np.exp(2.0 * se - sv)
-    if not constant:
-        var += mix(w2, np.exp(cv - sv))
-    return me, se, a, var, sv, lambda: mv > _NEG_INF, lambda g, c: (ce[g, :, c], cv[g, :, c])
-
-
 def _factor_terms(w2, products, ce, cv, lin, p, constant: bool):
     """:func:`_sum_moments`' terms of a block of sum groups whose children
-    are whole groups of fused ``products``, from the factors' stacked
-    (groups, F, S, rows) moments ``ce`` and ``cv``, without the products'
-    moments.
+    are whole groups of ``products``, from the factors' stacked (groups, F,
+    S, rows) moments ``ce`` and ``cv``, without the products' moments.  A
+    sum layer over no fused layer reads its children as products of one
+    factor (:attr:`circuq.circuit.Layout.mixes`): F = 1 and S = K.
 
     The mean's terms are the forward's (:func:`circuq.circuit.factored_exp`),
     made in ``lin[0]``.  For the variance, each factor f is shifted per
@@ -343,9 +323,9 @@ def _sum_moments(w, lw, log_q, p, out, me, se, a, var, sv, has_var, children) ->
 
     E = q W E_k and Var = q (W o W) (Var_k + p E_k^2), from the plan's
     weights ``w`` and their logs ``lw``, and the terms of the children's
-    moments that :func:`_child_terms` or :func:`_factor_terms` make: the
-    mean's (me, se, a) as :func:`circuq.circuit._shifted_exp` gives them,
-    the variance mixed in linear space under its shift ``sv``, whether any
+    moments that :func:`_factor_terms` makes: the mean's (me, se, a) as
+    :func:`circuq.circuit.factored_exp` gives them, the variance, one
+    (W o W) mix in linear space, under its shift ``sv``, whether any
     child has a variance, and ``children(g, c)``, the (entries, K) child
     moments of groups g in columns c.  E / q is the forward pass's mix of
     the child means (:func:`circuq.circuit._log_mixed`).  Entries of Var

@@ -23,14 +23,14 @@ The forward pass is the roots-only pass that inference runs
 (:func:`circuq.circuit.forward_pass`): a (nodes, rows) array in the layout's
 slot order (:class:`circuq.circuit.Layout`) that holds every node's log
 value except those of the fused product layers, which no step writes.  The
-adjoints are an array of the same order.  A sum block over a fused product
-layer remakes its shifted linear children from the factors
-(:func:`circuq.circuit.factored_exp`), as the forward mixed them, and the
-products' adjoints go through :meth:`circuq.circuit.ProductLayer.factor_sums`
-straight into the factors' slots: no log product is written, exponentiated
-or given an adjoint.  Every other layer reads its values and adjoints as
-slices and its children through the layer's slot views, and adds the
-children's adjoints in place through them.  θ's order, the plan edge order,
+adjoints are an array of the same order.  Each sum block remakes its
+shifted linear children from their factors
+(:func:`circuq.circuit.factored_exp`), as the forward mixed them, and their
+adjoints go through :meth:`circuq.circuit.ProductLayer.factor_sums`
+straight into the factors' slots: no fused product's log value is written,
+exponentiated or given an adjoint.  Each layer reads its values and
+adjoints as slices and its inputs through its slot views, and adds the
+inputs' adjoints in place through them.  θ's order, the plan edge order,
 does not depend on slots.
 """
 
@@ -47,7 +47,6 @@ from .circuit import (
     Circuit,
     Layout,
     _forward_layers,
-    _shifted_exp,
     as_batch,
     factored_children,
     factored_exp,
@@ -211,21 +210,12 @@ def loss_and_grad(
                 if layer.kind == "product":
                     _add_factor_sums(layer, adjoint, b, adj)
                     continue
-                if products is None:
-                    x = step_inputs(children)[0]
-                    _, shift, lin = _shifted_exp(x)
-                    values = lambda g, c: x[g, :, c]  # noqa: E731
-                else:
-                    x = step_inputs(factors)[0]
-                    m, lin, _ = factored_exp(x, children[0])
-                    shift = np.maximum(m, SHIFT_FLOOR)
-                    values = factored_children(x, len(lin))
-                logits_grad[k][b], part = _sum_reverse(plan.weights[k][b], plan.log_weights[k][b],
-                                                       shift, lin, values, v, adj)
-                if products is None:
-                    layer.reads[0].add(adjoint, b, part, layer.distinct)
-                else:
-                    _add_factor_sums(products, adjoint, products.feeding(layer, b), part)
+                x = step_inputs(factors)[0]
+                m, lin, _ = factored_exp(x, children[0])
+                logits_grad[k][b], part = _sum_reverse(
+                    plan.weights[k][b], plan.log_weights[k][b], np.maximum(m, SHIFT_FLOOR), lin,
+                    factored_children(x, len(lin)), v, adj)
+                _add_factor_sums(products, adjoint, products.feeding(layer, b), part)
         _leaf_gradients(plan, X, adjoint[layout.leaf_slots("gaussian")], mean_grad, log_std_grad)
         return loss, grad
     finally:
@@ -304,11 +294,10 @@ def _sum_reverse(w, lw, shift, a, children, v, adj):
 
     Takes the (g, S, K) weights and their logs, the children's shift and
     shifted linear values a, the (shift, lin, children) of
-    :func:`circuq.circuit._log_mixed` as the forward mixed them: from the
-    children's log values (:func:`circuq.circuit._shifted_exp`) or from a
-    fused product layer's factors (:func:`circuq.circuit.factored_exp`,
-    under a shift floored as the former floors it).  Then the sums' (g, S,
-    rows) log values v and adjoints.  With A = adj exp(shift - v), the logit
+    :func:`circuq.circuit._log_mixed` as the forward mixed them from the
+    children's factors (:func:`circuq.circuit.factored_exp`), under their
+    shift floored at SHIFT_FLOOR.  Then the sums' (g, S, rows) log values
+    v and adjoints.  With A = adj exp(shift - v), the logit
     gradients are w o (A a^T) - w o sum_rows adj and the child adjoints
     a o (W^T A): per-group matrix products, taken by BLAS in row chunks of at
     most :data:`_PRODUCT_MACS` multiply-adds each.  Where the forward's

@@ -21,6 +21,7 @@ from circuq import (
     fit,
     synth_blobs,
 )
+from circuq.circuit import SHIFT_FLOOR, _log_mixed, mix
 
 TWO_LEAF_SUM = """
 # a two-component mixture on one binary variable
@@ -75,6 +76,50 @@ def v1_doc(circuit: Circuit) -> dict:
     return {"version": 1, "num_variables": int(circuit.num_variables),
             "log_class_priors": [float(p) for p in circuit.log_class_priors],
             "roots": [int(r) for r in circuit.roots], "nodes": [record(n) for n in circuit.nodes]}
+
+
+# ---------------------------------------------------------------------------
+# The log-space sum kernels that the one factored kernel replaced: each sum
+# group's children shifted by their largest log value, exponentiated and
+# mixed, and the variance mixed as two (W o W) products.  The log-space
+# reference passes of test_layout and test_train run on them, so that they
+# do not share the kernel they check.
+
+
+def log_space_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray, kept=None) -> np.ndarray:
+    """log sum_k w_k exp(x_k) for every sum of a block of groups, from the
+    groups' (g, K, columns) child log values ``x``; a (columns, g, S, K)
+    boolean ``kept`` drops each column's edges where it is False, and ``x``
+    may then hold one column that every pass shares."""
+    if kept is not None:
+        x = np.broadcast_to(x, (*x.shape[:2], len(kept)))
+    return _log_mixed(w, log_w, *shifted_exp(x), lambda g, c: x[g, :, c], kept)
+
+
+def shifted_exp(x: np.ndarray):
+    """(m, shift, lin) of (g, K, columns) child log values: each group's
+    and column's largest value m, the shift max(m, SHIFT_FLOOR), and
+    exp(x - shift), made in one new array."""
+    m = x.max(axis=1, keepdims=True)
+    shift = np.maximum(m, SHIFT_FLOOR)
+    lin = np.subtract(x, shift)
+    return m, shift, np.exp(lin, out=lin)
+
+
+def child_terms(w2, ce, cv, p, constant: bool):
+    """circuq.moments._sum_moments' terms of a block of sum groups from
+    their children's (g, K, rows) moments.  The mean's terms are
+    :func:`shifted_exp`'s.  Var / q = (W o W) (Var_k + p E_k^2) is mixed in
+    linear space under the largest Var_k or E_k^2 of each group and row.
+    ``constant`` children have no variance, so their Var_k term is left
+    out."""
+    me, se, a = shifted_exp(ce)
+    mv = -np.inf if constant else cv.max(axis=1, keepdims=True)
+    sv = np.maximum(np.maximum(mv, 2.0 * me), SHIFT_FLOOR)
+    var = p * mix(w2, a * a) * np.exp(2.0 * se - sv)
+    if not constant:
+        var += mix(w2, np.exp(cv - sv))
+    return me, se, a, var, sv, lambda: mv > -np.inf, lambda g, c: (ce[g, :, c], cv[g, :, c])
 
 
 def rel_err(a: float, b: float, floor: float = 1e-30) -> float:

@@ -128,6 +128,30 @@ class TestValidate:
             report = validate(c)
             assert [v.constraint for v in report.violations] == ["variable-range"]
 
+    def test_a_log_std_whose_inverse_overflows_is_a_leaf_parameter_violation(self):
+        """Below -log(float max), 1 / std = exp(-log_std) overflows and the
+        leaf's density would be NaN: validate reports it, both on the
+        columns and node by node, and no pass runs.  Just above, the
+        circuit evaluates."""
+        from circuq.circuit import _columns, _holds, _node_report
+
+        assert circuit_module.MIN_LOG_STD == -math.log(np.finfo(np.float64).max)
+        nodes = [gaussian(0, 0.0, -0.5), gaussian(0, 0.0, -710.0),
+                 SumNode([0, 1], np.log([0.5, 0.5]))]
+        c = Circuit(nodes, [2], 1, np.zeros(1))
+        report = validate(c)
+        assert [(v.constraint, v.node) for v in report.violations] == [("leaf-parameter", 1)]
+        assert not _holds(_columns(c)) and _node_report(c).violations == report.violations
+        with pytest.raises(ParameterError, match="node 1"):
+            log_likelihood(c, [0.0])
+        with pytest.raises(SerializationError, match=r"\[leaf-parameter\] node=1"):
+            serialize(c)
+        nodes[1] = gaussian(0, 0.0, -700.0)
+        c = Circuit(nodes, [2], 1, np.zeros(1))
+        assert validate(c).ok
+        assert log_likelihood(c, [0.0])[0] == pytest.approx(
+            math.log(0.5) + np.logaddexp(0.5, 700.0) - 0.5 * math.log(2 * math.pi), rel=1e-14)
+
 
 class TestLogLikelihood:
     def test_standard_normal_at_mode(self):
@@ -549,6 +573,21 @@ class TestCircuitFile:
         with pytest.raises(SerializationError, match=message):
             deserialize(change(members(blob), blob))
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_a_file_whose_log_std_overflows_its_inverse_fails_to_load(self, version):
+        c = build_manual("a gaussian 0 0.0 1.0\nb gaussian 0 1.0 2.0\ns sum 0.5 a 0.5 b\nroot s")
+        if version == 1:
+            doc = v1_doc(c)
+            doc["nodes"][1]["log_std"] = -710.0
+            blob = json.dumps(doc).encode()
+        else:
+            arrays = members(serialize(c))
+            arrays["log_stds"] = np.array([0.0, -710.0])
+            blob = archive(arrays)
+        with pytest.raises(SerializationError, match=r"\[leaf-parameter\] node=1: Gaussian "
+                                                     r"log_std -710\.0 is below -709\.783"):
+            deserialize(blob)
+
     def test_an_invalid_circuit_in_a_file_gets_the_node_report(self):
         arrays = members(serialize(build_manual(TWO_LEAF_MIXTURE)))
         arrays["log_weights"] = np.log([0.5, 0.4])
@@ -618,7 +657,7 @@ def _corrupted(circuit: Circuit, data) -> Circuit:
         off = draw(st.sampled_from([1e-9, -1e-9, 0.0])) + draw(st.integers(-6, 6)) * eps
         nodes[i] = SumNode(nodes[i].children, nodes[i].log_weights + math.log1p(off))
     elif kind == "parameter":
-        bad = draw(st.sampled_from([np.nan, np.inf, 1j, 0.5 + 0j]))
+        bad = draw(st.sampled_from([np.nan, np.inf, 1j, 0.5 + 0j, -710.0]))
         i = draw(st.sampled_from(leaves + sums))
         node = nodes[i]
         if node.kind == "gaussian":

@@ -103,6 +103,23 @@ class TestExitCodes:
                    "--out", str(workspace / "out_bad")])
         assert rc == 4
 
+    def test_a_log_std_whose_inverse_overflows_is_4(self, workspace):
+        """A model file with a Gaussian log std of -710, whose 1 / std
+        overflows: tdi exits 4 with an error line naming the leaf, no
+        traceback and no RuntimeWarning."""
+        doc = v1_doc(load(workspace / "train" / "model.circuit"))
+        leaf = next(i for i, n in enumerate(doc["nodes"]) if n["kind"] == "gaussian")
+        doc["nodes"][leaf]["log_std"] = -710.0
+        bad = workspace / "narrow_leaf.circuit"
+        bad.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "circuq.cli", "tdi",
+             "--model", str(bad), "--input", str(workspace / "x.csv"),
+             "--out", str(workspace / "tdi_narrow_leaf")], capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: code=4 kind=validation")
+        assert f"[leaf-parameter] node={leaf}" in proc.stderr and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ["train", "--data", "{data}"],
         ["eval", "--data", "{data}"],

@@ -27,14 +27,14 @@ from circuq import (
     tdi_pass_batch,
 )
 import circuq.circuit as circuit_module
-from circuq.circuit import forward_log_values, log_mix, log_mix_factored, mix
+from circuq.circuit import forward_log_values, log_mix, mix
 from circuq.enumeration import enumerate_dropout_moments, linear_forward
 from circuq.structures import random_dag_circuit, random_evidence, random_tree_circuit
 from circuq.train import ParameterSpace, TrainConfig, fit, loss_and_grad
-from circuq.moments import (_child_terms, _factor_terms, _product_moments, _sum_moments,
-                            posterior_moments, posterior_moments_batch, posterior_summary_batch)
+from circuq.moments import (_factor_terms, _product_moments, _sum_moments, posterior_moments,
+                            posterior_moments_batch, posterior_summary_batch)
 
-from conftest import partition_products, permuted, repetitions
+from conftest import child_terms, log_space_mix, partition_products, permuted, repetitions
 
 SMALL_RAT = RatConfig(5, 5, 3, 2, 5, 16, rng_seed=1)
 MID_RAT = RatConfig(10, 10, 4, 5, 10, 64, rng_seed=1)
@@ -200,10 +200,10 @@ def unfused_passes(circuit, X, config):
     whole and written into its slots before the sum layer that reads it
     runs: the schedule without fused steps, and with no layer taken as
     constant, so the moment kernels' general path also runs on the layers
-    that read only leaves.  A sum layer over a fused product layer mixes
-    it from the products' factors, as every pass does.  Returns the
-    slot-order log values, and the log expectations and variances in node
-    order."""
+    that read only leaves.  Each sum layer mixes its products from their
+    factors, as every pass does: a fused product layer's, or its children
+    as products of one factor (Layout.mixes).  Returns the slot-order log
+    values, and the log expectations and variances in node order."""
     plan = circuit.plan()
     layout = plan.layout
     logv, log_e, log_v = (np.empty((len(layout.order), len(X))) for _ in range(3))
@@ -214,7 +214,7 @@ def unfused_passes(circuit, X, config):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k, (layer, lw, w, w2) in enumerate(zip(layout.layers, plan.log_weights, plan.weights,
                                                    plan.squared_weights)):
-            products = layout.layers[k - 1] if k and layout.fused[k - 1] else None
+            products = layout.mixes[k]
             for b in layer.blocks(len(X)):
                 out = layer.output(log_e, b), layer.output(log_v, b)
                 if layer.kind == "product":
@@ -222,18 +222,11 @@ def unfused_passes(circuit, X, config):
                                 out=layer.output(logv, b))
                     _product_moments(layer, [read.read(log_e, b) for read in layer.reads],
                                      [read.read(log_v, b) for read in layer.reads], out, False)
-                elif products is None:
-                    children = layer.reads[0]
-                    layer.output(logv, b)[...] = log_mix(w[b], lw[b], children.read(logv, b))
-                    terms = _child_terms(w2[b], children.read(log_e, b), children.read(log_v, b),
-                                         config.p, False)
-                    _sum_moments(w[b], lw[b], log_q, config.p, out, *terms)
                 else:
                     g = products.feeding(layer, b)
                     shape = (b.stop - b.start, layer.children.shape[1], len(X))
                     factors = [products.stacked.read(a, g) for a in (logv, log_e, log_v)]
-                    layer.output(logv, b)[...] = log_mix_factored(w[b], lw[b], factors[0],
-                                                                  np.empty(shape))
+                    layer.output(logv, b)[...] = log_mix(w[b], lw[b], factors[0], np.empty(shape))
                     terms = _factor_terms(w2[b], products, factors[1], factors[2],
                                           (np.empty(shape), np.empty(shape)), config.p, False)
                     _sum_moments(w[b], lw[b], log_q, config.p, out, *terms)
@@ -395,9 +388,10 @@ def log_space_passes(circuit, X, config):
                                      [read.read(log_v, b) for read in layer.reads], out, False)
                 else:
                     children = layer.reads[0]
-                    layer.output(logv, b)[...] = log_mix(w[b], lw[b], children.read(logv, b))
-                    terms = _child_terms(w2[b], children.read(log_e, b), children.read(log_v, b),
-                                         config.p, False)
+                    layer.output(logv, b)[...] = log_space_mix(w[b], lw[b],
+                                                               children.read(logv, b))
+                    terms = child_terms(w2[b], children.read(log_e, b), children.read(log_v, b),
+                                        config.p, False)
                     _sum_moments(w[b], lw[b], log_q, config.p, out, *terms)
     return logv[layout.slot], log_e[layout.slot], log_v[layout.slot]
 
@@ -426,15 +420,19 @@ class TestFactoredMix:
 
     ULPS = 8  # in units of the double epsilon, relative to max(1, |value|)
 
-    def assert_matches_log_space(self, c, X):
+    def assert_matches_log_space(self, c, X, bitwise: int = 0):
         """Every node's log value, expectation and variance is the log-space
-        pass's within ULPS, and -inf exactly where it is."""
+        pass's within ULPS, and -inf exactly where it is; the first
+        ``bitwise`` of them bit for bit."""
         bound = self.ULPS * np.finfo(np.float64).eps
+        bits = lambda a: np.ascontiguousarray(a).view(np.int64)  # noqa: E731
         for p in (0.0, 0.1, 0.3):
             dropout = DropoutConfig.with_p(p)
             got = (forward_log_values(c, X), *tdi_pass_batch(c, X, dropout))
             wanted = log_space_passes(c, X, dropout)
             assert np.isneginf(wanted[0]).any() and np.isfinite(wanted[2]).any() == (p > 0)
+            for g, want in zip(got[:bitwise], wanted):
+                np.testing.assert_array_equal(bits(g), bits(want))
             for g, want in zip(got, wanted):
                 np.testing.assert_array_equal(np.isneginf(g), np.isneginf(want))
                 finite = np.isfinite(want)
@@ -457,6 +455,27 @@ class TestFactoredMix:
             X[0] = np.nan
             X[1, rng.integers(c.num_variables)] = 1e200
             self.assert_matches_log_space(c, X)
+
+    @pytest.mark.parametrize("kind", ["tree", "dag"])
+    def test_unfused_sums_match_the_log_space_arithmetic(self, kind):
+        """Random trees and DAGs, whose sums mix their children as products
+        of one factor, with a marginalized row and a far-out value whose
+        leaf is -inf: their log values and expectations are the log-space
+        pass's bit for bit, and the variances, one (W o W) mix where the
+        log-space pass takes two, within ULPS."""
+        rng = np.random.default_rng(11 if kind == "tree" else 12)
+        tested = 0
+        while tested < 8:
+            c = (random_tree_circuit(rng, num_classes=2) if kind == "tree"
+                 else random_dag_circuit(rng))
+            gaussian = c.layout().leaves["gaussian"][1]
+            if not len(gaussian):
+                continue
+            X = np.array([random_evidence(rng, c, 0.3) for _ in range(6)])
+            X[0] = np.nan
+            X[1, rng.choice(gaussian)] = 1e200
+            self.assert_matches_log_space(c, X, bitwise=2)
+            tested += 1
 
     @pytest.mark.parametrize("factors", [1, 3])
     def test_products_of_one_or_three_factors(self, factors):

@@ -18,7 +18,7 @@ from circuq import (
     mcd_infer,
     mcd_vs_tdi_report,
 )
-from circuq.circuit import forward_log_values, log_mix, log_mix_factored
+from circuq.circuit import forward_log_values, log_mix
 from circuq.enumeration import linear_leaf_value
 from circuq.mcd import byte_keep, keep_masks
 from circuq.moments import DropoutConfig, tdi_pass, tdi_pass_batch
@@ -114,10 +114,11 @@ class TestMaskedPass:
 def full_width_masked_forward(circuit, x, keep, nodes=None):
     """The masked pass with every layer, the leaves included, in one column
     per pass, each product layer written whole into its slots first, and
-    each sum layer mixed by circuit.log_mix, or, over a fused product
-    layer, from the products' factors by circuit.log_mix_factored: the pass
-    without its one-column invariant prefix.  Rows of ``nodes``, by default
-    every node in node order."""
+    each sum layer mixed by circuit.log_mix from the factors of the
+    products it mixes (Layout.mixes): a fused product layer's, or its
+    children as products of one factor.  This is the pass without its
+    one-column invariant prefix.  Rows of ``nodes``, by default every node
+    in node order."""
     plan = circuit.plan()
     layout = plan.layout
     values = np.empty((len(circuit.nodes), len(keep)))
@@ -125,21 +126,16 @@ def full_width_masked_forward(circuit, x, keep, nodes=None):
     start = 0
     with np.errstate(divide="ignore"):
         for k, (layer, lw, w) in enumerate(zip(layout.layers, plan.log_weights, plan.weights)):
-            products = layout.layers[k - 1] if k and layout.fused[k - 1] else None
+            products = layout.mixes[k]
             for b in layer.blocks(len(keep)):
                 if layer.kind == "product":
                     layer.outer([read.read(values, b) for read in layer.reads],
                                 out=layer.output(values, b))
                     continue
                 kept = keep[:, start : start + w.size].reshape(-1, *w.shape)[:, b]
-                if products is None:
-                    mixed = log_mix(w[b], lw[b], layer.reads[0].read(values, b), kept)
-                else:
-                    g = products.feeding(layer, b)
-                    mixed = log_mix_factored(
-                        w[b], lw[b], products.stacked.read(values, g),
-                        np.empty((b.stop - b.start, layer.children.shape[1], len(keep))), kept)
-                layer.output(values, b)[...] = mixed
+                layer.output(values, b)[...] = log_mix(
+                    w[b], lw[b], products.stacked.read(values, products.feeding(layer, b)),
+                    np.empty((b.stop - b.start, layer.children.shape[1], len(keep))), kept)
             start += 0 if w is None else w.size
     return values[layout.slot if nodes is None else layout.slot[nodes]]
 

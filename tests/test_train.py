@@ -24,9 +24,11 @@ from circuq import (
 )
 import circuq.train as train_module
 from circuq.errors import ShapeError
-from circuq.circuit import _shifted_exp, forward_log_values
+from circuq.circuit import forward_log_values
 from circuq.structures import random_dag_circuit, random_evidence, random_tree_circuit
 from circuq.train import _blocks, _leaf_gradients, _loss_seed, _sum_reverse
+
+from conftest import shifted_exp
 
 
 def finite_difference_gradient(space, theta, X, y, objective="head", h=1e-5):
@@ -52,7 +54,7 @@ def log_space_loss_and_grad(circuit, X, labels, objective="head"):
     factors: the every-node forward, which writes each fused product's log
     value into its slot, and a reverse pass over every layer, product layers
     included, whose sums shift and exponentiate their children's log values
-    (circuit._shifted_exp) and add the products' adjoints into their slots,
+    (conftest.shifted_exp) and add the products' adjoints into their slots,
     from which each product layer sends them on to its factors."""
     plan = circuit.plan()
     layout = plan.layout
@@ -72,7 +74,7 @@ def log_space_loss_and_grad(circuit, X, labels, objective="head"):
                 continue
             children = layer.reads[0]
             x = children.read(logv, b)
-            _, shift, lin = _shifted_exp(x)
+            _, shift, lin = shifted_exp(x)
             logits_grad[k][b], part = _sum_reverse(
                 plan.weights[k][b], plan.log_weights[k][b], shift, lin,
                 lambda g, c: x[g, :, c], layer.output(logv, b), adj)

@@ -19,8 +19,9 @@ their unit (rows/s and 1/s higher; s, ms, MB and bytes lower); others are
 not paired.  Then the change runs once with ``--trace 1`` per workload and
 once through the criterion 11 acceptance test.  The file, BENCH_<L>.json in
 the current directory (L defaults to the change's short hash), follows
-ROADMAP item 16: commit, host, command lines, runs, medians, paired
-figures, the traced run and the paper's ratios.
+ROADMAP item 16: commit, host, command lines, each side's line count of
+``src/**/*.py``, runs, medians, paired figures, the traced run and the
+paper's ratios.
 
 Only the standard library and git are used.
 """
@@ -81,6 +82,11 @@ def run(tree: Path, command: list) -> str:
         raise RuntimeError(f"{' '.join(command)} in {tree} exited {done.returncode}:\n"
                            f"{done.stderr[-2000:]}")
     return done.stdout
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of the tree's ``src/**/*.py`` files, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src").rglob("*.py"))
 
 
 def benchmark(tree: Path, workload: str, seconds: float, trace: int) -> dict:
@@ -182,6 +188,7 @@ def main(argv=None) -> int:
                        "trace1": f"python3 benchmarks/run.py --workload {{workload}} --seed 0 "
                                  f"--seconds {args.seconds:g} --trace 1",
                        "criterion_11": " ".join(["PYTHONPATH=src python3"] + CRITERION_11[1:])},
+                   "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
                    "procedure": (f"For each workload, {args.pairs} pairs of fresh-process "
                                  "--trace 0 runs of the parent and of the change, alternating "
                                  "which ran first; 'runs' and 'parent_runs' hold each run's "
@@ -192,6 +199,8 @@ def main(argv=None) -> int:
                                  "Then one --trace 1 run of the change per workload and one "
                                  "run of the criterion 11 test."),
                    "workloads": {}}
+            print(f"src lines: {doc['src_lines']['parent']} -> {doc['src_lines']['change']}",
+                  flush=True)
             for workload in workloads:
                 runs = {"parent": [], "change": []}
                 for i in range(args.pairs):
