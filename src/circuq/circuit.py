@@ -956,7 +956,8 @@ class Layout:
 
     The leaves and the product layers before the first sum layer have no
     sum below them, so a masked pass computes their ``invariant`` slots,
-    the first ones, once for all its passes (:func:`forward_log_values`).
+    the first ones, once per evidence row for all of that row's passes
+    (:func:`forward_log_values`).
     ``prefix`` is the first layer that runs in every pass's column: the
     first sum layer, or the product layer fused into it.  ``narrow`` flags
     each sum layer that reads only the invariant slots, and ``shared``
@@ -1114,7 +1115,7 @@ class Layout:
         without slots of their own (``start`` None) and, for a request for
         the circuit's roots list itself, for fused products too; any other
         request writes their log values there.  Given ``head``, the masked
-        pass's (invariant, 1) arrays, the layers before :attr:`prefix` run on
+        pass's (invariant, rows) arrays, the layers before :attr:`prefix` run on
         those, and the sum layers that :attr:`narrow` flags read them, as
         does a product layer fused into one.
         """
@@ -1542,76 +1543,83 @@ def forward_log_values(circuit: Circuit, X: np.ndarray, keep: Optional[np.ndarra
     over layers; by default every node, in node order.
 
     Without ``keep`` the columns are the rows of X.  Monte Carlo dropout
-    passes a (passes, sum edges) boolean mask with one row in X, its edges in
-    the plan order of :attr:`Layout.sum_edge_order`: column j is then the pass
-    in which a sum edge contributes only where its bit in row j of ``keep``
-    holds; its weight is zero elsewhere.  Each sum layer reads its edges' bits
-    as a (passes, G, S, K) view.  With one row, the leaves and the product
+    passes a (passes, sum edges) boolean mask, its edges in the plan order of
+    :attr:`Layout.sum_edge_order`, whose passes are the rows of X in turn,
+    the same number each: column j is then the pass of row j // (passes /
+    rows) in which a sum edge contributes only where its bit in row j of
+    ``keep`` holds; its weight is zero elsewhere.  Each sum layer reads its
+    edges' bits as a (passes, G, S, K) view.  The leaves and the product
     layers below the first sum layer (the layout's invariant prefix) are the
-    same in every pass, so a masked pass computes them in one column.  The
-    sum layers that read only those values shift and exponentiate that
-    column once and mix it under each pass's bits, which does each pass's
-    arithmetic unchanged.  The other layers run on every pass's column, and
-    only the prefix values they read, or that ``nodes`` asks for, are copied
-    into every column.  The pass holds node values in slot order
+    same in every pass of a row, so a masked pass computes them in one
+    column per row.  The sum layers that read only those values shift and
+    exponentiate those columns once and mix each row's column under that
+    row's passes' bits, which does each pass's arithmetic unchanged.  The
+    other layers run on every pass's column, and only the prefix values they
+    read, or that ``nodes`` asks for, are copied into every pass's column.
+    The pass holds node values in slot order
     (:meth:`Layout.finish`): asking for :attr:`Layout.order` returns that
     array itself, lent until the caller hands it to ``layout.spare.give``
     or keeps it, and asking for the roots copies only their rows.  Each
     product layer that :attr:`Layout.fused` flags runs inside the step of
     the sum layer that reads it (:meth:`Layout.steps`), the first one
-    included in a masked pass, where it stays in one column, and the sums
-    mix its products from their factors (:func:`log_mix`), as every sum
-    layer mixes its children, products of one factor where no product
-    layer is fused into it.  A
+    included in a masked pass, where it stays in one column per row, and
+    the sums mix its products from their factors (:func:`log_mix`), as
+    every sum layer mixes its children, products of one factor where no
+    product layer is fused into it.  A
     request for the circuit's roots list itself leaves the products' slots
     unwritten; any other request writes their log values there.  Raises
-    ShapeError unless X is (rows, variables) and, with ``keep``, one row
-    with a (passes, sum edges) boolean mask.
+    ShapeError unless X is (rows, variables) and, with ``keep``, a (passes,
+    sum edges) boolean mask with a positive multiple of rows passes.
     """
     plan = circuit.plan()
     layout = plan.layout
     X = as_batch(X, circuit.num_variables)
+    rows = X.shape[0]
     if keep is not None:
         keep = np.asarray(keep)
         if keep.dtype != bool:
             raise ShapeError(f"a keep mask of dtype {keep.dtype}; expected boolean keep bits")
-        if X.shape[0] != 1 or keep.ndim != 2 or keep.shape[1] != layout.num_sum_edges:
+        if (keep.ndim != 2 or keep.shape[1] != layout.num_sum_edges or not rows
+                or not len(keep) or len(keep) % rows):
             raise ShapeError(f"a keep mask of shape {keep.shape} with evidence of shape "
-                             f"{X.shape}; expected one row and (passes, "
-                             f"{layout.num_sum_edges}) keep bits")
+                             f"{X.shape}; expected (passes, {layout.num_sum_edges}) keep "
+                             f"bits, the same positive number of passes per row")
     roots_only = nodes is circuit.roots
     masked = keep is not None
-    key, prepared = forward_pass(layout, len(keep) if masked else X.shape[0], roots_only, masked)
+    key, prepared = forward_pass(layout, len(keep) if masked else rows, roots_only,
+                                 rows if masked else 0)
     (logv,), (head, prefix, rest) = prepared.arrays, prepared.steps
     plan.leaf_log_values(X, head)
     with np.errstate(divide="ignore"):
         _forward_layers(plan, prefix)
         if masked:
-            logv[layout.shared] = head[layout.shared]
+            logv[layout.shared] = pass_columns(head[layout.shared], len(keep) // rows)
         _forward_layers(plan, rest, keep)
     if masked:  # after the layers, which make the fused prefix products in head
         wanted = np.arange(layout.invariant) if nodes is None else layout.slot[nodes]
         wanted = wanted[wanted < layout.invariant]
-        logv[wanted] = head[wanted]
+        logv[wanted] = pass_columns(head[wanted], len(keep) // rows)
     return layout.finish(key, prepared, nodes, roots_only)[0]
 
 
-def forward_pass(layout: Layout, columns: int, roots_only: bool, masked: bool):
+def forward_pass(layout: Layout, columns: int, roots_only: bool, rows: int = 0):
     """The key and the prepared pass (:meth:`Layout.prepared`) of a forward
-    pass of ``columns`` columns, whose steps are :func:`_forward_steps`'."""
-    key = ("forward", columns, roots_only, masked)
+    pass of ``columns`` columns, whose steps are :func:`_forward_steps`':
+    a masked pass of ``rows`` evidence rows, or an unmasked one where
+    ``rows`` is 0."""
+    key = ("forward", columns, roots_only, rows)
     return key, layout.prepared(key, columns, 1, lambda logv: _forward_steps(
-        layout, logv, roots_only, masked))
+        layout, logv, roots_only, rows))
 
 
-def _forward_steps(layout: Layout, logv: np.ndarray, roots_only: bool, masked: bool):
+def _forward_steps(layout: Layout, logv: np.ndarray, roots_only: bool, rows: int):
     """The forward pass's steps on ``logv`` (:meth:`Layout.pass_steps`), as
     (head, prefix steps, other steps), and the bytes of their scratch; a
-    masked pass's head is its own (invariant, 1) array."""
-    head = np.empty((layout.invariant, 1)) if masked else logv
-    steps, scratch = layout.pass_steps((logv,), roots_only, (head,) if masked else None)
+    masked pass of ``rows`` rows has its own (invariant, rows) head."""
+    head = np.empty((layout.invariant, rows)) if rows else logv
+    steps, scratch = layout.pass_steps((logv,), roots_only, (head,) if rows else None)
     split = sum(k < layout.prefix for k, _, _ in steps)
-    return (head, steps[:split], steps[split:]), scratch + (head.nbytes if masked else 0)
+    return (head, steps[:split], steps[split:]), scratch + (head.nbytes if rows else 0)
 
 
 def _forward_layers(plan: Plan, steps: list, keep: Optional[np.ndarray] = None) -> None:
@@ -1644,17 +1652,16 @@ def log_mix(w: np.ndarray, log_w: np.ndarray, x: np.ndarray, lin: np.ndarray,
     (:attr:`ProductLayer.stacked`) of the product groups that the sum
     groups read, in order.  The shifted linear products are made in
     ``lin``, a contiguous (g, K, columns) array (:func:`factored_exp`), and
-    mixed in linear space.  A (columns, g, S, K) boolean ``kept`` drops
-    each column's edges where it is False, as masked passes do, and is read
-    in place; ``x`` may then hold one column that every pass shares.  The
-    shift ignores the weights, so a sum whose weighted children all sit far
-    below a zero-weight or dropped sibling flushes to zero or a subnormal;
-    those entries are recomputed as exact log-sum-exps of their products'
-    log values, made from the factors (:func:`factored_children`).
+    mixed in linear space.  A (passes, g, S, K) boolean ``kept`` drops each
+    pass's edges where it is False, as masked passes do, and is read in
+    place; ``x`` may then hold one column per evidence row that the row's
+    passes, as many per row, share.  The shift ignores the weights, so a sum
+    whose weighted children all sit far below a zero-weight or dropped
+    sibling flushes to zero or a subnormal; those entries are recomputed as
+    exact log-sum-exps of their products' log values, made from the factors
+    (:func:`factored_children`).
     """
     m, lin, _ = factored_exp(x, lin)
-    if kept is not None:
-        x = np.broadcast_to(x, (*x.shape[:3], len(kept)))
     return _log_mixed(w, log_w, m, m, lin, factored_children(x, len(lin)), kept)
 
 
@@ -1728,11 +1735,29 @@ def _log_mixed(w, log_w, m, shift, lin, children, kept=None) -> np.ndarray:
     in columns c, which the flush repair reads."""
     if kept is None:
         mixed = mix(w, lin)
-    else:  # a shared column is read at stride 0 along the passes
-        lin = np.broadcast_to(lin, (*lin.shape[:2], len(kept)))
-        mixed = np.einsum("gsk,cgsk,gkc->gsc", w, kept, lin)
+    else:  # lin holds a column per pass, or per row, read at stride 0 along its passes
+        per_row = len(kept) // lin.shape[2]
+        if per_row == 1 or lin.shape[2] == 1:
+            mixed = np.einsum("gsk,cgsk,gkc->gsc", w, kept, lin)
+        else:  # several rows: a 5-D view, where the repeated columns would be a copy
+            mixed = np.einsum("gsk,rlgsk,gkrl->gsrl", w, kept.reshape(-1, per_row, *kept.shape[1:]),
+                              lin[..., None]).reshape(*w.shape[:2], -1)
+        m, shift = pass_columns(m, per_row), pass_columns(shift, per_row)
+        if per_row > 1:  # the flush repair reads a pass's children in its row's column
+            row_children = children
+            children = lambda g, c: row_children(g, c // per_row)
     return log_shifted(mixed, shift, lambda: m > -np.inf, lambda g, s, c: children(g, c) + (
         log_w[g, s] if kept is None else np.where(kept[c, g, s], log_w[g, s], -np.inf)))
+
+
+def pass_columns(a: np.ndarray, per_row: int) -> np.ndarray:
+    """(..., rows * per_row) ``a``: each of its (..., rows) columns, one per
+    evidence row of a masked pass, repeated for each of that row's passes;
+    ``a`` itself where it holds one column, which numpy broadcasts along
+    every pass, or where each row has one pass."""
+    if per_row == 1 or a.shape[-1] == 1:
+        return a
+    return np.repeat(a, per_row, axis=-1)
 
 
 def mix(w: np.ndarray, lin: np.ndarray) -> np.ndarray:

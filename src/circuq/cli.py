@@ -28,7 +28,7 @@ from .evaluation import (
     results_to_json,
     write_curve_csv,
 )
-from .mcd import mcd_infer_rows, mcd_vs_tdi_report
+from .mcd import McdConfig, mcd_infer, mcd_vs_tdi_report
 from .moments import (
     CovarianceStrategy,
     DropoutConfig,
@@ -185,15 +185,16 @@ def cmd_tdi(args) -> int:
 def cmd_mcd(args) -> int:
     circuit = load(args.model)
     data = load_csv(args.input)
+    res = mcd_infer(circuit, data.features, McdConfig(args.p, args.L, args.seed))
     out_path = os.path.join(args.out, "mcd.csv")
     with open(out_path, "w") as fh:
         fh.write("sample_id,class,posterior_mean,posterior_variance,root_mean,root_variance\n")
-        for i, res in enumerate(mcd_infer_rows(circuit, data.features, args.p, args.L, args.seed)):
+        for i in range(data.num_rows):
             for c in range(circuit.num_classes):
                 fh.write(
-                    f"{i},{c},{res.posterior_sample_mean[c]:.17g},"
-                    f"{res.posterior_sample_variance[c]:.17g},"
-                    f"{res.sample_mean[c]:.17g},{res.sample_variance[c]:.17g}\n"
+                    f"{i},{c},{res.posterior_sample_mean[i, c]:.17g},"
+                    f"{res.posterior_sample_variance[i, c]:.17g},"
+                    f"{res.sample_mean[i, c]:.17g},{res.sample_variance[i, c]:.17g}\n"
                 )
     print(f"wrote {out_path} ({args.L} passes per sample)")
     return 0

@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, log_likelihood_batch
+from .circuit import Circuit, as_batch, log_likelihood_batch
 from .datasets import Dataset, corrupt, rotate
 from .errors import ShapeError
-from .mcd import mcd_infer_rows
+from .mcd import McdConfig, mcd_infer
 from .moments import (
     DropoutConfig,
     _root_shift,
@@ -61,10 +61,10 @@ def posterior_means(circuit: Circuit, X: np.ndarray, config: EvalConfig):
         means[:] = pm.mean
         stds[:] = pm.std
     else:
-        results = mcd_infer_rows(circuit, X, config.p, config.mcd_passes, config.rng_seed)
-        for r, res in enumerate(results):
-            means[r] = res.posterior_sample_mean
-            stds[r] = np.sqrt(res.posterior_sample_variance)
+        res = mcd_infer(circuit, as_batch(X, circuit.num_variables),
+                        McdConfig(config.p, config.mcd_passes, config.rng_seed))
+        means[:] = res.posterior_sample_mean
+        stds[:] = np.sqrt(res.posterior_sample_variance)
     return means, stds
 
 

@@ -184,7 +184,7 @@ def loss_and_grad(
     B = X.shape[0]
     plan = circuit.plan()
     layout = plan.layout
-    key, prepared = forward_pass(layout, B, roots_only=True, masked=False)
+    key, prepared = forward_pass(layout, B, roots_only=True)
     (logv,), (_, prefix, rest) = prepared.arrays, prepared.steps
     steps = prefix + rest
     adjoint = layout.values(B)  # d loss / d log value per slot

@@ -156,6 +156,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: code=4 kind=circuit") and "vanished for row 0" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["mcd", "--input", "{far}"],
+        ["ood", "--method", "mcd", "--id-data", "{data}", "--ood-data", "{far}"],
+    ])
+    def test_a_degenerate_mcd_row_is_named(self, workspace, argv, capsys):
+        """Every MCD pass of a row whose value is 1e200 vanishes: the error
+        line names that row, here the fourth of eight."""
+        data = load_csv(workspace / "x.csv")
+        data.features[3, 0] = 1e200
+        path = workspace / "x_far_row.csv"
+        save_csv(data, path)
+        paths = {"far": str(path), "data": str(workspace / "data.csv")}
+        argv = [a.format(**paths) for a in argv]
+        rc = main(argv + ["--model", str(workspace / "train" / "model.circuit"),
+                          "--out", str(workspace / f"far_row_{argv[0]}")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: code=4 kind=circuit") and "row 3: all " in err
+
     @pytest.mark.parametrize("width", [5, 7])
     @pytest.mark.parametrize("argv", [["tdi", "--input"], ["train", "--epochs", "1", "--data"]])
     def test_input_of_wrong_width_is_4(self, workspace, argv, width, capsys):

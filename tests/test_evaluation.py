@@ -150,7 +150,7 @@ class TestMethodPlumbing:
         for method in ("plain", "tdi"):
             with pytest.raises(UnderflowError, match="row 1"):
                 posterior_means(c, X, EvalConfig(method=method))
-        with pytest.raises(DegenerateSampleError):
+        with pytest.raises(DegenerateSampleError, match="row 1"):
             posterior_means(c, X, EvalConfig(method="mcd", mcd_passes=10))
 
     @pytest.mark.parametrize("method", ["plain", "tdi", "mcd"])

@@ -728,12 +728,13 @@ def test_a_pickled_plan_keeps_its_weights_apart():
         np.testing.assert_array_equal(bits(got), bits(expected))
 
 
-def test_keep_mask_needs_one_row_and_every_sum_edge():
+def test_keep_mask_needs_whole_rows_and_every_sum_edge():
+    """A masked pass runs the same positive number of passes for each row."""
     c = build_rat(SMALL_RAT)
     edges = c.layout().num_sum_edges
     X = np.random.default_rng(0).normal(size=(2, c.num_variables))
-    for rows, shape in ((2, (2, edges)), (1, (2, edges + 1)), (1, (2, edges - 1)),
-                        (1, (edges,))):
+    for rows, shape in ((2, (3, edges)), (2, (1, edges)), (2, (0, edges)), (0, (2, edges)),
+                        (1, (2, edges + 1)), (1, (2, edges - 1)), (1, (edges,))):
         with pytest.raises(ShapeError):
             forward_log_values(c, X[:rows], np.ones(shape, dtype=bool))
     for bad in (X[0], np.zeros((2, c.num_variables + 1))):  # 1-D; one variable too many

@@ -18,9 +18,10 @@ from circuq import (
     mcd_infer,
     mcd_vs_tdi_report,
 )
+from circuq import circuit as circuit_module
 from circuq.circuit import forward_log_values, log_mix
 from circuq.enumeration import linear_leaf_value
-from circuq.mcd import byte_keep, keep_masks
+from circuq.mcd import byte_keep, mask_stream
 from circuq.moments import DropoutConfig, tdi_pass, tdi_pass_batch
 from circuq.structures import random_dag_circuit, random_evidence, random_tree_circuit
 
@@ -62,6 +63,48 @@ class TestDeterminismAndDegeneracy:
         with pytest.raises(DegenerateSampleError):
             mcd_infer(c, [1.0], McdConfig(0.1, 10, rng_seed=0))
 
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    def test_the_degenerate_row_of_a_batch_is_named(self, p):
+        """Both class heads give state 1 probability 0, so every pass of
+        row 2 degenerates, and the error names that row."""
+        c = build_manual("""
+        a categorical 0 1.0 0.0
+        b categorical 0 1.0 0.0
+        s sum 0.5 a 0.5 b
+        t categorical 0 1.0 0.0
+        root s t
+        """)
+        with pytest.raises(DegenerateSampleError, match=r"^row 2: all 10 passes"):
+            mcd_infer(c, np.array([[0.0], [np.nan], [1.0], [0.0]]), McdConfig(p, 10, rng_seed=0))
+
+
+class TestConfigCheck:
+    @pytest.mark.parametrize("passes", [100.0, True, 0, -1, "5", None])
+    def test_num_passes_must_be_a_positive_integer(self, two_leaf_sum, passes):
+        with pytest.raises(ValueError, match="^num_passes "):
+            mcd_infer(two_leaf_sum, [0.0], McdConfig(0.1, passes))
+
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.0, True, "3"])
+    def test_the_seed_must_be_a_philox_key(self, two_leaf_sum, p, seed):
+        """At p = 0 too, where no bits are drawn."""
+        with pytest.raises(ValueError, match="^rng_seed "):
+            mcd_infer(two_leaf_sum, [0.0], McdConfig(p, 10, seed))
+
+    def test_every_row_seed_must_be_a_philox_key(self, two_leaf_sum):
+        last = 2**128 - 1
+        for X in ([0.0], [[0.0]]):
+            res = mcd_infer(two_leaf_sum, X, McdConfig(0.1, 10, last))
+            assert res.metadata["num_passes"] == 10
+        with pytest.raises(ValueError, match=r"^rng_seed .* for 2 rows"):
+            mcd_infer(two_leaf_sum, np.zeros((2, 1)), McdConfig(0.1, 10, last))
+        mcd_infer(two_leaf_sum, np.zeros((2, 1)), McdConfig(0.1, 10, last - 1))
+
+    def test_numpy_integers_are_counts(self, two_leaf_sum):
+        a = mcd_infer(two_leaf_sum, [0.0], McdConfig(0.1, np.int64(20), np.int64(3)))
+        b = mcd_infer(two_leaf_sum, [0.0], McdConfig(0.1, 20, 3))
+        np.testing.assert_array_equal(bits(a.sample_mean), bits(b.sample_mean))
+
 
 def masked_linear_forward(circuit, x, keep):
     """Root values per pass, node by node in linear space: sum edge e, in
@@ -86,7 +129,7 @@ def stream_mask(circuit, p, seed, L):
     """The first L passes of the seed's mask stream, as a (sum edges, passes)
     mask in sum_edges() order."""
     order = circuit.layout().sum_edge_order
-    plan_order = next(keep_masks(p, seed, len(order), L, L))
+    plan_order = mask_stream(p, seed)(np.empty((L, len(order)), dtype=bool))
     keep = np.empty((len(order), L), dtype=bool)
     keep[order] = plan_order.T
     return keep
@@ -238,9 +281,9 @@ class TestMaskStream:
 
     def test_chunks_are_slices_of_one_stream(self):
         L, E = 37, 13
-        whole = next(keep_masks(0.3, 5, E, L, L))
-        chunks = list(keep_masks(0.3, 5, E, L, 8))
-        assert [len(c) for c in chunks] == [8, 8, 8, 8, 5]
+        whole = mask_stream(0.3, 5)(np.empty((L, E), dtype=bool))
+        fill = mask_stream(0.3, 5)
+        chunks = [fill(np.empty((n, E), dtype=bool)) for n in (8, 8, 8, 8, 5)]
         np.testing.assert_array_equal(np.concatenate(chunks), whole)
 
 
@@ -283,6 +326,115 @@ def test_results_do_not_depend_on_the_chunk_budget(circuit, seed, p, L):
                   "posterior_sample_variance"):
         np.testing.assert_array_equal(getattr(chunked, field), getattr(whole, field))
     np.testing.assert_array_equal(run(L + 11).raw_samples[:L], whole.raw_samples)
+
+
+def row_by_row(circuit, X, config):
+    """The one-row calls of a batch, row r with seed rng_seed + r, stacked
+    per result field, and their degenerate passes; or the index of the
+    first row whose every pass degenerates."""
+    rows = []
+    for r, x in enumerate(X):
+        try:
+            rows.append(mcd_infer(circuit, x, McdConfig(config.p, config.num_passes,
+                                                        config.rng_seed + r, True)))
+        except DegenerateSampleError:
+            return r
+    return ({f: np.stack([getattr(res, f) for res in rows]) for f in RESULT_FIELDS},
+            sum(res.metadata["degenerate_passes"] for res in rows))
+
+
+RESULT_FIELDS = ("raw_samples", "sample_mean", "sample_variance", "posterior_sample_mean",
+                 "posterior_sample_variance")
+
+
+def assert_batch_is_its_rows(circuit, X, config):
+    want = row_by_row(circuit, X, config)
+    if isinstance(want, int):
+        with pytest.raises(DegenerateSampleError, match=f"^row {want}: "):
+            mcd_infer(circuit, X, config)
+        return
+    got = mcd_infer(circuit, X, config)
+    fields, degenerate = want
+    for f in RESULT_FIELDS:
+        np.testing.assert_array_equal(bits(getattr(got, f)), bits(fields[f]))
+    assert got.metadata == {"p": config.p, "num_passes": len(X) * config.num_passes,
+                            "degenerate_passes": degenerate}
+
+
+@pytest.fixture
+def masked_calls(monkeypatch):
+    """The (evidence rows, keep shape) of every masked pass that mcd_infer
+    runs while the fixture is in use."""
+    calls = []
+
+    def recording(circuit, X, keep=None, nodes=None):
+        if keep is not None:
+            calls.append((len(X), keep.shape))
+        return forward_log_values(circuit, X, keep, nodes)
+
+    monkeypatch.setattr(mcd, "forward_log_values", recording)
+    return calls
+
+
+@pytest.mark.parametrize("budget", ["packed", "split"])
+def test_a_batch_is_its_rows_bit_for_bit(masked_circuits, masked_calls, monkeypatch, budget):
+    """A batch's raw samples, moments and degenerate count equal one-row
+    calls with seeds rng_seed + r, bit for bit: with whole rows packed into
+    one masked pass at the default budget, and split into 8-pass chunks at
+    the smallest; on RATs and on trees and DAGs whose layers past the
+    invariant prefix read shared slots; with a partly and a wholly
+    marginalized row, a row whose first sum flushes, and at p = 0."""
+    if budget == "split":
+        monkeypatch.setattr(mcd, "_CHUNK_BYTES", 1)
+    rng = np.random.default_rng(17)
+    cases = [(c, np.array([random_evidence(rng, c, 0.3) for _ in range(2)]
+                          + [random_evidence(rng, c, 0.6), np.full(c.num_variables, np.nan)]))
+             for c in masked_circuits]
+    cases.append((build_manual(FLUSHED_FIRST_SUM), np.array([[0.0], [np.nan], [0.0], [14.0]])))
+    assert any(np.isnan(X).any(axis=1).sum() > 1 for _, X in cases)
+    for c, X in cases:
+        for p in (0.0, 0.3, 0.5):
+            assert_batch_is_its_rows(c, X, McdConfig(p, 12, 40, keep_samples=True))
+    if budget == "split":
+        assert {rows for rows, _ in masked_calls} == {1}
+        assert {shape[0] for _, shape in masked_calls} == {8, 4}
+    else:
+        assert max(rows for rows, _ in masked_calls) == 4
+
+
+@settings(max_examples=20, deadline=None)
+@given(mcd_circuits, st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.5]),
+       st.integers(1, 20), st.integers(1, 5), st.booleans())
+def test_batches_of_random_circuits_are_their_rows(circuit, seed, p, L, rows, split):
+    rng = np.random.default_rng(seed)
+    X = np.array([random_evidence(rng, circuit, 0.3) for _ in range(rows)])
+    budget = mcd._CHUNK_BYTES
+    mcd._CHUNK_BYTES = 1 if split else budget
+    try:
+        assert_batch_is_its_rows(circuit, X, McdConfig(p, L, seed % 1000, keep_samples=True))
+    finally:
+        mcd._CHUNK_BYTES = budget
+
+
+def test_a_packed_chunk_stays_under_the_spare_size(masked_circuits, masked_calls):
+    """Rows pack into one masked pass while its node values and keep bits
+    stay under circuit._SPARE_MIN, below which pass arrays are left to the
+    allocator: several small-RAT rows of 100 passes, and one mid-RAT row,
+    as a one-row call runs."""
+    small, mid = masked_circuits[:2]
+    rng = np.random.default_rng(3)
+    sizes = []
+    for c, rows in ((small, 13), (mid, 2)):
+        layout = c.layout()
+        pass_bytes = 8 * len(layout.order) + layout.num_sum_edges
+        X = np.array([random_evidence(rng, c, 0.2) for _ in range(rows)])
+        mcd_infer(c, X, McdConfig(0.1, 100, 0))
+        sizes.append([(n, shape[0] * pass_bytes) for n, shape in masked_calls])
+        masked_calls.clear()
+    (packed, *_), mid_calls = sizes
+    assert packed[0] > 1 and all(size <= circuit_module._SPARE_MIN for _, size in sizes[0])
+    assert sum(n for n, _ in sizes[0]) == 13
+    assert mid_calls == [(1, 100 * (8 * len(mid.layout().order) + mid.layout().num_sum_edges))] * 2
 
 
 fusion_cases = st.one_of(
